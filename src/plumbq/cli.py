@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 tolerance failure in a check command, 2 usage or
 parse error (click's default), 3 violated mathematical precondition.
 Expensive q-series runs are cached as JSON files keyed by a content hash of
-the invocation; cache writes go through a temp file and an atomic rename.
+the invocation, the package version and the series JSON format; cache
+writes go through a temp file and an atomic rename, and an entry that
+cannot be read back counts as a miss and is rewritten.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import tempfile
 from pathlib import Path
 
 import click
-import mpmath as mp
 
+from plumbq import __version__
 from plumbq.catalog import NAMED_GRAPHS
 from plumbq.plumbing import (
     PlumbingGraph,
@@ -27,6 +29,8 @@ from plumbq.plumbing import (
     kirby_neumann_move,
     linking_matrix,
 )
+from plumbq.qlaurent import SERIES_FORMAT, qs_from_json, qs_to_json
+from plumbq.zhat import VARIANTS
 
 CACHE_ENV = "PLUMBQ_CACHE_DIR"
 
@@ -43,7 +47,8 @@ def _load_graph(path: str) -> PlumbingGraph:
         with open(path) as fh:
             obj = json.load(fh)
         return graph_from_json(obj)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError,
+            ValueError) as exc:
         click.echo(f"error: cannot read graph {path}: {exc}", err=True)
         sys.exit(2)
 
@@ -65,17 +70,25 @@ def _cache_dir(flag_value: str | None) -> Path | None:
     return Path(path) if path else None
 
 
-def _cache_fetch(cache: Path | None, key_obj) -> tuple[str, Path | None]:
-    """(cached text or '', file path for the key); key is content-hashed."""
+def _cache_fetch(cache: Path | None, key_obj,
+                 fields) -> tuple[dict | None, Path | None]:
+    """(cached payload or None, file path for the key).  The key is the
+    content hash of key_obj, the package version and the series format; an
+    entry that is unreadable or lacks one of fields is a miss."""
     if cache is None:
-        return "", None
+        return None, None
+    key = dict(key_obj, version=__version__, series_format=SERIES_FORMAT)
     digest = hashlib.sha256(
-        json.dumps(key_obj, sort_keys=True).encode()
+        json.dumps(key, sort_keys=True).encode()
     ).hexdigest()
     target = cache / f"{digest}.json"
-    if target.exists():
-        return target.read_text(), target
-    return "", target
+    try:
+        payload = json.loads(target.read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        return None, target
+    if not isinstance(payload, dict) or any(f not in payload for f in fields):
+        return None, target
+    return payload, target
 
 
 def _cache_store(target: Path | None, text: str) -> None:
@@ -111,8 +124,7 @@ fmt_opt = click.option(
 
 @main.command()
 @graph_opt
-@click.option("--group", type=click.Choice(["su2", "so3", "osp12", "su3"]),
-              default="su2")
+@click.option("--group", type=click.Choice(VARIANTS), default="su2")
 @click.option("--order", type=int, default=50)
 @click.option("--cache-dir", default=None)
 @fmt_opt
@@ -125,18 +137,18 @@ def zhat(graph, group, order, cache_dir, fmt):
         _fail_math("linking matrix is not negative definite")
     key = {"cmd": "zhat", "graph": graph_to_json(g), "group": group,
            "order": order}
-    cached, target = _cache_fetch(_cache_dir(cache_dir), key)
-    if cached:
-        payload = json.loads(cached)
-    else:
-        blocks = zhat_all_blocks(g, group, order)
+    payload, target = _cache_fetch(_cache_dir(cache_dir), key,
+                                   ("group", "order", "blocks"))
+    if payload is None:
+        try:
+            blocks = zhat_all_blocks(g, group, order)
+        except ValueError as exc:
+            _fail_math(str(exc))
         payload = {"group": group, "order": order,
                    "blocks": [block_to_json(b) for b in blocks]}
         _cache_store(target, json.dumps(payload, sort_keys=True))
     lines = [f"{group} blocks, order {order}:"]
     for b in payload["blocks"]:
-        from plumbq.qlaurent import qs_from_json
-
         lines.append(f"  b={tuple(b['b'])}  delta={b['delta']}  "
                      f"norm={b['normalization']}")
         lines.append(f"    {qs_from_json(b['series'])}")
@@ -267,14 +279,12 @@ def quiver_generate(p, m, out_path, fmt):
 def quiver_series(quiver_path, r, cache_dir, fmt):
     """Motivic series coefficient of x^r (the r-colored polynomial)."""
     from plumbq.kq import quiver_jones, quiver_to_json
-    from plumbq.qlaurent import qs_from_json, qs_to_json
 
     q = _load_quiver(quiver_path)
     key = {"cmd": "quiver-series", "quiver": quiver_to_json(q), "r": r}
-    cached, target = _cache_fetch(_cache_dir(cache_dir), key)
-    if cached:
-        payload = json.loads(cached)
-    else:
+    payload, target = _cache_fetch(_cache_dir(cache_dir), key,
+                                   ("r", "series"))
+    if payload is None:
         series = quiver_jones(q, r)
         payload = {"r": r, "series": qs_to_json(series)}
         _cache_store(target, json.dumps(payload, sort_keys=True))
@@ -317,7 +327,6 @@ def dt(quiver_path, dmax, order, fmt):
 def oracle(knot, r, a_exp, q_sub, p, fmt):
     """Closed-form knot polynomial oracles."""
     from plumbq.kq import nested_sum_jones_83, closed_form_homfly, twist_knot_jones
-    from plumbq.qlaurent import qs_to_json
 
     try:
         if knot == "8_3-nested":

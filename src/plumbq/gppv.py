@@ -11,6 +11,7 @@ directly at the root.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,8 +28,10 @@ from plumbq.lie import (
 )
 from plumbq.plumbing import (
     PlumbingGraph,
+    _signature_counts,
     coset_representatives,
     degree_delta,
+    exact_det,
     exact_inverse,
     linking_matrix,
     spinc_labels_unfolded,
@@ -106,11 +109,8 @@ def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
     L = len(B)
     ell = [int(x) for x in ell]
     Binv = exact_inverse(B)
-    det = 1
-    # determinant and signature via the plumbing helpers would pull in a
-    # tree requirement; small matrices here, so do it directly
-    from plumbq.plumbing import exact_det, _signature_counts
-
+    # determinant and signature of the bare matrix: the plumbing helpers
+    # that take a graph would pull in a tree requirement
     det = exact_det(B)
     bp, bm = _signature_counts(B)
     sigma = bp - bm
@@ -119,8 +119,6 @@ def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
             return mp.expjpi(mp.mpf(x.numerator) / x.denominator)
 
         # even identity
-        import itertools
-
         lhs = mp.fsum(
             epi(_pairing(B, n, n) / (2 * k) + Fraction(2, 2 * k) * sum(a * b for a, b in zip(ell, n)))
             for n in itertools.product(range(2 * k), repeat=L)
@@ -153,7 +151,6 @@ def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
             * qe(-_pairing(Binv, dvec, dvec) / 4)
         )
         twoB = [[2 * B[i][j] for j in range(L)] for i in range(L)]
-        total = mp.mpf(0)
         rhs2 = mp.fsum(
             epi(Fraction(-(K + 1)) * _pairing(Binv, avec, avec)
                 - _pairing(Binv, avec, [d + sum(B[i][j] for j in range(L))

@@ -11,15 +11,17 @@ adding 2(k-1) times the all-ones matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
 from plumbq.qlaurent import (
     QSeries,
+    qs_inverse,
     qs_mul,
     qs_pochhammer,
     qs_qbinomial,
@@ -377,17 +379,43 @@ def _compositions(r: int, n: int):
             yield (head,) + rest
 
 
-def _multinomial_q2(r: int, d: tuple[int, ...], cache: dict) -> QSeries:
+def _walk(r: int, lin, C, gamma, carry, unit):
+    """Yield (e, odd, w) for each composition d of r into len(lin) parts,
+    in the order of _compositions: e = lin.d + d.C.d, odd the parity of
+    gamma.d, and w = unit folded by carry(w, d_i) over the nonzero parts.
+    Each nonzero part adds 2 d_i C_i to a running linear vector, so a step
+    costs O(n) instead of O(n^2) per composition."""
+    last = len(lin) - 1
+
+    def rec(i, rem, lin, e, odd, w):
+        if i == last:
+            if rem:
+                e += rem * (lin[i] + C[i][i] * rem)
+                odd ^= gamma[i] * rem & 1
+                w = carry(w, rem)
+            yield e, odd, w
+            return
+        yield from rec(i + 1, rem, lin, e, odd, w)
+        for k in range(1, rem + 1):
+            yield from rec(i + 1, rem - k,
+                           [x + 2 * k * c for x, c in zip(lin, C[i])],
+                           e + k * (lin[i] + C[i][i] * k),
+                           odd ^ (gamma[i] * k & 1), carry(w, k))
+
+    yield from rec(0, r, lin, 0, 0, unit)
+
+
+@functools.lru_cache(maxsize=1024)
+def _qbinomial_q2(a: int, b: int) -> QSeries:
+    return qs_qbinomial(a, b, base=2)
+
+
+def _multinomial_q2(r: int, parts) -> QSeries:
     """(q^2; q^2)_r / prod (q^2; q^2)_{d_i} as an exact polynomial."""
     out = QSeries.one()
-    rem = r
-    for di in d:
-        if di:
-            key = (rem, di)
-            if key not in cache:
-                cache[key] = qs_qbinomial(rem, di, base=2)
-            out = qs_mul(out, cache[key])
-            rem -= di
+    for di in parts:
+        out = qs_mul(out, _qbinomial_q2(r, di))
+        r -= di
     return out
 
 
@@ -405,18 +433,21 @@ def quiver_jones(q: Quiver, r: int, order=None) -> QSeries:
 
     Each composition contributes (-1)^{gamma.d} q^{xi.d + d.C.d} times the
     q^2-multinomial coefficient; order, when given, truncates exponents.
+    The multinomial depends only on the multiset of parts, so the signed
+    monomials are summed per multiset and multiplied once.
     """
     if r < 0:
         raise ValueError("color must be nonnegative")
-    acc: dict[Fraction, Fraction] = {}
-    cache: dict = {}
-    for d in _compositions(r, q.n):
-        sign = -1 if sum(g * di for g, di in zip(q.gamma, d)) % 2 else 1
-        shift = sum(x * di for x, di in zip(q.xi, d)) + _quadratic(q.C, d)
-        for e, c in _multinomial_q2(r, d, cache).terms:
-            key = e + shift
-            acc[key] = acc.get(key, Fraction(0)) + sign * c
-    return QSeries.from_terms(acc, 1, order)
+    groups: dict[tuple, dict[int, int]] = {}
+    for e, odd, parts in _walk(r, q.xi, q.C, q.gamma,
+                               lambda w, k: w + (k,), ()):
+        acc = groups.setdefault(tuple(sorted(parts)), {})
+        acc[e] = acc.get(e, 0) + (-1 if odd else 1)
+    total = QSeries.zero()
+    for parts, signed in groups.items():
+        total = total + qs_mul(_multinomial_q2(r, parts),
+                               QSeries.from_terms(signed))
+    return total.with_trunc(order)
 
 
 def quiver_jones_numeric(q: Quiver, r: int, qval, dps: int = 30):
@@ -427,14 +458,14 @@ def quiver_jones_numeric(q: Quiver, r: int, qval, dps: int = 30):
         poch = [mp.mpf(1)]
         for k in range(1, r + 1):
             poch.append(poch[-1] * (1 - q2 ** k))
+        powers: dict[int, object] = {}
         total = mp.mpf(0)
-        for d in _compositions(r, q.n):
-            sign = -1 if sum(g * di for g, di in zip(q.gamma, d)) % 2 else 1
-            expo = sum(x * di for x, di in zip(q.xi, d)) + _quadratic(q.C, d)
-            denom = mp.mpf(1)
-            for di in d:
-                denom *= poch[di]
-            total += sign * qv ** expo * poch[r] / denom
+        for expo, odd, denom in _walk(r, q.xi, q.C, q.gamma,
+                                      lambda w, k: w * poch[k], mp.mpf(1)):
+            qe = powers.get(expo)
+            if qe is None:
+                qe = powers[expo] = qv ** expo
+            total += (-qe if odd else qe) * poch[r] / denom
         return total
 
 
@@ -448,15 +479,7 @@ def nested_sum_jones_83(r: int) -> QSeries:
     Pochhammer (q^2; q^2)_r so that it matches the motivic normalization."""
     if r < 0:
         raise ValueError("color must be nonnegative")
-    acc: dict[Fraction, Fraction] = {}
-    cache: dict = {}
-
-    def qb(a: int, b: int) -> QSeries:
-        key = (a, b)
-        if key not in cache:
-            cache[key] = qs_qbinomial(a, b, base=2)
-        return cache[key]
-
+    acc = QSeries.zero()
     for ks in itertools.combinations_with_replacement(range(r + 1), 8):
         k1, k2, k3, k4, k5, k6, k7, k8 = ks
         expo = (
@@ -470,14 +493,12 @@ def nested_sum_jones_83(r: int) -> QSeries:
         )
         sign = -1 if (k2 + k4 + k6) % 2 else 1
         term = qs_pochhammer(2, 2, k8)
-        term = qs_mul(term, qb(r, k8))
+        term = qs_mul(term, _qbinomial_q2(r, k8))
         chain = (k8, k7, k6, k5, k4, k3, k2, k1)
         for hi, lo in zip(chain, chain[1:]):
-            term = qs_mul(term, qb(hi, lo))
-        for e, c in term.terms:
-            key = e + expo
-            acc[key] = acc.get(key, Fraction(0)) + sign * c
-    return QSeries.from_terms(acc, 1)
+            term = qs_mul(term, _qbinomial_q2(hi, lo))
+        acc = acc + qs_scale(qs_shift(term, expo), sign)
+    return acc
 
 
 def twist_knot_jones(p: int, r: int) -> QSeries:
@@ -495,39 +516,17 @@ def twist_knot_jones(p: int, r: int) -> QSeries:
     if r < 0:
         raise ValueError("color must be nonnegative")
     N = r + 1
-    acc: dict[Fraction, Fraction] = {}
-    cache: dict = {}
-
-    def qb(a: int, b: int) -> QSeries:
-        key = (a, b)
-        if key not in cache:
-            cache[key] = qs_qbinomial(a, b, base=2)
-        return cache[key]
-
+    acc = QSeries.zero()
     for ks in itertools.combinations_with_replacement(range(r + 1), p):
-        top = ks[-1]
         # sigma_top(N) in balanced form, variable q
         term = QSeries.one()
-        for j in range(1, top + 1):
-            factor = QSeries.from_terms(
-                {
-                    Fraction(2 * N): 1,
-                    Fraction(-2 * j): -1,
-                    Fraction(2 * j): -1,
-                    Fraction(-2 * N): 1,
-                },
-                1,
-            )
-            term = qs_mul(term, factor)
-        shift = 0
+        for j in range(1, ks[-1] + 1):
+            term = qs_mul(term, QSeries.from_terms(
+                {2 * N: 1, -2 * j: -1, 2 * j: -1, -2 * N: 1}))
         for lo, hi in zip(ks, ks[1:]):
-            term = qs_mul(term, qb(hi, lo))
-        for k in ks[:-1]:
-            shift += 2 * k * (k + 1)
-        for e, c in term.terms:
-            key = e + shift
-            acc[key] = acc.get(key, Fraction(0)) + c
-    return QSeries.from_terms(acc, 1)
+            term = qs_mul(term, _qbinomial_q2(hi, lo))
+        acc = acc + qs_shift(term, sum(2 * k * (k + 1) for k in ks[:-1]))
+    return acc
 
 
 def _qs_substitute_power(s: QSeries, k: int) -> QSeries:
@@ -641,35 +640,21 @@ def mmr_leading_check(q: Quiver, hbar: float, x: float, r_from_x: int,
         return float(abs(jr - target) / abs(target))
 
 
-def _apoly_mul(a: dict, b: dict) -> dict:
-    out: dict[int, Fraction] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            out[ea + eb] = out.get(ea + eb, Fraction(0)) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
 def exp_growth_check(q: Quiver, r: int) -> bool:
     """Whether P_r(a, q=1) = P_1(a, 1)^r for the a-graded quiver."""
     if q.alpha is None or q.beta is None:
         raise ValueError("quiver carries no a-grading")
-    base: dict[int, Fraction] = {}
-    for g, b in zip(q.gamma, q.beta):
-        sign = -1 if g % 2 else 1
-        base[2 * b] = base.get(2 * b, Fraction(0)) + sign
-    power = {0: Fraction(1)}
+    base = QSeries.from_terms(
+        [(2 * b, -1 if g % 2 else 1) for g, b in zip(q.gamma, q.beta)])
+    power = QSeries.one()
     for _ in range(r):
-        power = _apoly_mul(power, base)
-    lhs: dict[int, Fraction] = {}
-    for d in _compositions(r, q.n):
-        coeff = Fraction(math.factorial(r))
-        for di in d:
-            coeff /= math.factorial(di)
-        sign = -1 if sum(g * di for g, di in zip(q.gamma, d)) % 2 else 1
-        expo = 2 * sum(b * di for b, di in zip(q.beta, d))
-        lhs[expo] = lhs.get(expo, Fraction(0)) + sign * coeff
-    lhs = {e: c for e, c in lhs.items() if c}
-    return lhs == power
+        power = qs_mul(power, base)
+    fact = [math.factorial(k) for k in range(r + 1)]
+    lhs: dict[int, int] = {}
+    for e, odd, w in _walk(r, [2 * b for b in q.beta], [[0] * q.n] * q.n,
+                           q.gamma, lambda w, k: w * fact[k], 1):
+        lhs[e] = lhs.get(e, 0) + (-1 if odd else 1) * (fact[r] // w)
+    return QSeries.from_terms(lhs).terms == power.terms
 
 
 # ---------------------------------------------------------------------------
@@ -683,24 +668,6 @@ class DTInvariants:
 
     def nonzero(self) -> dict:
         return {k: v for k, v in self.omega.items() if v}
-
-
-def _qs_inverse(a: QSeries, trunc: Fraction) -> QSeries:
-    """1/a as a truncated series; a must start with a nonzero constant."""
-    c0 = a.coeff(0)
-    if c0 == 0 or a.min_exponent() < 0:
-        raise ValueError("inverse needs a unit constant term")
-    rest = QSeries.from_terms(
-        {e: c for e, c in a.terms if e != 0}, a.denom, trunc
-    )
-    # geometric expansion: 1/a = (1/c0) * sum_k (-rest/c0)^k
-    scaled = qs_scale(rest, Fraction(-1) / c0)
-    acc = QSeries.one(trunc=trunc)
-    step = scaled
-    while not step.is_zero():
-        acc = acc + step
-        step = qs_mul(step, scaled)
-    return qs_scale(acc, Fraction(1) / c0)
 
 
 def dt_invariants(q: Quiver, dmax: int, order: int) -> DTInvariants:
@@ -717,32 +684,30 @@ def dt_invariants(q: Quiver, dmax: int, order: int) -> DTInvariants:
     parity of (-1)^j (a side effect of specializing a = q^2) keep a
     geometric +-1 tail beyond any order.
     """
-    trunc = Fraction(order)
-    n = q.n
-    inv_poch: list[QSeries] = [QSeries.one(trunc=trunc)]
+    inv_poch: list[QSeries] = [QSeries.one(trunc=order)]
     for k in range(1, dmax + 1):
-        inv_poch.append(_qs_inverse(qs_pochhammer(2, 2, k, trunc), trunc))
+        inv_poch.append(qs_inverse(qs_pochhammer(2, 2, k, order), order))
 
-    vectors = [
-        d for total in range(1, dmax + 1)
-        for d in _compositions(total, n)
-    ]
+    by_deg = {t: list(_compositions(t, q.n)) for t in range(1, dmax + 1)}
+    vectors = [d for t in by_deg for d in by_deg[t]]
     pser: dict[tuple, QSeries] = {}
+    products: dict[tuple, QSeries] = {}  # by the multiset of nonzero parts
     for d in vectors:
         quad = _quadratic(q.C, d)
         gdot = sum(g * di for g, di in zip(q.gamma, d))
         sign = -1 if (quad + gdot) % 2 else 1
         shift = quad + sum((x - 1) * di for x, di in zip(q.xi, d))
-        term = QSeries.one(trunc=trunc)
-        for di in d:
-            term = qs_mul(term, inv_poch[di])
+        parts = tuple(sorted(di for di in d if di))
+        term = products.get(parts)
+        if term is None:
+            term = inv_poch[0]
+            for di in parts:
+                term = qs_mul(term, inv_poch[di])
+            products[parts] = term
         pser[d] = qs_scale(qs_shift(term, shift), sign)
 
     # log(1 + u) restricted to total degree <= dmax
-    logp: dict[tuple, QSeries] = {d: s for d, s in pser.items()}
-    by_deg: dict[int, list[tuple]] = {}
-    for d in vectors:
-        by_deg.setdefault(sum(d), []).append(d)
+    logp: dict[tuple, QSeries] = dict(pser)
     upow = dict(pser)
     for s in range(2, dmax + 1):
         nxt: dict[tuple, QSeries] = {}
@@ -760,45 +725,36 @@ def dt_invariants(q: Quiver, dmax: int, order: int) -> DTInvariants:
         for d, ser in upow.items():
             logp[d] = logp[d] + qs_scale(ser, coef)
 
-    one_minus_q2 = QSeries.from_terms({Fraction(0): 1, Fraction(2): -1}, 1, trunc)
+    one_minus_q2 = QSeries.from_terms({0: 1, 2: -1}, 1, order)
     omega: dict[tuple, dict[int, int]] = {}
-    margin = trunc - 2
-    for d in sorted(vectors, key=sum):
+    margin = order - 2
+    for d in vectors:  # by degree, so every base layer is done first
         bd = logp[d]
-        total = sum(d)
         g = math.gcd(*d)
         for s in range(2, g + 1):
-            if any(x % s for x in d):
+            if g % s:
                 continue
             base = tuple(x // s for x in d)
             if base not in omega:
                 continue
-            wrap: dict[Fraction, Fraction] = {}
+            wrap: dict[int, Fraction] = {}
             for j, om in omega[base].items():
-                if not om:
-                    continue
                 sgn = -1 if (j * s) % 2 else 1
-                k = 0
-                while s * (j + 2 * k + 1) < trunc:
-                    e = Fraction(s * (j + 2 * k + 1))
-                    wrap[e] = wrap.get(e, Fraction(0)) + Fraction(om * sgn, s)
-                    k += 1
-            bd = bd - QSeries.from_terms(wrap, 1, trunc)
+                for e in range(s * (j + 1), order, 2 * s):
+                    wrap[e] = wrap.get(e, 0) + Fraction(om * sgn, s)
+            bd = bd - QSeries.from_terms(wrap, 1, order)
         poly = qs_mul(bd, one_minus_q2)
         entry: dict[int, int] = {}
         for e, c in poly.terms:
             if e >= margin:
                 continue
-            if e.denominator != 1:
-                raise ValueError(f"fractional exponent {e} in DT layer {d}")
-            j = int(e) - 1
+            j = e - 1
             val = c if j % 2 == 0 else -c
             if val.denominator != 1:
                 raise ValueError(
                     f"non-integer DT invariant at d={d}, j={j}: {val}"
                 )
-            if val:
-                entry[j] = int(val)
+            entry[j] = int(val)
         omega[d] = entry
     flat = {
         (d, j): v for d, layers in omega.items() for j, v in layers.items()

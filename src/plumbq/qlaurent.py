@@ -4,16 +4,19 @@ A QSeries is a finite collection of (exponent, coefficient) pairs with
 arbitrary-precision rational coefficients.  Exponents are rationals whose
 denominator must divide a per-series limit D, which is fixed when the series
 is built; trying to insert a finer exponent raises, which catches formula
-bugs early.  Truncation is an exclusive exponent bound: terms at or above it
-are dropped, and arithmetic propagates the minimum of the operand bounds.
+bugs early.  Terms are stored as exponent numerators over D with coefficients
+that are ints whenever integral, so integral series run on Python ints.
+Truncation is an exclusive exponent bound: terms at or above it are
+dropped, and arithmetic propagates the minimum of the operand bounds.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 Exponent = Union[Fraction, int]
@@ -26,30 +29,53 @@ __all__ = [
     "qs_neg",
     "qs_scale",
     "qs_shift",
+    "qs_inverse",
     "qs_pochhammer",
     "qs_qbinomial",
     "qs_flip",
     "qs_eval",
+    "SERIES_FORMAT",
     "qs_to_json",
     "qs_from_json",
 ]
 
 
-def _check_exponent(e: Fraction, denom: int) -> Fraction:
-    if denom % e.denominator != 0:
-        raise ValueError(
-            f"exponent {e} has denominator {e.denominator}, "
-            f"not a divisor of the series limit {denom}"
-        )
-    return e
+def _num(x):
+    """x as an int when it is integral, else as a Fraction; None stays."""
+    if x is None or type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
-def _min_trunc(a: Fraction | None, b: Fraction | None) -> Fraction | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+def _min_trunc(a, b):
+    return min((t for t in (a, b) if t is not None), default=None)
+
+
+def _bound(trunc, denom: int) -> int | None:
+    """Exclusive bound on exponent numerators over denom for trunc."""
+    if trunc is None:
+        return None
+    return -(-trunc.numerator * denom // trunc.denominator)
+
+
+def _make(acc: dict, denom: int, trunc) -> "QSeries":
+    """Series from {numerator: coefficient}, dropping zero coefficients and
+    terms at or past trunc."""
+    tn = _bound(trunc, denom)
+    return QSeries(tuple(
+        (n, c if type(c) is int else _num(c)) for n, c in sorted(acc.items())
+        if c and (tn is None or n < tn)
+    ), denom, trunc)
+
+
+def _common(a: "QSeries", b: "QSeries") -> tuple[int, tuple, tuple]:
+    """The merged denominator limit and both term lists over it."""
+    if a.denom != b.denom:
+        denom = math.lcm(a.denom, b.denom)
+        a, b = a.with_denom(denom), b.with_denom(denom)
+    return a.denom, a._items, b._items
 
 
 @dataclass(frozen=True)
@@ -57,13 +83,22 @@ class QSeries:
     """Immutable exact series in q.
 
     terms holds (exponent, coefficient) pairs sorted by exponent with no
-    zero coefficients.  trunc, when set, is an exclusive upper bound on
-    stored exponents.  denom is the exponent-denominator limit D.
+    zero coefficients, each value an int when integral, else a Fraction.
+    trunc, when set, is an exclusive upper bound on stored exponents.
+    denom is the exponent-denominator limit D.  The stored _items are the
+    pairs (exponent * D, coefficient); build series with from_terms.
     """
 
-    terms: tuple[tuple[Fraction, Fraction], ...]
+    _items: tuple[tuple[int, object], ...]
     denom: int = 1
-    trunc: Fraction | None = None
+    trunc: Exponent | None = None
+
+    @cached_property
+    def terms(self) -> tuple[tuple[Exponent, Exponent], ...]:
+        d = self.denom
+        return self._items if d == 1 else tuple(
+            (n // d if n % d == 0 else Fraction(n, d), c)
+            for n, c in self._items)
 
     @staticmethod
     def from_terms(
@@ -72,18 +107,15 @@ class QSeries:
         trunc: Exponent | None = None,
     ) -> "QSeries":
         if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = terms
-        tb = None if trunc is None else Fraction(trunc)
-        acc: dict[Fraction, Fraction] = {}
-        for e, c in items:
-            ef = _check_exponent(Fraction(e), denom)
-            acc[ef] = acc.get(ef, Fraction(0)) + Fraction(c)
-        kept = tuple(
-            sorted((e, c) for e, c in acc.items() if c != 0 and (tb is None or e < tb))
-        )
-        return QSeries(kept, denom, tb)
+            terms = terms.items()
+        acc: dict[int, object] = {}
+        for e, c in terms:
+            n = e * denom if type(e) is int else _num(Fraction(e) * denom)
+            if type(n) is not int:
+                raise ValueError(f"exponent {e} has a denominator that does "
+                                 f"not divide the series limit {denom}")
+            acc[n] = acc.get(n, 0) + _num(c)
+        return _make(acc, denom, _num(trunc))
 
     @staticmethod
     def zero(denom: int = 1, trunc: Exponent | None = None) -> "QSeries":
@@ -91,7 +123,7 @@ class QSeries:
 
     @staticmethod
     def one(denom: int = 1, trunc: Exponent | None = None) -> "QSeries":
-        return QSeries.from_terms({Fraction(0): 1}, denom, trunc)
+        return QSeries.from_terms({0: 1}, denom, trunc)
 
     @staticmethod
     def monomial(
@@ -104,23 +136,24 @@ class QSeries:
         d = e.denominator if denom is None else denom
         return QSeries.from_terms({e: coeff}, d, trunc)
 
-    def coeff(self, exponent: Exponent) -> Fraction:
-        e = Fraction(exponent)
-        for ex, c in self.terms:
-            if ex == e:
-                return c
-        return Fraction(0)
+    def coeff(self, exponent: Exponent) -> Exponent:
+        e = Fraction(exponent) * self.denom
+        if e.denominator == 1:
+            for n, c in self._items:
+                if n == e:
+                    return c
+        return 0
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._items
 
-    def min_exponent(self) -> Fraction:
-        if not self.terms:
+    def min_exponent(self) -> Exponent:
+        if not self._items:
             raise ValueError("zero series has no minimal exponent")
         return self.terms[0][0]
 
     def with_trunc(self, trunc: Exponent | None) -> "QSeries":
-        return QSeries.from_terms(self.terms, self.denom, trunc)
+        return _make(dict(self._items), self.denom, _num(trunc))
 
     def with_denom(self, denom: int) -> "QSeries":
         return QSeries.from_terms(self.terms, denom, self.trunc)
@@ -138,7 +171,7 @@ class QSeries:
         return qs_neg(self)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._items:
             return "0"
         parts = []
         for e, c in self.terms:
@@ -153,46 +186,60 @@ class QSeries:
 
 def qs_add(a: QSeries, b: QSeries) -> QSeries:
     """Termwise sum; denominator limits are merged via lcm."""
-    denom = math.lcm(a.denom, b.denom)
-    acc = dict(a.terms)
-    for e, c in b.terms:
-        acc[e] = acc.get(e, Fraction(0)) + c
-    return QSeries.from_terms(acc, denom, _min_trunc(a.trunc, b.trunc))
+    denom, ai, bi = _common(a, b)
+    acc = dict(ai)
+    for n, c in bi:
+        acc[n] = acc.get(n, 0) + c
+    return _make(acc, denom, _min_trunc(a.trunc, b.trunc))
 
 
 def qs_neg(a: QSeries) -> QSeries:
-    return QSeries(tuple((e, -c) for e, c in a.terms), a.denom, a.trunc)
+    return QSeries(tuple((n, -c) for n, c in a._items), a.denom, a.trunc)
 
 
 def qs_scale(a: QSeries, factor: object) -> QSeries:
-    f = Fraction(factor)
-    if f == 0:
-        return QSeries((), a.denom, a.trunc)
-    return QSeries(tuple((e, c * f) for e, c in a.terms), a.denom, a.trunc)
+    f = _num(factor)
+    return _make({n: c * f for n, c in a._items}, a.denom, a.trunc)
 
 
 def qs_shift(a: QSeries, offset: Exponent) -> QSeries:
     """Multiply by the monomial q^offset."""
-    off = Fraction(offset)
+    off = _num(offset)
     denom = math.lcm(a.denom, off.denominator)
-    trunc = None if a.trunc is None else a.trunc + off
-    return QSeries.from_terms(
-        [(e + off, c) for e, c in a.terms], denom, trunc
-    )
+    k, on = denom // a.denom, _num(off * denom)
+    trunc = None if a.trunc is None else _num(a.trunc + off)
+    return QSeries(tuple((n * k + on, c) for n, c in a._items), denom, trunc)
 
 
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     """Cauchy product, pruned against the merged truncation bound."""
-    denom = math.lcm(a.denom, b.denom)
+    denom, ai, bi = _common(a, b)
     trunc = _min_trunc(a.trunc, b.trunc)
-    acc: dict[Fraction, Fraction] = {}
-    for ea, ca in a.terms:
-        for eb, cb in b.terms:
+    tn = _bound(trunc, denom)
+    acc: dict[int, object] = {}
+    get = acc.get
+    for ea, ca in ai:
+        for eb, cb in bi:
             e = ea + eb
-            if trunc is not None and e >= trunc:
-                continue
-            acc[e] = acc.get(e, Fraction(0)) + ca * cb
-    return QSeries.from_terms(acc, denom, trunc)
+            if tn is not None and e >= tn:
+                break
+            acc[e] = get(e, 0) + ca * cb
+    return _make(acc, denom, trunc)
+
+
+def qs_inverse(a: QSeries, trunc: Exponent | None = None) -> QSeries:
+    """1/a below the smaller of trunc and a.trunc; a must start with a
+    nonzero constant term."""
+    trunc = _min_trunc(a.trunc, _num(trunc))
+    if trunc is None:
+        raise ValueError("inverse needs a truncation bound")
+    if not a._items or a._items[0][0] != 0:
+        raise ValueError("inverse needs a unit constant term")
+    # b_0 = 1/a_0 and b_m = -b_0 * sum_{k >= 1} a_k b_{m-k}, m over D
+    b = [_num(Fraction(1) / a._items[0][1])]
+    for m in range(1, _bound(trunc, a.denom)):
+        b.append(-b[0] * sum(c * b[m - k] for k, c in a._items[1:] if k <= m))
+    return _make(dict(enumerate(b)), a.denom, trunc)
 
 
 def qs_pochhammer(
@@ -204,12 +251,11 @@ def qs_pochhammer(
     base = Fraction(base_exp)
     step = Fraction(step_exp)
     denom = math.lcm(base.denominator, step.denominator)
-    out = QSeries.one(denom, trunc)
+    trunc = _num(trunc)
+    out = _make({0: 1}, denom, trunc)
     for i in range(n):
-        factor = QSeries.from_terms(
-            {Fraction(0): 1, base + i * step: -1}, denom, trunc
-        )
-        out = qs_mul(out, factor)
+        e = (base + i * step) * denom
+        out = qs_mul(out, _make({0: 1, e.numerator: -1}, denom, trunc))
     return out
 
 
@@ -221,17 +267,13 @@ def qs_qbinomial(r: int, k: int, base: Exponent = 1) -> QSeries:
     """
     if not 0 <= k <= r:
         raise ValueError(f"need 0 <= k <= r, got r={r}, k={k}")
-    b = Fraction(base)
-    denom = b.denominator
+    b = _num(base)
+    one = _make({0: 1}, Fraction(b).denominator, None)
     # row[j] holds the coefficient polynomial at column j
-    row = [QSeries.one(denom)]
+    row = [one]
     for i in range(1, r + 1):
-        new = [QSeries.one(denom)]
-        for j in range(1, i):
-            shifted = qs_shift(row[j], b * j)
-            new.append(qs_add(row[j - 1], shifted))
-        new.append(QSeries.one(denom))
-        row = new
+        row = [one] + [qs_add(row[j - 1], qs_shift(row[j], b * j))
+                       for j in range(1, i)] + [one]
     return row[k]
 
 
@@ -270,6 +312,10 @@ def qs_eval(s: QSeries, z: complex, max_terms: int | None = None) -> complex:
     return total
 
 
+# names the layout qs_to_json writes; change it whenever that layout changes
+SERIES_FORMAT = "qseries/1"
+
+
 def qs_to_json(s: QSeries) -> dict:
     return {
         "denom": s.denom,
@@ -279,9 +325,4 @@ def qs_to_json(s: QSeries) -> dict:
 
 
 def qs_from_json(obj: dict) -> QSeries:
-    trunc = obj.get("trunc")
-    return QSeries.from_terms(
-        [(Fraction(e), Fraction(c)) for e, c in obj["terms"]],
-        denom=int(obj["denom"]),
-        trunc=None if trunc is None else Fraction(trunc),
-    )
+    return QSeries.from_terms(obj["terms"], int(obj["denom"]), obj.get("trunc"))

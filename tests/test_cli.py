@@ -1,7 +1,9 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
+from plumbq import cli
 from plumbq.cli import main
 
 
@@ -129,3 +131,64 @@ class TestWrtCommand:
         res = run("wrt", "--graph", "lens-m5-11", "--group", "so3",
                   "--level", "3")
         assert res.exit_code == 3
+
+
+NOT_A_TREE = {"vertices": [{"id": 0, "framing": -2}, {"id": 1, "framing": -2},
+                           {"id": 2, "framing": -2}],
+              "edges": [[0, 1], [1, 2], [2, 0]]}
+
+
+class TestExitCodes:
+    """Usage and parse errors exit 2, violated preconditions 3, each with a
+    one-line message and no traceback."""
+
+    @pytest.mark.parametrize("args,code", [
+        (("zhat", "--graph", "{cycle}"), 2),
+        (("wrt", "--graph", "{cycle}", "--level", "3"), 2),
+        (("quiver-series", "--quiver", "{skew}", "--r", "1"), 2),
+        (("zhat", "--graph", "poincare", "--order", "0"), 3),
+    ], ids=["graph-not-a-tree", "wrt-graph-not-a-tree",
+            "quiver-not-symmetric", "order-below-delta"])
+    def test_exit_code(self, tmp_path, args, code):
+        files = {"{cycle}": NOT_A_TREE,
+                 "{skew}": {"n": 2, "C": [[0, 1], [2, 0]], "xi": [0, 0],
+                            "gamma": [0, 0]}}
+        for name, obj in files.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        res = run(*(str(tmp_path / a) if a in files else a for a in args))
+        assert res.exit_code == code
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("error: ")
+        assert res.output.count("\n") == 1
+
+
+class TestCache:
+    def series(self, tmp_path, cache):
+        qfile = tmp_path / "q.json"
+        run("quiver-generate", "--p", "1", "--m", "1", "--out", str(qfile))
+        return run("quiver-series", "--quiver", str(qfile), "--r", "2",
+                   "--cache-dir", str(cache))
+
+    def test_key_has_version_and_series_format(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        self.series(tmp_path, cache)
+        first = {p.name for p in cache.glob("*.json")}
+        monkeypatch.setattr(cli, "__version__", "0.0.0-other")
+        self.series(tmp_path, cache)
+        second = {p.name for p in cache.glob("*.json")} - first
+        monkeypatch.setattr(cli, "SERIES_FORMAT", "other-format")
+        self.series(tmp_path, cache)
+        third = {p.name for p in cache.glob("*.json")} - first - second
+        assert len(first) == len(second) == len(third) == 1
+
+    @pytest.mark.parametrize("junk", ['{"r": 2, "seri', "[]", "{}", "\xff"])
+    def test_corrupt_entry_is_a_miss_and_rewritten(self, tmp_path, junk):
+        cache = tmp_path / "cache"
+        cold = self.series(tmp_path, cache)
+        (entry,) = cache.glob("*.json")
+        good = entry.read_text()
+        entry.write_bytes(junk.encode("latin-1"))
+        warm = self.series(tmp_path, cache)
+        assert warm.exit_code == 0
+        assert warm.output == cold.output
+        assert entry.read_text() == good

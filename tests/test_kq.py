@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,6 @@ from plumbq.kq import (
     Quiver,
     _compositions,
     _deepen,
-    _qs_inverse,
     _quadratic,
     alexander_double_twist,
     builtin_generator_set,
@@ -24,12 +24,14 @@ from plumbq.kq import (
     nested_sum_jones_83,
     quiver_from_json,
     quiver_jones,
+    quiver_jones_numeric,
     quiver_to_json,
     closed_form_homfly,
     twist_knot_jones,
 )
 from plumbq.qlaurent import (
     QSeries,
+    qs_inverse,
     qs_mul,
     qs_pochhammer,
     qs_scale,
@@ -132,6 +134,18 @@ class TestSeriesStructure:
         sign = -1 if (f * r * r) % 2 else 1
         assert (shifted - qs_scale(qs_shift(base, f * r * r), sign)).is_zero()
 
+    @pytest.mark.parametrize("p,m,rmax", [(1, 1, 6), (2, 2, 3)])
+    def test_numeric_sum_matches_exact_series(self, p, m, rmax):
+        q = generate_double_twist_quiver(p, m)
+        for q0 in (Fraction(7, 8), Fraction(5, 4)):  # exact in binary
+            for r in range(rmax + 1):
+                exact = sum(c * q0 ** e for e, c in quiver_jones(q, r).terms)
+                with mp.workdps(60):
+                    qv = mp.mpf(q0.numerator) / q0.denominator
+                    got = quiver_jones_numeric(q, r, qv, dps=60)
+                    want = mp.mpf(exact.numerator) / exact.denominator
+                    assert abs(got - want) <= mp.mpf(10) ** -45 * abs(want)
+
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_exponential_growth_at_q_one(self, r):
         assert exp_growth_check(generate_double_twist_quiver(1, 1), r)
@@ -163,7 +177,7 @@ def motivic_coefficient(q, d, trunc):
     shift = quad + sum((x - 1) * di for x, di in zip(q.xi, d))
     term = QSeries.one(trunc=trunc)
     for di in d:
-        term = qs_mul(term, _qs_inverse(qs_pochhammer(2, 2, di, trunc), trunc))
+        term = qs_mul(term, qs_inverse(qs_pochhammer(2, 2, di, trunc), trunc))
     return qs_scale(qs_shift(term, shift), sign)
 
 

@@ -11,6 +11,7 @@ from plumbq.qlaurent import (
     qs_eval,
     qs_flip,
     qs_from_json,
+    qs_inverse,
     qs_mul,
     qs_neg,
     qs_pochhammer,
@@ -161,3 +162,150 @@ class TestSerialization:
     def test_eval_partial(self):
         s = poly({0: 1, 1: 1})
         assert qs_eval(s, 0.5) == pytest.approx(1.5)
+
+
+# ---------------------------------------------------------------------------
+# the integer core against a plain-Fraction reference
+
+
+class Ref:
+    """Reference series: {Fraction exponent: Fraction coefficient} with an
+    exclusive Fraction bound, every operation written out directly."""
+
+    def __init__(self, terms, trunc=None):
+        self.trunc = None if trunc is None else Fraction(trunc)
+        self.terms = {
+            Fraction(e): Fraction(c) for e, c in terms.items()
+            if c and (self.trunc is None or Fraction(e) < self.trunc)}
+
+    @staticmethod
+    def of(s):
+        return Ref(dict(s.terms), s.trunc)
+
+    def bound(self, other):
+        ts = [t for t in (self.trunc, other.trunc) if t is not None]
+        return min(ts) if ts else None
+
+    def add(self, other):
+        acc = dict(self.terms)
+        for e, c in other.terms.items():
+            acc[e] = acc.get(e, 0) + c
+        return Ref(acc, self.bound(other))
+
+    def mul(self, other):
+        acc = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                acc[ea + eb] = acc.get(ea + eb, 0) + ca * cb
+        return Ref(acc, self.bound(other))
+
+    def shift(self, off):
+        return Ref({e + off: c for e, c in self.terms.items()},
+                   None if self.trunc is None else self.trunc + off)
+
+    def inverse(self):
+        # geometric series 1/a = (1/c0) sum_k (1 - a/c0)^k
+        c0 = self.terms[Fraction(0)]
+        x = Ref({e: -c / c0 for e, c in self.terms.items() if e}, self.trunc)
+        acc, step = Ref({0: 1}, self.trunc), x
+        while step.terms:
+            acc, step = acc.add(step), step.mul(x)
+        return Ref({e: c / c0 for e, c in acc.terms.items()}, self.trunc)
+
+    def check(self, s):
+        assert {Fraction(e): Fraction(c) for e, c in s.terms} == self.terms
+        assert s.trunc == self.trunc
+        exps = [e for e, _ in s.terms]
+        assert exps == sorted(exps)
+
+
+coefficients = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+truncs = st.one_of(
+    st.none(),
+    st.builds(Fraction, st.integers(-8, 14), st.sampled_from([1, 2, 3, 5])))
+
+
+@st.composite
+def mixed_series(draw):
+    denom = draw(st.sampled_from([1, 2, 3, 6]))
+    terms = draw(st.dictionaries(
+        st.integers(-12, 12).map(lambda n: Fraction(n, denom)),
+        coefficients, max_size=6))
+    return QSeries.from_terms(terms, denom, draw(truncs))
+
+
+@st.composite
+def unit_series(draw):
+    denom = draw(st.sampled_from([1, 2, 3]))
+    terms = draw(st.dictionaries(
+        st.integers(1, 12).map(lambda n: Fraction(n, denom)),
+        coefficients, max_size=5))
+    terms[0] = draw(st.one_of(st.sampled_from([1, -1]),
+                              coefficients.filter(bool)))
+    trunc = draw(st.builds(Fraction, st.integers(1, 16),
+                           st.sampled_from([1, 2, 5])))
+    return QSeries.from_terms(terms, denom, trunc)
+
+
+def all_int(s):
+    return all(type(e) is int and type(c) is int for e, c in s.terms)
+
+
+class TestIntegerCore:
+    @given(mixed_series(), mixed_series())
+    @settings(max_examples=150)
+    def test_mul_matches_reference(self, a, b):
+        Ref.of(a).mul(Ref.of(b)).check(qs_mul(a, b))
+
+    @given(mixed_series(), mixed_series())
+    @settings(max_examples=150)
+    def test_add_matches_reference(self, a, b):
+        Ref.of(a).add(Ref.of(b)).check(qs_add(a, b))
+
+    @given(mixed_series(),
+           st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 4])))
+    def test_shift_moves_terms_and_trunc(self, a, off):
+        Ref.of(a).shift(off).check(qs_shift(a, off))
+
+    @given(st.builds(Fraction, st.integers(0, 4), st.sampled_from([1, 2])),
+           st.builds(Fraction, st.integers(1, 3), st.sampled_from([1, 3])),
+           st.integers(0, 4), truncs)
+    @settings(max_examples=60)
+    def test_pochhammer_matches_reference(self, base, step, n, trunc):
+        ref = Ref({0: 1}, trunc)
+        for i in range(n):
+            ref = ref.mul(Ref({0: 1, base + i * step: -1}, trunc))
+        ref.check(qs_pochhammer(base, step, n, trunc))
+
+    @given(unit_series())
+    @settings(max_examples=80)
+    def test_inverse_matches_reference(self, a):
+        inv = qs_inverse(a)
+        Ref.of(a).inverse().check(inv)
+        assert qs_mul(a, inv).terms == ((0, 1),)
+
+    def test_inverse_rejects_non_units(self):
+        with pytest.raises(ValueError):
+            qs_inverse(poly({1: 1}, trunc=5))
+        with pytest.raises(ValueError):
+            qs_inverse(poly({0: 1, 1: 1}))
+
+    @given(st.dictionaries(st.integers(-8, 12), st.integers(-5, 5),
+                           max_size=6),
+           st.dictionaries(st.integers(-8, 12), st.integers(-5, 5),
+                           max_size=6),
+           st.one_of(st.none(), st.integers(-4, 16)))
+    def test_integral_operands_stay_int(self, da, db, trunc):
+        a, b = poly(da, trunc=trunc), poly(db)
+        for s in (qs_mul(a, b), qs_add(a, b), qs_shift(a, 3), qs_neg(a),
+                  qs_scale(a, Fraction(4, 2)), qs_pochhammer(1, 2, 3, trunc),
+                  qs_inverse(qs_pochhammer(2, 2, 3, 20))):
+            assert all_int(s)
+
+    @given(mixed_series())
+    def test_json_roundtrip_is_byte_identical(self, a):
+        text = json.dumps(qs_to_json(a))
+        again = json.dumps(qs_to_json(qs_from_json(json.loads(text))))
+        assert again == text
