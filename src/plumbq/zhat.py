@@ -8,13 +8,26 @@ q to a rational power built from -B^{-1}.  High-degree vertices have
 negative powers, regularized by averaging the expansions over the two sides
 (or the |W| Weyl chambers), never by a numeric limit.
 
+Rank-1 blocks run over the product of the vertex supports.  A tuple ell
+lies in the coset of b when adj(B)(ell - b) = 0 mod 2 det B, and its
+exponent is -ell^T adj(B) ell / (4 det B): integers throughout, and one
+Fraction per kept term.  su(N) blocks walk the lattice with
+`ellipsoid_points`, an integer Fincke-Pohst enumeration that returns each
+point with its exact form value.  A vertex's weight depends only on the
+coordinates of its closed neighbourhood, so the walk fixes neighbourhoods
+early and cuts a branch as soon as a weight falls outside the support of
+that vertex's expansion.
+
 An independent constant-term oracle recomputes every block by multiplying
 the lattice theta function against vertex expansions built via truncated
-geometric-series inversion and reading off the z-degree-zero part.
+geometric-series inversion and reading off the z-degree-zero part.  It
+walks the theta lattice in m-space, pruned by the supports of its own
+expansions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,7 +46,6 @@ from plumbq.plumbing import (
     SpincLabel,
     coset_representatives,
     degree_delta,
-    exact_inverse,
     is_negative_definite,
     linking_matrix,
     spinc_representatives,
@@ -43,7 +55,6 @@ from plumbq.qlaurent import QSeries
 __all__ = [
     "ZhatBlock",
     "vertex_factor_su2",
-    "vertex_factor_osp",
     "vertex_factor_suN",
     "delta_b",
     "zhat_block",
@@ -72,8 +83,9 @@ def _binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def vertex_factor_su2(deg: int, max_abs_exp: int) -> dict[int, Fraction]:
-    """Two-sided expansion coefficients of (x - 1/x)^{2-deg}.
+def vertex_factor_su2(deg: int, max_abs_exp: int, osp: bool = False) -> dict[int, Fraction]:
+    """Two-sided expansion coefficients of (x - 1/x)^{2-deg}, or of
+    (x + 1/x)^{2-deg} when osp is set.
 
     For deg <= 2 this is the plain Laurent polynomial; for deg >= 3 it is
     the sum of the expansions at x -> infinity and x -> 0, truncated to
@@ -81,45 +93,26 @@ def vertex_factor_su2(deg: int, max_abs_exp: int) -> dict[int, Fraction]:
     """
     if deg < 0:
         raise ValueError("degree must be nonnegative")
+    s = 1 if osp else -1  # the base is x + s/x
     out: dict[int, Fraction] = {}
     p = 2 - deg
     if p >= 0:
         for i in range(p + 1):
-            out[p - 2 * i] = Fraction((-1) ** i * _binom(p, i))
+            out[p - 2 * i] = Fraction(s ** i * _binom(p, i))
         return out
     k = deg - 2
     j = 0
     while k + 2 * j <= max_abs_exp:
-        c = Fraction(_binom(k - 1 + j, j))
+        c = Fraction((-s) ** j * _binom(k - 1 + j, j))
         out[-(k + 2 * j)] = out.get(-(k + 2 * j), Fraction(0)) + c
-        out[k + 2 * j] = out.get(k + 2 * j, Fraction(0)) + (-1) ** k * c
-        j += 1
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def vertex_factor_osp(deg: int, max_abs_exp: int) -> dict[int, Fraction]:
-    """Same construction for (x + 1/x)^{2-deg}."""
-    if deg < 0:
-        raise ValueError("degree must be nonnegative")
-    out: dict[int, Fraction] = {}
-    p = 2 - deg
-    if p >= 0:
-        for i in range(p + 1):
-            out[p - 2 * i] = Fraction(_binom(p, i))
-        return out
-    k = deg - 2
-    j = 0
-    while k + 2 * j <= max_abs_exp:
-        c = Fraction((-1) ** j * _binom(k - 1 + j, j))
-        out[-(k + 2 * j)] = out.get(-(k + 2 * j), Fraction(0)) + c
-        out[k + 2 * j] = out.get(k + 2 * j, Fraction(0)) + c
+        out[k + 2 * j] = out.get(k + 2 * j, Fraction(0)) + s ** k * c
         j += 1
     return {e: c for e, c in out.items() if c != 0}
 
 
 def _avg_rank1(deg: int, max_abs_exp: int, osp: bool) -> dict[int, Fraction]:
     """Chamber-averaged coefficients: halves the two-sided sum for deg >= 3."""
-    raw = (vertex_factor_osp if osp else vertex_factor_su2)(deg, max_abs_exp)
+    raw = vertex_factor_su2(deg, max_abs_exp, osp)
     if deg <= 2:
         return raw
     return {e: c / 2 for e, c in raw.items()}
@@ -147,8 +140,13 @@ def vertex_factor_suN(deg: int, N: int, bound: Fraction) -> dict[tuple, Fraction
     return {k: c * len(W) for k, c in avg.items()}
 
 
+@functools.lru_cache(maxsize=64)
 def _sun_chamber_average(deg: int, N: int, bound: Fraction) -> dict[tuple, Fraction]:
-    """Average over Weyl chambers of the expansion of Delta^{2-deg}."""
+    """Average over Weyl chambers of the expansion of Delta^{2-deg}.
+
+    Cached, since every block of a manifold asks for the same expansions;
+    callers must not modify the returned dict.
+    """
     W = weyl_group(N)
     rho = weyl_vector(N)
     p = 2 - deg
@@ -258,39 +256,96 @@ def _ldl(A: list[list[Fraction]]):
     return d, U
 
 
-def ellipsoid_points(A, center, R: Fraction):
+def ellipsoid_points(A, center, R: Fraction, prune=None):
     """Integer vectors x with (x+center)^T A (x+center) <= R (A posdef).
 
-    Fincke-Pohst style recursive enumeration with exact rational arithmetic
-    at the acceptance check and float square roots (with a safety margin)
-    only for the loop bounds.
+    Returns a list of (x, value) pairs, value being the exact form value
+    as a Fraction.  Fincke-Pohst style recursive enumeration that fixes
+    x[n-1] first and x[0] last.  prune maps a level i to a predicate of
+    the list x, called once x[i], ..., x[n-1] are fixed (entries below i
+    are stale); a branch on which it is false is cut.
+
+    The walk runs in integers.  With A = U^T diag(d) U, level i scales
+    y_i = x_i + center_i + sum_{j>i} U[i][j] (x_j + center_j) to an integer
+    Y = M_i y_i and its share d_i y_i^2 of the form to w_i Y^2 over one
+    denominator K shared by all levels.  So the range of each x_i comes
+    from math.isqrt, with no float and no rejected candidate, and a point's
+    value is R - remaining, one Fraction per point returned.
     """
     n = len(A)
     d, U = _ldl([[Fraction(x) for x in row] for row in A])
     center = [Fraction(c) for c in center]
     R = Fraction(R)
+    M, base, rows = [], [], []
+    for i in range(n):
+        const = center[i] + sum(U[i][j] * center[j] for j in range(i + 1, n))
+        m = math.lcm(const.denominator,
+                     *(U[i][j].denominator for j in range(i + 1, n)))
+        M.append(m)
+        base.append(int(const * m))
+        rows.append([(j, int(U[i][j] * m)) for j in range(i + 1, n) if U[i][j]])
+    K = math.lcm(R.denominator, *((d[i] / M[i] ** 2).denominator for i in range(n)))
+    w = [int(d[i] * K / M[i] ** 2) for i in range(n)]
+    top = int(R * K)
+    checks = prune or {}
     out = []
     x = [0] * n
 
-    def rec(i: int, remaining: Fraction):
-        if i < 0:
-            out.append(tuple(x))
-            return
-        # y_i = x_i + center_i + sum_{j>i} U[i][j] (x_j + center_j)
-        off = center[i] + sum(U[i][j] * (x[j] + center[j]) for j in range(i + 1, n))
-        lim = float(remaining / d[i]) ** 0.5 + 1e-9
-        lo = math.ceil(-lim - float(off))
-        hi = math.floor(lim - float(off))
-        for xi in range(lo - 1, hi + 2):
-            y = xi + off
-            consumed = d[i] * y * y
-            if consumed <= remaining:
-                x[i] = xi
-                rec(i - 1, remaining - consumed)
-        x[i] = 0
+    def rec(i: int, remaining: int):
+        m, wi = M[i], w[i]
+        P = base[i]
+        for j, u in rows[i]:
+            P += u * x[j]
+        s = math.isqrt(remaining // wi)  # |Y| <= s  <=>  w_i Y^2 <= remaining
+        check = checks.get(i)
+        for xi in range(-((s + P) // m), (s - P) // m + 1):
+            x[i] = xi
+            if check is not None and not check(x):
+                continue
+            Y = m * xi + P
+            left = remaining - wi * Y * Y
+            if i:
+                rec(i - 1, left)
+            else:
+                out.append((tuple(x), Fraction(top - left, K)))
 
-    rec(n - 1, R)
+    if top >= 0:
+        rec(n - 1, top)
     return out
+
+
+def _lattice_min(A, center) -> Fraction:
+    """Least value of the form over the shifted lattice: unpruned walks at
+    growing radius until one finds a point."""
+    R = Fraction(1)
+    while not (pts := ellipsoid_points(A, center, R)):
+        R *= 4
+    return min(q for _, q in pts)
+
+
+def _walk_order(B) -> list[int]:
+    """Walk position of each vertex, so that closed neighbourhoods close early.
+
+    Greedy: the next vertex fixed is the one that completes the most
+    neighbourhoods, then the one with the fewest neighbours (itself
+    included) not yet fixed.  The first vertex fixed gets the highest
+    position, since the walk fixes coordinates from the last one down.
+    """
+    n = len(B)
+    nbhd = [{w for w in range(n) if B[v][w]} for v in range(n)]
+    fixed: list[int] = []
+    while len(fixed) < n:
+        done = set(fixed)
+
+        def rank(v):
+            closes = sum(1 for u in range(n) if nbhd[u] - done == {v})
+            return -closes, len(nbhd[v] - done), v
+
+        fixed.append(min((v for v in range(n) if v not in done), key=rank))
+    pos = [0] * n
+    for k, v in enumerate(fixed):
+        pos[v] = n - 1 - k
+    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -314,19 +369,7 @@ def delta_b(lm: LinkingMatrix, b, framings=None) -> Fraction:
     # minimize t^T(-B)t with t = m + B^{-1} b / 2 over integer m
     center = [sum(Binv[i][j] * b[j] for j in range(n)) / 2 for i in range(n)]
     A = [[-Fraction(lm.B[i][j]) for j in range(n)] for i in range(n)]
-    R = Fraction(1)
-    while True:
-        pts = ellipsoid_points(A, center, R)
-        if pts:
-            break
-        R *= 4
-    best = None
-    for m in pts:
-        t = [m[i] + center[i] for i in range(n)]
-        q = sum(A[i][j] * t[i] * t[j] for i in range(n) for j in range(n))
-        if best is None or q < best:
-            best = q
-    return pref + best
+    return pref + _lattice_min(A, center)
 
 
 def _rank1_supports(g: PlumbingGraph, lm: LinkingMatrix, R: Fraction, osp: bool):
@@ -338,6 +381,20 @@ def _rank1_supports(g: PlumbingGraph, lm: LinkingMatrix, R: Fraction, osp: bool)
         max_abs = int(math.isqrt(int(4 * R * fv))) + 2
         sup.append(_avg_rank1(deg, max_abs, osp))
     return sup
+
+
+def _coset_exponent(adj, det: int, ell, b) -> Fraction | None:
+    """-ell^T B^{-1} ell / 4 if (ell - b)/2 lies in B Z^L, else None.
+
+    adj = det(B) B^{-1} is an integer matrix, so the membership test is
+    adj (ell - b) = 0 mod 2 det B and the exponent is
+    -ell^T adj ell / (4 det B), in integers up to the one Fraction returned.
+    """
+    diff = [e - c for e, c in zip(ell, b)]
+    if any(sum(a * x for a, x in zip(row, diff)) % (2 * det) for row in adj):
+        return None
+    return Fraction(-sum(e * sum(a * f for a, f in zip(row, ell))
+                         for e, row in zip(ell, adj)), 4 * det)
 
 
 def zhat_block(
@@ -360,23 +417,13 @@ def zhat_block(
     osp = variant == "osp12"
     sup = _rank1_supports(g, lm, R, osp)
     n = lm.size
-    Binv = lm.inverse()
-    denom = math.lcm(4 * abs(lm.det()), pref.denominator)
+    det = lm.det()
+    adj = [[int(det * x) for x in row] for row in lm.inverse()]
+    denom = math.lcm(4 * abs(det), pref.denominator)
     terms: dict[Fraction, Fraction] = {}
     for ell in itertools.product(*[sorted(s) for s in sup]):
-        # coset membership: (ell - b)/2 in B Z^L
-        ok = True
-        for i in range(n):
-            val = sum(Binv[i][j] * (ell[j] - b[j]) for j in range(n))
-            if (val / 2).denominator != 1:
-                ok = False
-                break
-        if not ok:
-            continue
-        qexp = -sum(
-            Binv[i][j] * ell[i] * ell[j] for i in range(n) for j in range(n)
-        ) / 4
-        if qexp >= R:
+        qexp = _coset_exponent(adj, det, ell, b)
+        if qexp is None or qexp >= R:
             continue
         coeff = Fraction(1)
         for i in range(n):
@@ -420,15 +467,6 @@ def _root_gram(N: int) -> list[list[Fraction]]:
     return G
 
 
-def _fund_to_root(N: int, coords) -> list[Fraction]:
-    """Convert fundamental-weight coordinates to simple-root coordinates."""
-    # root coords c solve  C^T c = n  with C the Cartan matrix (symmetric)
-    r = N - 1
-    G = _root_gram(N)
-    Ginv = exact_inverse(G)
-    return [sum(Ginv[i][j] * Fraction(coords[j]) for j in range(r)) for i in range(r)]
-
-
 def sun_block_labels(g: PlumbingGraph, N: int) -> list[tuple]:
     """Coset labels b in (Q^L + delta)/B Q^L, delta_v = (2 - deg v) rho.
 
@@ -457,80 +495,110 @@ def sun_block_labels(g: PlumbingGraph, N: int) -> list[tuple]:
     return labels
 
 
+def _theta_form(lm: LinkingMatrix, b, N: int, pos) -> tuple[list, list]:
+    """Form and centre of the su(N) theta lattice over the coset of b.
+
+    Coordinate pos[v] * (N-1) + a is simple-root coordinate a at vertex v.
+    The exponent is (1/2) t^T ((-B) (x) G) t, G the Cartan matrix, with
+    t = m + centre; the centre (B^{-1} (x) G^{-1}) b makes s = (B (x) I) t
+    equal b, in fundamental-weight coordinates G s, at m = 0.
+    """
+    n, r = lm.size, N - 1
+    G = _root_gram(N)
+    # G^{-1} is the Gram matrix of the fundamental weights
+    Ginv = [[Fraction(min(a, c) * N - a * c, N) for c in range(1, N)]
+            for a in range(1, N)]
+    Binv = lm.inverse()
+    b_root = [[sum(Ginv[a][c] * Fraction(bv[c]) for c in range(r)) for a in range(r)]
+              for bv in b]
+    A = [[Fraction(0)] * (n * r) for _ in range(n * r)]
+    center = [Fraction(0)] * (n * r)
+    for v in range(n):
+        for a in range(r):
+            center[pos[v] * r + a] = sum(Binv[v][w] * b_root[w][a] for w in range(n))
+            for w in range(n):
+                for c in range(r):
+                    A[pos[v] * r + a][pos[w] * r + c] = Fraction(-lm.B[v][w]) * G[a][c] / 2
+    return A, center
+
+
+def _support_walk(lm: LinkingMatrix, b, N: int, R: Fraction, factors):
+    """Exponents and coefficients of the su(N) theta sum over the coset of b.
+
+    b gives each vertex's weight in fundamental-weight coordinates.  At
+    lattice point m vertex v has weight s_v = b_v + G sum_w B_vw m_w, which
+    depends on the closed neighbourhood of v only, and contributes
+    factors[v][s_v].  The walk cuts a branch as soon as some vertex has its
+    neighbourhood fixed and its weight is not a key of its factors.
+    Returns {exponent: coefficient} over the kept points of exponent below
+    R, and the least such exponent (None when there is none).
+    """
+    n, r = lm.size, N - 1
+    B = lm.B
+    G = [[int(x) for x in row] for row in _root_gram(N)]
+    pos = _walk_order(B)
+    A, center = _theta_form(lm, b, N, pos)
+    bw = [tuple(int(c) if Fraction(c).denominator == 1 else Fraction(c) for c in bv)
+          for bv in b]
+    # s_v[a] = bw[v][a] + sum(k * x[i] for i, k in lin[v][a])
+    lin = [[[(pos[w] * r + c, G[a][c] * B[v][w])
+             for w in range(n) if B[v][w] for c in range(r) if G[a][c]]
+            for a in range(r)] for v in range(n)]
+
+    def weight(v, x):
+        return tuple(b0 + sum(k * x[i] for i, k in row)
+                     for b0, row in zip(bw[v], lin[v]))
+
+    closing: dict[int, list[int]] = {}
+    for v in range(n):
+        level = min(pos[w] for w in range(n) if B[v][w]) * r
+        closing.setdefault(level, []).append(v)
+    prune = {level: (lambda x, vs=vs: all(weight(v, x) in factors[v] for v in vs))
+             for level, vs in closing.items()}
+    terms: dict[Fraction, Fraction] = {}
+    best = None
+    for x, q in ellipsoid_points(A, center, R, prune):
+        if q >= R:
+            continue
+        coeff = Fraction(1)
+        for v in range(n):
+            coeff *= factors[v][weight(v, x)]
+        terms[q] = terms.get(q, Fraction(0)) + coeff
+        if best is None or q < best:
+            best = q
+    return terms, best
+
+
+def _sun_series(g: PlumbingGraph, lm: LinkingMatrix, b, N: int, R: Fraction, expand):
+    """su(N) block series with vertex expansions expand(deg, N, bound), and
+    the least exponent of a kept point (None when there is none).
+
+    expand is cached, so vertices of equal degree share one expansion.
+    """
+    pref = _sun_prefactor(g, N)
+    bound = 2 * R * max(-lm.B[i][i] for i in range(lm.size))
+    factors = [expand(g.degree(vid), N, bound) for vid in g.ids]
+    walked, best = _support_walk(lm, b, N, R, factors)
+    terms = {pref + q: c for q, c in walked.items()}
+    denom = math.lcm(2 * N * abs(lm.det()), pref.denominator, 12,
+                     *(e.denominator for e in terms))
+    series = QSeries.from_terms(terms, denom=denom, trunc=pref + R)
+    return series, None if best is None else pref + best
+
+
 def _zhat_block_suN(g: PlumbingGraph, b, N: int, order) -> ZhatBlock:
     lm = linking_matrix(g)
     if not is_negative_definite(lm):
         raise ValueError("linking matrix must be negative definite")
-    n = lm.size
-    r = N - 1
     R = Fraction(order)
-    pref = _sun_prefactor(g, N)
-    G = _root_gram(N)
-    # quadratic form over t in the root-coordinate tensor space:
-    # exponent = (1/2) t^T ((-B) (x) G) t
-    dim = n * r
-    A = [[Fraction(0)] * dim for _ in range(dim)]
-    for v in range(n):
-        for w in range(n):
-            for a in range(r):
-                for c in range(r):
-                    A[v * r + a][w * r + c] = Fraction(-lm.B[v][w]) * G[a][c] / 2
-    # center: s = (B (x) I) t with t = m + center reproduces s = b at m = 0
-    Binv = lm.inverse()
-    b_root = [_fund_to_root(N, bv) for bv in b]
-    center = [
-        sum(Binv[v][w] * b_root[w][a] for w in range(n))
-        for v in range(n)
-        for a in range(r)
-    ]
-    # vertex expansions, one per distinct degree
-    maxf = max(-lm.B[i][i] for i in range(n))
-    normbound = 2 * R * maxf
-    expansions = {}
-    for vid in g.ids:
-        deg = g.degree(vid)
-        if deg not in expansions:
-            expansions[deg] = _sun_chamber_average(deg, N, normbound)
-    denom_guess = math.lcm(2 * N * abs(lm.det()), pref.denominator, 12)
-    terms: dict[Fraction, Fraction] = {}
-    best_exp = None
-    for m in ellipsoid_points(A, center, R):
-        t = [m[i] + center[i] for i in range(dim)]
-        qexp = sum(
-            A[i][j] * t[i] * t[j] for i in range(dim) for j in range(dim)
-        )
-        if qexp >= R:
-            continue
-        # s_v = sum_w B_vw t_w in root coords; convert to weight coords
-        coeff = Fraction(1)
-        for v in range(n):
-            s_root = [
-                sum(Fraction(lm.B[v][w]) * t[w * r + a] for w in range(n))
-                for a in range(r)
-            ]
-            # weight coords: n_a = sum_c G[a][c] * c_root_c
-            s_fund = tuple(
-                sum(G[a][c] * s_root[c] for c in range(r)) for a in range(r)
-            )
-            fac = expansions[g.degree(g.ids[v])].get(s_fund, Fraction(0))
-            if fac == 0:
-                coeff = Fraction(0)
-                break
-            coeff *= fac
-        if coeff == 0:
-            continue
-        if best_exp is None or qexp < best_exp:
-            best_exp = qexp
-        e = pref + qexp
-        terms[e] = terms.get(e, Fraction(0)) + coeff
-    denom = denom_guess
-    for e in terms:
-        denom = math.lcm(denom, e.denominator)
-    series = QSeries.from_terms(terms, denom=denom, trunc=pref + R)
-    db = pref if best_exp is None else pref + best_exp
+    series, least = _sun_series(g, lm, b, N, R, _sun_chamber_average)
+    if least is None and \
+            R <= _lattice_min(*_theta_form(lm, b, N, range(lm.size))):
+        raise ValueError("order does not reach past delta_b")
+    db = _sun_prefactor(g, N) if least is None else least
     W_size = math.factorial(N)
     return ZhatBlock(tuple(b), db, series, "su3" if N == 3 else f"su{N}",
-                     W_size ** n)
+                     W_size ** lm.size)
 
 
 def _zhat_all_blocks_suN(g: PlumbingGraph, N: int, order) -> list[ZhatBlock]:
@@ -609,117 +677,42 @@ def _oracle_vertex_rank1(deg: int, max_abs: int, osp: bool) -> dict[int, Fractio
 
 
 def constant_term_oracle(g: PlumbingGraph, b, variant: str, order) -> QSeries:
-    """Block series recomputed as a theta-function constant term."""
+    """Block series recomputed as a theta-function constant term.
+
+    The theta lattice is walked in m-space by the su(N) walk (N = 2 for
+    the rank-1 variants, where the vertex weight is ell = b + 2 B m), pruned
+    by the supports of the oracle's own vertex expansions.
+    """
     variant = variant.lower()
-    if variant == "su3":
-        return _oracle_suN(g, b, 3, order)
     lm = linking_matrix(g)
     if not is_negative_definite(lm):
         raise ValueError("linking matrix must be negative definite")
-    n = lm.size
     R = Fraction(order)
+    if variant == "su3":
+        return _sun_series(g, lm, b, 3, R, _oracle_vertex_suN)[0]
     pref = _prefactor_exponent(g)
-    Binv = lm.inverse()
     osp = variant == "osp12"
-    # vertex expansions via the independent inversion route
-    sup = []
+    # vertex expansions via the independent inversion route; theta
+    # contributes z^ell, so the z-degree-zero pairing takes the coefficient
+    # of z^{-ell_v} at vertex v
+    factors = []
     for idx, vid in enumerate(g.ids):
-        deg = g.degree(vid)
         fv = -lm.B[idx][idx]
         max_abs = int(math.isqrt(int(4 * R * fv))) + 2
-        sup.append(_oracle_vertex_rank1(deg, max_abs, osp))
-    # enumerate the theta lattice: ell = b + 2 B m
-    center = [sum(Binv[i][j] * b[j] for j in range(n)) / 2 for i in range(n)]
-    A = [[-Fraction(lm.B[i][j]) for j in range(n)] for i in range(n)]
+        sup = _oracle_vertex_rank1(g.degree(vid), max_abs, osp)
+        factors.append({(-e,): c for e, c in sup.items()})
+    walked, _ = _support_walk(lm, [(x,) for x in b], 2, R, factors)
     denom = math.lcm(4 * abs(lm.det()), pref.denominator)
-    terms: dict[Fraction, Fraction] = {}
-    for m in ellipsoid_points(A, center, R):
-        t = [m[i] + center[i] for i in range(n)]
-        qexp = sum(A[i][j] * t[i] * t[j] for i in range(n) for j in range(n))
-        if qexp >= R:
-            continue
-        ell = [b[i] + 2 * sum(lm.B[i][j] * m[j] for j in range(n)) for i in range(n)]
-        # z-degree-zero pairing: theta contributes z^ell, so we need the
-        # coefficient of z^{-ell} in the vertex product
-        coeff = Fraction(1)
-        for i in range(n):
-            fac = sup[i].get(-ell[i], Fraction(0))
-            if fac == 0:
-                coeff = Fraction(0)
-                break
-            coeff *= fac
-        if coeff == 0:
-            continue
-        e = pref + qexp
-        terms[e] = terms.get(e, Fraction(0)) + coeff
-    return QSeries.from_terms(terms, denom=denom, trunc=pref + R)
+    return QSeries.from_terms({pref + q: c for q, c in walked.items()},
+                              denom=denom, trunc=pref + R)
 
 
-def _oracle_suN(g: PlumbingGraph, b, N: int, order) -> QSeries:
-    """su(N) constant term: same lattice walk, alternate vertex expansions.
-
-    Chamber expansions are computed by inverting the full polynomial
-    Delta^{deg-2} with a Neumann series per chamber (invert-then-nothing),
-    rather than the invert-Delta-then-power route of the block assembly.
-    """
-    lm = linking_matrix(g)
-    n = lm.size
-    r = N - 1
-    R = Fraction(order)
-    pref = _sun_prefactor(g, N)
-    G = _root_gram(N)
-    dim = n * r
-    A = [[Fraction(0)] * dim for _ in range(dim)]
-    for v in range(n):
-        for w in range(n):
-            for a in range(r):
-                for c in range(r):
-                    A[v * r + a][w * r + c] = Fraction(-lm.B[v][w]) * G[a][c] / 2
-    Binv = lm.inverse()
-    b_root = [_fund_to_root(N, bv) for bv in b]
-    center = [
-        sum(Binv[v][w] * b_root[w][a] for w in range(n))
-        for v in range(n)
-        for a in range(r)
-    ]
-    maxf = max(-lm.B[i][i] for i in range(n))
-    normbound = 2 * R * maxf
-    expansions = {}
-    for vid in g.ids:
-        deg = g.degree(vid)
-        if deg not in expansions:
-            expansions[deg] = _oracle_vertex_suN(deg, N, normbound)
-    terms: dict[Fraction, Fraction] = {}
-    denom = math.lcm(2 * N * abs(lm.det()), pref.denominator, 12)
-    for m in ellipsoid_points(A, center, R):
-        t = [m[i] + center[i] for i in range(dim)]
-        qexp = sum(A[i][j] * t[i] * t[j] for i in range(dim) for j in range(dim))
-        if qexp >= R:
-            continue
-        coeff = Fraction(1)
-        for v in range(n):
-            s_root = [
-                sum(Fraction(lm.B[v][w]) * t[w * r + a] for w in range(n))
-                for a in range(r)
-            ]
-            s_fund = tuple(
-                sum(G[a][c] * s_root[c] for c in range(r)) for a in range(r)
-            )
-            fac = expansions[g.degree(g.ids[v])].get(s_fund, Fraction(0))
-            if fac == 0:
-                coeff = Fraction(0)
-                break
-            coeff *= fac
-        if coeff == 0:
-            continue
-        e = pref + qexp
-        terms[e] = terms.get(e, Fraction(0)) + coeff
-        denom = math.lcm(denom, e.denominator)
-    return QSeries.from_terms(terms, denom=denom, trunc=pref + R)
-
-
+@functools.lru_cache(maxsize=64)
 def _oracle_vertex_suN(deg: int, N: int, bound: Fraction) -> dict[tuple, Fraction]:
-    """Chamber-averaged Delta^{2-deg} by direct polynomial inversion."""
+    """Chamber-averaged Delta^{2-deg} by direct polynomial inversion.
+
+    Cached like _sun_chamber_average; callers must not modify the result.
+    """
     W = weyl_group(N)
     rho = weyl_vector(N)
     p = 2 - deg

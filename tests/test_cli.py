@@ -147,8 +147,11 @@ class TestExitCodes:
         (("wrt", "--graph", "{cycle}", "--level", "3"), 2),
         (("quiver-series", "--quiver", "{skew}", "--r", "1"), 2),
         (("zhat", "--graph", "poincare", "--order", "0"), 3),
+        (("zhat", "--graph", "poincare", "--group", "su3", "--order", "0"),
+         3),
     ], ids=["graph-not-a-tree", "wrt-graph-not-a-tree",
-            "quiver-not-symmetric", "order-below-delta"])
+            "quiver-not-symmetric", "order-below-delta",
+            "su3-order-below-delta"])
     def test_exit_code(self, tmp_path, args, code):
         files = {"{cycle}": NOT_A_TREE,
                  "{skew}": {"n": 2, "C": [[0, 1], [2, 0]], "xi": [0, 0],

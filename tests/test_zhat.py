@@ -1,9 +1,14 @@
 """Homological block series: golden values, variant relations, oracles."""
 
+import itertools
+import math
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plumbq.catalog import (
     brieskorn_2_3_7,
@@ -11,11 +16,19 @@ from plumbq.catalog import (
     lens_m5_11,
     poincare_sphere,
 )
-from plumbq.plumbing import PlumbingGraph, lens_chain, linking_matrix
+from plumbq.plumbing import (
+    PlumbingGraph,
+    degree_delta,
+    lens_chain,
+    linking_matrix,
+    spinc_representatives,
+)
 from plumbq.qlaurent import QSeries, qs_flip, qs_neg
 from plumbq.zhat import (
+    _coset_exponent,
     _zhat_all_blocks_suN,
     constant_term_oracle,
+    ellipsoid_points,
     vertex_factor_su2,
     vertex_factor_suN,
     zhat_all_blocks,
@@ -145,7 +158,7 @@ class TestConstantTermOracle:
         # rank 2 is much heavier per block, so the module test keeps it
         # to a few small-determinant trees; the acceptance suite runs the
         # full ten per variant
-        rng = random.Random(hash(variant) & 0xFFFF)
+        rng = random.Random(zlib.crc32(variant.encode()))
         trees, max_det = (3, 6) if variant == "su3" else (10, 30)
         for _ in range(trees):
             g = random_negdef_tree(rng, max_size=3, max_det=max_det)
@@ -158,6 +171,108 @@ class TestConstantTermOracle:
         b = zhat_all_blocks(g, "su2", 40)[0]
         assert constant_term_oracle(g, b.label, "su2", 40).terms == \
             b.series.terms
+
+    def test_su3_four_vertex_star(self):
+        # the hub is vertex 0, so the walk has to reorder the vertices for
+        # the neighbourhoods to close early
+        g = brieskorn_2_3_7()
+        (b,) = zhat_all_blocks(g, "su3", 6)
+        assert b.series.terms
+        assert constant_term_oracle(g, b.label, "su3", 6).terms == \
+            b.series.terms
+
+
+@st.composite
+def shifted_forms(draw):
+    """A positive-definite form (integer or half-integer entries, strictly
+    diagonally dominant, so every eigenvalue is at least 1/scale), a
+    rational centre and a radius."""
+    n = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1, 2]))
+    A = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        A[i][j] = A[j][i] = draw(st.integers(-2, 2))
+    for i in range(n):
+        A[i][i] = sum(abs(v) for v in A[i]) + draw(st.integers(1, 3))
+    A = [[Fraction(v, scale) for v in row] for row in A]
+    center = [Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+              for _ in range(n)]
+    R = Fraction(draw(st.integers(0, 16)), draw(st.integers(1, 3)))
+    return A, center, R, scale
+
+
+def brute_points(A, center, R, scale):
+    """(x, value) over a box that holds the ellipsoid: |x_i + c_i|^2 is at
+    most R * scale."""
+    n = len(A)
+    bound = math.isqrt(math.ceil(R * scale)) + 1
+    box = [range(math.floor(-c) - bound, math.ceil(-c) + bound + 1)
+           for c in center]
+    out = []
+    for x in itertools.product(*box):
+        t = [xi + c for xi, c in zip(x, center)]
+        q = sum(A[i][j] * t[i] * t[j] for i in range(n) for j in range(n))
+        if q <= R:
+            out.append((x, q))
+    return out
+
+
+class TestEllipsoidPoints:
+    @settings(max_examples=100, deadline=None)
+    @given(shifted_forms())
+    def test_matches_brute_force(self, form):
+        A, center, R, scale = form
+        got = ellipsoid_points(A, center, R)
+        assert sorted(got) == sorted(brute_points(A, center, R, scale))
+        assert all(type(q) is Fraction for _, q in got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shifted_forms(), st.data())
+    def test_pruning_keeps_exactly_the_rule(self, form, data):
+        # a rule at level i may read x[i:] only: the walk calls it once
+        # those entries are fixed
+        A, center, R, scale = form
+        n = len(A)
+        rules = {}
+        for i in data.draw(st.sets(st.integers(0, n - 1))):
+            k = data.draw(st.integers(2, 3))
+            r = data.draw(st.integers(0, k - 1))
+            rules[i] = (lambda x, i=i, k=k, r=r: sum(x[i:]) % k != r)
+        got = ellipsoid_points(A, center, R, rules)
+        want = [(x, q) for x, q in brute_points(A, center, R, scale)
+                if all(rule(list(x)) for rule in rules.values())]
+        assert sorted(got) == sorted(want)
+
+
+def test_integer_coset_test_matches_inverse():
+    rng = random.Random(20261018)
+    hits = 0
+    for _ in range(15):
+        g = random_negdef_tree(rng)
+        lm = linking_matrix(g)
+        n, det, Binv = lm.size, lm.det(), lm.inverse()
+        adj = [[int(det * v) for v in row] for row in Binv]
+        _, delta = degree_delta(g)
+        for lab in spinc_representatives(lm, delta):
+            b = lab.b
+            for _ in range(20):
+                if rng.random() < 0.5:  # a point of the coset of b
+                    m = [rng.randint(-2, 2) for _ in range(n)]
+                    ell = [b[i] + 2 * sum(lm.B[i][j] * m[j] for j in range(n))
+                           for i in range(n)]
+                else:
+                    ell = [b[i] + 2 * rng.randint(-3, 3) for i in range(n)]
+                member = all(
+                    (sum(Binv[i][j] * (ell[j] - b[j]) for j in range(n)) / 2)
+                    .denominator == 1 for i in range(n))
+                got = _coset_exponent(adj, det, ell, b)
+                if not member:
+                    assert got is None, (g, b, ell)
+                    continue
+                hits += 1
+                assert got == -sum(Binv[i][j] * ell[i] * ell[j]
+                                   for i in range(n) for j in range(n)) / 4
+    assert hits > 100
 
 
 class TestRankTwoConsistency:
