@@ -12,7 +12,6 @@ directly at the root.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +19,7 @@ import mpmath as mp
 
 from plumbq.lie import (
     WeightVector,
-    fundamental_weight,
+    gamma_factor,
     weight_inner,
     weyl_action,
     weyl_group,
@@ -36,9 +35,9 @@ from plumbq.plumbing import (
     linking_matrix,
     spinc_labels_unfolded,
 )
-from plumbq.qlaurent import QSeries
+from plumbq.qlaurent import QSeries, qs_eval
 from plumbq.wrt import wrt_osp, wrt_so3, wrt_su2, wrt_sun_zm
-from plumbq.zhat import sun_block_labels, zhat_block
+from plumbq.zhat import _zhat_block_suN, sun_block_labels, zhat_block
 
 __all__ = [
     "GPPVReport",
@@ -77,15 +76,6 @@ def report_to_json(rep: GPPVReport) -> dict:
         "order": rep.order,
         "dps": rep.dps,
     }
-
-
-def _series_at(s: QSeries, q: mp.mpc) -> mp.mpc:
-    logq = mp.log(q)
-    return mp.fsum(
-        mp.mpf(c.numerator) / c.denominator
-        * mp.exp((mp.mpf(e.numerator) / e.denominator) * logq)
-        for e, c in s.terms
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +172,13 @@ def radial_limit(
     with mp.workdps(dps + 10):
         root = mp.expjpi(mp.mpf(2 * root_index) / kprime)
         if not eps_schedule:
-            return _series_at(s, root), mp.mpf(0)
+            return qs_eval(s, root), mp.mpf(0)
         eps = [mp.mpf(e) for e in eps_schedule]
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])) or any(
             not (0 < e < 1) for e in eps
         ):
             raise ValueError("eps schedule must decrease within (0, 1)")
-        vals = [_series_at(s, (1 - e) * root) for e in eps]
+        vals = [qs_eval(s, (1 - e) * root) for e in eps]
         # Neville extrapolation to eps = 0
         tab = list(vals)
         prev_diag = tab[0]
@@ -360,9 +350,6 @@ def _sun_decomposition(
     g: PlumbingGraph, N: int, m: int, level: int, order, eps_schedule, dps: int,
 ):
     """Right-hand side of the quotient-group decomposition."""
-    from plumbq.lie import gamma_factor
-    from plumbq.zhat import _zhat_block_suN
-
     gamma = gamma_factor(N, m)
     kprime = gamma * level + N
     lm = linking_matrix(g)
@@ -377,7 +364,6 @@ def _sun_decomposition(
     basis = _pprime_dual_basis(N, m)
     basis_wts = [WeightVector.make(N, bv) for bv in basis]
     reps = coset_representatives([list(row) for row in lm.B])
-    import itertools
 
     with mp.workdps(dps + 10):
         blocks = {

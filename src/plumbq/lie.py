@@ -106,10 +106,10 @@ class WeylElement:
 
 @dataclass(frozen=True)
 class SublatticeSpec:
+    """P' = the union of the classes of P/Q ~ Z_N that are multiples of m."""
+
     N: int
     m: int
-    generators: tuple[WeightVector, ...]
-    coset_reps: tuple[WeightVector, ...]  # representatives of P'/Q
 
 
 def fundamental_weight(N: int, i: int) -> WeightVector:
@@ -184,34 +184,12 @@ def gamma_factor(N: int, m: int) -> int:
 def sublattice_Pprime(N: int, m: int) -> SublatticeSpec:
     """The sublattice P' with P/P' of order m.
 
-    P' is the union of the m classes of P/Q generated by the class of
-    L_{N/m}; generators are the simple roots together with L_{N/m}.
+    P/Q ~ Z_N with class(L_i) = i, and P' is the union of the classes that
+    are multiples of m, so P/P' ~ Z_m is generated by the class of L_{N/m}.
     """
     if N % m != 0:
         raise ValueError(f"m={m} must divide N={N}")
-    roots = simple_roots(N)
-    if m == 1:
-        gens = tuple(fundamental_weight(N, i) for i in range(1, N))
-        return SublatticeSpec(N, m, gens, _pq_class_reps(N, every=1))
-    # P/Q ~ Z_N with class(L_i) = i; P' is the union of the classes that
-    # are multiples of m, so P/P' ~ Z_m is generated by the class of L_{N/m}
-    gens = tuple(roots) + ((fundamental_weight(N, m),) if m < N else ())
-    return SublatticeSpec(N, m, gens, _pq_class_reps(N, every=m))
-
-
-def _pq_class_reps(N: int, every: int) -> tuple[WeightVector, ...]:
-    """Representatives of the selected classes of P/Q ~ Z_N.
-
-    The class of L_i maps to i mod N; classes i = 0, every, 2*every, ...
-    are selected.  Class 0 is represented by the zero weight.
-    """
-    reps = []
-    for c in range(0, N, every):
-        if c == 0:
-            reps.append(WeightVector(N, tuple(Fraction(0) for _ in range(N - 1))))
-        else:
-            reps.append(fundamental_weight(N, c))
-    return tuple(reps)
+    return SublatticeSpec(N, m)
 
 
 def pq_class_index(v: WeightVector) -> int:

@@ -12,12 +12,13 @@ dropped, and arithmetic propagates the minimum of the operand bounds.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Union
+
+import mpmath as mp
 
 Exponent = Union[Fraction, int]
 
@@ -295,21 +296,22 @@ def qs_flip(s: QSeries, offset: Exponent = 0) -> QSeries:
     return QSeries.from_terms(acc, s.denom, s.trunc)
 
 
-def qs_eval(s: QSeries, z: complex, max_terms: int | None = None) -> complex:
-    """Partial sum of s at q=z, rational powers via the principal branch."""
-    total = 0 + 0j
+def qs_eval(s: QSeries, z, max_terms: int | None = None):
+    """Partial sum of s at q = z in mpmath at the working precision, with
+    rational powers on the principal branch.  At z = 0 only the constant
+    term counts, and a negative power raises ZeroDivisionError."""
     terms = s.terms if max_terms is None else s.terms[:max_terms]
-    for e, c in terms:
-        if z == 0:
-            if e == 0:
-                total += complex(c)
-            elif e > 0:
-                continue
-            else:
-                raise ZeroDivisionError("negative power of q at q=0")
-            continue
-        total += complex(c) * cmath.exp(complex(e) * cmath.log(z))
-    return total
+    if z == 0:
+        if terms and terms[0][0] < 0:
+            raise ZeroDivisionError("negative power of q at q=0")
+        return mp.fsum(mp.mpf(c.numerator) / c.denominator
+                       for e, c in terms if e == 0)
+    logq = mp.log(z)
+    return mp.fsum(
+        mp.mpf(c.numerator) / c.denominator
+        * mp.exp((mp.mpf(e.numerator) / e.denominator) * logq)
+        for e, c in terms
+    )
 
 
 # names the layout qs_to_json writes; change it whenever that layout changes

@@ -8,6 +8,12 @@ q to a rational power built from -B^{-1}.  High-degree vertices have
 negative powers, regularized by averaging the expansions over the two sides
 (or the |W| Weyl chambers), never by a numeric limit.
 
+Rank-1 block factors are closed-form binomials.  Every other vertex
+expansion runs on one exact kernel: products, powers and a truncated
+Neumann inverse of dicts keyed by int tuples of fundamental-weight
+coordinates, with norms from the integer Gram matrix N (L_i, L_j) and
+chamber cut-offs from integer linear heights.
+
 Rank-1 blocks run over the product of the vertex supports.  A tuple ell
 lies in the coset of b when adj(B)(ell - b) = 0 mod 2 det B, and its
 exponent is -ell^T adj(B) ell / (4 det B): integers throughout, and one
@@ -19,10 +25,13 @@ early and cuts a branch as soon as a weight falls outside the support of
 that vertex's expansion.
 
 An independent constant-term oracle recomputes every block by multiplying
-the lattice theta function against vertex expansions built via truncated
-geometric-series inversion and reading off the z-degree-zero part.  It
-walks the theta lattice in m-space, pruned by the supports of its own
-expansions.
+the lattice theta function against its own vertex expansions and reading
+off the z-degree-zero part.  The block expansion inverts the chamber
+factor 1 + U and then raises it to a power; the oracle raises the Weyl
+denominator to the power and then inverts it around its chamber-leading
+monomial, with rank 1 as the N = 2 case (base x - 1/x, or x + 1/x for
+OSp).  It walks the theta lattice in m-space, pruned by the supports of
+its own expansions.
 """
 
 from __future__ import annotations
@@ -33,24 +42,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from plumbq.lie import (
-    WeightVector,
-    weight_inner,
-    weyl_group,
-    weyl_action,
-    weyl_vector,
-)
+from plumbq.lie import weyl_action, weyl_group, weyl_vector
 from plumbq.plumbing import (
     LinkingMatrix,
     PlumbingGraph,
-    SpincLabel,
     coset_representatives,
     degree_delta,
     is_negative_definite,
     linking_matrix,
     spinc_representatives,
 )
-from plumbq.qlaurent import QSeries
+from plumbq.qlaurent import QSeries, qs_to_json
 
 __all__ = [
     "ZhatBlock",
@@ -79,10 +81,6 @@ class ZhatBlock:
 # vertex expansions, rank 1
 
 
-def _binom(n: int, k: int) -> int:
-    return math.comb(n, k)
-
-
 def vertex_factor_su2(deg: int, max_abs_exp: int, osp: bool = False) -> dict[int, Fraction]:
     """Two-sided expansion coefficients of (x - 1/x)^{2-deg}, or of
     (x + 1/x)^{2-deg} when osp is set.
@@ -98,12 +96,12 @@ def vertex_factor_su2(deg: int, max_abs_exp: int, osp: bool = False) -> dict[int
     p = 2 - deg
     if p >= 0:
         for i in range(p + 1):
-            out[p - 2 * i] = Fraction(s ** i * _binom(p, i))
+            out[p - 2 * i] = Fraction(s ** i * math.comb(p, i))
         return out
     k = deg - 2
     j = 0
     while k + 2 * j <= max_abs_exp:
-        c = Fraction((-s) ** j * _binom(k - 1 + j, j))
+        c = Fraction((-s) ** j * math.comb(k - 1 + j, j))
         out[-(k + 2 * j)] = out.get(-(k + 2 * j), Fraction(0)) + c
         out[k + 2 * j] = out.get(k + 2 * j, Fraction(0)) + s ** k * c
         j += 1
@@ -119,11 +117,90 @@ def _avg_rank1(deg: int, max_abs_exp: int, osp: bool) -> dict[int, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# vertex expansions, A_{N-1}
+# vertex expansions, A_{N-1}: one exact kernel
+#
+# A weight is an int tuple of fundamental-weight coordinates and a weight
+# polynomial a dict {weight: int}.  Norms use the integer Gram matrix
+# _gram(N) = N (L_i, L_j).  In the chamber of w(rho) the height of a weight
+# mu is the integer linear form -N (mu, w(rho)); the monomials of Delta past
+# the chamber-leading one have positive height, so dropping everything above
+# a cap commutes with products, powers and the Neumann inverse.
 
 
-def _weight_key(v: WeightVector) -> tuple:
-    return tuple(v.coords)
+def _gram(N: int) -> list[list[int]]:
+    """N times the Gram matrix of the fundamental weights."""
+    return [[N * min(i, j) - i * j for j in range(1, N)] for i in range(1, N)]
+
+
+def _norm(G, mu) -> int:
+    """N (mu, mu)."""
+    return sum(a * g * b for a, row in zip(mu, G) for g, b in zip(row, mu))
+
+
+def _height(G, chamber) -> tuple:
+    """The height form -N (., chamber) as a tuple of ints."""
+    return tuple(-sum(g * c for g, c in zip(row, chamber)) for row in G)
+
+
+def _ht(height, mu) -> int:
+    return sum(h * x for h, x in zip(height, mu)) if height else 0
+
+
+def _mul(a: dict, b: dict, height=None, cap=0) -> dict:
+    """Product of weight polynomials; with a height form, terms above cap
+    are dropped (every operand term must then have height >= 0)."""
+    bs = sorted(((kb, cb, _ht(height, kb)) for kb, cb in b.items()),
+                key=lambda t: t[2])
+    out: dict[tuple, int] = {}
+    for ka, ca in a.items():
+        ha = _ht(height, ka)
+        for kb, cb, hb in bs:
+            if ha + hb > cap:
+                break
+            k = tuple(x + y for x, y in zip(ka, kb))
+            out[k] = out.get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _pow(a: dict, k: int, height=None, cap=0) -> dict:
+    out = {(0,) * len(next(iter(a))): 1}
+    for _ in range(k):
+        out = _mul(out, a, height, cap)
+    return out
+
+
+def _inverse(poly: dict, lead: tuple, height, cap) -> dict:
+    """x^lead / poly up to height cap, by the Neumann series of
+    poly = c x^lead (1 + tail).  Every other monomial of poly must have
+    positive height relative to lead, and c must be a sign."""
+    c = poly[lead]
+    assert c * c == 1, "leading coefficient must be a unit"
+    zero = (0,) * len(lead)
+    tail = {}
+    for k, e in poly.items():
+        d = tuple(x - y for x, y in zip(k, lead))
+        if d != zero and _ht(height, d) <= cap:
+            tail[d] = -e * c
+    out, term = {zero: c}, {zero: c}
+    while term := _mul(term, tail, height, cap):
+        for k, e in term.items():
+            out[k] = out.get(k, 0) + e
+    return out
+
+
+def _weyl_denominator(N: int, s: int = -1) -> dict[tuple, int]:
+    """sum_w s^{l(w)} x^{w(rho)}: the Weyl denominator Delta for s = -1,
+    and x + 1/x for N = 2, s = +1."""
+    rho = weyl_vector(N)
+    return {tuple(int(x) for x in weyl_action(w, rho).coords): s ** w.length
+            for w in weyl_group(N)}
+
+
+def _cap(N: int, bound: Fraction, p: int) -> int:
+    """N times the height cap for the expansion of Delta^p: a target mu
+    with (mu, mu) <= bound has h(mu - p w(rho)) <= |mu||rho| + |p|(rho, rho)."""
+    rr = Fraction(N * (N * N - 1), 12)  # (rho, rho)
+    return N * (math.isqrt(math.ceil(bound * rr)) + int(abs(p) * rr) + 2)
 
 
 def vertex_factor_suN(deg: int, N: int, bound: Fraction) -> dict[tuple, Fraction]:
@@ -136,103 +213,33 @@ def vertex_factor_suN(deg: int, N: int, bound: Fraction) -> dict[tuple, Fraction
     if N < 2:
         raise ValueError("need N >= 2")
     avg = _sun_chamber_average(deg, N, Fraction(bound))
-    W = weyl_group(N)
-    return {k: c * len(W) for k, c in avg.items()}
+    return {k: c * math.factorial(N) for k, c in avg.items()}
 
 
 @functools.lru_cache(maxsize=64)
 def _sun_chamber_average(deg: int, N: int, bound: Fraction) -> dict[tuple, Fraction]:
     """Average over Weyl chambers of the expansion of Delta^{2-deg}.
 
-    Cached, since every block of a manifold asks for the same expansions;
-    callers must not modify the returned dict.
+    In the chamber of w, Delta = sign(w) x^{w(rho)} (1 + U) with U of
+    positive height: (1 + U)^p is a truncated power, and for p < 0 the
+    truncated Neumann inverse of 1 + U raised to -p.  Cached, since every
+    block of a manifold asks for the same expansions; callers must not
+    modify the returned dict.
     """
-    W = weyl_group(N)
-    rho = weyl_vector(N)
-    p = 2 - deg
-    total: dict[tuple, Fraction] = {}
-    for wi in W:
-        one = _sun_single_chamber(deg, N, bound, wi, W, rho, p)
-        for k, c in one.items():
-            total[k] = total.get(k, Fraction(0)) + c
-    nW = Fraction(1, len(W))
-    return {k: c * nW for k, c in total.items() if c != 0}
-
-
-def _sun_single_chamber(deg, N, bound, wi, W, rho, p) -> dict[tuple, Fraction]:
-    """Expansion of Delta^p in the chamber where x^{wi(rho)} dominates.
-
-    Delta = sign(wi) x^{wi(rho)} (1 + U) with U a sum over the other Weyl
-    elements; (1+U)^p is expanded in the height grading h(mu) =
-    -(mu, wi(rho)), in which every U monomial has positive height.
-    """
-    base = wi.sign  # sign(wi)^p depends on parity of p
-    chamber_rho = weyl_action(wi, rho)
-    sign_pref = Fraction(wi.sign ** (p % 2))
-    base_wt = chamber_rho.scale(p)
-    # height cutoff: any target weight mu with (mu,mu) <= bound satisfies
-    # h(mu - base_wt) <= |mu||rho| + |p|(rho,rho)
-    rr = weight_inner(rho, rho)
-    hmax = int(math.isqrt(int(math.ceil(float(bound * rr))))) + int(abs(p) * rr) + 2
-    # U as dict over (weight delta relative to the chamber leader) -> coeff,
-    # graded by height
-    U: dict[tuple, Fraction] = {}
-    for w in W:
-        if w.perm == wi.perm:
-            continue
-        delta = weyl_action(w, rho) - chamber_rho
-        h = -weight_inner(delta, chamber_rho)
-        assert h > 0
-        if h <= hmax:
-            U[_weight_key(delta)] = Fraction(w.sign * wi.sign)
-
-    def mul(a: dict, b: dict) -> dict:
-        out: dict[tuple, Fraction] = {}
-        for ka, ca in a.items():
-            wa = WeightVector.make(N, ka)
-            for kb, cb in b.items():
-                wk = wa + WeightVector.make(N, kb)
-                h = -weight_inner(wk, chamber_rho)
-                if h > hmax:
-                    continue
-                key = _weight_key(wk)
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return {k: c for k, c in out.items() if c != 0}
-
-    one = {_weight_key(WeightVector.make(N, [0] * (N - 1))): Fraction(1)}
-    if p >= 0:
-        # finite binomial expansion of (1 + U)^p
-        series = dict(one)
-        upow = dict(one)
-        for j in range(1, p + 1):
-            upow = mul(upow, U)
-            for k, c in upow.items():
-                series[k] = series.get(k, Fraction(0)) + c * _binom(p, j)
-    else:
-        # Neumann series for (1+U)^{-1}, then raise to the k-th power
-        inv = dict(one)
-        upow = dict(one)
-        j = 1
-        while True:
-            upow = mul(upow, U)
-            if not upow:
-                break
-            for k, c in upow.items():
-                inv[k] = inv.get(k, Fraction(0)) + (-1) ** j * c
-            j += 1
-            if j > hmax:
-                break
-        series = dict(one)
-        for _ in range(-p):
-            series = mul(series, inv)
-    # attach the chamber leader monomial and filter by the norm bound
-    out: dict[tuple, Fraction] = {}
-    for k, c in series.items():
-        mu = WeightVector.make(N, k) + base_wt
-        if weight_inner(mu, mu) <= bound:
-            key = _weight_key(mu)
-            out[key] = out.get(key, Fraction(0)) + c * sign_pref
-    return {k: c for k, c in out.items() if c != 0}
+    p, G = 2 - deg, _gram(N)
+    delta = _weyl_denominator(N)
+    cap = _cap(N, bound, p)
+    total: dict[tuple, int] = {}
+    for chamber, sign in delta.items():
+        H = _height(G, chamber)
+        one_u = {tuple(x - y for x, y in zip(k, chamber)): e * sign
+                 for k, e in delta.items()}
+        base = _inverse(one_u, (0,) * (N - 1), H, cap) if p < 0 else one_u
+        for k, e in _pow(base, abs(p), H, cap).items():
+            mu = tuple(x + p * y for x, y in zip(k, chamber))
+            if _norm(G, mu) <= N * bound:
+                total[mu] = total.get(mu, 0) + e * sign ** (p % 2)
+    return {k: Fraction(e, len(delta)) for k, e in total.items() if e}
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +463,10 @@ def _sun_prefactor(g: PlumbingGraph, N: int) -> Fraction:
     return -Fraction(3 * L + trB) * rr / 2
 
 
-def _root_gram(N: int) -> list[list[Fraction]]:
+def _root_gram(N: int) -> list[list[int]]:
     """Gram matrix of the simple roots (the Cartan matrix for A_{N-1})."""
-    r = N - 1
-    G = [[Fraction(0)] * r for _ in range(r)]
-    for i in range(r):
-        G[i][i] = Fraction(2)
-        if i + 1 < r:
-            G[i][i + 1] = G[i + 1][i] = Fraction(-1)
-    return G
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(N - 1)]
+            for i in range(N - 1)]
 
 
 def sun_block_labels(g: PlumbingGraph, N: int) -> list[tuple]:
@@ -506,8 +508,7 @@ def _theta_form(lm: LinkingMatrix, b, N: int, pos) -> tuple[list, list]:
     n, r = lm.size, N - 1
     G = _root_gram(N)
     # G^{-1} is the Gram matrix of the fundamental weights
-    Ginv = [[Fraction(min(a, c) * N - a * c, N) for c in range(1, N)]
-            for a in range(1, N)]
+    Ginv = [[Fraction(x, N) for x in row] for row in _gram(N)]
     Binv = lm.inverse()
     b_root = [[sum(Ginv[a][c] * Fraction(bv[c]) for c in range(r)) for a in range(r)]
               for bv in b]
@@ -535,7 +536,7 @@ def _support_walk(lm: LinkingMatrix, b, N: int, R: Fraction, factors):
     """
     n, r = lm.size, N - 1
     B = lm.B
-    G = [[int(x) for x in row] for row in _root_gram(N)]
+    G = _root_gram(N)
     pos = _walk_order(B)
     A, center = _theta_form(lm, b, N, pos)
     bw = [tuple(int(c) if Fraction(c).denominator == 1 else Fraction(c) for c in bv)
@@ -591,14 +592,16 @@ def _zhat_block_suN(g: PlumbingGraph, b, N: int, order) -> ZhatBlock:
     if not is_negative_definite(lm):
         raise ValueError("linking matrix must be negative definite")
     R = Fraction(order)
-    series, least = _sun_series(g, lm, b, N, R, _sun_chamber_average)
+    # the theta form is positive definite, so no order <= 0 reaches past the
+    # coset minimum; such an order is rejected before any expansion is built
+    series, least = _sun_series(g, lm, b, N, R, _sun_chamber_average) \
+        if R > 0 else (None, None)
     if least is None and \
             R <= _lattice_min(*_theta_form(lm, b, N, range(lm.size))):
         raise ValueError("order does not reach past delta_b")
     db = _sun_prefactor(g, N) if least is None else least
-    W_size = math.factorial(N)
     return ZhatBlock(tuple(b), db, series, "su3" if N == 3 else f"su{N}",
-                     W_size ** lm.size)
+                     math.factorial(N) ** lm.size)
 
 
 def _zhat_all_blocks_suN(g: PlumbingGraph, N: int, order) -> list[ZhatBlock]:
@@ -607,73 +610,6 @@ def _zhat_all_blocks_suN(g: PlumbingGraph, N: int, order) -> list[ZhatBlock]:
 
 # ---------------------------------------------------------------------------
 # constant-term oracle
-
-
-def _series_inverse_tail(poly: dict[int, int], side: str, max_abs: int) -> dict[int, Fraction]:
-    """Expansion of 1/poly at x -> infinity ('inf') or x -> 0 ('zero').
-
-    poly is a Laurent polynomial with integer exponents.  The leading term
-    on the chosen side is factored out and the rest inverted by a truncated
-    Neumann series, a deliberately different route from the closed-form
-    binomial coefficients used by the lattice method.
-    """
-    if side == "inf":
-        lead = max(poly)
-    else:
-        lead = min(poly)
-    lc = poly[lead]
-    # w = (poly / (lc x^lead)) - 1, supported on the decaying side
-    w = {}
-    for e, c in poly.items():
-        if e == lead:
-            continue
-        w[e - lead] = Fraction(c, lc)
-    out = {0: Fraction(1)}
-    term = {0: Fraction(1)}
-    span = 2 * max_abs + 2 * abs(lead) + 4
-    for _ in range(span):
-        nxt: dict[int, Fraction] = {}
-        for e1, c1 in term.items():
-            for e2, c2 in w.items():
-                e = e1 + e2
-                if abs(e) > span:
-                    continue
-                nxt[e] = nxt.get(e, Fraction(0)) - c1 * c2
-        term = nxt
-        if not term:
-            break
-        for e, c in term.items():
-            out[e] = out.get(e, Fraction(0)) + c
-    return {e - lead: Fraction(c, lc) for e, c in out.items()}
-
-
-def _poly_pow(base: dict[int, int], k: int) -> dict[int, int]:
-    out = {0: 1}
-    for _ in range(k):
-        nxt: dict[int, int] = {}
-        for e1, c1 in out.items():
-            for e2, c2 in base.items():
-                nxt[e1 + e2] = nxt.get(e1 + e2, 0) + c1 * c2
-        out = {e: c for e, c in nxt.items() if c != 0}
-    return out
-
-
-def _oracle_vertex_rank1(deg: int, max_abs: int, osp: bool) -> dict[int, Fraction]:
-    """Vertex expansion via polynomial powering + Neumann inversion."""
-    sign = 1 if osp else -1
-    base = {1: 1, -1: sign}  # x + sign/x
-    p = 2 - deg
-    if p >= 0:
-        return {e: Fraction(c) for e, c in _poly_pow(base, p).items()}
-    poly = _poly_pow(base, -p)
-    up = _series_inverse_tail(poly, "inf", max_abs)
-    down = _series_inverse_tail(poly, "zero", max_abs)
-    out: dict[int, Fraction] = {}
-    for src in (up, down):
-        for e, c in src.items():
-            if abs(e) <= max_abs:
-                out[e] = out.get(e, Fraction(0)) + c / 2
-    return {e: c for e, c in out.items() if c != 0}
 
 
 def constant_term_oracle(g: PlumbingGraph, b, variant: str, order) -> QSeries:
@@ -691,16 +627,16 @@ def constant_term_oracle(g: PlumbingGraph, b, variant: str, order) -> QSeries:
     if variant == "su3":
         return _sun_series(g, lm, b, 3, R, _oracle_vertex_suN)[0]
     pref = _prefactor_exponent(g)
-    osp = variant == "osp12"
-    # vertex expansions via the independent inversion route; theta
-    # contributes z^ell, so the z-degree-zero pairing takes the coefficient
-    # of z^{-ell_v} at vertex v
+    s = 1 if variant == "osp12" else -1
+    # vertex expansions via the independent inversion route, cut at
+    # |ell| <= max_abs, that is (ell, ell) = ell^2 / 2 <= max_abs^2 / 2;
+    # theta contributes z^ell, so the z-degree-zero pairing takes the
+    # coefficient of z^{-ell_v} at vertex v
     factors = []
     for idx, vid in enumerate(g.ids):
-        fv = -lm.B[idx][idx]
-        max_abs = int(math.isqrt(int(4 * R * fv))) + 2
-        sup = _oracle_vertex_rank1(g.degree(vid), max_abs, osp)
-        factors.append({(-e,): c for e, c in sup.items()})
+        max_abs = math.isqrt(int(4 * R * -lm.B[idx][idx])) + 2
+        sup = _oracle_vertex_suN(g.degree(vid), 2, Fraction(max_abs ** 2, 2), s)
+        factors.append({(-e,): c for (e,), c in sup.items()})
     walked, _ = _support_walk(lm, [(x,) for x in b], 2, R, factors)
     denom = math.lcm(4 * abs(lm.det()), pref.denominator)
     return QSeries.from_terms({pref + q: c for q, c in walked.items()},
@@ -708,89 +644,32 @@ def constant_term_oracle(g: PlumbingGraph, b, variant: str, order) -> QSeries:
 
 
 @functools.lru_cache(maxsize=64)
-def _oracle_vertex_suN(deg: int, N: int, bound: Fraction) -> dict[tuple, Fraction]:
+def _oracle_vertex_suN(deg: int, N: int, bound: Fraction, s: int = -1) -> dict[tuple, Fraction]:
     """Chamber-averaged Delta^{2-deg} by direct polynomial inversion.
 
-    Cached like _sun_chamber_average; callers must not modify the result.
+    Delta is _weyl_denominator(N, s), so N = 2 gives the rank-1 bases
+    x - 1/x (s = -1) and x + 1/x (s = +1).  Delta^{deg-2} is inverted
+    around its leading monomial in each chamber.  Cached like
+    _sun_chamber_average; callers must not modify the result.
     """
-    W = weyl_group(N)
-    rho = weyl_vector(N)
-    p = 2 - deg
-    # Delta as a polynomial in weight space
-    delta_poly: dict[tuple, int] = {}
-    for w in W:
-        key = _weight_key(weyl_action(w, rho))
-        delta_poly[key] = delta_poly.get(key, 0) + w.sign
-
-    def wmul(a: dict, b: dict, hcap=None, hfun=None) -> dict:
-        out: dict[tuple, Fraction] = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                wk = WeightVector.make(N, ka) + WeightVector.make(N, kb)
-                if hcap is not None and hfun(wk) > hcap:
-                    continue
-                key = _weight_key(wk)
-                out[key] = out.get(key, Fraction(0)) + Fraction(ca) * Fraction(cb)
-        return {k: c for k, c in out.items() if c != 0}
-
+    p, G = 2 - deg, _gram(N)
+    delta = _weyl_denominator(N, s)
+    poly = _pow(delta, abs(p))
     if p >= 0:
-        poly = {_weight_key(WeightVector.make(N, [0] * (N - 1))): Fraction(1)}
-        for _ in range(p):
-            poly = wmul(poly, delta_poly)
-        return {
-            k: c
-            for k, c in poly.items()
-            if weight_inner(WeightVector.make(N, k), WeightVector.make(N, k)) <= bound
-        }
-    k_pow = -p
-    rr = weight_inner(rho, rho)
-    total: dict[tuple, Fraction] = {}
-    for wi in W:
-        chamber_rho = weyl_action(wi, rho)
-
-        def height(wk, cr=chamber_rho):
-            return -weight_inner(wk, cr)
-
-        hmax = int(math.isqrt(int(math.ceil(float(bound * rr))))) + int(k_pow * rr) + 2
-        # Delta^{k} as polynomial, then invert by Neumann series around the
-        # chamber-leading monomial of Delta^{k}
-        dk: dict[tuple, Fraction] = {_weight_key(WeightVector.make(N, [0] * (N - 1))): Fraction(1)}
-        for _ in range(k_pow):
-            dk = wmul(dk, delta_poly)
-        lead_key = max(
-            dk, key=lambda kk: weight_inner(WeightVector.make(N, kk), chamber_rho)
-        )
-        lead_wt = WeightVector.make(N, lead_key)
-        lc = dk[lead_key]
-        w_tail: dict[tuple, Fraction] = {}
-        for kk, cc in dk.items():
-            if kk == lead_key:
-                continue
-            delta = WeightVector.make(N, kk) - lead_wt
-            if height(delta) <= hmax:
-                w_tail[_weight_key(delta)] = cc / lc
-        inv = {_weight_key(WeightVector.make(N, [0] * (N - 1))): Fraction(1)}
-        term = {_weight_key(WeightVector.make(N, [0] * (N - 1))): Fraction(1)}
-        while True:
-            term = wmul(
-                {k2: -c2 for k2, c2 in term.items()}, w_tail, hcap=hmax, hfun=height
-            )
-            if not term:
-                break
-            for kk, cc in term.items():
-                inv[kk] = inv.get(kk, Fraction(0)) + cc
-        for kk, cc in inv.items():
-            mu = WeightVector.make(N, kk) - lead_wt
-            if weight_inner(mu, mu) <= bound:
-                key = _weight_key(mu)
-                total[key] = total.get(key, Fraction(0)) + cc / lc
-    nW = Fraction(1, len(W))
-    return {k: c * nW for k, c in total.items() if c != 0}
+        return {k: Fraction(e) for k, e in poly.items() if _norm(G, k) <= N * bound}
+    cap = _cap(N, bound, p)
+    total: dict[tuple, int] = {}
+    for chamber in delta:
+        H = _height(G, chamber)
+        lead = min(poly, key=lambda k: _ht(H, k))
+        for k, e in _inverse(poly, lead, H, cap).items():
+            mu = tuple(x - y for x, y in zip(k, lead))
+            if _norm(G, mu) <= N * bound:
+                total[mu] = total.get(mu, 0) + e
+    return {k: Fraction(e, len(delta)) for k, e in total.items() if e}
 
 
 def block_to_json(block: ZhatBlock) -> dict:
-    from plumbq.qlaurent import qs_to_json
-
     return {
         "b": [str(x) for x in block.label],
         "delta": str(block.delta_b),

@@ -149,9 +149,11 @@ class TestExitCodes:
         (("zhat", "--graph", "poincare", "--order", "0"), 3),
         (("zhat", "--graph", "poincare", "--group", "su3", "--order", "0"),
          3),
+        (("zhat", "--graph", "lens-m5-11", "--group", "su3", "--order",
+          "-3"), 3),
     ], ids=["graph-not-a-tree", "wrt-graph-not-a-tree",
             "quiver-not-symmetric", "order-below-delta",
-            "su3-order-below-delta"])
+            "su3-order-below-delta", "su3-negative-order"])
     def test_exit_code(self, tmp_path, args, code):
         files = {"{cycle}": NOT_A_TREE,
                  "{skew}": {"n": 2, "C": [[0, 1], [2, 0]], "xi": [0, 0],
@@ -163,6 +165,8 @@ class TestExitCodes:
         assert isinstance(res.exception, SystemExit)
         assert res.output.startswith("error: ")
         assert res.output.count("\n") == 1
+        if "--order" in args:
+            assert res.output == "error: order does not reach past delta_b\n"
 
 
 class TestCache:

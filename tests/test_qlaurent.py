@@ -163,6 +163,11 @@ class TestSerialization:
         s = poly({0: 1, 1: 1})
         assert qs_eval(s, 0.5) == pytest.approx(1.5)
 
+    def test_eval_at_zero_keeps_the_constant_term(self):
+        assert qs_eval(poly({0: 3, Fraction(1, 2): 5}, denom=2), 0) == 3
+        with pytest.raises(ZeroDivisionError):
+            qs_eval(poly({-1: 1, 0: 1}), 0)
+
 
 # ---------------------------------------------------------------------------
 # the integer core against a plain-Fraction reference

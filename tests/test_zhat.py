@@ -25,7 +25,15 @@ from plumbq.plumbing import (
 )
 from plumbq.qlaurent import QSeries, qs_flip, qs_neg
 from plumbq.zhat import (
+    _avg_rank1,
     _coset_exponent,
+    _gram,
+    _height,
+    _ht,
+    _inverse,
+    _mul,
+    _oracle_vertex_suN,
+    _sun_chamber_average,
     _zhat_all_blocks_suN,
     constant_term_oracle,
     ellipsoid_points,
@@ -244,6 +252,34 @@ class TestEllipsoidPoints:
         assert sorted(got) == sorted(want)
 
 
+@st.composite
+def neumann_cases(draw):
+    """A weight polynomial c x^lead (1 + tail) with c a sign and every tail
+    monomial of positive height, the height form and a cap."""
+    N = draw(st.sampled_from([2, 3]))
+    r = N - 1
+    coords = st.tuples(*[st.integers(-3, 3)] * r)
+    chamber = draw(coords.filter(any))
+    H = _height(_gram(N), chamber)
+    lead = draw(coords)
+    sign = draw(st.sampled_from([1, -1]))
+    tail = draw(st.dictionaries(coords.filter(lambda d: _ht(H, d) > 0),
+                                st.integers(-3, 3).filter(bool), max_size=3))
+    poly = {tuple(x + y for x, y in zip(lead, d)): c for d, c in tail.items()}
+    poly[lead] = sign
+    return poly, lead, H, draw(st.integers(0, 3 * N * N))
+
+
+class TestExpansionKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(neumann_cases())
+    def test_neumann_inverse_times_poly_is_one(self, case):
+        poly, lead, H, cap = case
+        rel = {tuple(x - y for x, y in zip(k, lead)): c for k, c in poly.items()}
+        inv = _inverse(poly, lead, H, cap)
+        assert _mul(inv, rel, H, cap) == {(0,) * len(lead): 1}
+
+
 def test_integer_coset_test_matches_inverse():
     rng = random.Random(20261018)
     hits = 0
@@ -287,6 +323,26 @@ class TestRankTwoConsistency:
                 # same expansion, so the chamber sum doubles it
                 sun = {k: v / 2 for k, v in sun.items()}
             assert sun == {Fraction(k): v for k, v in su2.items()}
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_block_and_oracle_expansions_agree(self, N):
+        # the block route inverts 1 + U and then takes the power, the
+        # oracle takes the power of Delta and then inverts it
+        for bound in (Fraction(18), Fraction(60)):
+            for deg in range(6):
+                assert _sun_chamber_average(deg, N, bound) == \
+                    _oracle_vertex_suN(deg, N, bound), (deg, bound)
+
+    @pytest.mark.parametrize("osp", [False, True])
+    def test_rank1_oracle_expansion_is_the_n2_case(self, osp):
+        # x + s/x is the N = 2 Weyl denominator with sign s; |e| <= max_abs
+        # is the norm bound e^2 / 2 <= max_abs^2 / 2
+        for deg in range(7):
+            for max_abs in (2, 5, 12, 31):
+                got = _oracle_vertex_suN(deg, 2, Fraction(max_abs ** 2, 2),
+                                         1 if osp else -1)
+                assert {e: c for (e,), c in got.items()} == \
+                    _avg_rank1(deg, max_abs, osp), (deg, max_abs)
 
     def test_blocks_n2_match_su2(self):
         # the rank-N assembly enumerates unfolded labels, so block lists
