@@ -20,6 +20,7 @@ import mpmath as mp
 from plumbq.lie import (
     WeightVector,
     gamma_factor,
+    gram,
     weight_inner,
     weyl_action,
     weyl_group,
@@ -36,7 +37,7 @@ from plumbq.plumbing import (
     spinc_labels_unfolded,
 )
 from plumbq.qlaurent import QSeries, qs_eval
-from plumbq.wrt import wrt_osp, wrt_so3, wrt_su2, wrt_sun_zm
+from plumbq.wrt import _phase, wrt_osp, wrt_so3, wrt_su2, wrt_sun_zm
 from plumbq.zhat import _zhat_block_suN, sun_block_labels, zhat_block
 
 __all__ = [
@@ -82,9 +83,10 @@ def report_to_json(rep: GPPVReport) -> dict:
 # Gauss sum reciprocity
 
 
-def _pairing(M, x, y) -> Fraction:
+def _pairing(M, x, y):
+    """x^T M y; an int when M, x and y are ints."""
     n = len(x)
-    return sum(Fraction(M[i][j]) * x[i] * y[j] for i in range(n) for j in range(n))
+    return sum(M[i][j] * x[i] * y[j] for i in range(n) for j in range(n))
 
 
 def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
@@ -105,17 +107,15 @@ def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
     bp, bm = _signature_counts(B)
     sigma = bp - bm
     with mp.workdps(dps + 10):
-        def epi(x: Fraction) -> mp.mpc:
-            return mp.expjpi(mp.mpf(x.numerator) / x.denominator)
-
         # even identity
         lhs = mp.fsum(
-            epi(_pairing(B, n, n) / (2 * k) + Fraction(2, 2 * k) * sum(a * b for a, b in zip(ell, n)))
+            _phase(Fraction(_pairing(B, n, n) + 2 * sum(a * b for a, b in zip(ell, n)),
+                            2 * k))
             for n in itertools.product(range(2 * k), repeat=L)
         )
         pref = mp.expjpi(mp.mpf(sigma) / 4) * (2 * k) ** mp.mpf(L / 2) / mp.sqrt(abs(det))
         rhs = mp.fsum(
-            epi(Fraction(-2 * k) * _pairing(
+            _phase(Fraction(-2 * k) * _pairing(
                 Binv,
                 [Fraction(a) + Fraction(e, 2 * k) for a, e in zip(avec, ell)],
                 [Fraction(a) + Fraction(e, 2 * k) for a, e in zip(avec, ell)],
@@ -128,21 +128,19 @@ def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
         K = k
         dvec = [e - sum(B[i][j] for j in range(L)) for i, e in enumerate(ell)]
         qden = 2 * K + 2
-
-        def qe(x: Fraction) -> mp.mpc:
-            return mp.expjpi(2 * mp.mpf(x.numerator) / (x.denominator * qden))
-
+        # the odd identity's phases are q^x = exp(pi i 2x / qden)
         lhs2 = mp.fsum(
-            qe(_pairing(B, n, n) / 4 + Fraction(1, 2) * sum(a * b for a, b in zip(dvec, n)))
+            _phase(Fraction(_pairing(B, n, n) + 2 * sum(a * b for a, b in zip(dvec, n)),
+                            2 * qden))
             for n in itertools.product(range(1, 4 * K + 4, 2), repeat=L)
         )
         pref2 = (
             mp.expjpi(mp.mpf(sigma) / 4) * (K + 1) ** mp.mpf(L / 2) / mp.sqrt(abs(det))
-            * qe(-_pairing(Binv, dvec, dvec) / 4)
+            * _phase(Fraction(-_pairing(Binv, dvec, dvec), 2 * qden))
         )
         twoB = [[2 * B[i][j] for j in range(L)] for i in range(L)]
         rhs2 = mp.fsum(
-            epi(Fraction(-(K + 1)) * _pairing(Binv, avec, avec)
+            _phase(Fraction(-(K + 1)) * _pairing(Binv, avec, avec)
                 - _pairing(Binv, avec, [d + sum(B[i][j] for j in range(L))
                                         for i, d in enumerate(dvec)]))
             for avec in coset_representatives(twoB)
@@ -250,10 +248,6 @@ def _block_limit(s: QSeries, root_order: int, schedule, dps: int) -> mp.mpc:
 # decomposition verification
 
 
-def _phase(x: Fraction) -> mp.mpc:
-    return mp.expjpi(mp.mpf(x.numerator) / x.denominator)
-
-
 def _rank1_decomposition(
     g: PlumbingGraph, variant: str, level: int, order, eps_schedule, dps: int,
     shift_BI: bool = True,
@@ -320,8 +314,8 @@ def _pprime_dual_basis(N: int, m: int) -> list[tuple[int, ...]]:
     r = N - 1
     if m == N:
         return [tuple(1 if i == j else 0 for i in range(r)) for j in range(r)]
-    # pairing with the generator: N*(L_i, L_m) = N*min(i,m) - i*m
-    w = [N * min(i, m) - i * m for i in range(1, N)] + [N]
+    # pairing with the generator: N (L_i, L_m)
+    w = [row[m - 1] for row in gram(N)] + [N]
     # column-reduce the row vector w to (g, 0, ..., 0) tracking U
     U = [[1 if i == j else 0 for j in range(r + 1)] for i in range(r + 1)]
     vec = list(w)
@@ -349,21 +343,43 @@ def _pprime_dual_basis(N: int, m: int) -> list[tuple[int, ...]]:
 def _sun_decomposition(
     g: PlumbingGraph, N: int, m: int, level: int, order, eps_schedule, dps: int,
 ):
-    """Right-hand side of the quotient-group decomposition."""
+    """Right-hand side of the quotient-group decomposition.
+
+    Weights are int tuples of fundamental-weight coordinates paired under
+    gram(N) = N (L_i, L_j).  With adj = det(B) B^{-1}, a pairing
+    sum_{v,w} B^{-1}_vw (x_v, y_w) is sum_v N (x_v, (adj y)_v) / (N det B):
+    an integer over one denominator.
+    """
     gamma = gamma_factor(N, m)
     kprime = gamma * level + N
     lm = linking_matrix(g)
     n = lm.size
     r = N - 1
-    Binv = lm.inverse()
+    det = lm.det()
+    adj = [[int(det * x) for x in row] for row in lm.inverse()]
+    G = gram(N)
     labels = sun_block_labels(g, N)
     finite_blocks = all(g.degree(v) <= 2 for v in g.ids)
     schedule = None if finite_blocks else eps_schedule
     rho = weyl_vector(N)
     W = weyl_group(N)
     basis = _pprime_dual_basis(N, m)
-    basis_wts = [WeightVector.make(N, bv) for bv in basis]
     reps = coset_representatives([list(row) for row in lm.B])
+
+    def adj_times(vecs):
+        return [tuple(sum(adj[v][w] * vecs[w][c] for w in range(n)) for c in range(r))
+                for v in range(n)]
+
+    def paired(xs, ys) -> int:
+        return sum(_pairing(G, x, y) for x, y in zip(xs, ys))
+
+    # adj (b + B rho) per label, with (B rho)_w = (sum_x B_wx) rho
+    shifted = {
+        lab: adj_times([tuple(c + sum(lm.B[w]) * x for c, x in
+                              zip(WeightVector.make(N, lab[w]).coords, rho.coords))
+                        for w in range(n)])
+        for lab in labels
+    }
 
     with mp.workdps(dps + 10):
         blocks = {
@@ -373,41 +389,23 @@ def _sun_decomposition(
             lab: _block_limit(blk.series, kprime, schedule, dps)
             for lab, blk in blocks.items()
         }
-        # u_w = sum_v Binv[w][v] (b_v + (B rho)_v), precomputed per label
-        Brho = [
-            rho.scale(sum(lm.B[v][w] for w in range(n))) for v in range(n)
-        ]
         total = mp.mpc(0)
         for combo in itertools.product(reps, repeat=r):
             # a_v = sum_j combo[j][v] * basis_j
-            avec = []
-            for v in range(n):
-                acc = WeightVector.make(N, [0] * r)
-                for j in range(r):
-                    acc = acc + basis_wts[j].scale(combo[j][v])
-                avec.append(acc)
-            aBa = sum(
-                Binv[v][w] * weight_inner(avec[v], avec[w])
-                for v in range(n)
-                for w in range(n)
-            )
-            p1 = _phase(Fraction(-kprime) * aBa)
+            avec = [tuple(sum(combo[j][v] * basis[j][c] for j in range(r))
+                          for c in range(r)) for v in range(n)]
+            p1 = _phase(Fraction(-kprime * paired(avec, adj_times(avec)), N * det))
             inner = mp.mpc(0)
             for lab in labels:
-                bwts = [WeightVector.make(N, lab[v]) for v in range(n)]
-                expo = sum(
-                    Binv[v][w] * weight_inner(avec[v], bwts[w] + Brho[w])
-                    for v in range(n)
-                    for w in range(n)
-                )
-                inner += _phase(Fraction(-2) * expo) * limits[lab]
+                expo = Fraction(-2 * paired(avec, shifted[lab]), N * det)
+                inner += _phase(expo) * limits[lab]
             total += p1 * inner
-        qp = lambda x: mp.expjpi(2 * mp.mpf(Fraction(x).numerator) / (Fraction(x).denominator * kprime))
         weyl_denom = mp.fsum(
-            w.sign * qp(weight_inner(rho, weyl_action(w, rho))) for w in W
+            w.sign * _phase(2 * weight_inner(rho, weyl_action(w, rho)) / kprime)
+            for w in W
         )
         denom = (
-            len(W) * mp.mpf(abs(lm.det())) ** (mp.mpf(N - 1) / 2) * weyl_denom
+            len(W) * mp.mpf(abs(det)) ** (mp.mpf(N - 1) / 2) * weyl_denom
         )
         return total / denom, kprime
 

@@ -1,9 +1,13 @@
-"""Weight-lattice combinatorics for A_{N-1}.
+"""Weight-lattice data for A_{N-1}, in integers.
 
-Weights live in the fundamental-weight basis with the closed-form Gram
-matrix (L_i, L_j) = min(i,j) - i*j/N.  The Weyl group acts by permuting the
-N coordinates of the orthogonal embedding, which is only used inside
-weyl_action so that everything else stays in the weight basis.
+A weight is held by its int coordinates in the fundamental-weight basis
+(L_1, ..., L_{N-1}).  Scaled by N, all of the lattice data is integral:
+the Gram matrix gram(N) = N (L_i, L_j) = N min(i, j) - i j, and
+rho_norm(N) = N (rho, rho).  The Cartan matrix is the Gram matrix of the
+simple roots; its rows are the simple roots in the weight basis.  The Weyl
+group permutes the N coordinates of the N-scaled orthogonal embedding,
+which is integral as well, so weyl_action never leaves the integers.  The
+one rational is the pairing weight_inner(u, v) = u^T gram(N) v / N.
 """
 
 from __future__ import annotations
@@ -16,6 +20,9 @@ __all__ = [
     "WeightVector",
     "WeylElement",
     "SublatticeSpec",
+    "gram",
+    "cartan",
+    "rho_norm",
     "weight_inner",
     "weyl_vector",
     "fundamental_weight",
@@ -30,18 +37,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Rational coordinates in the basis (L_1, ..., L_{N-1})."""
+    """Integer coordinates in the basis (L_1, ..., L_{N-1})."""
 
     N: int
-    coords: tuple[Fraction, ...]
+    coords: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.coords) != self.N - 1:
             raise ValueError("coordinate count must equal the rank N-1")
+        if not all(type(c) is int for c in self.coords):
+            raise TypeError("weight coordinates must be ints; WeightVector.make converts")
 
     @staticmethod
     def make(N: int, coords) -> "WeightVector":
-        return WeightVector(N, tuple(Fraction(c) for c in coords))
+        """The weight with the given coordinates, which must be integers."""
+        coords = tuple(coords)
+        ints = tuple(int(c) for c in coords)
+        if ints != coords:
+            raise ValueError(f"weight coordinates must be integers: {coords}")
+        return WeightVector(N, ints)
 
     def __add__(self, other: "WeightVector") -> "WeightVector":
         self._check(other)
@@ -54,35 +68,9 @@ class WeightVector:
     def __neg__(self) -> "WeightVector":
         return WeightVector(self.N, tuple(-a for a in self.coords))
 
-    def scale(self, f) -> "WeightVector":
-        f = Fraction(f)
-        return WeightVector(self.N, tuple(f * a for a in self.coords))
-
     def _check(self, other: "WeightVector"):
         if self.N != other.N:
             raise ValueError("rank mismatch")
-
-    def embedding(self) -> tuple[Fraction, ...]:
-        """Coordinates in the orthogonal N-vector embedding.
-
-        L_i maps to (1/N)((N-i) repeated i times, then -i repeated N-i
-        times); the image lies in the sum-zero hyperplane.
-        """
-        N = self.N
-        out = [Fraction(0)] * N
-        for i, c in enumerate(self.coords, start=1):
-            for t in range(N):
-                out[t] += c * Fraction(N - i if t < i else -i, N)
-        return tuple(out)
-
-    @staticmethod
-    def from_embedding(N: int, emb) -> "WeightVector":
-        """Inverse of embedding(); emb must be sum-zero with compatible denominators."""
-        emb = [Fraction(e) for e in emb]
-        assert sum(emb) == 0
-        # pairing with the simple roots e_i - e_{i+1} recovers the coordinates
-        coords = [emb[i] - emb[i + 1] for i in range(N - 1)]
-        return WeightVector(N, tuple(coords))
 
 
 @dataclass(frozen=True)
@@ -112,42 +100,41 @@ class SublatticeSpec:
     m: int
 
 
+def gram(N: int) -> list[list[int]]:
+    """N times the Gram matrix of the fundamental weights."""
+    return [[N * min(i, j) - i * j for j in range(1, N)] for i in range(1, N)]
+
+
+def cartan(N: int) -> list[list[int]]:
+    """The Cartan matrix of A_{N-1}: the Gram matrix of the simple roots."""
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(N - 1)]
+            for i in range(N - 1)]
+
+
+def rho_norm(N: int) -> int:
+    """N (rho, rho) = N^2 (N^2 - 1) / 12."""
+    return N * N * (N * N - 1) // 12
+
+
 def fundamental_weight(N: int, i: int) -> WeightVector:
-    coords = [Fraction(int(j == i)) for j in range(1, N)]
-    return WeightVector(N, tuple(coords))
+    return WeightVector(N, tuple(int(j == i) for j in range(1, N)))
 
 
 def weyl_vector(N: int) -> WeightVector:
-    return WeightVector(N, tuple(Fraction(1) for _ in range(N - 1)))
+    return WeightVector(N, (1,) * (N - 1))
 
 
 def simple_roots(N: int) -> list[WeightVector]:
-    """alpha_i = 2 L_i - L_{i-1} - L_{i+1} in the weight basis."""
-    roots = []
-    for i in range(1, N):
-        coords = [Fraction(0)] * (N - 1)
-        coords[i - 1] = Fraction(2)
-        if i - 2 >= 0:
-            coords[i - 2] -= 1
-        if i < N - 1:
-            coords[i] -= 1
-        roots.append(WeightVector(N, tuple(coords)))
-    return roots
+    """alpha_i = 2 L_i - L_{i-1} - L_{i+1}: the rows of the Cartan matrix."""
+    return [WeightVector(N, tuple(row)) for row in cartan(N)]
 
 
 def weight_inner(u: WeightVector, v: WeightVector) -> Fraction:
     if u.N != v.N:
         raise ValueError("rank mismatch")
-    N = u.N
-    total = Fraction(0)
-    for i, a in enumerate(u.coords, start=1):
-        if a == 0:
-            continue
-        for j, b in enumerate(v.coords, start=1):
-            if b == 0:
-                continue
-            total += a * b * (Fraction(min(i, j)) - Fraction(i * j, N))
-    return total
+    total = sum(a * sum(g * b for g, b in zip(row, v.coords))
+                for a, row in zip(u.coords, gram(u.N)) if a)
+    return Fraction(total, u.N)
 
 
 def weyl_group(N: int) -> list[WeylElement]:
@@ -161,24 +148,32 @@ def weyl_group(N: int) -> list[WeylElement]:
 
 
 def weyl_action(w: WeylElement, v: WeightVector) -> WeightVector:
-    emb = v.embedding()
-    permuted = [emb[w.perm[t]] for t in range(v.N)]
-    return WeightVector.from_embedding(v.N, permuted)
+    """w(v), by permuting the N-scaled orthogonal embedding of v.
+
+    N L_i embeds as (N - i repeated i times, then -i repeated N - i times),
+    a sum-zero integer N-vector whose entries are all congruent mod N.  The
+    coordinate i of a weight is its pairing with the simple root
+    e_i - e_{i+1}, so it is the difference of adjacent entries over N.
+    """
+    N = v.N
+    emb = [sum(c * (N - i if t < i else -i) for i, c in enumerate(v.coords, start=1))
+           for t in range(N)]
+    permuted = [emb[w.perm[t]] for t in range(N)]
+    return WeightVector(N, tuple((permuted[t] - permuted[t + 1]) // N
+                                 for t in range(N - 1)))
 
 
 def gamma_factor(N: int, m: int) -> int:
     """Least gamma >= 1 making (gamma/2)(L_a, L_a) integral for the Z_m generators."""
     if N % m != 0:
         raise ValueError(f"m={m} must divide N={N}")
-    gens = [fundamental_weight(N, (N // m) * j) for j in range(1, m)]
+    G = gram(N)
+    # N (L_a, L_a) for the generators L_a, a = (N/m) j with 0 < j < m
+    norms = [G[a - 1][a - 1] for a in range(N // m, N, N // m)]
     gamma = 1
-    while True:
-        if all(
-            (Fraction(gamma, 2) * weight_inner(g, g)).denominator == 1
-            for g in gens
-        ):
-            return gamma
+    while any(gamma * x % (2 * N) for x in norms):
         gamma += 1
+    return gamma
 
 
 def sublattice_Pprime(N: int, m: int) -> SublatticeSpec:
@@ -193,15 +188,9 @@ def sublattice_Pprime(N: int, m: int) -> SublatticeSpec:
 
 
 def pq_class_index(v: WeightVector) -> int:
-    """Index of the class of v in P/Q ~ Z_N (v must be in P)."""
-    N = v.N
+    """Index of the class of v in P/Q ~ Z_N."""
     # class(L_i) = i; classes add, so class(v) = sum i*c_i mod N
-    total = 0
-    for i, c in enumerate(v.coords, start=1):
-        if c.denominator != 1:
-            raise ValueError("not a weight-lattice point")
-        total += i * c.numerator
-    return total % N
+    return sum(i * c for i, c in enumerate(v.coords, start=1)) % v.N
 
 
 def in_Pprime(v: WeightVector, spec: SublatticeSpec) -> bool:
@@ -210,7 +199,7 @@ def in_Pprime(v: WeightVector, spec: SublatticeSpec) -> bool:
 
 def highest_root(N: int) -> WeightVector:
     """theta = L_1 + L_{N-1} (equal to its coroot for A_{N-1})."""
-    coords = [Fraction(0)] * (N - 1)
+    coords = [0] * (N - 1)
     coords[0] += 1
     coords[N - 2] += 1
     return WeightVector(N, tuple(coords))
@@ -230,7 +219,7 @@ def allowed_colors(N: int, m: int, kprime: int) -> list[WeightVector]:
     rho = weyl_vector(N)
     out = []
     for ns in itertools.product(range(1, kprime + 1), repeat=N - 1):
-        lam = WeightVector.make(N, ns)
+        lam = WeightVector(N, ns)
         if weight_inner(lam, theta) >= kprime:
             continue
         if not in_Pprime(lam - rho, spec):

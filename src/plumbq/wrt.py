@@ -13,16 +13,16 @@ linking matrix, so the three-sphere always evaluates to 1.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
 from plumbq.lie import (
-    WeightVector,
     allowed_colors,
     gamma_factor,
+    rho_norm,
     weight_inner,
     weyl_action,
     weyl_group,
@@ -60,21 +60,18 @@ def result_to_json(res: WRTResult) -> dict:
     }
 
 
-def _root_power(order: int):
-    """exp(2 pi i e / order) for rational e, at the current precision."""
+def _phase(x: Fraction) -> mp.mpc:
+    """exp(pi i x) for an exact rational x, at the current precision.
 
-    def qp(e) -> mp.mpc:
-        ef = Fraction(e)
-        x = mp.mpf(2 * ef.numerator) / (ef.denominator * order)
-        return mp.expjpi(x)
-
-    return qp
+    The argument is the correctly rounded quotient of x's numerator and
+    denominator, so equal rationals give equal bits however they were
+    written.
+    """
+    return mp.expjpi(mp.mpf(x.numerator) / x.denominator)
 
 
 def _tree_sum_direct(g: PlumbingGraph, ncolors: int, vweight, eweight) -> mp.mpc:
     """Brute-force odometer over all colorings; reference for _tree_sum."""
-    import itertools
-
     pos = {v: i for i, v in enumerate(g.ids)}
     epairs = [(pos[a], pos[b]) for a, b in g.edges]
     L = len(g.ids)
@@ -137,13 +134,12 @@ def _rank1_invariant(
     """Shared state-sum engine; sign = -1 gives the (x - 1/x) family, +1 the
     (x + 1/x) one."""
     with mp.workdps(dps + 15):
-        qp = _root_power(order)
         lm = linking_matrix(g)
         fr = [lm.B[i][i] for i in range(lm.size)]
         degs = [g.degree(v) for v in g.ids]
 
         def u(t: int) -> mp.mpc:
-            return qp(Fraction(t, 2)) + sign * qp(Fraction(-t, 2))
+            return _phase(Fraction(t, order)) + sign * _phase(Fraction(-t, order))
 
         uvals = {n: u(n) for n in colors}
         umatrix = {}
@@ -156,7 +152,7 @@ def _rank1_invariant(
 
         def vweight(vi: int, ci: int) -> mp.mpc:
             n = colors[ci]
-            w = qp(Fraction(fr[vi] * (n * n - 1), 4))
+            w = _phase(Fraction(fr[vi] * (n * n - 1), 2 * order))
             return w * uvals[n] ** (2 - degs[vi])
 
         x = u(1)
@@ -166,7 +162,8 @@ def _rank1_invariant(
 
         def f_unknot(eps: int) -> mp.mpc:
             total = mp.fsum(
-                qp(Fraction(eps * (n * n - 1), 4)) * uvals[n] ** 2 for n in colors
+                _phase(Fraction(eps * (n * n - 1), 2 * order)) * uvals[n] ** 2
+                for n in colors
             )
             return total / x ** 2
 
@@ -235,7 +232,6 @@ def wrt_sun_zm(
     W = weyl_group(N)
     rho_idx = colors.index(rho)
     with mp.workdps(dps + 15):
-        qp = _root_power(kprime)
         npos = N * (N - 1) // 2
         pref = mp.mpc(0, 1) ** npos / mp.sqrt((N // m) * kprime ** (N - 1))
         # Weyl-orbit images of every color, reused across all S entries
@@ -249,15 +245,15 @@ def wrt_sun_zm(
             key = (min(i, j), max(i, j))
             if key not in scache:
                 total = mp.fsum(
-                    sg * qp(weight_inner(wl, colors[key[1]]))
+                    sg * _phase(2 * weight_inner(wl, colors[key[1]]) / kprime)
                     for sg, wl in orbits[key[0]]
                 )
                 scache[key] = pref * total
             return scache[key]
 
-        rr = weight_inner(rho, rho)
+        rr = Fraction(rho_norm(N), N)
         tvals = [
-            qp((weight_inner(lam, lam) - rr) / 2) for lam in colors
+            _phase((weight_inner(lam, lam) - rr) / kprime) for lam in colors
         ]
         lm = linking_matrix(g)
         fr = [lm.B[i][i] for i in range(lm.size)]

@@ -12,7 +12,8 @@ Rank-1 block factors are closed-form binomials.  Every other vertex
 expansion runs on one exact kernel: products, powers and a truncated
 Neumann inverse of dicts keyed by int tuples of fundamental-weight
 coordinates, with norms from the integer Gram matrix N (L_i, L_j) and
-chamber cut-offs from integer linear heights.
+chamber cut-offs from integer linear heights.  The lattice data (Gram and
+Cartan matrices, (rho, rho), the Weyl action) comes from `lie`.
 
 Rank-1 blocks run over the product of the vertex supports.  A tuple ell
 lies in the coset of b when adj(B)(ell - b) = 0 mod 2 det B, and its
@@ -42,7 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from plumbq.lie import weyl_action, weyl_group, weyl_vector
+from plumbq.lie import cartan, gram, rho_norm, weyl_action, weyl_group, weyl_vector
 from plumbq.plumbing import (
     LinkingMatrix,
     PlumbingGraph,
@@ -121,15 +122,10 @@ def _avg_rank1(deg: int, max_abs_exp: int, osp: bool) -> dict[int, Fraction]:
 #
 # A weight is an int tuple of fundamental-weight coordinates and a weight
 # polynomial a dict {weight: int}.  Norms use the integer Gram matrix
-# _gram(N) = N (L_i, L_j).  In the chamber of w(rho) the height of a weight
+# lie.gram(N) = N (L_i, L_j).  In the chamber of w(rho) the height of a weight
 # mu is the integer linear form -N (mu, w(rho)); the monomials of Delta past
 # the chamber-leading one have positive height, so dropping everything above
 # a cap commutes with products, powers and the Neumann inverse.
-
-
-def _gram(N: int) -> list[list[int]]:
-    """N times the Gram matrix of the fundamental weights."""
-    return [[N * min(i, j) - i * j for j in range(1, N)] for i in range(1, N)]
 
 
 def _norm(G, mu) -> int:
@@ -192,14 +188,13 @@ def _weyl_denominator(N: int, s: int = -1) -> dict[tuple, int]:
     """sum_w s^{l(w)} x^{w(rho)}: the Weyl denominator Delta for s = -1,
     and x + 1/x for N = 2, s = +1."""
     rho = weyl_vector(N)
-    return {tuple(int(x) for x in weyl_action(w, rho).coords): s ** w.length
-            for w in weyl_group(N)}
+    return {weyl_action(w, rho).coords: s ** w.length for w in weyl_group(N)}
 
 
 def _cap(N: int, bound: Fraction, p: int) -> int:
     """N times the height cap for the expansion of Delta^p: a target mu
     with (mu, mu) <= bound has h(mu - p w(rho)) <= |mu||rho| + |p|(rho, rho)."""
-    rr = Fraction(N * (N * N - 1), 12)  # (rho, rho)
+    rr = Fraction(rho_norm(N), N)  # (rho, rho)
     return N * (math.isqrt(math.ceil(bound * rr)) + int(abs(p) * rr) + 2)
 
 
@@ -226,7 +221,7 @@ def _sun_chamber_average(deg: int, N: int, bound: Fraction) -> dict[tuple, Fract
     block of a manifold asks for the same expansions; callers must not
     modify the returned dict.
     """
-    p, G = 2 - deg, _gram(N)
+    p, G = 2 - deg, gram(N)
     delta = _weyl_denominator(N)
     cap = _cap(N, bound, p)
     total: dict[tuple, int] = {}
@@ -459,14 +454,7 @@ def zhat_all_blocks(g: PlumbingGraph, variant: str, order) -> list[ZhatBlock]:
 def _sun_prefactor(g: PlumbingGraph, N: int) -> Fraction:
     L = len(g)
     trB = sum(f for _, f in g.vertices)
-    rr = Fraction(N * (N * N - 1), 12)
-    return -Fraction(3 * L + trB) * rr / 2
-
-
-def _root_gram(N: int) -> list[list[int]]:
-    """Gram matrix of the simple roots (the Cartan matrix for A_{N-1})."""
-    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(N - 1)]
-            for i in range(N - 1)]
+    return Fraction(-(3 * L + trB) * rho_norm(N), 2 * N)
 
 
 def sun_block_labels(g: PlumbingGraph, N: int) -> list[tuple]:
@@ -482,11 +470,12 @@ def sun_block_labels(g: PlumbingGraph, N: int) -> list[tuple]:
     for vid in g.ids:
         p = 2 - g.degree(vid)
         base.append(tuple(Fraction(p) for _ in range(r)))  # p * rho
+    G = cartan(N)
     labels = []
     for combo in itertools.product(reps, repeat=r):
         # combo[a][v] shifts root coordinate a at vertex v; convert the
-        # root-basis shift to fundamental-weight coordinates via the Gram
-        G = _root_gram(N)
+        # root-basis shift to fundamental-weight coordinates via the Cartan
+        # matrix
         label = []
         for v in range(n):
             shift = [
@@ -506,9 +495,9 @@ def _theta_form(lm: LinkingMatrix, b, N: int, pos) -> tuple[list, list]:
     equal b, in fundamental-weight coordinates G s, at m = 0.
     """
     n, r = lm.size, N - 1
-    G = _root_gram(N)
+    G = cartan(N)
     # G^{-1} is the Gram matrix of the fundamental weights
-    Ginv = [[Fraction(x, N) for x in row] for row in _gram(N)]
+    Ginv = [[Fraction(x, N) for x in row] for row in gram(N)]
     Binv = lm.inverse()
     b_root = [[sum(Ginv[a][c] * Fraction(bv[c]) for c in range(r)) for a in range(r)]
               for bv in b]
@@ -536,7 +525,7 @@ def _support_walk(lm: LinkingMatrix, b, N: int, R: Fraction, factors):
     """
     n, r = lm.size, N - 1
     B = lm.B
-    G = _root_gram(N)
+    G = cartan(N)
     pos = _walk_order(B)
     A, center = _theta_form(lm, b, N, pos)
     bw = [tuple(int(c) if Fraction(c).denominator == 1 else Fraction(c) for c in bv)
@@ -624,6 +613,8 @@ def constant_term_oracle(g: PlumbingGraph, b, variant: str, order) -> QSeries:
     if not is_negative_definite(lm):
         raise ValueError("linking matrix must be negative definite")
     R = Fraction(order)
+    if R <= 0:  # as in the blocks: no such order passes the coset minimum
+        raise ValueError("order does not reach past delta_b")
     if variant == "su3":
         return _sun_series(g, lm, b, 3, R, _oracle_vertex_suN)[0]
     pref = _prefactor_exponent(g)
@@ -652,7 +643,7 @@ def _oracle_vertex_suN(deg: int, N: int, bound: Fraction, s: int = -1) -> dict[t
     around its leading monomial in each chamber.  Cached like
     _sun_chamber_average; callers must not modify the result.
     """
-    p, G = 2 - deg, _gram(N)
+    p, G = 2 - deg, gram(N)
     delta = _weyl_denominator(N, s)
     poly = _pow(delta, abs(p))
     if p >= 0:

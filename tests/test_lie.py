@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from plumbq.lie import (
     WeightVector,
     allowed_colors,
+    cartan,
     fundamental_weight,
     gamma_factor,
+    gram,
     highest_root,
     in_Pprime,
     pq_class_index,
+    rho_norm,
     simple_roots,
     sublattice_Pprime,
     weight_inner,
@@ -20,6 +23,27 @@ from plumbq.lie import (
     weyl_group,
     weyl_vector,
 )
+
+
+# Reference model: the orthogonal embedding in Q^N, in plain Fractions.
+# L_i maps to (1/N)((N-i) repeated i times, then -i repeated N-i times),
+# and the Weyl group permutes the N coordinates.
+
+def ref_embedding(N, coords):
+    out = [Fraction(0)] * N
+    for i, c in enumerate(coords, start=1):
+        for t in range(N):
+            out[t] += c * Fraction(N - i if t < i else -i, N)
+    return out
+
+
+def ref_from_embedding(emb):
+    # pairing with the simple roots e_i - e_{i+1} recovers the coordinates
+    return tuple(emb[i] - emb[i + 1] for i in range(len(emb) - 1))
+
+
+def ref_dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
 
 
 def test_weyl_group_order():
@@ -106,6 +130,58 @@ class TestQuotientData:
             assert in_Pprime(lam - rho, spec) or in_Pprime(lam + rho, spec)
 
 
-def test_embedding_roundtrip():
-    v = fundamental_weight(3, 2)
-    assert WeightVector.from_embedding(3, v.embedding()) == v
+class TestIntegerCore:
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    def test_gram_is_n_times_embedded_inner_products(self, N):
+        L = [ref_embedding(N, fundamental_weight(N, i).coords) for i in range(1, N)]
+        G = gram(N)
+        for i in range(N - 1):
+            for j in range(N - 1):
+                assert G[i][j] == N * ref_dot(L[i], L[j])
+                assert G[i][j] == N * min(i + 1, j + 1) - (i + 1) * (j + 1)
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    def test_cartan_is_simple_root_gram(self, N):
+        # alpha_i embeds as e_i - e_{i+1}
+        A = cartan(N)
+        for i, a in enumerate(simple_roots(N)):
+            want = [int(t == i) - int(t == i + 1) for t in range(N)]
+            assert ref_embedding(N, a.coords) == want
+            for j in range(N - 1):
+                assert A[i][j] == (2 if i == j else -1 if abs(i - j) == 1 else 0)
+        # the fundamental weights are dual to the simple roots: A G = N I
+        G = gram(N)
+        for i in range(N - 1):
+            for j in range(N - 1):
+                assert sum(A[i][k] * G[k][j] for k in range(N - 1)) == N * (i == j)
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    def test_rho_norm(self, N):
+        rho = ref_embedding(N, weyl_vector(N).coords)
+        assert rho_norm(N) == N * ref_dot(rho, rho) == Fraction(N * N * (N * N - 1), 12)
+        assert weight_inner(weyl_vector(N), weyl_vector(N)) == Fraction(rho_norm(N), N)
+
+    def test_make_rejects_non_integers(self):
+        for bad in ([Fraction(1, 2), 0], [1.5, 2], [1, Fraction(-7, 3)]):
+            with pytest.raises(ValueError):
+                WeightVector.make(3, bad)
+        v = WeightVector.make(3, [Fraction(4), 2.0])
+        assert v.coords == (4, 2) and all(type(c) is int for c in v.coords)
+        with pytest.raises(TypeError):
+            WeightVector(3, (Fraction(4), 2))
+
+    @given(st.sampled_from([2, 3, 4]), st.data())
+    def test_weyl_action_matches_embedding_permutation(self, N, data):
+        coords = data.draw(st.tuples(*[st.integers(-6, 6)] * (N - 1)))
+        w = data.draw(st.sampled_from(weyl_group(N)))
+        v = WeightVector(N, coords)
+        got = weyl_action(w, v)
+        emb = ref_embedding(N, coords)
+        assert got.coords == ref_from_embedding([emb[w.perm[t]] for t in range(N)])
+        assert all(type(c) is int for c in got.coords)
+        G = gram(N)
+
+        def norm(x):
+            return sum(a * g * b for a, row in zip(x, G) for g, b in zip(row, x))
+
+        assert norm(got.coords) == norm(coords)

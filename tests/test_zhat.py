@@ -16,6 +16,7 @@ from plumbq.catalog import (
     lens_m5_11,
     poincare_sphere,
 )
+from plumbq.lie import gram
 from plumbq.plumbing import (
     PlumbingGraph,
     degree_delta,
@@ -27,7 +28,6 @@ from plumbq.qlaurent import QSeries, qs_flip, qs_neg
 from plumbq.zhat import (
     _avg_rank1,
     _coset_exponent,
-    _gram,
     _height,
     _ht,
     _inverse,
@@ -37,6 +37,7 @@ from plumbq.zhat import (
     _zhat_all_blocks_suN,
     constant_term_oracle,
     ellipsoid_points,
+    sun_block_labels,
     vertex_factor_su2,
     vertex_factor_suN,
     zhat_all_blocks,
@@ -180,6 +181,17 @@ class TestConstantTermOracle:
         assert constant_term_oracle(g, b.label, "su2", 40).terms == \
             b.series.terms
 
+    @pytest.mark.parametrize("order", [-3, 0])
+    @pytest.mark.parametrize("variant", ["su2", "osp12", "su3"])
+    def test_order_below_minimum_raises(self, variant, order):
+        # the blocks reject these orders; the oracle must not answer with
+        # an empty series or an isqrt error instead
+        g = lens_m5_11()
+        b = sun_block_labels(g, 3)[0] if variant == "su3" else \
+            zhat_all_blocks(g, variant, 10)[0].label
+        with pytest.raises(ValueError, match="order does not reach past delta_b"):
+            constant_term_oracle(g, b, variant, order)
+
     def test_su3_four_vertex_star(self):
         # the hub is vertex 0, so the walk has to reorder the vertices for
         # the neighbourhoods to close early
@@ -260,7 +272,7 @@ def neumann_cases(draw):
     r = N - 1
     coords = st.tuples(*[st.integers(-3, 3)] * r)
     chamber = draw(coords.filter(any))
-    H = _height(_gram(N), chamber)
+    H = _height(gram(N), chamber)
     lead = draw(coords)
     sign = draw(st.sampled_from([1, -1]))
     tail = draw(st.dictionaries(coords.filter(lambda d: _ht(H, d) > 0),
