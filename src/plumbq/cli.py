@@ -285,7 +285,10 @@ def quiver_series(quiver_path, r, cache_dir, fmt):
     payload, target = _cache_fetch(_cache_dir(cache_dir), key,
                                    ("r", "series"))
     if payload is None:
-        series = quiver_jones(q, r)
+        try:
+            series = quiver_jones(q, r)
+        except ValueError as exc:
+            _fail_math(str(exc))
         payload = {"r": r, "series": qs_to_json(series)}
         _cache_store(target, json.dumps(payload, sort_keys=True))
     _emit(payload, fmt, [str(qs_from_json(payload["series"]))])
@@ -301,6 +304,8 @@ def dt(quiver_path, dmax, order, fmt):
     from plumbq.kq import dt_invariants
 
     q = _load_quiver(quiver_path)
+    if order < 1:  # a precondition; other ValueErrors are failed checks
+        _fail_math("order must be at least 1")
     try:
         inv = dt_invariants(q, dmax, order)
     except ValueError as exc:

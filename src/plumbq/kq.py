@@ -379,30 +379,43 @@ def _compositions(r: int, n: int):
             yield (head,) + rest
 
 
-def _walk(r: int, lin, C, gamma, carry, unit):
-    """Yield (e, odd, w) for each composition d of r into len(lin) parts,
-    in the order of _compositions: e = lin.d + d.C.d, odd the parity of
-    gamma.d, and w = unit folded by carry(w, d_i) over the nonzero parts.
+def _walk(r: int, lin, C, gamma):
+    """Yield (e, odd, parts) for each composition d of r into len(lin)
+    parts, in the order of _compositions: e = lin.d + d.C.d, odd the parity
+    of gamma.d, and parts the nonzero d_i in ascending order.  Every weight
+    of the motivic sum that is not a power of q depends on d only through
+    that multiset, so callers group by parts and apply the weight once.
     Each nonzero part adds 2 d_i C_i to a running linear vector, so a step
     costs O(n) instead of O(n^2) per composition."""
+    if r < 0:
+        raise ValueError("color must be nonnegative")
     last = len(lin) - 1
+    parts: list[int] = []
 
-    def rec(i, rem, lin, e, odd, w):
+    def rec(i, rem, lin, e, odd):
         if i == last:
-            if rem:
-                e += rem * (lin[i] + C[i][i] * rem)
-                odd ^= gamma[i] * rem & 1
-                w = carry(w, rem)
-            yield e, odd, w
+            yield (e + rem * (lin[i] + C[i][i] * rem), odd ^ (gamma[i] * rem & 1),
+                   tuple(sorted((*parts, rem) if rem else parts)))
             return
-        yield from rec(i + 1, rem, lin, e, odd, w)
+        yield from rec(i + 1, rem, lin, e, odd)
         for k in range(1, rem + 1):
+            parts.append(k)
             yield from rec(i + 1, rem - k,
                            [x + 2 * k * c for x, c in zip(lin, C[i])],
                            e + k * (lin[i] + C[i][i] * k),
-                           odd ^ (gamma[i] * k & 1), carry(w, k))
+                           odd ^ (gamma[i] * k & 1))
+            parts.pop()
 
-    yield from rec(0, r, lin, 0, 0, unit)
+    yield from rec(0, r, lin, 0, 0)
+
+
+def _signed_groups(r: int, lin, C, gamma) -> dict[tuple, dict[int, int]]:
+    """{parts: {e: signed count}} over the compositions of r."""
+    groups: dict[tuple, dict[int, int]] = {}
+    for e, odd, parts in _walk(r, lin, C, gamma):
+        acc = groups.setdefault(parts, {})
+        acc[e] = acc.get(e, 0) + (-1 if odd else 1)
+    return groups
 
 
 @functools.lru_cache(maxsize=1024)
@@ -436,22 +449,20 @@ def quiver_jones(q: Quiver, r: int, order=None) -> QSeries:
     The multinomial depends only on the multiset of parts, so the signed
     monomials are summed per multiset and multiplied once.
     """
-    if r < 0:
-        raise ValueError("color must be nonnegative")
-    groups: dict[tuple, dict[int, int]] = {}
-    for e, odd, parts in _walk(r, q.xi, q.C, q.gamma,
-                               lambda w, k: w + (k,), ()):
-        acc = groups.setdefault(tuple(sorted(parts)), {})
-        acc[e] = acc.get(e, 0) + (-1 if odd else 1)
     total = QSeries.zero()
-    for parts, signed in groups.items():
+    for parts, signed in _signed_groups(r, q.xi, q.C, q.gamma).items():
         total = total + qs_mul(_multinomial_q2(r, parts),
                                QSeries.from_terms(signed))
     return total.with_trunc(order)
 
 
 def quiver_jones_numeric(q: Quiver, r: int, qval, dps: int = 30):
-    """Same sum evaluated at a numeric q (mpmath), for large colors."""
+    """Same sum evaluated at a numeric q (mpmath), for large colors.
+
+    Each multiset of parts keeps one accumulator of sum +-q^e over its
+    compositions, one mpf add per composition; the accumulator is then
+    multiplied once by (q^2; q^2)_r / prod (q^2; q^2)_{d_i}.
+    """
     with mp.workdps(dps):
         qv = mp.mpf(qval) if not isinstance(qval, mp.mpc) else qval
         q2 = qv * qv
@@ -459,13 +470,16 @@ def quiver_jones_numeric(q: Quiver, r: int, qval, dps: int = 30):
         for k in range(1, r + 1):
             poch.append(poch[-1] * (1 - q2 ** k))
         powers: dict[int, object] = {}
-        total = mp.mpf(0)
-        for expo, odd, denom in _walk(r, q.xi, q.C, q.gamma,
-                                      lambda w, k: w * poch[k], mp.mpf(1)):
+        sums: dict[tuple, object] = {}
+        for expo, odd, parts in _walk(r, q.xi, q.C, q.gamma):
             qe = powers.get(expo)
             if qe is None:
                 qe = powers[expo] = qv ** expo
-            total += (-qe if odd else qe) * poch[r] / denom
+            acc = sums.get(parts, 0)
+            sums[parts] = acc - qe if odd else acc + qe
+        total = mp.mpf(0)
+        for parts, acc in sums.items():
+            total += acc * poch[r] / mp.fprod(poch[di] for di in parts)
         return total
 
 
@@ -649,11 +663,12 @@ def exp_growth_check(q: Quiver, r: int) -> bool:
     power = QSeries.one()
     for _ in range(r):
         power = qs_mul(power, base)
-    fact = [math.factorial(k) for k in range(r + 1)]
     lhs: dict[int, int] = {}
-    for e, odd, w in _walk(r, [2 * b for b in q.beta], [[0] * q.n] * q.n,
-                           q.gamma, lambda w, k: w * fact[k], 1):
-        lhs[e] = lhs.get(e, 0) + (-1 if odd else 1) * (fact[r] // w)
+    for parts, signed in _signed_groups(r, [2 * b for b in q.beta],
+                                        [[0] * q.n] * q.n, q.gamma).items():
+        weight = math.factorial(r) // math.prod(map(math.factorial, parts))
+        for e, c in signed.items():
+            lhs[e] = lhs.get(e, 0) + c * weight
     return QSeries.from_terms(lhs).terms == power.terms
 
 
@@ -664,7 +679,6 @@ def exp_growth_check(q: Quiver, r: int) -> bool:
 @dataclass(frozen=True)
 class DTInvariants:
     omega: dict
-    dmax: int
 
     def nonzero(self) -> dict:
         return {k: v for k, v in self.omega.items() if v}
@@ -684,6 +698,8 @@ def dt_invariants(q: Quiver, dmax: int, order: int) -> DTInvariants:
     parity of (-1)^j (a side effect of specializing a = q^2) keep a
     geometric +-1 tail beyond any order.
     """
+    if order < 1:
+        raise ValueError("order must be at least 1")
     inv_poch: list[QSeries] = [QSeries.one(trunc=order)]
     for k in range(1, dmax + 1):
         inv_poch.append(qs_inverse(qs_pochhammer(2, 2, k, order), order))
@@ -759,4 +775,4 @@ def dt_invariants(q: Quiver, dmax: int, order: int) -> DTInvariants:
     flat = {
         (d, j): v for d, layers in omega.items() for j, v in layers.items()
     }
-    return DTInvariants(flat, dmax)
+    return DTInvariants(flat)

@@ -165,8 +165,10 @@ def weyl_action(w: WeylElement, v: WeightVector) -> WeightVector:
 
 def gamma_factor(N: int, m: int) -> int:
     """Least gamma >= 1 making (gamma/2)(L_a, L_a) integral for the Z_m generators."""
-    if N % m != 0:
-        raise ValueError(f"m={m} must divide N={N}")
+    if N < 2:
+        raise ValueError("need N >= 2")
+    if m < 1 or N % m != 0:
+        raise ValueError(f"m={m} must be a positive divisor of N={N}")
     G = gram(N)
     # N (L_a, L_a) for the generators L_a, a = (N/m) j with 0 < j < m
     norms = [G[a - 1][a - 1] for a in range(N // m, N, N // m)]

@@ -92,7 +92,6 @@ class PlumbingGraph:
 @dataclass(frozen=True)
 class LinkingMatrix:
     B: tuple[tuple[int, ...], ...]
-    sigma: int
     b_plus: int
     b_minus: int
 
@@ -110,7 +109,6 @@ class LinkingMatrix:
 @dataclass(frozen=True)
 class SpincLabel:
     b: tuple[int, ...]
-    folded: bool
     stabilizer_order: int
 
 
@@ -158,10 +156,6 @@ def exact_inverse(m: list[list]) -> list[list[Fraction]]:
     return [row[n:] for row in a]
 
 
-def _leading_minors(B: list[list[int]]) -> list[int]:
-    return [exact_det([row[:k] for row in B[:k]]) for k in range(1, len(B) + 1)]
-
-
 def linking_matrix(g: PlumbingGraph) -> LinkingMatrix:
     ids = g.ids
     pos = {v: i for i, v in enumerate(ids)}
@@ -174,9 +168,7 @@ def linking_matrix(g: PlumbingGraph) -> LinkingMatrix:
         B[pos[a]][pos[b]] = 1
         B[pos[b]][pos[a]] = 1
     b_plus, b_minus = _signature_counts(B)
-    return LinkingMatrix(
-        tuple(tuple(r) for r in B), b_plus - b_minus, b_plus, b_minus
-    )
+    return LinkingMatrix(tuple(tuple(r) for r in B), b_plus, b_minus)
 
 
 def _signature_counts(B: list[list[int]]) -> tuple[int, int]:
@@ -187,20 +179,11 @@ def _signature_counts(B: list[list[int]]) -> tuple[int, int]:
     sign changes in the coefficient sequence of det(xI - B).
     """
     coeffs = _charpoly(B)
-    # strip zero roots
-    while coeffs and coeffs[-1] == 0:
+    while coeffs and coeffs[-1] == 0:  # strip zero roots
         coeffs.pop()
-    pos = 0
-    last = 0
-    for c in coeffs:
-        if c == 0:
-            continue
-        s = 1 if c > 0 else -1
-        if last != 0 and s != last:
-            pos += 1
-        last = s
-    n_nonzero = len(coeffs) - 1
-    return pos, n_nonzero - pos
+    signs = [c > 0 for c in coeffs if c]
+    pos = sum(a != b for a, b in zip(signs, signs[1:]))
+    return pos, len(coeffs) - 1 - pos
 
 
 def _charpoly(B: list[list[int]]) -> list[int]:
@@ -226,12 +209,8 @@ def _charpoly(B: list[list[int]]) -> list[int]:
 
 
 def is_negative_definite(lm: LinkingMatrix) -> bool:
-    """True iff all eigenvalues are negative, by leading-minor signs."""
-    minors = _leading_minors([list(r) for r in lm.B])
-    for k, mk in enumerate(minors, start=1):
-        if (mk > 0) != (k % 2 == 0) or mk == 0:
-            return False
-    return True
+    """True iff all eigenvalues are negative, from the exact signature."""
+    return lm.b_minus == lm.size
 
 
 def degree_delta(g: PlumbingGraph) -> tuple[list[int], list[int]]:
@@ -329,8 +308,7 @@ def spinc_representatives(lm: LinkingMatrix, delta: list[int]) -> list[SpincLabe
         if canon in seen:
             continue
         seen.add(canon)
-        out.append(SpincLabel(canon, folded=True,
-                              stabilizer_order=2 if neg == b else 1))
+        out.append(SpincLabel(canon, stabilizer_order=2 if neg == b else 1))
     return out
 
 

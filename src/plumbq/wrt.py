@@ -71,7 +71,8 @@ def _phase(x: Fraction) -> mp.mpc:
 
 
 def _tree_sum_direct(g: PlumbingGraph, ncolors: int, vweight, eweight) -> mp.mpc:
-    """Brute-force odometer over all colorings; reference for _tree_sum."""
+    """Brute-force odometer over all colorings; the reference that the tests
+    hold _tree_sum to."""
     pos = {v: i for i, v in enumerate(g.ids)}
     epairs = [(pos[a], pos[b]) for a, b in g.edges]
     L = len(g.ids)
@@ -129,7 +130,7 @@ def _tree_sum(g: PlumbingGraph, ncolors: int, vweight, eweight) -> mp.mpc:
 
 def _rank1_invariant(
     g: PlumbingGraph, order: int, colors: list[int], sign: int, dps: int,
-    variant: str, level: int, method: str = "contract",
+    variant: str, level: int,
 ) -> WRTResult:
     """Shared state-sum engine; sign = -1 gives the (x - 1/x) family, +1 the
     (x + 1/x) one."""
@@ -157,8 +158,7 @@ def _rank1_invariant(
 
         x = u(1)
         L = lm.size
-        summer = _tree_sum if method == "contract" else _tree_sum_direct
-        F = x ** (-(L + 1)) * summer(g, len(colors), vweight, eweight)
+        F = x ** (-(L + 1)) * _tree_sum(g, len(colors), vweight, eweight)
 
         def f_unknot(eps: int) -> mp.mpc:
             total = mp.fsum(
@@ -176,34 +176,28 @@ def _rank1_invariant(
     return WRTResult(variant, level, order, value, dps)
 
 
-def wrt_su2(
-    g: PlumbingGraph, k: int, dps: int = 60, method: str = "contract"
-) -> WRTResult:
+def wrt_su2(g: PlumbingGraph, k: int, dps: int = 60) -> WRTResult:
     """SU(2) invariant at bare level k > 0, root order k + 2."""
     if k <= 0:
         raise ValueError("level must be positive")
     colors = list(range(1, k + 2))
-    return _rank1_invariant(g, k + 2, colors, -1, dps, "su2", k, method)
+    return _rank1_invariant(g, k + 2, colors, -1, dps, "su2", k)
 
 
-def wrt_so3(
-    g: PlumbingGraph, K: int, dps: int = 60, method: str = "contract"
-) -> WRTResult:
+def wrt_so3(g: PlumbingGraph, K: int, dps: int = 60) -> WRTResult:
     """SO(3) invariant at even level K > 0: odd colors, root order 2K + 2."""
     if K <= 0 or K % 2 != 0:
         raise ValueError("SO(3) level must be a positive even integer")
     colors = list(range(1, 2 * K + 2, 2))
-    return _rank1_invariant(g, 2 * K + 2, colors, -1, dps, "so3", K, method)
+    return _rank1_invariant(g, 2 * K + 2, colors, -1, dps, "so3", K)
 
 
-def wrt_osp(
-    g: PlumbingGraph, Khat: int, dps: int = 60, method: str = "contract"
-) -> WRTResult:
+def wrt_osp(g: PlumbingGraph, Khat: int, dps: int = 60) -> WRTResult:
     """OSp(1|2) invariant at level Khat > 0: odd colors, root order 2*Khat + 3."""
     if Khat <= 0:
         raise ValueError("level must be positive")
     colors = list(range(1, 2 * Khat + 2, 2))
-    return _rank1_invariant(g, 2 * Khat + 3, colors, +1, dps, "osp12", Khat, method)
+    return _rank1_invariant(g, 2 * Khat + 3, colors, +1, dps, "osp12", Khat)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +206,6 @@ def wrt_osp(
 
 def wrt_sun_zm(
     g: PlumbingGraph, N: int, m: int, k: int, dps: int = 60,
-    method: str = "contract",
 ) -> WRTResult:
     """Quotient-group invariant for su(N), subgroup of order m, bare level k.
 
@@ -262,8 +255,7 @@ def wrt_sun_zm(
         def vweight(vi: int, ci: int) -> mp.mpc:
             return tvals[ci] ** fr[vi] * smat(rho_idx, ci) ** (2 - degs[vi])
 
-        summer = _tree_sum if method == "contract" else _tree_sum_direct
-        total = summer(g, len(colors), vweight, smat)
+        total = _tree_sum(g, len(colors), vweight, smat)
         tau = smat(rho_idx, rho_idx) ** (lm.size - 1) * total
 
         def v_unknot(eps: int) -> mp.mpc:

@@ -133,6 +133,7 @@ class TestWrtCommand:
         assert res.exit_code == 3
 
 
+SUN = ("--graph", "poincare", "--group", "sun-zm", "--level", "2")
 NOT_A_TREE = {"vertices": [{"id": 0, "framing": -2}, {"id": 1, "framing": -2},
                            {"id": 2, "framing": -2}],
               "edges": [[0, 1], [1, 2], [2, 0]]}
@@ -151,13 +152,30 @@ class TestExitCodes:
          3),
         (("zhat", "--graph", "lens-m5-11", "--group", "su3", "--order",
           "-3"), 3),
+        (("quiver-series", "--quiver", "{quiver}", "--r", "-1"), 3),
+        (("dt", "--quiver", "{quiver}", "--order", "0"), 3),
+        (("wrt", *SUN, "--rank-n", "1"), 3),
+        (("wrt", *SUN, "--rank-n", "0"), 3),
+        (("wrt", *SUN, "--rank-n", "3", "--subgroup-m", "0"), 3),
+        (("wrt", *SUN, "--rank-n", "3", "--subgroup-m", "-1"), 3),
+        (("gppv-check", *SUN, "--order", "10", "--rank-n", "1"), 3),
+        (("gppv-check", *SUN, "--order", "10", "--rank-n", "0"), 3),
+        (("gppv-check", *SUN, "--order", "10", "--rank-n", "3",
+          "--subgroup-m", "0"), 3),
+        (("gppv-check", *SUN, "--order", "10", "--rank-n", "3",
+          "--subgroup-m", "-1"), 3),
     ], ids=["graph-not-a-tree", "wrt-graph-not-a-tree",
             "quiver-not-symmetric", "order-below-delta",
-            "su3-order-below-delta", "su3-negative-order"])
+            "su3-order-below-delta", "su3-negative-order",
+            "quiver-negative-color", "dt-order-zero",
+            "wrt-rank-1", "wrt-rank-0", "wrt-subgroup-0",
+            "wrt-subgroup-negative", "gppv-rank-1", "gppv-rank-0",
+            "gppv-subgroup-0", "gppv-subgroup-negative"])
     def test_exit_code(self, tmp_path, args, code):
         files = {"{cycle}": NOT_A_TREE,
                  "{skew}": {"n": 2, "C": [[0, 1], [2, 0]], "xi": [0, 0],
-                            "gamma": [0, 0]}}
+                            "gamma": [0, 0]},
+                 "{quiver}": {"n": 1, "C": [[1]], "xi": [0], "gamma": [1]}}
         for name, obj in files.items():
             (tmp_path / name).write_text(json.dumps(obj))
         res = run(*(str(tmp_path / a) if a in files else a for a in args))
@@ -165,8 +183,10 @@ class TestExitCodes:
         assert isinstance(res.exception, SystemExit)
         assert res.output.startswith("error: ")
         assert res.output.count("\n") == 1
-        if "--order" in args:
+        if args[0] == "zhat" and "--order" in args:
             assert res.output == "error: order does not reach past delta_b\n"
+        if "--rank-n" in args and int(args[args.index("--rank-n") + 1]) < 2:
+            assert res.output == "error: need N >= 2\n"
 
 
 class TestCache:

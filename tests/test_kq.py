@@ -14,6 +14,7 @@ from plumbq.kq import (
     _compositions,
     _deepen,
     _quadratic,
+    _walk,
     alexander_double_twist,
     builtin_generator_set,
     dt_invariants,
@@ -119,6 +120,19 @@ class TestDualOracles:
         assert str(closed_form_homfly("0_1", 3)) == "1"
 
 
+def assert_numeric_matches_exact(q, r):
+    """quiver_jones_numeric at q = 7/8 and 5/4, both exact in binary, agrees
+    with the exact series to 1e-45 at dps 60."""
+    series = quiver_jones(q, r)
+    for q0 in (Fraction(7, 8), Fraction(5, 4)):
+        exact = sum(c * q0 ** e for e, c in series.terms)
+        with mp.workdps(60):
+            qv = mp.mpf(q0.numerator) / q0.denominator
+            got = quiver_jones_numeric(q, r, qv, dps=60)
+            want = mp.mpf(exact.numerator) / exact.denominator
+            assert abs(got - want) <= mp.mpf(10) ** -45 * abs(want)
+
+
 class TestSeriesStructure:
     def test_r0_is_one(self):
         for p, m in ((1, 1), (2, 2)):
@@ -137,18 +151,50 @@ class TestSeriesStructure:
     @pytest.mark.parametrize("p,m,rmax", [(1, 1, 6), (2, 2, 3)])
     def test_numeric_sum_matches_exact_series(self, p, m, rmax):
         q = generate_double_twist_quiver(p, m)
-        for q0 in (Fraction(7, 8), Fraction(5, 4)):  # exact in binary
-            for r in range(rmax + 1):
-                exact = sum(c * q0 ** e for e, c in quiver_jones(q, r).terms)
-                with mp.workdps(60):
-                    qv = mp.mpf(q0.numerator) / q0.denominator
-                    got = quiver_jones_numeric(q, r, qv, dps=60)
-                    want = mp.mpf(exact.numerator) / exact.denominator
-                    assert abs(got - want) <= mp.mpf(10) ** -45 * abs(want)
+        for r in range(rmax + 1):
+            assert_numeric_matches_exact(q, r)
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_exponential_growth_at_q_one(self, r):
         assert exp_growth_check(generate_double_twist_quiver(1, 1), r)
+
+
+@st.composite
+def small_quivers(draw):
+    """A random symmetric quiver with n <= 4 and entries in [-3, 3]."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    C = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            C[i][j] = C[j][i] = draw(entry)
+    vec = st.lists(entry, min_size=n, max_size=n)
+    return Quiver.make(C, draw(vec), draw(vec))
+
+
+class TestWalk:
+    @given(small_quivers(), st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_walk_matches_brute_force(self, q, r):
+        brute = [
+            (sum(x * di for x, di in zip(q.xi, d)) + _quadratic(q.C, d),
+             sum(g * di for g, di in zip(q.gamma, d)) % 2,
+             tuple(sorted(di for di in d if di)))
+            for d in _compositions(r, q.n)
+        ]
+        assert list(_walk(r, q.xi, q.C, q.gamma)) == brute
+
+    @pytest.mark.parametrize("evaluate", [
+        quiver_jones, exp_growth_check,
+        lambda q, r: quiver_jones_numeric(q, r, 0.5)])
+    def test_negative_color_is_rejected(self, evaluate):
+        with pytest.raises(ValueError, match="color must be nonnegative"):
+            evaluate(generate_double_twist_quiver(1, 1), -1)
+
+    @given(small_quivers(), st.integers(0, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_numeric_sum_matches_exact_series(self, q, r):
+        assert_numeric_matches_exact(q, r)
 
 
 class TestAlexander:

@@ -10,6 +10,7 @@ from plumbq.catalog import (
 )
 from plumbq.plumbing import (
     PlumbingGraph,
+    _signature_counts,
     degree_delta,
     exact_det,
     exact_inverse,
@@ -49,7 +50,54 @@ tree_strategy = st.integers(2, 6).flatmap(
 ).map(lambda t: random_tree(*t))
 
 
+def sylvester_counts(B):
+    """(b+, b-) of a symmetric integer matrix from leading principal minors.
+
+    Jacobi's rule: when every leading minor D_k of a symmetric matrix is
+    nonzero, its negative eigenvalues number the sign changes in 1, D_1,
+    ..., D_n.  B + eps I has the negative eigenvalues of B, with eps below
+    every nonzero |eigenvalue|: for entries in [-4, 4] and n <= 5 each
+    |eigenvalue| is at most 20, and the nonzero ones multiply to a nonzero
+    integer, so each is at least 20^-4 > 10^-7 = eps.  The k-th minor of
+    10^7 B + I is 10^(7k) det(B_k + eps I), a monic integer polynomial in
+    eps whose rational roots are integers, so no minor vanishes.  b+ is
+    the same count for -B.
+    """
+    def negatives(M):
+        n = len(M)
+        S = [[10 ** 7 * M[i][j] + (i == j) for j in range(n)] for i in range(n)]
+        minors = [1] + [exact_det([row[:k] for row in S[:k]])
+                        for k in range(1, n + 1)]
+        assert all(minors)
+        return sum((a > 0) != (b > 0) for a, b in zip(minors, minors[1:]))
+
+    return negatives([[-x for x in row] for row in B]), negatives(B)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 5))
+    upper = draw(st.lists(st.integers(-4, 4), min_size=n * (n + 1) // 2,
+                          max_size=n * (n + 1) // 2))
+    B = [[0] * n for _ in range(n)]
+    it = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            B[i][j] = B[j][i] = next(it)
+    return B
+
+
 class TestLinkingMatrix:
+    @given(symmetric_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_signature_matches_leading_minors(self, B):
+        assert _signature_counts(B) == sylvester_counts(B)
+
+    def test_signature_reference_sees_singular_and_indefinite(self):
+        assert sylvester_counts([[0, 1], [1, 0]]) == (1, 1)
+        assert sylvester_counts([[1, 1], [1, 1]]) == (1, 0)
+        assert sylvester_counts([[0, 0], [0, -3]]) == (0, 1)
+
     def test_poincare_det(self):
         lm = linking_matrix(poincare_sphere())
         assert lm.det() == 1
