@@ -304,8 +304,10 @@ def dt(quiver_path, dmax, order, fmt):
     from plumbq.kq import dt_invariants
 
     q = _load_quiver(quiver_path)
-    if order < 1:  # a precondition; other ValueErrors are failed checks
+    if order < 1:  # preconditions; other ValueErrors are failed checks
         _fail_math("order must be at least 1")
+    if dmax < 1:
+        _fail_math("dmax must be at least 1")
     try:
         inv = dt_invariants(q, dmax, order)
     except ValueError as exc:

@@ -7,11 +7,17 @@ limits of the block series are taken along q = (1-eps) * root with
 polynomial extrapolation to eps = 0; chains whose vertex degrees stay at or
 below 2 have Laurent-polynomial blocks, for which the limit is evaluated
 directly at the root.
+
+Every phase is exp(pi i a / D) for an integer a: pairings through B^{-1}
+are integer pairings through adj(B) = det(B) B^{-1} over det B, so each sum
+reads one table of phases (wrt._phase_table) by a mod 2D.  The reciprocity
+sums count their terms per exponent class and weigh each class once.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +27,7 @@ from plumbq.lie import (
     WeightVector,
     gamma_factor,
     gram,
-    weight_inner,
+    pair,
     weyl_action,
     weyl_group,
     weyl_vector,
@@ -31,13 +37,12 @@ from plumbq.plumbing import (
     _signature_counts,
     coset_representatives,
     degree_delta,
-    exact_det,
-    exact_inverse,
+    exact_adjugate,
     linking_matrix,
     spinc_labels_unfolded,
 )
 from plumbq.qlaurent import QSeries, qs_eval
-from plumbq.wrt import _phase, wrt_osp, wrt_so3, wrt_su2, wrt_sun_zm
+from plumbq.wrt import _phase, _phase_table, wrt_osp, wrt_so3, wrt_su2, wrt_sun_zm
 from plumbq.zhat import _zhat_block_suN, sun_block_labels, zhat_block
 
 __all__ = [
@@ -89,6 +94,16 @@ def _pairing(M, x, y):
     return sum(M[i][j] * x[i] * y[j] for i in range(n) for j in range(n))
 
 
+def _weigh(Z, exponents) -> mp.mpc:
+    """sum of Z[a % len(Z)] over the exponents, each class weighed once.
+
+    The sum is one exactly rounded dot product of the class counts with
+    the table entries.
+    """
+    counts = Counter(a % len(Z) for a in exponents)
+    return mp.fdot(list(counts.values()), [Z[a] for a in counts])
+
+
 def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
     """Residuals of the even and odd reciprocity identities for (B, ell, k).
 
@@ -96,32 +111,33 @@ def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
     n mod 2k against a cokernel sum; the odd identity sums over odd vectors
     mod 4k+4 with K = k.  Both residuals should vanish for any nonsingular
     symmetric integer B.
+
+    Every phase is exp(pi i a / D) for an integer a: D = 2k on the even
+    left-hand side, D = 4K + 4 on the odd one, and D = |det B| on both
+    cokernel sums, whose B^{-1} pairings are integer adj(B) pairings over
+    det B.
     """
     B = [list(r) for r in B]
     L = len(B)
     ell = [int(x) for x in ell]
-    Binv = exact_inverse(B)
     # determinant and signature of the bare matrix: the plumbing helpers
     # that take a graph would pull in a tree requirement
-    det = exact_det(B)
+    det, adj = exact_adjugate(B)
     bp, bm = _signature_counts(B)
     sigma = bp - bm
+    s = 1 if det > 0 else -1
     with mp.workdps(dps + 10):
+        Zdet = _phase_table(abs(det))
         # even identity
-        lhs = mp.fsum(
-            _phase(Fraction(_pairing(B, n, n) + 2 * sum(a * b for a, b in zip(ell, n)),
-                            2 * k))
-            for n in itertools.product(range(2 * k), repeat=L)
-        )
+        lhs = _weigh(_phase_table(2 * k), (
+            _pairing(B, n, n) + 2 * sum(a * b for a, b in zip(ell, n))
+            for n in itertools.product(range(2 * k), repeat=L)))
         pref = mp.expjpi(mp.mpf(sigma) / 4) * (2 * k) ** mp.mpf(L / 2) / mp.sqrt(abs(det))
-        rhs = mp.fsum(
-            _phase(Fraction(-2 * k) * _pairing(
-                Binv,
-                [Fraction(a) + Fraction(e, 2 * k) for a, e in zip(avec, ell)],
-                [Fraction(a) + Fraction(e, 2 * k) for a, e in zip(avec, ell)],
-            ))
-            for avec in coset_representatives(B)
-        )
+        # with v = 2k a + ell, -2k (v/2k)^T B^{-1} (v/2k) is
+        # -(2k a^T adj a + 2 a^T adj ell) / det - ell^T adj ell / (2k det)
+        rhs = _phase(Fraction(-_pairing(adj, ell, ell), 2 * k * det)) * _weigh(Zdet, (
+            -s * (2 * k * _pairing(adj, a, a) + 2 * _pairing(adj, a, ell))
+            for a in coset_representatives(B)))
         even_res = abs(lhs - pref * rhs)
 
         # odd identity at level K = k, root order 2K + 2
@@ -129,22 +145,18 @@ def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
         dvec = [e - sum(B[i][j] for j in range(L)) for i, e in enumerate(ell)]
         qden = 2 * K + 2
         # the odd identity's phases are q^x = exp(pi i 2x / qden)
-        lhs2 = mp.fsum(
-            _phase(Fraction(_pairing(B, n, n) + 2 * sum(a * b for a, b in zip(dvec, n)),
-                            2 * qden))
-            for n in itertools.product(range(1, 4 * K + 4, 2), repeat=L)
-        )
+        lhs2 = _weigh(_phase_table(2 * qden), (
+            _pairing(B, n, n) + 2 * sum(a * b for a, b in zip(dvec, n))
+            for n in itertools.product(range(1, 4 * K + 4, 2), repeat=L)))
         pref2 = (
             mp.expjpi(mp.mpf(sigma) / 4) * (K + 1) ** mp.mpf(L / 2) / mp.sqrt(abs(det))
-            * _phase(Fraction(-_pairing(Binv, dvec, dvec), 2 * qden))
+            * _phase(Fraction(-_pairing(adj, dvec, dvec), 2 * qden * det))
         )
         twoB = [[2 * B[i][j] for j in range(L)] for i in range(L)]
-        rhs2 = mp.fsum(
-            _phase(Fraction(-(K + 1)) * _pairing(Binv, avec, avec)
-                - _pairing(Binv, avec, [d + sum(B[i][j] for j in range(L))
-                                        for i, d in enumerate(dvec)]))
-            for avec in coset_representatives(twoB)
-        )
+        shift = [d + sum(B[i]) for i, d in enumerate(dvec)]
+        rhs2 = _weigh(Zdet, (
+            -s * ((K + 1) * _pairing(adj, a, a) + _pairing(adj, a, shift))
+            for a in coset_representatives(twoB)))
         odd_res = abs(lhs2 - pref2 * rhs2)
         return {"even": float(even_res), "odd": float(odd_res)}
 
@@ -255,51 +267,49 @@ def _rank1_decomposition(
     """Right-hand side of the rank-1 decompositions; shift_BI toggles the
     extra lattice shift of the SO(3)/OSp phase (negative-control hook)."""
     lm = linking_matrix(g)
-    n = lm.size
-    Binv = lm.inverse()
+    B = [list(r) for r in lm.B]
     _, delta = degree_delta(g)
     labels = spinc_labels_unfolded(lm, delta)
+    # the phases are exp(pi i x) with x = c1 a^T B^{-1} a for the coset
+    # representative a and x = c2 a^T B^{-1} b' for the (shifted) label b'
     if variant == "su2":
-        root_order = level + 2
-        zvariant = "su2"
+        root_order, c1, c2 = level + 2, -2 * (level + 2), -2
     elif variant == "so3":
-        root_order = 2 * level + 2
-        zvariant = "so3"
+        root_order, c1, c2 = 2 * level + 2, -(level + 1), -1
     elif variant == "osp12":
-        root_order = 2 * level + 3
-        zvariant = "osp12"
+        root_order, c1, c2 = 2 * level + 3, -(2 * level + 3), -1
     else:
         raise ValueError(variant)
     finite_blocks = all(g.degree(v) <= 2 for v in g.ids)
     schedule = None if finite_blocks else eps_schedule
-    blocks = {b: zhat_block(g, b, zvariant, order) for b in labels}
+    blocks = {b: zhat_block(g, b, variant, order) for b in labels}
+    # a^T B^{-1} y = a^T adj y / det, so each phase is Z[s c a^T adj y] over
+    # D = |det B|, with s the sign of det B
+    det, adj = exact_adjugate(B)
+    s = 1 if det > 0 else -1
+    # the SO(3) and OSp labels are shifted by B (1, ..., 1)
+    shift = [sum(row) if variant != "su2" and shift_BI else 0 for row in B]
+    adj_b = {b: [sum(r * (x + y) for r, x, y in zip(row, b, shift)) for row in adj]
+             for b in labels}
     with mp.workdps(dps + 10):
         limits = {
             b: _block_limit(blk.series, root_order, schedule, dps)
             for b, blk in blocks.items()
         }
-        BI = [sum(lm.B[i][j] for j in range(n)) for i in range(n)]
+        Z = _phase_table(abs(det))
+        M = len(Z)
         total = mp.mpc(0)
-        for a in coset_representatives([list(r) for r in lm.B]):
-            if variant == "su2":
-                p1 = _phase(Fraction(-2 * (level + 2)) * _pairing(Binv, a, a))
-            elif variant == "so3":
-                p1 = _phase(Fraction(-(level + 1)) * _pairing(Binv, a, a))
-            else:
-                p1 = _phase(Fraction(-(2 * level + 3)) * _pairing(Binv, a, a))
+        for a in coset_representatives(B):
+            p1 = Z[s * c1 * _pairing(adj, a, a) % M]
             inner = mp.mpc(0)
             for b in labels:
-                if variant == "su2":
-                    p2 = _phase(Fraction(-2) * _pairing(Binv, a, b))
-                else:
-                    bb = [x + (y if shift_BI else 0) for x, y in zip(b, BI)]
-                    p2 = _phase(Fraction(-1) * _pairing(Binv, a, bb))
+                p2 = Z[s * c2 * sum(x * y for x, y in zip(a, adj_b[b])) % M]
                 inner += p2 * limits[b]
             total += p1 * inner
         root = mp.expjpi(mp.mpf(2) / root_order)
         sq = mp.sqrt(root)
         denom_sign = 1 if variant == "osp12" else -1
-        denom = 2 * (sq + denom_sign / sq) * mp.sqrt(abs(lm.det()))
+        denom = 2 * (sq + denom_sign / sq) * mp.sqrt(abs(det))
         return total / denom, root_order
 
 
@@ -348,15 +358,17 @@ def _sun_decomposition(
     Weights are int tuples of fundamental-weight coordinates paired under
     gram(N) = N (L_i, L_j).  With adj = det(B) B^{-1}, a pairing
     sum_{v,w} B^{-1}_vw (x_v, y_w) is sum_v N (x_v, (adj y)_v) / (N det B):
-    an integer over one denominator.
+    an integer over one denominator, so every cokernel phase is an entry of
+    one table over D = N |det B|.  The Weyl denominator is a sum at the root
+    exp(2 pi i / k'), whose phases are entries of the table over D = N k'.
     """
     gamma = gamma_factor(N, m)
     kprime = gamma * level + N
     lm = linking_matrix(g)
     n = lm.size
     r = N - 1
-    det = lm.det()
-    adj = [[int(det * x) for x in row] for row in lm.inverse()]
+    det, adj = exact_adjugate([list(row) for row in lm.B])
+    s = 1 if det > 0 else -1
     G = gram(N)
     labels = sun_block_labels(g, N)
     finite_blocks = all(g.degree(v) <= 2 for v in g.ids)
@@ -389,20 +401,22 @@ def _sun_decomposition(
             lab: _block_limit(blk.series, kprime, schedule, dps)
             for lab, blk in blocks.items()
         }
+        Z = _phase_table(N * abs(det))
+        M = len(Z)
         total = mp.mpc(0)
         for combo in itertools.product(reps, repeat=r):
             # a_v = sum_j combo[j][v] * basis_j
             avec = [tuple(sum(combo[j][v] * basis[j][c] for j in range(r))
                           for c in range(r)) for v in range(n)]
-            p1 = _phase(Fraction(-kprime * paired(avec, adj_times(avec)), N * det))
+            p1 = Z[-s * kprime * paired(avec, adj_times(avec)) % M]
             inner = mp.mpc(0)
             for lab in labels:
-                expo = Fraction(-2 * paired(avec, shifted[lab]), N * det)
-                inner += _phase(expo) * limits[lab]
+                inner += Z[-2 * s * paired(avec, shifted[lab]) % M] * limits[lab]
             total += p1 * inner
+        # q^{(rho, w rho)} = exp(2 pi i pair(rho, w rho) / (N k'))
+        Zk = _phase_table(N * kprime)
         weyl_denom = mp.fsum(
-            w.sign * _phase(2 * weight_inner(rho, weyl_action(w, rho)) / kprime)
-            for w in W
+            w.sign * Zk[2 * pair(rho, weyl_action(w, rho)) % len(Zk)] for w in W
         )
         denom = (
             len(W) * mp.mpf(abs(det)) ** (mp.mpf(N - 1) / 2) * weyl_denom

@@ -700,6 +700,8 @@ def dt_invariants(q: Quiver, dmax: int, order: int) -> DTInvariants:
     """
     if order < 1:
         raise ValueError("order must be at least 1")
+    if dmax < 1:
+        raise ValueError("dmax must be at least 1")
     inv_poch: list[QSeries] = [QSeries.one(trunc=order)]
     for k in range(1, dmax + 1):
         inv_poch.append(qs_inverse(qs_pochhammer(2, 2, k, order), order))

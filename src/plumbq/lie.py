@@ -6,30 +6,28 @@ the Gram matrix gram(N) = N (L_i, L_j) = N min(i, j) - i j, and
 rho_norm(N) = N (rho, rho).  The Cartan matrix is the Gram matrix of the
 simple roots; its rows are the simple roots in the weight basis.  The Weyl
 group permutes the N coordinates of the N-scaled orthogonal embedding,
-which is integral as well, so weyl_action never leaves the integers.  The
-one rational is the pairing weight_inner(u, v) = u^T gram(N) v / N.
+which is integral as well, so weyl_action never leaves the integers, and
+so is the pairing pair(u, v) = u^T gram(N) v = N (u, v).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "WeightVector",
     "WeylElement",
-    "SublatticeSpec",
     "gram",
     "cartan",
     "rho_norm",
-    "weight_inner",
+    "pair",
     "weyl_vector",
     "fundamental_weight",
     "weyl_group",
     "weyl_action",
     "gamma_factor",
-    "sublattice_Pprime",
+    "pq_class_index",
     "allowed_colors",
     "simple_roots",
 ]
@@ -92,14 +90,6 @@ class WeylElement:
         return -1 if self.length % 2 else 1
 
 
-@dataclass(frozen=True)
-class SublatticeSpec:
-    """P' = the union of the classes of P/Q ~ Z_N that are multiples of m."""
-
-    N: int
-    m: int
-
-
 def gram(N: int) -> list[list[int]]:
     """N times the Gram matrix of the fundamental weights."""
     return [[N * min(i, j) - i * j for j in range(1, N)] for i in range(1, N)]
@@ -129,12 +119,11 @@ def simple_roots(N: int) -> list[WeightVector]:
     return [WeightVector(N, tuple(row)) for row in cartan(N)]
 
 
-def weight_inner(u: WeightVector, v: WeightVector) -> Fraction:
-    if u.N != v.N:
-        raise ValueError("rank mismatch")
-    total = sum(a * sum(g * b for g, b in zip(row, v.coords))
-                for a, row in zip(u.coords, gram(u.N)) if a)
-    return Fraction(total, u.N)
+def pair(u: WeightVector, v: WeightVector) -> int:
+    """u^T gram(N) v: N times the inner product (u, v), an integer."""
+    u._check(v)
+    return sum(a * sum(g * b for g, b in zip(row, v.coords))
+               for a, row in zip(u.coords, gram(u.N)) if a)
 
 
 def weyl_group(N: int) -> list[WeylElement]:
@@ -178,25 +167,10 @@ def gamma_factor(N: int, m: int) -> int:
     return gamma
 
 
-def sublattice_Pprime(N: int, m: int) -> SublatticeSpec:
-    """The sublattice P' with P/P' of order m.
-
-    P/Q ~ Z_N with class(L_i) = i, and P' is the union of the classes that
-    are multiples of m, so P/P' ~ Z_m is generated by the class of L_{N/m}.
-    """
-    if N % m != 0:
-        raise ValueError(f"m={m} must divide N={N}")
-    return SublatticeSpec(N, m)
-
-
 def pq_class_index(v: WeightVector) -> int:
     """Index of the class of v in P/Q ~ Z_N."""
     # class(L_i) = i; classes add, so class(v) = sum i*c_i mod N
     return sum(i * c for i, c in enumerate(v.coords, start=1)) % v.N
-
-
-def in_Pprime(v: WeightVector, spec: SublatticeSpec) -> bool:
-    return pq_class_index(v) % spec.m == 0
 
 
 def highest_root(N: int) -> WeightVector:
@@ -210,21 +184,23 @@ def highest_root(N: int) -> WeightVector:
 def allowed_colors(N: int, m: int, kprime: int) -> list[WeightVector]:
     """The set {lambda in (P+ intersect P') + rho : (lambda, theta) < k'}.
 
-    Enumerates strictly dominant weights lambda = sum n_i L_i with n_i >= 1
-    bounded by k', then filters by the level condition and membership of
-    lambda - rho in P'.
+    P/Q ~ Z_N with class(L_i) = i, and the sublattice P' with P/P' ~ Z_m is
+    the union of the classes that are multiples of m.  Enumerates strictly
+    dominant weights lambda = sum n_i L_i with n_i >= 1 bounded by k', then
+    filters by the level condition and membership of lambda - rho in P'.
     """
+    if m < 1 or N % m != 0:
+        raise ValueError(f"m={m} must be a positive divisor of N={N}")
     if kprime <= N:
         return []
-    spec = sublattice_Pprime(N, m)
     theta = highest_root(N)
     rho = weyl_vector(N)
     out = []
     for ns in itertools.product(range(1, kprime + 1), repeat=N - 1):
         lam = WeightVector(N, ns)
-        if weight_inner(lam, theta) >= kprime:
+        if pair(lam, theta) >= N * kprime:
             continue
-        if not in_Pprime(lam - rho, spec):
+        if pq_class_index(lam - rho) % m:
             continue
         out.append(lam)
     return out

@@ -27,6 +27,7 @@ __all__ = [
     "graph_to_dot",
     "exact_det",
     "exact_inverse",
+    "exact_adjugate",
     "coset_representatives",
 ]
 
@@ -154,6 +155,16 @@ def exact_inverse(m: list[list]) -> list[list[Fraction]]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
+
+
+def exact_adjugate(m: list[list]) -> tuple[int, list[list[int]]]:
+    """(det M, adj M) for a nonsingular integer matrix M.
+
+    adj M = det(M) M^{-1} is an integer matrix, so a pairing x^T M^{-1} y
+    of integer vectors is the integer x^T adj(M) y over det M.
+    """
+    det = exact_det(m)
+    return det, [[int(det * x) for x in row] for row in exact_inverse(m)]
 
 
 def linking_matrix(g: PlumbingGraph) -> LinkingMatrix:

@@ -6,6 +6,12 @@ precision.  The tree structure is exploited by message passing (one
 matrix-vector contraction per edge), so the cost is quadratic in the number
 of colors instead of exponential in the number of vertices.
 
+Every phase of one invariant is exp(pi i a / D) for an integer a and one
+denominator D: D = 2 order for the rank-1 sums, D = N k' for su(N).  Each
+call builds the table of those 2D phases once; twists, S entries and unknot
+sums index it by a mod 2D.  The symmetric edge matrix is built once, and
+each edge is contracted by one exactly rounded dot product per color.
+
 The normalization is fixed by dividing out the unknot contributions of
 (+-1)-framed single vertices, one per positive/negative eigenvalue of the
 linking matrix, so the three-sphere always evaluates to 1.
@@ -22,8 +28,9 @@ import mpmath as mp
 from plumbq.lie import (
     allowed_colors,
     gamma_factor,
+    gram,
+    pair,
     rho_norm,
-    weight_inner,
     weyl_action,
     weyl_group,
     weyl_vector,
@@ -70,58 +77,71 @@ def _phase(x: Fraction) -> mp.mpc:
     return mp.expjpi(mp.mpf(x.numerator) / x.denominator)
 
 
-def _tree_sum_direct(g: PlumbingGraph, ncolors: int, vweight, eweight) -> mp.mpc:
+def _phase_table(D: int) -> list[mp.mpc]:
+    """Z[a] = exp(pi i a / D) for a in [0, 2D), at the current precision.
+
+    Every phase of a sum at one root of unity is Z[a % (2D)] for an integer
+    exponent a, so each call evaluates its phases once instead of once per
+    term.  The upper half is the conjugate of the lower, Z[2D - a] =
+    conj(Z[a]) bit for bit, so q^t - q^{-t} is exactly imaginary and
+    q^t + q^{-t} exactly real.
+    """
+    lower = [_phase(Fraction(a, D)) for a in range(D + 1)]
+    return lower + [mp.conj(z) for z in reversed(lower[1:D])]
+
+
+def _tree_edges(g: PlumbingGraph) -> list[tuple[int, int]]:
+    """Edges as (parent, child) vertex positions, parents before children.
+
+    The root is position 0; read backwards, the list contracts leaves first.
+    """
+    pos = {v: i for i, v in enumerate(g.ids)}
+    nbrs: list[list[int]] = [[] for _ in pos]
+    for a, b in g.edges:
+        nbrs[pos[a]].append(pos[b])
+        nbrs[pos[b]].append(pos[a])
+    out = []
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w in nbrs[v]:
+            if w not in seen:
+                seen.add(w)
+                out.append((v, w))
+                stack.append(w)
+    return out
+
+
+def _tree_sum_direct(g: PlumbingGraph, V, E) -> mp.mpc:
     """Brute-force odometer over all colorings; the reference that the tests
     hold _tree_sum to."""
-    pos = {v: i for i, v in enumerate(g.ids)}
-    epairs = [(pos[a], pos[b]) for a, b in g.edges]
-    L = len(g.ids)
+    edges = _tree_edges(g)
     terms = []
-    for coloring in itertools.product(range(ncolors), repeat=L):
+    for coloring in itertools.product(range(len(E)), repeat=len(V)):
         w = mp.mpc(1)
-        for vi in range(L):
-            w *= vweight(vi, coloring[vi])
-        for a, b in epairs:
-            w *= eweight(coloring[a], coloring[b])
+        for vi, c in enumerate(coloring):
+            w *= V[vi][c]
+        for a, b in edges:
+            w *= E[coloring[a]][coloring[b]]
         terms.append(w)
     return mp.fsum(terms)
 
 
-def _tree_sum(g: PlumbingGraph, ncolors: int, vweight, eweight) -> mp.mpc:
-    """Sum over colorings of prod_v vweight(v, c_v) prod_e eweight(c, c').
+def _tree_sum(g: PlumbingGraph, V, E) -> mp.mpc:
+    """Sum over colorings c of prod_v V[v][c_v] prod_{edges vw} E[c_v][c_w].
 
-    vweight(vertex_index, color_index) and eweight(i, j) return mpc values;
-    eweight must be symmetric.  Contraction runs leaf-to-root.
+    V[v] is the row of vertex weights of the vertex at position v of g.ids,
+    and E the symmetric edge matrix over the colors.  Contraction runs
+    leaf-to-root: a child's message enters its parent through one exactly
+    rounded dot product with a row of E per color.
     """
-    ids = g.ids
-    pos = {v: i for i, v in enumerate(ids)}
-    adj: dict[int, list[int]] = {v: [] for v in ids}
-    for a, b in g.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    root = ids[0]
-    # iterative DFS for a post-order traversal
-    order = []
-    parent = {root: None}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                stack.append(w)
-    msgs: dict[int, list[mp.mpc]] = {}
-    for v in reversed(order):
-        vec = [vweight(pos[v], c) for c in range(ncolors)]
-        for w in adj[v]:
-            if parent.get(w) != v:
-                continue
-            child = msgs.pop(w)
-            for c in range(ncolors):
-                vec[c] *= mp.fsum(eweight(c, cc) * child[cc] for cc in range(ncolors))
-        msgs[v] = vec
-    return mp.fsum(msgs[root])
+    msgs = [list(row) for row in V]
+    for parent, child in reversed(_tree_edges(g)):
+        vec, msg = msgs[parent], msgs[child]
+        for c, row in enumerate(E):
+            vec[c] *= mp.fdot(row, msg)
+    return mp.fsum(msgs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -133,37 +153,36 @@ def _rank1_invariant(
     variant: str, level: int,
 ) -> WRTResult:
     """Shared state-sum engine; sign = -1 gives the (x - 1/x) family, +1 the
-    (x + 1/x) one."""
+    (x + 1/x) one.
+
+    With q = exp(2 pi i / order) every phase is a power of exp(pi i / D),
+    D = 2 order: q^{t/2} is Z[2t] and the twist q^{f (n^2 - 1)/4} is
+    Z[f (n^2 - 1)].
+    """
     with mp.workdps(dps + 15):
         lm = linking_matrix(g)
         fr = [lm.B[i][i] for i in range(lm.size)]
         degs = [g.degree(v) for v in g.ids]
+        M = 4 * order
+        Z = _phase_table(2 * order)
 
-        def u(t: int) -> mp.mpc:
-            return _phase(Fraction(t, order)) + sign * _phase(Fraction(-t, order))
-
-        uvals = {n: u(n) for n in colors}
-        umatrix = {}
-
-        def eweight(i: int, j: int) -> mp.mpc:
-            key = (min(i, j), max(i, j))
-            if key not in umatrix:
-                umatrix[key] = u(colors[key[0]] * colors[key[1]])
-            return umatrix[key]
-
-        def vweight(vi: int, ci: int) -> mp.mpc:
-            n = colors[ci]
-            w = _phase(Fraction(fr[vi] * (n * n - 1), 2 * order))
-            return w * uvals[n] ** (2 - degs[vi])
-
-        x = u(1)
+        # u(t) = q^{t/2} + sign q^{-t/2} depends on t mod 2 order only;
+        # every color is below the order
+        U = [Z[2 * t] + sign * Z[-2 * t % M] for t in range(2 * order)]
+        uvals = [U[n] for n in colors]
+        E = [[U[a * b % (2 * order)] for b in colors] for a in colors]
+        rows = {}  # vertex weights, one row per (framing, degree)
+        for f, d in set(zip(fr, degs)):
+            rows[f, d] = [Z[f * (n * n - 1) % M] * un ** (2 - d)
+                          for n, un in zip(colors, uvals)]
+        x = U[1]
         L = lm.size
-        F = x ** (-(L + 1)) * _tree_sum(g, len(colors), vweight, eweight)
+        F = x ** (-(L + 1)) * _tree_sum(g, [rows[fd] for fd in zip(fr, degs)], E)
 
         def f_unknot(eps: int) -> mp.mpc:
             total = mp.fsum(
-                _phase(Fraction(eps * (n * n - 1), 2 * order)) * uvals[n] ** 2
-                for n in colors
+                Z[eps * (n * n - 1) % M] * un ** 2
+                for n, un in zip(colors, uvals)
             )
             return total / x ** 2
 
@@ -222,47 +241,44 @@ def wrt_sun_zm(
     if not colors:
         raise ValueError(f"no admissible colors at k'={kprime}")
     rho = weyl_vector(N)
-    W = weyl_group(N)
     rho_idx = colors.index(rho)
+    G = gram(N)
     with mp.workdps(dps + 15):
         npos = N * (N - 1) // 2
         pref = mp.mpc(0, 1) ** npos / mp.sqrt((N // m) * kprime ** (N - 1))
-        # Weyl-orbit images of every color, reused across all S entries
+        # q^{(x, y)} = exp(2 pi i pair(x, y) / (N k')) is Z[2 pair(x, y)]
+        M = 2 * N * kprime
+        Z = _phase_table(N * kprime)
+        # gram(N) w(lam) for every Weyl image of every color, so that an S
+        # entry pairs each image with a color by one short dot product
+        W = weyl_group(N)
+        signs = [w.sign for w in W]
         orbits = []
         for lam in colors:
-            orbits.append([(w.sign, weyl_action(w, lam)) for w in W])
-
-        scache: dict[tuple[int, int], mp.mpc] = {}
-
-        def smat(i: int, j: int) -> mp.mpc:
-            key = (min(i, j), max(i, j))
-            if key not in scache:
-                total = mp.fsum(
-                    sg * _phase(2 * weight_inner(wl, colors[key[1]]) / kprime)
-                    for sg, wl in orbits[key[0]]
-                )
-                scache[key] = pref * total
-            return scache[key]
-
-        rr = Fraction(rho_norm(N), N)
-        tvals = [
-            _phase((weight_inner(lam, lam) - rr) / kprime) for lam in colors
-        ]
+            images = [weyl_action(w, lam).coords for w in W]
+            orbits.append([tuple(sum(c * x for c, x in zip(row, im)) for row in G)
+                           for im in images])
+        E = [[None] * len(colors) for _ in colors]
+        for i, orbit in enumerate(orbits):
+            for j in range(i, len(colors)):
+                mu = colors[j].coords
+                total = mp.fdot(signs, [
+                    Z[2 * sum(a * b for a, b in zip(gw, mu)) % M] for gw in orbit])
+                E[i][j] = E[j][i] = pref * total
+        S0 = E[rho_idx]
+        # twist q^{(lam, lam) - (rho, rho)} as an exponent of Z
+        twist = [pair(lam, lam) - rho_norm(N) for lam in colors]
         lm = linking_matrix(g)
         fr = [lm.B[i][i] for i in range(lm.size)]
         degs = [g.degree(v) for v in g.ids]
-
-        def vweight(vi: int, ci: int) -> mp.mpc:
-            return tvals[ci] ** fr[vi] * smat(rho_idx, ci) ** (2 - degs[vi])
-
-        total = _tree_sum(g, len(colors), vweight, smat)
-        tau = smat(rho_idx, rho_idx) ** (lm.size - 1) * total
+        rows = {}  # vertex weights, one row per (framing, degree)
+        for f, d in set(zip(fr, degs)):
+            rows[f, d] = [Z[f * t % M] * s ** (2 - d) for t, s in zip(twist, S0)]
+        total = _tree_sum(g, [rows[fd] for fd in zip(fr, degs)], E)
+        tau = S0[rho_idx] ** (lm.size - 1) * total
 
         def v_unknot(eps: int) -> mp.mpc:
-            return mp.fsum(
-                tvals[ci] ** eps * smat(rho_idx, ci) ** 2
-                for ci in range(len(colors))
-            )
+            return mp.fsum(Z[eps * t % M] * s ** 2 for t, s in zip(twist, S0))
 
         if lm.b_plus:
             tau /= v_unknot(+1) ** lm.b_plus

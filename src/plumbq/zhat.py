@@ -49,6 +49,7 @@ from plumbq.plumbing import (
     PlumbingGraph,
     coset_representatives,
     degree_delta,
+    exact_adjugate,
     is_negative_definite,
     linking_matrix,
     spinc_representatives,
@@ -419,8 +420,7 @@ def zhat_block(
     osp = variant == "osp12"
     sup = _rank1_supports(g, lm, R, osp)
     n = lm.size
-    det = lm.det()
-    adj = [[int(det * x) for x in row] for row in lm.inverse()]
+    det, adj = exact_adjugate([list(r) for r in lm.B])
     denom = math.lcm(4 * abs(det), pref.denominator)
     terms: dict[Fraction, Fraction] = {}
     for ell in itertools.product(*[sorted(s) for s in sup]):

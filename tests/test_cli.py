@@ -154,6 +154,8 @@ class TestExitCodes:
           "-3"), 3),
         (("quiver-series", "--quiver", "{quiver}", "--r", "-1"), 3),
         (("dt", "--quiver", "{quiver}", "--order", "0"), 3),
+        (("dt", "--quiver", "{quiver}", "--dmax", "0"), 3),
+        (("dt", "--quiver", "{quiver}", "--dmax", "-2"), 3),
         (("wrt", *SUN, "--rank-n", "1"), 3),
         (("wrt", *SUN, "--rank-n", "0"), 3),
         (("wrt", *SUN, "--rank-n", "3", "--subgroup-m", "0"), 3),
@@ -167,7 +169,8 @@ class TestExitCodes:
     ], ids=["graph-not-a-tree", "wrt-graph-not-a-tree",
             "quiver-not-symmetric", "order-below-delta",
             "su3-order-below-delta", "su3-negative-order",
-            "quiver-negative-color", "dt-order-zero",
+            "quiver-negative-color", "dt-order-zero", "dt-dmax-zero",
+            "dt-dmax-negative",
             "wrt-rank-1", "wrt-rank-0", "wrt-subgroup-0",
             "wrt-subgroup-negative", "gppv-rank-1", "gppv-rank-0",
             "gppv-subgroup-0", "gppv-subgroup-negative"])
@@ -185,6 +188,8 @@ class TestExitCodes:
         assert res.output.count("\n") == 1
         if args[0] == "zhat" and "--order" in args:
             assert res.output == "error: order does not reach past delta_b\n"
+        if "--dmax" in args:
+            assert res.output == "error: dmax must be at least 1\n"
         if "--rank-n" in args and int(args[args.index("--rank-n") + 1]) < 2:
             assert res.output == "error: need N >= 2\n"
 

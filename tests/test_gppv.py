@@ -28,6 +28,17 @@ class TestLensExact:
                           eps_schedule=None)
         assert rep.residual < 1e-8
 
+    @pytest.mark.parametrize("pq", [(7, 3), (8, 5)])
+    @pytest.mark.parametrize("variant,level,kw", [
+        ("su2", 3, {}), ("so3", 4, {}), ("sun-zm", 3, {"N": 2, "m": 2})])
+    def test_odd_chains(self, pq, variant, level, kw):
+        # three vertices, so det B < 0: the cokernel phases carry its sign
+        g = lens_chain(*pq)
+        assert linking_matrix(g).det() < -1
+        rep = gppv_verify(g, variant, level, order=60, eps_schedule=None,
+                          **kw)
+        assert rep.residual < 1e-8, rep
+
     def test_report_json(self):
         rep = gppv_verify(lens_chain(7, 2), "su2", 3, order=60,
                           eps_schedule=None)

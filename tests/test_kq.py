@@ -298,6 +298,11 @@ class TestDTInvariants:
         inv = dt_invariants(generate_double_twist_quiver(1, 1), 3, 40)
         assert all(isinstance(v, int) for v in inv.omega.values())
 
+    @pytest.mark.parametrize("dmax,order", [(0, 40), (-2, 40), (2, 0)])
+    def test_sizes_below_one_rejected(self, dmax, order):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            dt_invariants(Quiver.make([[1]], [1], [0]), dmax, order)
+
     def test_non_symmetric_matrix_rejected(self):
         with pytest.raises(ValueError):
             Quiver.make([[0, 1], [2, 0]], [0, 0], [0, 0])

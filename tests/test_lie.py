@@ -13,12 +13,10 @@ from plumbq.lie import (
     gamma_factor,
     gram,
     highest_root,
-    in_Pprime,
+    pair,
     pq_class_index,
     rho_norm,
     simple_roots,
-    sublattice_Pprime,
-    weight_inner,
     weyl_action,
     weyl_group,
     weyl_vector,
@@ -66,21 +64,21 @@ def test_weyl_vector_is_sum_of_fundamentals():
 
 
 def test_cartan_pairing():
-    # (alpha_i, w_j) = delta_ij
+    # (alpha_i, w_j) = delta_ij, and pair is N times the inner product
     for N in (2, 3):
         roots = simple_roots(N)
         for i in range(1, N):
             for j in range(1, N):
-                want = Fraction(1 if i == j else 0)
-                assert weight_inner(roots[i - 1], fundamental_weight(N, j)) == want
+                want = N if i == j else 0
+                assert pair(roots[i - 1], fundamental_weight(N, j)) == want
 
 
 def test_root_norms():
     for N in (2, 3, 4):
         for a in simple_roots(N):
-            assert weight_inner(a, a) == 2
+            assert pair(a, a) == 2 * N
         th = highest_root(N)
-        assert weight_inner(th, th) == 2
+        assert pair(th, th) == 2 * N
 
 
 @given(st.sampled_from([2, 3]), st.integers(0, 23))
@@ -88,7 +86,7 @@ def test_weyl_action_preserves_inner(N, seed):
     W = weyl_group(N)
     w = W[seed % len(W)]
     v = fundamental_weight(N, 1 + seed % (N - 1))
-    assert weight_inner(weyl_action(w, v), weyl_action(w, v)) == weight_inner(v, v)
+    assert pair(weyl_action(w, v), weyl_action(w, v)) == pair(v, v)
 
 
 class TestQuotientData:
@@ -107,9 +105,9 @@ class TestQuotientData:
             gamma_factor(4, 3)
 
     def test_pprime_membership(self):
-        spec = sublattice_Pprime(4, 2)
-        assert in_Pprime(fundamental_weight(4, 2), spec)
-        assert not in_Pprime(fundamental_weight(4, 1), spec)
+        # P' for (N, m) = (4, 2): the classes of P/Q ~ Z_4 that are even
+        assert pq_class_index(fundamental_weight(4, 2)) % 2 == 0
+        assert pq_class_index(fundamental_weight(4, 1)) % 2 != 0
 
     def test_pq_class_of_fundamentals(self):
         for N in (3, 4):
@@ -124,10 +122,10 @@ class TestQuotientData:
         assert weyl_vector(2) in cols
 
     def test_allowed_colors_live_in_sublattice(self):
-        spec = sublattice_Pprime(4, 2)
         rho = weyl_vector(4)
         for lam in allowed_colors(4, 2, 9):
-            assert in_Pprime(lam - rho, spec) or in_Pprime(lam + rho, spec)
+            assert (pq_class_index(lam - rho) % 2 == 0
+                    or pq_class_index(lam + rho) % 2 == 0)
 
 
 class TestIntegerCore:
@@ -159,7 +157,15 @@ class TestIntegerCore:
     def test_rho_norm(self, N):
         rho = ref_embedding(N, weyl_vector(N).coords)
         assert rho_norm(N) == N * ref_dot(rho, rho) == Fraction(N * N * (N * N - 1), 12)
-        assert weight_inner(weyl_vector(N), weyl_vector(N)) == Fraction(rho_norm(N), N)
+        assert pair(weyl_vector(N), weyl_vector(N)) == rho_norm(N)
+
+    @given(st.sampled_from([2, 3, 4, 5]), st.data())
+    def test_pair_is_n_times_embedded_inner_product(self, N, data):
+        u, v = (data.draw(st.tuples(*[st.integers(-9, 9)] * (N - 1)))
+                for _ in range(2))
+        got = pair(WeightVector(N, u), WeightVector(N, v))
+        assert type(got) is int
+        assert got == N * ref_dot(ref_embedding(N, u), ref_embedding(N, v))
 
     def test_make_rejects_non_integers(self):
         for bad in ([Fraction(1, 2), 0], [1.5, 2], [1, Fraction(-7, 3)]):

@@ -1,11 +1,20 @@
 """State-sum invariants at roots of unity: normalization, Kirby
 invariance, quotient-group consistency."""
 
+from fractions import Fraction
+
 import mpmath as mp
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from plumbq import wrt
-from plumbq.catalog import brieskorn_2_3_7, brieskorn_2_3_7_alt, lens_m5_11
+from plumbq.catalog import (
+    brieskorn_2_3_7,
+    brieskorn_2_3_7_alt,
+    lens_m5_11,
+    poincare_sphere,
+)
 from plumbq.lie import gamma_factor
 from plumbq.plumbing import PlumbingGraph, kirby_neumann_move, lens_chain
 from plumbq.wrt import wrt_osp, wrt_so3, wrt_su2, wrt_sun_zm
@@ -112,12 +121,18 @@ class TestVariantSeparation:
 
 class TestMethods:
     def test_direct_crosschecks_contract(self, monkeypatch):
-        graphs = (lens_chain(7, 2), lens_m5_11())
-        contracted = [wrt_su2(g, k).value for g in graphs for k in (2, 4)]
+        graphs = (lens_chain(7, 2), lens_m5_11(), brieskorn_2_3_7())
+        runs = [(wrt_su2, (2, 4)), (wrt_so3, (2, 4)), (wrt_osp, (1, 2)),
+                (lambda g, k: wrt_sun_zm(g, 3, 1, k), (2,))]
+
+        def values():
+            return [f(g, k).value for f, ks in runs for g in graphs for k in ks]
+
+        contracted = values()
         monkeypatch.setattr(wrt, "_tree_sum", wrt._tree_sum_direct)
-        direct = [wrt_su2(g, k).value for g in graphs for k in (2, 4)]
+        direct = values()
         for a, b in zip(contracted, direct):
-            assert close(a, b)
+            assert close(a, b, 1e-40)
 
     def test_root_orders(self):
         assert wrt_su2(sphere(), 3).root_order == 5
@@ -131,3 +146,44 @@ class TestMethods:
             wrt_so3(sphere(), 3)
         with pytest.raises(ValueError):
             wrt_osp(sphere(), 0)
+
+
+class TestPhaseTable:
+    @given(st.integers(1, 500), st.sampled_from([53, 200]), st.data())
+    def test_entries_match_phase(self, D, prec, data):
+        # _phase rounds a/D before reducing mod 2, so its own error grows
+        # with |a|/D; within |a| <= 20 D both stay inside 2^-(prec-8)
+        a = data.draw(st.integers(-20 * D, 20 * D))
+        with mp.workprec(prec):
+            Z = wrt._phase_table(D)
+            assert len(Z) == 2 * D
+            want = wrt._phase(Fraction(a, D))
+            assert abs(Z[a % (2 * D)] - want) <= mp.mpf(2) ** -(prec - 8)
+            assert Z[-a % (2 * D)] == mp.conj(Z[a % (2 * D)])
+
+
+class TestGoldenDigits:
+    """Values at dps 60, pinned to 1e-50 so that a change in how phases or
+    the tree contraction are evaluated cannot move a printed digit."""
+
+    @pytest.mark.parametrize("compute,re,im", [
+        (lambda: wrt_su2(brieskorn_2_3_7(), 60),
+         "-17.7279127908101550767280759126584250539743012571612552612226",
+         "-17.8941679606176276182891200580103041262455599877358186654271"),
+        (lambda: wrt_so3(poincare_sphere(), 40),
+         "127.770538281674713874220287772736950532392824380402190748728",
+         "41.155582888355458912522217555074596658344725665520528213111"),
+        (lambda: wrt_osp(brieskorn_2_3_7(), 3),
+         "2.85675346634364788108781934187468645030571555547492843308775",
+         "-0.967425986033024956849545593455786519816604412176448670495419"),
+        (lambda: wrt_sun_zm(brieskorn_2_3_7_alt(), 3, 3, 6),
+         "-748.418337831147287680432332500321422180092752115543473737239",
+         "-491.03347473958191059196048986480630345122748597549245655269"),
+    ], ids=["su2-sigma237-60", "so3-poincare-40", "osp12-sigma237-3",
+            "su3_z3-sigma237-alt-6"])
+    def test_value(self, compute, re, im):
+        res = compute()
+        assert res.dps == 60
+        with mp.workdps(80):
+            assert abs(res.value.real - mp.mpf(re)) < mp.mpf("1e-50")
+            assert abs(res.value.imag - mp.mpf(im)) < mp.mpf("1e-50")
