@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Print a fixed grid of root-of-unity values, one line per value.
+
+    python3 scripts/identity_grid.py > grid.txt
+
+The grid is every state sum (su2, so3, osp12 and su(N)/Z_m) on seven
+graphs, the GPPV decomposition check on three graphs and two Gauss
+reciprocity checks, each printed as the CLI prints it.  The script imports
+plumbq from the `src/` of its own checkout, so running it in two checkouts
+and comparing the outputs with `diff` shows every printed digit that a
+change moves.  It takes no options and a few seconds.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from plumbq.catalog import NAMED_GRAPHS, poincare_sphere  # noqa: E402
+from plumbq.gppv import (  # noqa: E402
+    gauss_reciprocity_check,
+    gppv_verify,
+    report_to_json,
+)
+from plumbq.plumbing import kirby_neumann_move, lens_chain  # noqa: E402
+from plumbq.wrt import (  # noqa: E402
+    result_to_json,
+    wrt_osp,
+    wrt_so3,
+    wrt_su2,
+    wrt_sun_zm,
+)
+
+GRAPHS = {name: make() for name, make in sorted(NAMED_GRAPHS.items())}
+GRAPHS["poincare-up"] = kirby_neumann_move(
+    poincare_sphere(),
+    {"kind": "blow_up", "sign": -1, "edge": [3, 4], "new_id": 8})
+GRAPHS["L(7,2)"] = lens_chain(7, 2)
+GRAPHS["L(8,5)"] = lens_chain(8, 5)
+
+STATE_SUMS = [  # (label, function of (graph, level), levels)
+    ("su2", wrt_su2, (3, 10)),
+    ("so3", wrt_so3, (2, 10)),
+    ("osp12", wrt_osp, (1, 3)),
+    ("su2_z2", lambda g, k: wrt_sun_zm(g, 2, 2, k), (3,)),
+    ("su3_z1", lambda g, k: wrt_sun_zm(g, 3, 1, k), (2,)),
+    ("su3_z3", lambda g, k: wrt_sun_zm(g, 3, 3, k), (6,)),
+]
+
+DECOMPOSITIONS = [  # (graph, variant, level, order, N, m)
+    ("lens-m5-11", "su2", 3, 60, 2, 1),
+    ("L(8,5)", "sun-zm", 3, 60, 2, 2),
+    ("poincare", "su2", 4, 8000, 2, 1),
+]
+
+RECIPROCITY = [  # (B, ell, k)
+    ([[-2, 1, 0], [1, -3, 1], [0, 1, -5]], [1, 0, -1], 4),
+    ([[-1, 1, 1, 1], [1, -2, 0, 0], [1, 0, -3, 0], [1, 0, 0, -7]],
+     [0, 1, -1, 2], 3),
+]
+
+
+def line(label: str, payload) -> None:
+    print(f"{label}: {json.dumps(payload, sort_keys=True)}")
+
+
+def main() -> None:
+    for label, f, levels in STATE_SUMS:
+        for name, g in GRAPHS.items():
+            for k in levels:
+                line(f"wrt {label} {name} {k}", result_to_json(f(g, k)))
+    for name, variant, level, order, N, m in DECOMPOSITIONS:
+        rep = gppv_verify(GRAPHS[name], variant, level, order, N=N, m=m)
+        line(f"gppv {variant} {name} {level} order {order}",
+             report_to_json(rep))
+    for B, ell, k in RECIPROCITY:
+        line(f"reciprocity B={B} ell={ell} k={k}",
+             gauss_reciprocity_check(B, ell, k))
+
+
+if __name__ == "__main__":
+    main()

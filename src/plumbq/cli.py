@@ -40,6 +40,16 @@ def _fail_math(msg: str):
     sys.exit(3)
 
 
+def _fail_usage(msg: str):
+    click.echo(f"error: {msg}", err=True)
+    sys.exit(2)
+
+
+def _check_precision(precision: int) -> None:
+    if precision < 1:
+        _fail_usage("precision must be at least 1")
+
+
 def _load_graph(path: str) -> PlumbingGraph:
     if path in NAMED_GRAPHS:
         return NAMED_GRAPHS[path]()
@@ -49,8 +59,7 @@ def _load_graph(path: str) -> PlumbingGraph:
         return graph_from_json(obj)
     except (OSError, json.JSONDecodeError, KeyError, TypeError,
             ValueError) as exc:
-        click.echo(f"error: cannot read graph {path}: {exc}", err=True)
-        sys.exit(2)
+        _fail_usage(f"cannot read graph {path}: {exc}")
 
 
 def _load_quiver(path: str):
@@ -61,8 +70,7 @@ def _load_quiver(path: str):
             return quiver_from_json(json.load(fh))
     except (OSError, json.JSONDecodeError, KeyError, TypeError,
             ValueError) as exc:
-        click.echo(f"error: cannot read quiver {path}: {exc}", err=True)
-        sys.exit(2)
+        _fail_usage(f"cannot read quiver {path}: {exc}")
 
 
 def _cache_dir(flag_value: str | None) -> Path | None:
@@ -170,6 +178,7 @@ def wrt(graph, group, level, rank_n, subgroup_m, precision, fmt):
     from plumbq.wrt import (
         result_to_json, wrt_osp, wrt_so3, wrt_su2, wrt_sun_zm)
 
+    _check_precision(precision)
     g = _load_graph(graph)
     try:
         if group == "su2":
@@ -205,6 +214,7 @@ def gppv_check(graph, group, level, order, rank_n, subgroup_m, precision,
     """Compare the state sum against the block decomposition limit."""
     from plumbq.gppv import gppv_verify, report_to_json
 
+    _check_precision(precision)
     g = _load_graph(graph)
     if not is_negative_definite(linking_matrix(g)):
         _fail_math("linking matrix is not negative definite")
@@ -235,8 +245,7 @@ def kirby(graph, move_json, out_path, fmt):
     try:
         move = json.loads(move_json)
     except json.JSONDecodeError as exc:
-        click.echo(f"error: bad move JSON: {exc}", err=True)
-        sys.exit(2)
+        _fail_usage(f"bad move JSON: {exc}")
     try:
         g2 = kirby_neumann_move(g, move)
     except ValueError as exc:

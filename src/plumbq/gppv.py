@@ -11,7 +11,8 @@ directly at the root.
 Every phase is exp(pi i a / D) for an integer a: pairings through B^{-1}
 are integer pairings through adj(B) = det(B) B^{-1} over det B, so each sum
 reads one table of phases (wrt._phase_table) by a mod 2D.  The reciprocity
-sums count their terms per exponent class and weigh each class once.
+sums count their terms per exponent class and weigh each class once, in
+one exact integer dot product (the kernel of wrt).
 """
 
 from __future__ import annotations
@@ -42,7 +43,18 @@ from plumbq.plumbing import (
     spinc_labels_unfolded,
 )
 from plumbq.qlaurent import QSeries, qs_eval
-from plumbq.wrt import _phase, _phase_table, wrt_osp, wrt_so3, wrt_su2, wrt_sun_zm
+from plumbq.wrt import (
+    _check_dps,
+    _dot,
+    _mantissas,
+    _phase,
+    _phase_table,
+    _rounded,
+    wrt_osp,
+    wrt_so3,
+    wrt_su2,
+    wrt_sun_zm,
+)
 from plumbq.zhat import _zhat_block_suN, sun_block_labels, zhat_block
 
 __all__ = [
@@ -97,11 +109,13 @@ def _pairing(M, x, y):
 def _weigh(Z, exponents) -> mp.mpc:
     """sum of Z[a % len(Z)] over the exponents, each class weighed once.
 
-    The sum is one exactly rounded dot product of the class counts with
-    the table entries.
+    The class counts meet the integer mantissas of their table entries in
+    one exact integer dot product (wrt._dot), rounded once (wrt._rounded):
+    the bits mp.fdot(counts, entries) gives.
     """
     counts = Counter(a % len(Z) for a in exponents)
-    return mp.fdot(list(counts.values()), [Z[a] for a in counts])
+    re, im, e = _mantissas([Z[a] for a in counts])
+    return _rounded(*_dot((list(counts.values()), None), (re, im)), e)
 
 
 def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
@@ -442,6 +456,7 @@ def gppv_verify(
     OSp phases, which must break the agreement (negative control).
     """
     variant = variant.lower()
+    _check_dps(dps)
     with mp.workdps(dps + 10):
         if variant == "su2":
             wrt = wrt_su2(g, level, dps)

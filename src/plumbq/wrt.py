@@ -9,8 +9,18 @@ of colors instead of exponential in the number of vertices.
 Every phase of one invariant is exp(pi i a / D) for an integer a and one
 denominator D: D = 2 order for the rank-1 sums, D = N k' for su(N).  Each
 call builds the table of those 2D phases once; twists, S entries and unknot
-sums index it by a mod 2D.  The symmetric edge matrix is built once, and
-each edge is contracted by one exactly rounded dot product per color.
+sums index it by a mod 2D.
+
+Every dot product of mp values (a tree edge, an su(N) S entry, a class-
+weighted phase sum in gppv) runs on one exact integer kernel: the values
+become signed integer mantissas over one shared binary exponent
+(_mantissas), the products are summed exactly in Python integers (_dot),
+and each part of the sum is rounded once at the working precision
+(_rounded).  That is what mpmath.fdot does with mpf products, so the bits
+are the same, but a part that is identically zero costs nothing: the
+rank-1 edge entries are exactly imaginary (su2, so3) or exactly real
+(osp12), so each edge term takes two integer products instead of four
+mpf multiplications.
 
 The normalization is fixed by dividing out the unknot contributions of
 (+-1)-framed single vertices, one per positive/negative eigenvalue of the
@@ -22,8 +32,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import mpmath as mp
+from mpmath.libmp import from_int, from_man_exp, fzero, round_nearest
 
 from plumbq.lie import (
     allowed_colors,
@@ -67,6 +79,11 @@ def result_to_json(res: WRTResult) -> dict:
     }
 
 
+def _check_dps(dps: int) -> None:
+    if dps < 1:
+        raise ValueError("precision must be at least 1")
+
+
 def _phase(x: Fraction) -> mp.mpc:
     """exp(pi i x) for an exact rational x, at the current precision.
 
@@ -88,6 +105,66 @@ def _phase_table(D: int) -> list[mp.mpc]:
     """
     lower = [_phase(Fraction(a, D)) for a in range(D + 1)]
     return lower + [mp.conj(z) for z in reversed(lower[1:D])]
+
+
+def _mantissas(xs) -> tuple[list[int], list[int], int]:
+    """Exact integer parts of a list of mpf, mpc or int values.
+
+    Returns (re, im, e) with xs[k] == (re[k] + i im[k]) 2^e exactly: e is
+    the lowest binary exponent of any nonzero part, and every mantissa is
+    shifted up to it.  Nothing is rounded.
+    """
+    parts = []
+    for x in xs:
+        if hasattr(x, "_mpc_"):
+            parts.append(x._mpc_)
+        elif hasattr(x, "_mpf_"):
+            parts.append((x._mpf_, fzero))
+        else:
+            parts.append((from_int(x), fzero))
+    e = min((p[2] for pair in parts for p in pair if p[1]), default=0)
+
+    def shifted(p) -> int:
+        sign, man, exp, _ = p
+        if not man:
+            if exp:  # mpmath codes inf and nan as a zero mantissa
+                raise ValueError("non-finite value in an exact dot product")
+            return 0
+        man <<= exp - e
+        return -man if sign else man
+
+    return [shifted(a) for a, _ in parts], [shifted(b) for _, b in parts], e
+
+
+def _dot(a, b) -> tuple[int, int]:
+    """Exact (re, im) of sum_k a_k b_k over integer parts a = (re, im) and
+    b = (re, im); a part of a given as None is identically zero and costs
+    no products."""
+    are, aim = a
+    bre, bim = b
+    re = im = 0
+    if are is not None:
+        re += sum(map(mul, are, bre))
+        im += sum(map(mul, are, bim))
+    if aim is not None:
+        re -= sum(map(mul, aim, bim))
+        im += sum(map(mul, aim, bre))
+    return re, im
+
+
+def _rounded(re: int, im: int, e: int) -> mp.mpc:
+    """(re + i im) 2^e, each part rounded once to the working precision.
+
+    mp.fdot multiplies exactly, adds the products exactly in mpf_sum and
+    rounds the sum once in the same way, so an exact integer dot product
+    rounded here has the same bits.  (mpf_sum drops a term that lies more
+    than twice the precision in bits away from its running sum, and then
+    the two can differ at an exact rounding tie; no state sum comes near
+    that spread.)
+    """
+    prec = mp.mp.prec
+    return mp.make_mpc((from_man_exp(re, e, prec, round_nearest),
+                        from_man_exp(im, e, prec, round_nearest)))
 
 
 def _tree_edges(g: PlumbingGraph) -> list[tuple[int, int]]:
@@ -133,14 +210,22 @@ def _tree_sum(g: PlumbingGraph, V, E) -> mp.mpc:
 
     V[v] is the row of vertex weights of the vertex at position v of g.ids,
     and E the symmetric edge matrix over the colors.  Contraction runs
-    leaf-to-root: a child's message enters its parent through one exactly
-    rounded dot product with a row of E per color.
+    leaf-to-root: a child's message enters its parent through one dot
+    product with a row of E per color.  Each row of E becomes integers once
+    per call, each message once per edge, and each dot product is an exact
+    integer sum rounded once, bit for bit what mp.fdot(E[c], msg) gives; a
+    row part that is identically zero is skipped.
     """
+    rows = []
+    for row in E:
+        re, im, e = _mantissas(row)
+        rows.append(((re if any(re) else None, im if any(im) else None), e))
     msgs = [list(row) for row in V]
     for parent, child in reversed(_tree_edges(g)):
-        vec, msg = msgs[parent], msgs[child]
-        for c, row in enumerate(E):
-            vec[c] *= mp.fdot(row, msg)
+        vec = msgs[parent]
+        mre, mim, e = _mantissas(msgs[child])
+        for c, (row, e_row) in enumerate(rows):
+            vec[c] *= _rounded(*_dot(row, (mre, mim)), e_row + e)
     return mp.fsum(msgs[0])
 
 
@@ -159,6 +244,7 @@ def _rank1_invariant(
     D = 2 order: q^{t/2} is Z[2t] and the twist q^{f (n^2 - 1)/4} is
     Z[f (n^2 - 1)].
     """
+    _check_dps(dps)
     with mp.workdps(dps + 15):
         lm = linking_matrix(g)
         fr = [lm.B[i][i] for i in range(lm.size)]
@@ -235,6 +321,7 @@ def wrt_sun_zm(
     """
     if k <= 0:
         raise ValueError("level must be positive")
+    _check_dps(dps)
     gamma = gamma_factor(N, m)
     kprime = gamma * k + N
     colors = allowed_colors(N, m, kprime)
@@ -258,13 +345,15 @@ def wrt_sun_zm(
             images = [weyl_action(w, lam).coords for w in W]
             orbits.append([tuple(sum(c * x for c, x in zip(row, im)) for row in G)
                            for im in images])
+        Zre, Zim, eZ = _mantissas(Z)
         E = [[None] * len(colors) for _ in colors]
         for i, orbit in enumerate(orbits):
             for j in range(i, len(colors)):
                 mu = colors[j].coords
-                total = mp.fdot(signs, [
-                    Z[2 * sum(a * b for a, b in zip(gw, mu)) % M] for gw in orbit])
-                E[i][j] = E[j][i] = pref * total
+                idx = [2 * sum(map(mul, gw, mu)) % M for gw in orbit]
+                total = _dot((signs, None),
+                             ([Zre[a] for a in idx], [Zim[a] for a in idx]))
+                E[i][j] = E[j][i] = pref * _rounded(*total, eZ)
         S0 = E[rho_idx]
         # twist q^{(lam, lam) - (rho, rho)} as an exponent of Z
         twist = [pair(lam, lam) - rho_norm(N) for lam in colors]

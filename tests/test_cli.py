@@ -166,6 +166,12 @@ class TestExitCodes:
           "--subgroup-m", "0"), 3),
         (("gppv-check", *SUN, "--order", "10", "--rank-n", "3",
           "--subgroup-m", "-1"), 3),
+        (("wrt", "--graph", "poincare", "--level", "3", "--precision", "0"),
+         2),
+        (("wrt", "--graph", "poincare", "--level", "3", "--precision", "-5"),
+         2),
+        (("gppv-check", "--graph", "poincare", "--level", "2",
+          "--precision", "0"), 2),
     ], ids=["graph-not-a-tree", "wrt-graph-not-a-tree",
             "quiver-not-symmetric", "order-below-delta",
             "su3-order-below-delta", "su3-negative-order",
@@ -173,7 +179,9 @@ class TestExitCodes:
             "dt-dmax-negative",
             "wrt-rank-1", "wrt-rank-0", "wrt-subgroup-0",
             "wrt-subgroup-negative", "gppv-rank-1", "gppv-rank-0",
-            "gppv-subgroup-0", "gppv-subgroup-negative"])
+            "gppv-subgroup-0", "gppv-subgroup-negative",
+            "wrt-precision-zero", "wrt-precision-negative",
+            "gppv-precision-zero"])
     def test_exit_code(self, tmp_path, args, code):
         files = {"{cycle}": NOT_A_TREE,
                  "{skew}": {"n": 2, "C": [[0, 1], [2, 0]], "xi": [0, 0],
@@ -192,6 +200,8 @@ class TestExitCodes:
             assert res.output == "error: dmax must be at least 1\n"
         if "--rank-n" in args and int(args[args.index("--rank-n") + 1]) < 2:
             assert res.output == "error: need N >= 2\n"
+        if "--precision" in args:
+            assert res.output == "error: precision must be at least 1\n"
 
 
 class TestCache:

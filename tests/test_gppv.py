@@ -39,6 +39,11 @@ class TestLensExact:
                           **kw)
         assert rep.residual < 1e-8, rep
 
+    @pytest.mark.parametrize("dps", (0, -5))
+    def test_rejects_precision_below_one(self, dps):
+        with pytest.raises(ValueError, match="precision must be at least 1"):
+            gppv_verify(lens_chain(7, 2), "su2", 3, order=60, dps=dps)
+
     def test_report_json(self):
         rep = gppv_verify(lens_chain(7, 2), "su2", 3, order=60,
                           eps_schedule=None)

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp
 
 from plumbq import wrt
 from plumbq.catalog import (
@@ -139,6 +140,13 @@ class TestMethods:
         assert wrt_so3(sphere(), 4).root_order == 10
         assert wrt_osp(sphere(), 2).root_order == 7
 
+    @pytest.mark.parametrize("dps", (0, -5))
+    def test_rejects_precision_below_one(self, dps):
+        for f in (wrt_su2, wrt_so3, wrt_osp,
+                  lambda g, k, dps: wrt_sun_zm(g, 3, 1, k, dps)):
+            with pytest.raises(ValueError, match="precision must be at least 1"):
+                f(sphere(), 2, dps)
+
     def test_rejects_bad_levels(self):
         with pytest.raises(ValueError):
             wrt_su2(sphere(), 0)
@@ -160,6 +168,102 @@ class TestPhaseTable:
             want = wrt._phase(Fraction(a, D))
             assert abs(Z[a % (2 * D)] - want) <= mp.mpf(2) ** -(prec - 8)
             assert Z[-a % (2 * D)] == mp.conj(Z[a % (2 * D)])
+
+
+@st.composite
+def exact_reals(draw, prec, top=(None, 3)):
+    """An exact zero, or +-m 2^(t - L) with an L-bit mantissa m, L <= prec,
+    whose top bit t lies in the range top (by default one of the prec - 1
+    positions up to 3, which the ints below fit in too).
+
+    Within that spread mpf_sum keeps every product of two such values, so
+    mp.fdot's sum is exact before its one rounding."""
+    if draw(st.integers(0, 4)) == 0:
+        return mp.mpf(0)
+    lo, hi = top
+    L = draw(st.integers(1, prec))
+    m = draw(st.integers(2 ** (L - 1), 2 ** L - 1))
+    t = draw(st.integers(hi + 2 - prec if lo is None else lo, hi))
+    sign = draw(st.sampled_from((1, -1)))
+    return mp.make_mpf(from_man_exp(sign * m, t - L))
+
+
+@st.composite
+def exact_vectors(draw, prec, n, kinds=("real", "imag", "complex", "int"),
+                  top=(None, 3)):
+    """n entries of one kind (mpf, purely imaginary mpc, mpc or int), or of
+    kinds mixed per entry."""
+    vector_kind = draw(st.sampled_from(kinds + ("mixed",)))
+
+    def entry():
+        kind = vector_kind
+        if kind == "mixed":
+            kind = draw(st.sampled_from(kinds))
+        if kind == "int":
+            return draw(st.integers(-7, 7))
+        x = draw(exact_reals(prec, top))
+        if kind == "real":
+            return x
+        y = mp.mpf(0) if kind == "imag" else draw(exact_reals(prec, top))
+        return mp.make_mpc((y._mpf_, x._mpf_))
+
+    return [entry() for _ in range(n)]
+
+
+def kernel_dot(a, b):
+    """The exact kernel's rounded dot product, skipping identically zero
+    parts of a as _tree_sum does."""
+    are, aim, ea = wrt._mantissas(a)
+    bre, bim, eb = wrt._mantissas(b)
+    row = (are if any(are) else None, aim if any(aim) else None)
+    return wrt._rounded(*wrt._dot(row, (bre, bim)), ea + eb)
+
+
+def fdot_tree_sum(g, V, E):
+    """The mp.fdot contraction that _tree_sum replaced, kept only here as a
+    reference for its bits."""
+    msgs = [list(row) for row in V]
+    for parent, child in reversed(wrt._tree_edges(g)):
+        vec, msg = msgs[parent], msgs[child]
+        for c, row in enumerate(E):
+            vec[c] *= mp.fdot(row, msg)
+    return mp.fsum(msgs[0])
+
+
+class TestExactDot:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([53, 250]), st.integers(0, 70), st.data())
+    def test_rounded_dot_is_fdot(self, prec, n, data):
+        a = data.draw(exact_vectors(prec, n))
+        b = data.draw(exact_vectors(prec, n))
+        with mp.workprec(prec):
+            want = mp.mpc(mp.fdot(a, b))
+            got = kernel_dot(a, b)
+        assert got._mpc_ == want._mpc_
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([53, 200]),
+           st.data())
+    def test_tree_sum_is_fdot_contraction(self, nv, nc, prec, data):
+        # top bits within [-8, 8]: the products that meet in one dot product
+        # stay far inside the spread that mpf_sum keeps exactly
+        top = (-8, 8)
+        parents = [data.draw(st.integers(0, i - 1)) for i in range(1, nv)]
+        g = PlumbingGraph.build([-2] * nv,
+                                [(p, i + 1) for i, p in enumerate(parents)])
+        V = [data.draw(exact_vectors(prec, nc, ("complex",), top))
+             for _ in range(nv)]
+        kind = data.draw(st.sampled_from(("real", "imag", "complex")))
+        E = [data.draw(exact_vectors(prec, nc, (kind,), top))
+             for _ in range(nc)]
+        with mp.workprec(prec):
+            want = mp.mpc(fdot_tree_sum(g, V, E))
+            got = mp.mpc(wrt._tree_sum(g, V, E))
+        assert got._mpc_ == want._mpc_
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            wrt._mantissas([mp.mpf(1), mp.inf])
 
 
 class TestGoldenDigits:
