@@ -4,8 +4,10 @@
     python3 scripts/identity_grid.py > grid.txt
 
 The grid is every state sum (su2, so3, osp12 and su(N)/Z_m) on seven
-graphs, the GPPV decomposition check on three graphs and two Gauss
-reciprocity checks, each printed as the CLI prints it.  The script imports
+graphs, the GPPV decomposition check on three graphs, two Gauss
+reciprocity checks, and the homological blocks of the four named graphs
+(su2, so3 and osp12 at order 300, su3 at order 8 on two of them), each
+printed as the CLI prints it: 112 lines.  The script imports
 plumbq from the `src/` of its own checkout, so running it in two checkouts
 and comparing the outputs with `diff` shows every printed digit that a
 change moves.  It takes no options and a few seconds.
@@ -31,6 +33,7 @@ from plumbq.wrt import (  # noqa: E402
     wrt_su2,
     wrt_sun_zm,
 )
+from plumbq.zhat import block_to_json, zhat_all_blocks  # noqa: E402
 
 GRAPHS = {name: make() for name, make in sorted(NAMED_GRAPHS.items())}
 GRAPHS["poincare-up"] = kirby_neumann_move(
@@ -52,6 +55,13 @@ DECOMPOSITIONS = [  # (graph, variant, level, order, N, m)
     ("lens-m5-11", "su2", 3, 60, 2, 1),
     ("L(8,5)", "sun-zm", 3, 60, 2, 2),
     ("poincare", "su2", 4, 8000, 2, 1),
+]
+
+BLOCKS = [  # (variant, order, graphs)
+    ("su2", 300, sorted(NAMED_GRAPHS)),
+    ("so3", 300, sorted(NAMED_GRAPHS)),
+    ("osp12", 300, sorted(NAMED_GRAPHS)),
+    ("su3", 8, ["lens-m5-11", "sigma237"]),
 ]
 
 RECIPROCITY = [  # (B, ell, k)
@@ -77,6 +87,11 @@ def main() -> None:
     for B, ell, k in RECIPROCITY:
         line(f"reciprocity B={B} ell={ell} k={k}",
              gauss_reciprocity_check(B, ell, k))
+    for variant, order, names in BLOCKS:
+        for name in names:
+            for block in zhat_all_blocks(GRAPHS[name], variant, order):
+                line(f"zhat {variant} {name} order {order}",
+                     block_to_json(block))
 
 
 if __name__ == "__main__":

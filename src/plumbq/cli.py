@@ -248,6 +248,10 @@ def kirby(graph, move_json, out_path, fmt):
         _fail_usage(f"bad move JSON: {exc}")
     try:
         g2 = kirby_neumann_move(g, move)
+    except KeyError as exc:
+        _fail_usage(f"bad move: missing key {exc}")
+    except TypeError as exc:
+        _fail_usage(f"bad move: {exc}")
     except ValueError as exc:
         _fail_math(str(exc))
     payload = graph_to_json(g2)

@@ -34,11 +34,10 @@ from plumbq.lie import (
     weyl_vector,
 )
 from plumbq.plumbing import (
+    LinkingMatrix,
     PlumbingGraph,
-    _signature_counts,
     coset_representatives,
     degree_delta,
-    exact_adjugate,
     linking_matrix,
     spinc_labels_unfolded,
 )
@@ -131,14 +130,15 @@ def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
     cokernel sums, whose B^{-1} pairings are integer adj(B) pairings over
     det B.
     """
-    B = [list(r) for r in B]
+    # B need not be the linking matrix of a tree, so it goes through the
+    # bare-matrix constructor rather than linking_matrix
+    lm = LinkingMatrix.of(B)
+    if lm.det == 0:
+        raise ValueError("matrix is singular")
+    B, det, adj = lm.B, lm.det, lm.adj
     L = len(B)
     ell = [int(x) for x in ell]
-    # determinant and signature of the bare matrix: the plumbing helpers
-    # that take a graph would pull in a tree requirement
-    det, adj = exact_adjugate(B)
-    bp, bm = _signature_counts(B)
-    sigma = bp - bm
+    sigma = lm.b_plus - lm.b_minus
     s = 1 if det > 0 else -1
     with mp.workdps(dps + 10):
         Zdet = _phase_table(abs(det))
@@ -179,14 +179,8 @@ def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
 # radial limits
 
 
-def radial_limit(
-    s: QSeries,
-    kprime: int,
-    root_index: int = 1,
-    eps_schedule=None,
-    dps: int = 40,
-):
-    """Value of s along q = (1-eps) exp(2 pi i root_index / kprime).
+def radial_limit(s: QSeries, kprime: int, eps_schedule=None, dps: int = 40):
+    """Value of s along q = (1-eps) exp(2 pi i / kprime).
 
     With an empty schedule the series is evaluated at the root itself
     (appropriate for Laurent-polynomial blocks).  Otherwise the samples are
@@ -194,7 +188,7 @@ def radial_limit(
     the difference between the last two extrapolation orders.
     """
     with mp.workdps(dps + 10):
-        root = mp.expjpi(mp.mpf(2 * root_index) / kprime)
+        root = mp.expjpi(mp.mpf(2) / kprime)
         if not eps_schedule:
             return qs_eval(s, root), mp.mpf(0)
         eps = [mp.mpf(e) for e in eps_schedule]
@@ -216,27 +210,22 @@ def radial_limit(
         return tab[-1], err
 
 
-def root_limit_periodic(
-    s: QSeries,
-    kprime: int,
-    root_index: int = 1,
-    dps: int = 40,
-    tol=None,
-):
-    """Radial limit at the root via the periodic tail of partial sums.
+def root_limit_periodic(s: QSeries, kprime: int, dps: int = 40):
+    """Radial limit at the root exp(2 pi i / kprime) via the periodic tail
+    of partial sums.
 
     At a root of unity the partial sums of a quadratic-exponent series are
     eventually periodic in the term index, and the radial limit is their
-    mean weighted uniformly in the underlying theta index.  Since exponents
+    mean weighted uniformly in the underlying theta index.  Two partial
+    sums count as equal within 10^(8 - dps).  Since exponents
     grow quadratically, that index is proportional to sqrt(exponent), so the
     weights are the gaps of sqrt(e - e_min).  Returns (value, period), or
     (None, None) when no period is detected, which usually means the series
     was truncated before the tail settles.
     """
     with mp.workdps(dps + 10):
-        if tol is None:
-            tol = mp.mpf(10) ** (-dps + 8)
-        root = mp.expjpi(mp.mpf(2 * root_index) / kprime)
+        tol = mp.mpf(10) ** (-dps + 8)
+        root = mp.expjpi(mp.mpf(2) / kprime)
         logq = mp.log(root)
         terms = s.terms
         if not terms:
@@ -263,11 +252,11 @@ def _block_limit(s: QSeries, root_order: int, schedule, dps: int) -> mp.mpc:
     """Limit of a block series at the root: direct for finite blocks, the
     periodic tail mean when it is detectable, Neville otherwise."""
     if schedule is None:
-        return radial_limit(s, root_order, 1, None, dps)[0]
-    val, period = root_limit_periodic(s, root_order, 1, dps)
+        return radial_limit(s, root_order, None, dps)[0]
+    val, period = root_limit_periodic(s, root_order, dps)
     if val is not None:
         return val
-    return radial_limit(s, root_order, 1, schedule, dps)[0]
+    return radial_limit(s, root_order, schedule, dps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +270,7 @@ def _rank1_decomposition(
     """Right-hand side of the rank-1 decompositions; shift_BI toggles the
     extra lattice shift of the SO(3)/OSp phase (negative-control hook)."""
     lm = linking_matrix(g)
-    B = [list(r) for r in lm.B]
+    B, det, adj = lm.B, lm.det, lm.adj
     _, delta = degree_delta(g)
     labels = spinc_labels_unfolded(lm, delta)
     # the phases are exp(pi i x) with x = c1 a^T B^{-1} a for the coset
@@ -299,7 +288,6 @@ def _rank1_decomposition(
     blocks = {b: zhat_block(g, b, variant, order) for b in labels}
     # a^T B^{-1} y = a^T adj y / det, so each phase is Z[s c a^T adj y] over
     # D = |det B|, with s the sign of det B
-    det, adj = exact_adjugate(B)
     s = 1 if det > 0 else -1
     # the SO(3) and OSp labels are shifted by B (1, ..., 1)
     shift = [sum(row) if variant != "su2" and shift_BI else 0 for row in B]
@@ -381,7 +369,7 @@ def _sun_decomposition(
     lm = linking_matrix(g)
     n = lm.size
     r = N - 1
-    det, adj = exact_adjugate([list(row) for row in lm.B])
+    det, adj = lm.det, lm.adj
     s = 1 if det > 0 else -1
     G = gram(N)
     labels = sun_block_labels(g, N)

@@ -1,8 +1,11 @@
 """Plumbing graphs: trees of framed unknots and their linking matrices.
 
-All linear algebra is exact over the integers/rationals (Bareiss-style
-determinants via fraction-free elimination, fractions for inverses), since
-definiteness decisions and coset structure cannot tolerate floating point.
+All linear algebra is exact over the integers, since definiteness
+decisions and coset structure cannot tolerate floating point.  One
+Faddeev-LeVerrier pass per linking matrix gives its characteristic
+polynomial, and from it the signature, the determinant and the integer
+adjugate: every pairing through B^{-1} is an integer adj(B) pairing over
+det B, and no matrix inverse is formed.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "PlumbingGraph",
@@ -25,9 +27,6 @@ __all__ = [
     "graph_to_json",
     "graph_from_json",
     "graph_to_dot",
-    "exact_det",
-    "exact_inverse",
-    "exact_adjugate",
     "coset_representatives",
 ]
 
@@ -92,79 +91,42 @@ class PlumbingGraph:
 
 @dataclass(frozen=True)
 class LinkingMatrix:
+    """A symmetric integer matrix B with the facts read off its
+    characteristic polynomial: the eigenvalue sign counts b_plus and
+    b_minus, det B, and the integer adjugate adj B = det(B) B^{-1} (which
+    exists for singular B as well, where B adj B = 0)."""
+
     B: tuple[tuple[int, ...], ...]
     b_plus: int
     b_minus: int
+    det: int
+    adj: tuple[tuple[int, ...], ...]
+
+    @staticmethod
+    def of(B) -> "LinkingMatrix":
+        """All fields of a symmetric integer matrix B, from one
+        Faddeev-LeVerrier pass.
+
+        The pass ends with c_0 = det(-B) and the matrix M_n, with
+        B M_n = -c_0 I; by Cayley-Hamilton det B = (-1)^n c_0 and
+        adj B = (-1)^(n+1) M_n.
+        """
+        B = tuple(tuple(int(x) for x in row) for row in B)
+        coeffs, M = _charpoly(B)
+        sign = (-1) ** len(B)
+        b_plus, b_minus = _signature_counts(coeffs)
+        return LinkingMatrix(B, b_plus, b_minus, sign * coeffs[-1],
+                             tuple(tuple(-sign * x for x in row) for row in M))
 
     @property
     def size(self) -> int:
         return len(self.B)
-
-    def det(self) -> int:
-        return exact_det([list(r) for r in self.B])
-
-    def inverse(self) -> list[list[Fraction]]:
-        return exact_inverse([list(r) for r in self.B])
 
 
 @dataclass(frozen=True)
 class SpincLabel:
     b: tuple[int, ...]
     stabilizer_order: int
-
-
-def exact_det(m: list[list]) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [[int(x) for x in row] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def exact_inverse(m: list[list]) -> list[list[Fraction]]:
-    """Inverse of a nonsingular matrix via Gauss-Jordan over Fraction."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        pval = a[col][col]
-        a[col] = [x / pval for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def exact_adjugate(m: list[list]) -> tuple[int, list[list[int]]]:
-    """(det M, adj M) for a nonsingular integer matrix M.
-
-    adj M = det(M) M^{-1} is an integer matrix, so a pairing x^T M^{-1} y
-    of integer vectors is the integer x^T adj(M) y over det M.
-    """
-    det = exact_det(m)
-    return det, [[int(det * x) for x in row] for row in exact_inverse(m)]
 
 
 def linking_matrix(g: PlumbingGraph) -> LinkingMatrix:
@@ -178,18 +140,17 @@ def linking_matrix(g: PlumbingGraph) -> LinkingMatrix:
     for a, b in g.edges:
         B[pos[a]][pos[b]] = 1
         B[pos[b]][pos[a]] = 1
-    b_plus, b_minus = _signature_counts(B)
-    return LinkingMatrix(tuple(tuple(r) for r in B), b_plus, b_minus)
+    return LinkingMatrix.of(B)
 
 
-def _signature_counts(B: list[list[int]]) -> tuple[int, int]:
-    """Eigenvalue sign counts from the exact characteristic polynomial.
+def _signature_counts(coeffs: list[int]) -> tuple[int, int]:
+    """Eigenvalue sign counts from the characteristic polynomial.
 
-    Uses Descartes-style sign changes on char(B) evaluated symbolically:
-    for a symmetric matrix the number of positive eigenvalues equals the
-    sign changes in the coefficient sequence of det(xI - B).
+    For a symmetric matrix, whose eigenvalues are all real, the number of
+    positive eigenvalues equals the sign changes in the coefficient
+    sequence of det(xI - B) once its zero roots are stripped (Descartes).
     """
-    coeffs = _charpoly(B)
+    coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:  # strip zero roots
         coeffs.pop()
     signs = [c > 0 for c in coeffs if c]
@@ -197,26 +158,29 @@ def _signature_counts(B: list[list[int]]) -> tuple[int, int]:
     return pos, len(coeffs) - 1 - pos
 
 
-def _charpoly(B: list[list[int]]) -> list[int]:
-    """Coefficients of det(xI - B), leading first, via Faddeev-LeVerrier."""
+def _charpoly(B) -> tuple[list[int], list[list[int]]]:
+    """Coefficients of det(xI - B), leading first, via Faddeev-LeVerrier,
+    and the last matrix M_n of the recursion.
+
+    M_k = B M_{k-1} + c_{n-k+1} I and c_{n-k} = -tr(B M_k) / k, so the
+    product B M_k serves both the trace and the next step.
+    """
     n = len(B)
     coeffs = [1]
-    M = [[0] * n for _ in range(n)]
+    M: list[list[int]] = []
+    BM = [[0] * n for _ in range(n)]
     c = 1
     for k in range(1, n + 1):
-        # M = B @ M + c*I
-        BM = [[sum(B[i][t] * M[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
-        for i in range(n):
-            BM[i][i] += c
         M = BM
-        BMprod = [[sum(B[i][t] * M[t][j] for t in range(n)) for j in range(n)]
-                  for i in range(n)]
-        tr = sum(BMprod[i][i] for i in range(n))
+        for i in range(n):
+            M[i][i] += c
+        cols = list(zip(*M))
+        BM = [[sum(a * m for a, m in zip(row, col)) for col in cols] for row in B]
+        tr = sum(BM[i][i] for i in range(n))
         assert tr % k == 0
         c = -tr // k
         coeffs.append(c)
-    return coeffs
+    return coeffs, M
 
 
 def is_negative_definite(lm: LinkingMatrix) -> bool:
@@ -300,13 +264,13 @@ def spinc_labels_unfolded(lm: LinkingMatrix, delta: list[int]) -> list[tuple[int
     for y in coset_representatives(B):
         b = [delta[i] + 2 * y[i] for i in range(n)]
         out.add(_hnf_reduce(H2, b))
-    assert len(out) == abs(lm.det())
+    assert len(out) == abs(lm.det)
     return sorted(out)
 
 
 def spinc_representatives(lm: LinkingMatrix, delta: list[int]) -> list[SpincLabel]:
     """Folded Spin^c orbit representatives for (2Z^L+delta)/2BZ^L / Z2."""
-    if lm.det() == 0:
+    if lm.det == 0:
         raise ValueError("linking matrix is singular")
     n = lm.size
     B = [list(r) for r in lm.B]
@@ -333,7 +297,13 @@ def kirby_neumann_move(g: PlumbingGraph, move: dict) -> PlumbingGraph:
     move = {"kind": "blow_up", "sign": +-1, "at": id | null, "edge": [a,b] | null, "new_id": id}
         inverse operation: a free (+-1) vertex, a leaf on `at`, or a vertex
         subdividing `edge`, with neighbor framings increased by sign.
+
+    A move of the wrong shape (not a dict, a missing key, an edge that is
+    not a pair) raises KeyError or TypeError; a move that does not apply to
+    g raises ValueError.
     """
+    if not isinstance(move, dict):
+        raise TypeError("move must be an object")
     fr = dict(g.framings)
     edges = [tuple(e) for e in g.edges]
     kind = move["kind"]
@@ -368,6 +338,8 @@ def kirby_neumann_move(g: PlumbingGraph, move: dict) -> PlumbingGraph:
         edge = move.get("edge")
         fr[new] = eps
         if edge is not None:
+            if not isinstance(edge, list | tuple) or len(edge) != 2:
+                raise TypeError(f"edge {edge} is not a pair of ids")
             a, b = edge
             e = tuple(sorted((a, b)))
             if e not in edges:
@@ -378,6 +350,8 @@ def kirby_neumann_move(g: PlumbingGraph, move: dict) -> PlumbingGraph:
             fr[a] += eps
             fr[b] += eps
         elif at is not None:
+            if at not in g.framings:
+                raise ValueError(f"vertex {at} not in graph")
             edges.append(tuple(sorted((at, new))))
             fr[at] += eps
         return PlumbingGraph.build(sorted(fr.items()), edges)

@@ -296,21 +296,20 @@ def qs_flip(s: QSeries, offset: Exponent = 0) -> QSeries:
     return QSeries.from_terms(acc, s.denom, s.trunc)
 
 
-def qs_eval(s: QSeries, z, max_terms: int | None = None):
+def qs_eval(s: QSeries, z):
     """Partial sum of s at q = z in mpmath at the working precision, with
     rational powers on the principal branch.  At z = 0 only the constant
     term counts, and a negative power raises ZeroDivisionError."""
-    terms = s.terms if max_terms is None else s.terms[:max_terms]
     if z == 0:
-        if terms and terms[0][0] < 0:
+        if s.terms and s.terms[0][0] < 0:
             raise ZeroDivisionError("negative power of q at q=0")
         return mp.fsum(mp.mpf(c.numerator) / c.denominator
-                       for e, c in terms if e == 0)
+                       for e, c in s.terms if e == 0)
     logq = mp.log(z)
     return mp.fsum(
         mp.mpf(c.numerator) / c.denominator
         * mp.exp((mp.mpf(e.numerator) / e.denominator) * logq)
-        for e, c in terms
+        for e, c in s.terms
     )
 
 

@@ -15,10 +15,15 @@ coordinates, with norms from the integer Gram matrix N (L_i, L_j) and
 chamber cut-offs from integer linear heights.  The lattice data (Gram and
 Cartan matrices, (rho, rho), the Weyl action) comes from `lie`.
 
-Rank-1 blocks run over the product of the vertex supports.  A tuple ell
-lies in the coset of b when adj(B)(ell - b) = 0 mod 2 det B, and its
-exponent is -ell^T adj(B) ell / (4 det B): integers throughout, and one
-Fraction per kept term.  su(N) blocks walk the lattice with
+Every block carries the prefactor q^{-(3L + tr B)(rho, rho)/2}, one
+helper for all N, and B^{-1} is always the integer adj(B) of the linking
+matrix over det B.  Rank-1 blocks run over the product of the vertex
+supports.  A tuple ell lies in the coset of b when
+adj(B)(ell - b) = 0 mod 2 det B, and its exponent is
+-ell^T adj(B) ell / (4 det B): integers throughout, and one Fraction per
+kept term.  A block's least exponent delta_b is the prefactor plus the
+minimum of its theta form, which is the su(N) theta form below at N = 2.
+su(N) blocks walk the lattice with
 `ellipsoid_points`, an integer Fincke-Pohst enumeration that returns each
 point with its exact form value.  A vertex's weight depends only on the
 coordinates of its closed neighbourhood, so the walk fixes neighbourhoods
@@ -49,7 +54,6 @@ from plumbq.plumbing import (
     PlumbingGraph,
     coset_representatives,
     degree_delta,
-    exact_adjugate,
     is_negative_definite,
     linking_matrix,
     spinc_representatives,
@@ -355,24 +359,23 @@ def _walk_order(B) -> list[int]:
 # block assembly, rank 1
 
 
-def _prefactor_exponent(g: PlumbingGraph) -> Fraction:
-    L = len(g)
-    sf = sum(f for _, f in g.vertices)
-    return Fraction(-(3 * L + sf), 4)
+def _prefactor(lm: LinkingMatrix, N: int) -> Fraction:
+    """Exponent of the block prefactor, -(3L + tr B)(rho, rho)/2; at N = 2,
+    where (rho, rho) = 1/2, it is -(3L + tr B)/4."""
+    trB = sum(lm.B[i][i] for i in range(lm.size))
+    return Fraction(-(3 * lm.size + trB) * rho_norm(N), 2 * N)
 
 
-def delta_b(lm: LinkingMatrix, b, framings=None) -> Fraction:
-    """Least possible exponent of block b: prefactor + min of the lattice form."""
+def delta_b(lm: LinkingMatrix, b) -> Fraction:
+    """Least possible exponent of block b: prefactor + min of the lattice form.
+
+    The form is the N = 2 theta form: t^T (-B) t over t = m + B^{-1} b / 2
+    with m integer.
+    """
     if not is_negative_definite(lm):
         raise ValueError("linking matrix must be negative definite")
-    n = lm.size
-    fr = [lm.B[i][i] for i in range(n)]
-    pref = Fraction(-(3 * n + sum(fr)), 4)
-    Binv = lm.inverse()
-    # minimize t^T(-B)t with t = m + B^{-1} b / 2 over integer m
-    center = [sum(Binv[i][j] * b[j] for j in range(n)) / 2 for i in range(n)]
-    A = [[-Fraction(lm.B[i][j]) for j in range(n)] for i in range(n)]
-    return pref + _lattice_min(A, center)
+    form = _theta_form(lm, [(x,) for x in b], 2, range(lm.size))
+    return _prefactor(lm, 2) + _lattice_min(*form)
 
 
 def _rank1_supports(g: PlumbingGraph, lm: LinkingMatrix, R: Fraction, osp: bool):
@@ -413,14 +416,13 @@ def zhat_block(
     if not is_negative_definite(lm):
         raise ValueError("linking matrix must be negative definite")
     R = Fraction(order)
-    pref = _prefactor_exponent(g)
-    db = delta_b(lm, tuple(b), None)
+    pref = _prefactor(lm, 2)
+    db = delta_b(lm, b)
     if pref + R <= db:
         raise ValueError("order does not reach past delta_b")
     osp = variant == "osp12"
     sup = _rank1_supports(g, lm, R, osp)
-    n = lm.size
-    det, adj = exact_adjugate([list(r) for r in lm.B])
+    n, det, adj = lm.size, lm.det, lm.adj
     denom = math.lcm(4 * abs(det), pref.denominator)
     terms: dict[Fraction, Fraction] = {}
     for ell in itertools.product(*[sorted(s) for s in sup]):
@@ -449,12 +451,6 @@ def zhat_all_blocks(g: PlumbingGraph, variant: str, order) -> list[ZhatBlock]:
 
 # ---------------------------------------------------------------------------
 # block assembly, su(N)
-
-
-def _sun_prefactor(g: PlumbingGraph, N: int) -> Fraction:
-    L = len(g)
-    trB = sum(f for _, f in g.vertices)
-    return Fraction(-(3 * L + trB) * rho_norm(N), 2 * N)
 
 
 def sun_block_labels(g: PlumbingGraph, N: int) -> list[tuple]:
@@ -492,20 +488,22 @@ def _theta_form(lm: LinkingMatrix, b, N: int, pos) -> tuple[list, list]:
     Coordinate pos[v] * (N-1) + a is simple-root coordinate a at vertex v.
     The exponent is (1/2) t^T ((-B) (x) G) t, G the Cartan matrix, with
     t = m + centre; the centre (B^{-1} (x) G^{-1}) b makes s = (B (x) I) t
-    equal b, in fundamental-weight coordinates G s, at m = 0.
+    equal b, in fundamental-weight coordinates G s, at m = 0.  B^{-1} is
+    adj(B) over det B.  At N = 2 the form is t^T (-B) t and the centre
+    B^{-1} b / 2.
     """
     n, r = lm.size, N - 1
     G = cartan(N)
     # G^{-1} is the Gram matrix of the fundamental weights
     Ginv = [[Fraction(x, N) for x in row] for row in gram(N)]
-    Binv = lm.inverse()
     b_root = [[sum(Ginv[a][c] * Fraction(bv[c]) for c in range(r)) for a in range(r)]
               for bv in b]
     A = [[Fraction(0)] * (n * r) for _ in range(n * r)]
     center = [Fraction(0)] * (n * r)
     for v in range(n):
         for a in range(r):
-            center[pos[v] * r + a] = sum(Binv[v][w] * b_root[w][a] for w in range(n))
+            center[pos[v] * r + a] = \
+                sum(lm.adj[v][w] * b_root[w][a] for w in range(n)) / lm.det
             for w in range(n):
                 for c in range(r):
                     A[pos[v] * r + a][pos[w] * r + c] = Fraction(-lm.B[v][w]) * G[a][c] / 2
@@ -565,12 +563,12 @@ def _sun_series(g: PlumbingGraph, lm: LinkingMatrix, b, N: int, R: Fraction, exp
 
     expand is cached, so vertices of equal degree share one expansion.
     """
-    pref = _sun_prefactor(g, N)
+    pref = _prefactor(lm, N)
     bound = 2 * R * max(-lm.B[i][i] for i in range(lm.size))
     factors = [expand(g.degree(vid), N, bound) for vid in g.ids]
     walked, best = _support_walk(lm, b, N, R, factors)
     terms = {pref + q: c for q, c in walked.items()}
-    denom = math.lcm(2 * N * abs(lm.det()), pref.denominator, 12,
+    denom = math.lcm(2 * N * abs(lm.det), pref.denominator, 12,
                      *(e.denominator for e in terms))
     series = QSeries.from_terms(terms, denom=denom, trunc=pref + R)
     return series, None if best is None else pref + best
@@ -588,7 +586,7 @@ def _zhat_block_suN(g: PlumbingGraph, b, N: int, order) -> ZhatBlock:
     if least is None and \
             R <= _lattice_min(*_theta_form(lm, b, N, range(lm.size))):
         raise ValueError("order does not reach past delta_b")
-    db = _sun_prefactor(g, N) if least is None else least
+    db = _prefactor(lm, N) if least is None else least
     return ZhatBlock(tuple(b), db, series, "su3" if N == 3 else f"su{N}",
                      math.factorial(N) ** lm.size)
 
@@ -617,7 +615,7 @@ def constant_term_oracle(g: PlumbingGraph, b, variant: str, order) -> QSeries:
         raise ValueError("order does not reach past delta_b")
     if variant == "su3":
         return _sun_series(g, lm, b, 3, R, _oracle_vertex_suN)[0]
-    pref = _prefactor_exponent(g)
+    pref = _prefactor(lm, 2)
     s = 1 if variant == "osp12" else -1
     # vertex expansions via the independent inversion route, cut at
     # |ell| <= max_abs, that is (ell, ell) = ell^2 / 2 <= max_abs^2 / 2;
@@ -629,7 +627,7 @@ def constant_term_oracle(g: PlumbingGraph, b, variant: str, order) -> QSeries:
         sup = _oracle_vertex_suN(g.degree(vid), 2, Fraction(max_abs ** 2, 2), s)
         factors.append({(-e,): c for (e,), c in sup.items()})
     walked, _ = _support_walk(lm, [(x,) for x in b], 2, R, factors)
-    denom = math.lcm(4 * abs(lm.det()), pref.denominator)
+    denom = math.lcm(4 * abs(lm.det), pref.denominator)
     return QSeries.from_terms({pref + q: c for q, c in walked.items()},
                               denom=denom, trunc=pref + R)
 

@@ -172,6 +172,17 @@ class TestExitCodes:
          2),
         (("gppv-check", "--graph", "poincare", "--level", "2",
           "--precision", "0"), 2),
+        (("kirby", "--graph", "poincare", "--move", '{"kind": "blow_up"}'),
+         2),
+        (("kirby", "--graph", "poincare", "--move", "[1, 2]"), 2),
+        (("kirby", "--graph", "poincare", "--move",
+          '{"kind": "blow_up", "sign": -1, "edge": [0], "new_id": 9}'), 2),
+        (("kirby", "--graph", "poincare", "--move",
+          '{"kind": "blow_up", "sign": 2, "new_id": 9}'), 3),
+        (("kirby", "--graph", "poincare", "--move",
+          '{"kind": "blow_up", "sign": -1, "at": 0, "new_id": 1}'), 3),
+        (("kirby", "--graph", "poincare", "--move",
+          '{"kind": "blow_up", "sign": -1, "edge": [0, 5], "new_id": 9}'), 3),
     ], ids=["graph-not-a-tree", "wrt-graph-not-a-tree",
             "quiver-not-symmetric", "order-below-delta",
             "su3-order-below-delta", "su3-negative-order",
@@ -181,7 +192,9 @@ class TestExitCodes:
             "wrt-subgroup-negative", "gppv-rank-1", "gppv-rank-0",
             "gppv-subgroup-0", "gppv-subgroup-negative",
             "wrt-precision-zero", "wrt-precision-negative",
-            "gppv-precision-zero"])
+            "gppv-precision-zero", "kirby-missing-key", "kirby-move-not-object",
+            "kirby-edge-not-pair", "kirby-sign-not-unit", "kirby-id-taken",
+            "kirby-edge-not-in-graph"])
     def test_exit_code(self, tmp_path, args, code):
         files = {"{cycle}": NOT_A_TREE,
                  "{skew}": {"n": 2, "C": [[0, 1], [2, 0]], "xi": [0, 0],

@@ -34,7 +34,7 @@ class TestLensExact:
     def test_odd_chains(self, pq, variant, level, kw):
         # three vertices, so det B < 0: the cokernel phases carry its sign
         g = lens_chain(*pq)
-        assert linking_matrix(g).det() < -1
+        assert linking_matrix(g).det < -1
         rep = gppv_verify(g, variant, level, order=60, eps_schedule=None,
                           **kw)
         assert rep.residual < 1e-8, rep
@@ -94,6 +94,10 @@ class TestGaussReciprocity:
         # reciprocity holds for any nonsingular symmetric form
         res = gauss_reciprocity_check([[2, 1], [1, -2]], [1, 0], 3)
         assert res["even"] < 1e-9 and res["odd"] < 1e-9
+
+    def test_singular_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match="matrix is singular"):
+            gauss_reciprocity_check([[1, 2], [2, 4]], [0, 1], 2)
 
 
 class TestRootLimitPeriodic:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +11,9 @@ from plumbq.catalog import (
     poincare_sphere,
 )
 from plumbq.plumbing import (
+    LinkingMatrix,
     PlumbingGraph,
-    _signature_counts,
     degree_delta,
-    exact_det,
-    exact_inverse,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
@@ -50,6 +50,32 @@ tree_strategy = st.integers(2, 6).flatmap(
 ).map(lambda t: random_tree(*t))
 
 
+def bareiss_det(m):
+    """Fraction-free Bareiss determinant of an integer matrix: a reference
+    independent of the characteristic-polynomial route of the library."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [[int(x) for x in row] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def sylvester_counts(B):
     """(b+, b-) of a symmetric integer matrix from leading principal minors.
 
@@ -66,7 +92,7 @@ def sylvester_counts(B):
     def negatives(M):
         n = len(M)
         S = [[10 ** 7 * M[i][j] + (i == j) for j in range(n)] for i in range(n)]
-        minors = [1] + [exact_det([row[:k] for row in S[:k]])
+        minors = [1] + [bareiss_det([row[:k] for row in S[:k]])
                         for k in range(1, n + 1)]
         assert all(minors)
         return sum((a > 0) != (b > 0) for a, b in zip(minors, minors[1:]))
@@ -75,8 +101,11 @@ def sylvester_counts(B):
 
 
 @st.composite
-def symmetric_matrices(draw):
-    n = draw(st.integers(1, 5))
+def symmetric_matrices(draw, max_n=5):
+    """Symmetric n x n matrices, n <= max_n, entries in [-4, 4].  On a
+    drawn flag, row and column j are copied onto k, which makes the matrix
+    singular without leaving [-4, 4]."""
+    n = draw(st.integers(1, max_n))
     upper = draw(st.lists(st.integers(-4, 4), min_size=n * (n + 1) // 2,
                           max_size=n * (n + 1) // 2))
     B = [[0] * n for _ in range(n)]
@@ -84,14 +113,40 @@ def symmetric_matrices(draw):
     for i in range(n):
         for j in range(i, n):
             B[i][j] = B[j][i] = next(it)
+    if n > 1 and draw(st.booleans()):
+        j, k = draw(st.permutations(range(n)))[:2]
+        for i in range(n):
+            B[k][i] = B[i][k] = B[j][i]
+        B[k][k] = B[j][k] = B[k][j] = B[j][j]
     return B
+
+
+def matmul(X, Y):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)]
+            for row in X]
 
 
 class TestLinkingMatrix:
     @given(symmetric_matrices())
     @settings(max_examples=200, deadline=None)
     def test_signature_matches_leading_minors(self, B):
-        assert _signature_counts(B) == sylvester_counts(B)
+        lm = LinkingMatrix.of(B)
+        assert (lm.b_plus, lm.b_minus) == sylvester_counts(B)
+
+    @given(symmetric_matrices(max_n=6))
+    @settings(max_examples=200, deadline=None)
+    def test_det_and_adjugate_from_one_pass(self, B):
+        lm = LinkingMatrix.of(B)
+        n = len(B)
+        assert lm.det == bareiss_det(B)
+        det_I = [[lm.det * (i == j) for j in range(n)] for i in range(n)]
+        assert matmul(B, lm.adj) == det_I
+        assert matmul(lm.adj, B) == det_I
+        # singular B leaves B adj = 0 open to adj = 0: check the cofactors
+        for i, j in itertools.product(range(n), repeat=2):
+            minor = [[B[r][c] for c in range(n) if c != i]
+                     for r in range(n) if r != j]
+            assert lm.adj[i][j] == (-1) ** (i + j) * bareiss_det(minor)
 
     def test_signature_reference_sees_singular_and_indefinite(self):
         assert sylvester_counts([[0, 1], [1, 0]]) == (1, 1)
@@ -100,7 +155,7 @@ class TestLinkingMatrix:
 
     def test_poincare_det(self):
         lm = linking_matrix(poincare_sphere())
-        assert lm.det() == 1
+        assert lm.det == 1
         assert is_negative_definite(lm)
         assert (lm.b_plus, lm.b_minus) == (0, 8)
 
@@ -119,15 +174,17 @@ class TestLinkingMatrix:
         assert is_negative_definite(linking_matrix(g))
 
     def test_exact_inverse(self):
+        # B^{-1} = adj(B) / det B, and B adj(B) = det(B) I
         B = [[-2, 1], [1, -3]]
-        inv = exact_inverse(B)
-        for i in range(2):
-            for j in range(2):
-                val = sum(B[i][k] * inv[k][j] for k in range(2))
-                assert val == (1 if i == j else 0)
+        lm = LinkingMatrix.of(B)
+        assert lm.det == 5
+        assert lm.adj == ((-3, -1), (-1, -2))
+        assert matmul(B, lm.adj) == [[5, 0], [0, 5]]
 
     def test_exact_det_integer_matrix(self):
-        assert exact_det([[2, 1], [1, 2]]) == 3
+        lm = LinkingMatrix.of([[2, 1], [1, 2]])
+        assert (lm.det, lm.adj) == (3, ((2, -1), (-1, 2)))
+        assert (lm.b_plus, lm.b_minus) == (2, 0)
 
 
 class TestContinuedFractions:
@@ -145,12 +202,12 @@ class TestContinuedFractions:
 
     def test_lens_chain_det(self):
         lm = linking_matrix(lens_chain(7, 2))
-        assert abs(lm.det()) == 7
+        assert abs(lm.det) == 7
 
     def test_lens_m5_11_is_two_vertex_chain(self):
         g = lens_m5_11()
         assert sorted(f for _, f in g.vertices) == [-3, -2]
-        assert abs(linking_matrix(g).det()) == 5
+        assert abs(linking_matrix(g).det) == 5
 
     def test_lens_rejects_noncoprime(self):
         with pytest.raises(ValueError):
@@ -166,7 +223,7 @@ class TestSpinc:
             # each orbit contributes 2 unless fixed by conjugation
             unfolded = sum(
                 1 if lab.stabilizer_order == 2 else 2 for lab in labels)
-            assert unfolded == abs(lm.det())
+            assert unfolded == abs(lm.det)
 
     def test_sphere_has_single_label(self):
         g = poincare_sphere()
@@ -199,7 +256,7 @@ class TestKirbyMoves:
         g = lens_chain(7, 2)
         g2 = kirby_neumann_move(
             g, {"kind": "blow_up", "sign": -1, "at": 0, "new_id": 5})
-        assert abs(linking_matrix(g2).det()) == 7
+        assert abs(linking_matrix(g2).det) == 7
 
 
 class TestSerialization:
