@@ -6,8 +6,9 @@
 The grid is every state sum (su2, so3, osp12 and su(N)/Z_m) on seven
 graphs, the GPPV decomposition check on three graphs, two Gauss
 reciprocity checks, and the homological blocks of the four named graphs
-(su2, so3 and osp12 at order 300, su3 at order 8 on two of them), each
-printed as the CLI prints it: 112 lines.  The script imports
+(su2, so3 and osp12 at order 300; su3 at order 8 on lens-m5-11 and
+sigma237, at order 20 on poincare and at order 16 on sigma237-alt), each
+printed as the CLI prints it: 114 lines.  The script imports
 plumbq from the `src/` of its own checkout, so running it in two checkouts
 and comparing the outputs with `diff` shows every printed digit that a
 change moves.  It takes no options and a few seconds.
@@ -62,6 +63,8 @@ BLOCKS = [  # (variant, order, graphs)
     ("so3", 300, sorted(NAMED_GRAPHS)),
     ("osp12", 300, sorted(NAMED_GRAPHS)),
     ("su3", 8, ["lens-m5-11", "sigma237"]),
+    ("su3", 20, ["poincare"]),
+    ("su3", 16, ["sigma237-alt"]),
 ]
 
 RECIPROCITY = [  # (B, ell, k)

@@ -11,8 +11,10 @@ directly at the root.
 Every phase is exp(pi i a / D) for an integer a: pairings through B^{-1}
 are integer pairings through adj(B) = det(B) B^{-1} over det B, so each sum
 reads one table of phases (wrt._phase_table) by a mod 2D.  The reciprocity
-sums count their terms per exponent class and weigh each class once, in
-one exact integer dot product (the kernel of wrt).
+sums walk their vectors as an odometer, count their terms per exponent
+class and weigh each class once, in one exact integer dot product (the
+kernel of wrt).  A decomposition gets all of its blocks from one call of
+zhat.zhat_blocks.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from plumbq.wrt import (
     wrt_su2,
     wrt_sun_zm,
 )
-from plumbq.zhat import _zhat_block_suN, sun_block_labels, zhat_block
+from plumbq.zhat import sun_block_labels, zhat_blocks
 
 __all__ = [
     "GPPVReport",
@@ -105,6 +107,39 @@ def _pairing(M, x, y):
     return sum(M[i][j] * x[i] * y[j] for i in range(n) for j in range(n))
 
 
+def _quadratic_values(B, lin, start: int, step: int, count: int):
+    """n^T B n + 2 lin . n for every n in {start, start + step, ...,
+    start + (count - 1) step}^L.
+
+    n runs as an odometer: a step moves one coordinate j by delta, which
+    changes the value by 2 delta (Bn)_j + delta^2 B_jj + 2 delta lin_j and
+    Bn by delta times row j of B (symmetric).
+    """
+    L = len(B)
+    n = [start] * L
+    Bn = [start * sum(row) for row in B]
+    value = start * sum(Bn) + 2 * start * sum(lin)
+    last = start + (count - 1) * step
+
+    def move(j, delta):
+        nonlocal value
+        value += delta * (2 * Bn[j] + delta * B[j][j] + 2 * lin[j])
+        n[j] += delta
+        for i, b in enumerate(B[j]):
+            Bn[i] += delta * b
+
+    while True:
+        yield value
+        j = L - 1
+        while j >= 0 and n[j] == last:
+            j -= 1
+        if j < 0:
+            return
+        for i in range(j + 1, L):
+            move(i, start - last)
+        move(j, step)
+
+
 def _weigh(Z, exponents) -> mp.mpc:
     """sum of Z[a % len(Z)] over the exponents, each class weighed once.
 
@@ -143,9 +178,7 @@ def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
     with mp.workdps(dps + 10):
         Zdet = _phase_table(abs(det))
         # even identity
-        lhs = _weigh(_phase_table(2 * k), (
-            _pairing(B, n, n) + 2 * sum(a * b for a, b in zip(ell, n))
-            for n in itertools.product(range(2 * k), repeat=L)))
+        lhs = _weigh(_phase_table(2 * k), _quadratic_values(B, ell, 0, 1, 2 * k))
         pref = mp.expjpi(mp.mpf(sigma) / 4) * (2 * k) ** mp.mpf(L / 2) / mp.sqrt(abs(det))
         # with v = 2k a + ell, -2k (v/2k)^T B^{-1} (v/2k) is
         # -(2k a^T adj a + 2 a^T adj ell) / det - ell^T adj ell / (2k det)
@@ -159,9 +192,8 @@ def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
         dvec = [e - sum(B[i][j] for j in range(L)) for i, e in enumerate(ell)]
         qden = 2 * K + 2
         # the odd identity's phases are q^x = exp(pi i 2x / qden)
-        lhs2 = _weigh(_phase_table(2 * qden), (
-            _pairing(B, n, n) + 2 * sum(a * b for a, b in zip(dvec, n))
-            for n in itertools.product(range(1, 4 * K + 4, 2), repeat=L)))
+        lhs2 = _weigh(_phase_table(2 * qden),
+                      _quadratic_values(B, dvec, 1, 2, 2 * K + 2))
         pref2 = (
             mp.expjpi(mp.mpf(sigma) / 4) * (K + 1) ** mp.mpf(L / 2) / mp.sqrt(abs(det))
             * _phase(Fraction(-_pairing(adj, dvec, dvec), 2 * qden * det))
@@ -285,7 +317,7 @@ def _rank1_decomposition(
         raise ValueError(variant)
     finite_blocks = all(g.degree(v) <= 2 for v in g.ids)
     schedule = None if finite_blocks else eps_schedule
-    blocks = {b: zhat_block(g, b, variant, order) for b in labels}
+    blocks = dict(zip(labels, zhat_blocks(g, lm, labels, variant, order)))
     # a^T B^{-1} y = a^T adj y / det, so each phase is Z[s c a^T adj y] over
     # D = |det B|, with s the sign of det B
     s = 1 if det > 0 else -1
@@ -372,7 +404,7 @@ def _sun_decomposition(
     det, adj = lm.det, lm.adj
     s = 1 if det > 0 else -1
     G = gram(N)
-    labels = sun_block_labels(g, N)
+    labels = sun_block_labels(g, N, lm)
     finite_blocks = all(g.degree(v) <= 2 for v in g.ids)
     schedule = None if finite_blocks else eps_schedule
     rho = weyl_vector(N)
@@ -396,9 +428,8 @@ def _sun_decomposition(
     }
 
     with mp.workdps(dps + 10):
-        blocks = {
-            lab: _zhat_block_suN(g, lab, N, order) for lab in labels
-        }
+        # su2 is the N = 2 case of the block engine
+        blocks = dict(zip(labels, zhat_blocks(g, lm, labels, f"su{N}", order)))
         limits = {
             lab: _block_limit(blk.series, kprime, schedule, dps)
             for lab, blk in blocks.items()

@@ -15,29 +15,20 @@ coordinates, with norms from the integer Gram matrix N (L_i, L_j) and
 chamber cut-offs from integer linear heights.  The lattice data (Gram and
 Cartan matrices, (rho, rho), the Weyl action) comes from `lie`.
 
-Every block carries the prefactor q^{-(3L + tr B)(rho, rho)/2}, one
-helper for all N, and B^{-1} is always the integer adj(B) of the linking
-matrix over det B.  Rank-1 blocks run over the product of the vertex
-supports.  A tuple ell lies in the coset of b when
-adj(B)(ell - b) = 0 mod 2 det B, and its exponent is
--ell^T adj(B) ell / (4 det B): integers throughout, and one Fraction per
-kept term.  A block's least exponent delta_b is the prefactor plus the
-minimum of its theta form, which is the su(N) theta form below at N = 2.
-su(N) blocks walk the lattice with
-`ellipsoid_points`, an integer Fincke-Pohst enumeration that returns each
-point with its exact form value.  A vertex's weight depends only on the
-coordinates of its closed neighbourhood, so the walk fixes neighbourhoods
-early and cuts a branch as soon as a weight falls outside the support of
-that vertex's expansion.
+One integer engine computes the blocks of every N, rank 1 being N = 2.  A
+point gives each vertex a weight s_v from the support of its expansion.
+Its coset is read off its class vector (adj(B) (x) gram(N)) s mod N det B,
+and its exponent, past the prefactor -(3L + tr B)(rho, rho)/2, is
+-sum_{v,w} adj_vw N (s_v, s_w) / (2N det B).  The walk fixes one vertex at
+a time and cuts a branch once a lower bound on the exponent from the LDL
+factors of -B reaches the order, so one pass buckets every label.
 
-An independent constant-term oracle recomputes every block by multiplying
-the lattice theta function against its own vertex expansions and reading
-off the z-degree-zero part.  The block expansion inverts the chamber
-factor 1 + U and then raises it to a power; the oracle raises the Weyl
-denominator to the power and then inverts it around its chamber-leading
-monomial, with rank 1 as the N = 2 case (base x - 1/x, or x + 1/x for
-OSp).  It walks the theta lattice in m-space, pruned by the supports of
-its own expansions.
+An independent constant-term oracle multiplies the theta function by its
+own vertex expansions and reads off the z-degree-zero part.  It takes the
+power of the Weyl denominator and then inverts it, where the blocks invert
+the chamber factor 1 + U and then take the power, and it walks the theta
+lattice in m-space with `ellipsoid_points`, an integer Fincke-Pohst
+enumeration pruned by its own supports.
 """
 
 from __future__ import annotations
@@ -47,6 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 
 from plumbq.lie import cartan, gram, rho_norm, weyl_action, weyl_group, weyl_vector
 from plumbq.plumbing import (
@@ -64,7 +56,7 @@ __all__ = [
     "ZhatBlock",
     "vertex_factor_su2",
     "vertex_factor_suN",
-    "delta_b",
+    "zhat_blocks",
     "zhat_block",
     "zhat_all_blocks",
     "constant_term_oracle",
@@ -72,10 +64,17 @@ __all__ = [
 ]
 
 VARIANTS = ("su2", "so3", "osp12", "su3")
+RANK1 = ("su2", "so3", "osp12")
 
 
 @dataclass(frozen=True)
 class ZhatBlock:
+    """A block series with its label, least exponent delta_b and
+    normalization 1/n.  delta_b has two rules.  At rank 1 it is the
+    prefactor plus the minimum of the theta form over the coset.  For su(N)
+    it is the least exponent kept, or the prefactor when the block is
+    empty: Poincare su3 gives -6 where the theta-form minimum gives -8."""
+
     label: tuple
     delta_b: Fraction
     series: QSeries
@@ -89,12 +88,9 @@ class ZhatBlock:
 
 def vertex_factor_su2(deg: int, max_abs_exp: int, osp: bool = False) -> dict[int, Fraction]:
     """Two-sided expansion coefficients of (x - 1/x)^{2-deg}, or of
-    (x + 1/x)^{2-deg} when osp is set.
-
-    For deg <= 2 this is the plain Laurent polynomial; for deg >= 3 it is
-    the sum of the expansions at x -> infinity and x -> 0, truncated to
-    |exponent| <= max_abs_exp.
-    """
+    (x + 1/x)^{2-deg} when osp is set: for deg <= 2 the Laurent polynomial,
+    for deg >= 3 the sum of the expansions at x -> infinity and x -> 0,
+    truncated to |exponent| <= max_abs_exp."""
     if deg < 0:
         raise ValueError("degree must be nonnegative")
     s = 1 if osp else -1  # the base is x + s/x
@@ -105,21 +101,17 @@ def vertex_factor_su2(deg: int, max_abs_exp: int, osp: bool = False) -> dict[int
             out[p - 2 * i] = Fraction(s ** i * math.comb(p, i))
         return out
     k = deg - 2
-    j = 0
-    while k + 2 * j <= max_abs_exp:
+    for j in range((max_abs_exp - k) // 2 + 1):
         c = Fraction((-s) ** j * math.comb(k - 1 + j, j))
         out[-(k + 2 * j)] = out.get(-(k + 2 * j), Fraction(0)) + c
         out[k + 2 * j] = out.get(k + 2 * j, Fraction(0)) + s ** k * c
-        j += 1
     return {e: c for e, c in out.items() if c != 0}
 
 
 def _avg_rank1(deg: int, max_abs_exp: int, osp: bool) -> dict[int, Fraction]:
     """Chamber-averaged coefficients: halves the two-sided sum for deg >= 3."""
     raw = vertex_factor_su2(deg, max_abs_exp, osp)
-    if deg <= 2:
-        return raw
-    return {e: c / 2 for e, c in raw.items()}
+    return raw if deg <= 2 else {e: c / 2 for e, c in raw.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +142,7 @@ def _ht(height, mu) -> int:
 def _mul(a: dict, b: dict, height=None, cap=0) -> dict:
     """Product of weight polynomials; with a height form, terms above cap
     are dropped (every operand term must then have height >= 0)."""
-    bs = sorted(((kb, cb, _ht(height, kb)) for kb, cb in b.items()),
-                key=lambda t: t[2])
+    bs = sorted(((kb, cb, _ht(height, kb)) for kb, cb in b.items()), key=lambda t: t[2])
     out: dict[tuple, int] = {}
     for ka, ca in a.items():
         ha = _ht(height, ka)
@@ -204,12 +195,10 @@ def _cap(N: int, bound: Fraction, p: int) -> int:
 
 
 def vertex_factor_suN(deg: int, N: int, bound: Fraction) -> dict[tuple, Fraction]:
-    """Chamber-summed expansion coefficients of (Weyl denominator)^{2-deg}.
-
-    Keys are fundamental-weight coordinates; values are the sums over the
-    |W| chamber expansions (so the block assembly divides by |W| per
-    vertex).  Only weights mu with (mu, mu) <= bound are returned.
-    """
+    """Chamber-summed expansion coefficients of (Weyl denominator)^{2-deg},
+    keyed by fundamental-weight coordinates: the sums over the |W| chamber
+    expansions (a block divides by |W| per vertex), at the weights mu with
+    (mu, mu) <= bound."""
     if N < 2:
         raise ValueError("need N >= 2")
     avg = _sun_chamber_average(deg, N, Fraction(bound))
@@ -222,9 +211,8 @@ def _sun_chamber_average(deg: int, N: int, bound: Fraction) -> dict[tuple, Fract
 
     In the chamber of w, Delta = sign(w) x^{w(rho)} (1 + U) with U of
     positive height: (1 + U)^p is a truncated power, and for p < 0 the
-    truncated Neumann inverse of 1 + U raised to -p.  Cached, since every
-    block of a manifold asks for the same expansions; callers must not
-    modify the returned dict.
+    truncated Neumann inverse of 1 + U raised to -p.  Cached; callers must
+    not modify the returned dict.
     """
     p, G = 2 - deg, gram(N)
     delta = _weyl_denominator(N)
@@ -232,8 +220,7 @@ def _sun_chamber_average(deg: int, N: int, bound: Fraction) -> dict[tuple, Fract
     total: dict[tuple, int] = {}
     for chamber, sign in delta.items():
         H = _height(G, chamber)
-        one_u = {tuple(x - y for x, y in zip(k, chamber)): e * sign
-                 for k, e in delta.items()}
+        one_u = {tuple(x - y for x, y in zip(k, chamber)): e * sign for k, e in delta.items()}
         base = _inverse(one_u, (0,) * (N - 1), H, cap) if p < 0 else one_u
         for k, e in _pow(base, abs(p), H, cap).items():
             mu = tuple(x + p * y for x, y in zip(k, chamber))
@@ -243,23 +230,54 @@ def _sun_chamber_average(deg: int, N: int, bound: Fraction) -> dict[tuple, Fract
 
 
 # ---------------------------------------------------------------------------
-# lattice enumeration
+# theta forms and lattice enumeration
+
+
+def _prefactor(lm: LinkingMatrix, N: int) -> Fraction:
+    """Exponent of the block prefactor, -(3L + tr B)(rho, rho)/2; at N = 2,
+    where (rho, rho) = 1/2, it is -(3L + tr B)/4."""
+    trB = sum(lm.B[i][i] for i in range(lm.size))
+    return Fraction(-(3 * lm.size + trB) * rho_norm(N), 2 * N)
+
+
+def _series_denom(lm: LinkingMatrix, N: int) -> int:
+    """Exponent denominator limit of a block series: 4 |det B| and the
+    prefactor's at rank 1, with 2N |det B| and 12 for su(N)."""
+    return math.lcm(2 * N * abs(lm.det), _prefactor(lm, N).denominator, 1 if N == 2 else 12)
+
+
+def _class_matrix(lm: LinkingMatrix, N: int) -> list[list[int]]:
+    """adj(B) (x) gram(N), index v (N-1) + a for coordinate a at vertex v.  Two
+    weight vectors lie in one coset of (B (x) C) Z^{(N-1)L}, C the Cartan
+    matrix, iff their images agree mod N det B; image / N det B is the centre."""
+    return [[a * g for a in adj_row for g in g_row]
+            for adj_row in lm.adj for g_row in gram(N)]
+
+
+def _theta_form(lm: LinkingMatrix, N: int, pos) -> list[list[Fraction]]:
+    """The form (1/2) ((-B) (x) C) of the su(N) theta lattice, coordinate
+    pos[v] (N-1) + a being simple-root coordinate a at vertex v.  Over the
+    coset of b the exponent is its value at m + centre, m integer, where the
+    centre (B^{-1} (x) C^{-1}) b is mapped to b by B (x) C."""
+    n, r, C = lm.size, N - 1, cartan(N)
+    A = [[Fraction(0)] * (n * r) for _ in range(n * r)]
+    for v, w, a, c in itertools.product(range(n), range(n), range(r), range(r)):
+        A[pos[v] * r + a][pos[w] * r + c] = Fraction(-lm.B[v][w] * C[a][c], 2)
+    return A
 
 
 def _ldl(A: list[list[Fraction]]):
     """Q(x) = sum_i d[i] (x_i + sum_{j>i} U[i][j] x_j)^2 for posdef A."""
     n = len(A)
     M = [[Fraction(x) for x in row] for row in A]
-    d = [Fraction(0)] * n
-    U = [[Fraction(0)] * n for _ in range(n)]
+    d, U = [], [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
-        d[i] = M[i][i]
+        d.append(M[i][i])
         assert d[i] > 0, "quadratic form is not positive definite"
         for j in range(i + 1, n):
             U[i][j] = M[i][j] / d[i]
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                M[r][c] -= M[r][i] * M[i][c] / d[i]
+        for r, c in itertools.product(range(i + 1, n), repeat=2):
+            M[r][c] -= M[r][i] * M[i][c] / d[i]
     return d, U
 
 
@@ -271,32 +289,27 @@ def ellipsoid_points(A, center, R: Fraction, prune=None):
     x[n-1] first and x[0] last.  prune maps a level i to a predicate of
     the list x, called once x[i], ..., x[n-1] are fixed (entries below i
     are stale); a branch on which it is false is cut.
-
-    The walk runs in integers.  With A = U^T diag(d) U, level i scales
-    y_i = x_i + center_i + sum_{j>i} U[i][j] (x_j + center_j) to an integer
-    Y = M_i y_i and its share d_i y_i^2 of the form to w_i Y^2 over one
-    denominator K shared by all levels.  So the range of each x_i comes
-    from math.isqrt, with no float and no rejected candidate, and a point's
-    value is R - remaining, one Fraction per point returned.
     """
-    n = len(A)
-    d, U = _ldl([[Fraction(x) for x in row] for row in A])
-    center = [Fraction(c) for c in center]
-    R = Fraction(R)
+    return _points(*_ldl(A), center, R, prune)
+
+
+def _points(d, U, center, R: Fraction, prune=None):
+    """ellipsoid_points from the LDL factors of A, in integers: level i
+    scales y_i = x_i + center_i + sum_{j>i} U[i][j] (x_j + center_j) to an
+    integer Y = M_i y_i and its share d_i y_i^2 of the form to w_i Y^2 over
+    one denominator K, so each range of x_i comes from math.isqrt."""
+    n, R, center = len(d), Fraction(R), [Fraction(c) for c in center]
     M, base, rows = [], [], []
     for i in range(n):
         const = center[i] + sum(U[i][j] * center[j] for j in range(i + 1, n))
-        m = math.lcm(const.denominator,
-                     *(U[i][j].denominator for j in range(i + 1, n)))
+        m = math.lcm(const.denominator, *(U[i][j].denominator for j in range(i + 1, n)))
         M.append(m)
         base.append(int(const * m))
         rows.append([(j, int(U[i][j] * m)) for j in range(i + 1, n) if U[i][j]])
     K = math.lcm(R.denominator, *((d[i] / M[i] ** 2).denominator for i in range(n)))
     w = [int(d[i] * K / M[i] ** 2) for i in range(n)]
     top = int(R * K)
-    checks = prune or {}
-    out = []
-    x = [0] * n
+    checks, out, x = prune or {}, [], [0] * n
 
     def rec(i: int, remaining: int):
         m, wi = M[i], w[i]
@@ -321,23 +334,226 @@ def ellipsoid_points(A, center, R: Fraction, prune=None):
     return out
 
 
-def _lattice_min(A, center) -> Fraction:
-    """Least value of the form over the shifted lattice: unpruned walks at
-    growing radius until one finds a point."""
-    R = Fraction(1)
-    while not (pts := ellipsoid_points(A, center, R)):
-        R *= 4
-    return min(q for _, q in pts)
+# ---------------------------------------------------------------------------
+# the block engine
+
+
+def _walk(lm: LinkingMatrix, N: int, R: Fraction, sup):
+    """The points s of prod_v sup[v] with exponent q < R as
+    {class vector mod N |det B|: {q * scale: coefficient * D}}, scale, D.
+
+    2N q = s^T (A^{-1} (x) gram(N)) s with A = -B.  Each level fixes one
+    vertex, one-point supports first, then by descending size.  With
+    A = L D L^T in walk order and z = L^{-1} s, the sum of pair(z_i, z_i) / D_i
+    over the first k levels is the least 2N q of any completion.  In
+    integers, d_k being the k-th leading minor of A and P the earlier
+    levels, w_k = d_{k-1} z_k = d_{k-1} s_k - A_{k,P} adj(A_PP) s_P and
+    pair(z_k, z_k) / D_k = pair(w_k, w_k) / (d_{k-1} d_k).  The walk carries
+    A_{k,P} adj(A_PP) s_P for the later levels and the class vector.
+    """
+    n, r, G = lm.size, N - 1, gram(N)
+    A, mod = [[-x for x in row] for row in lm.B], N * abs(lm.det)
+    sup = [{mu: c for mu, c in s.items() if _norm(G, mu) < 2 * N * R * A[v][v]}
+           for v, s in enumerate(sup)]
+    order = sorted(range(n), key=lambda v: (len(sup[v]) != 1, -len(sup[v]), v))
+    minors = [LinkingMatrix.of([[A[a][b] for b in order[:k]] for a in order[:k]])
+              for k in range(n + 1)]
+    dets = [m.det for m in minors]
+    S = math.lcm(*(dets[k] * dets[k + 1] for k in range(n)))
+    omega = [S * R.denominator // (dets[k] * dets[k + 1]) for k in range(n)]
+    lim = 2 * N * S * R.numerator
+    levels, D = [], 1
+    for k, v in enumerate(order):
+        # column k of A_{j,P} adj(A_PP) for each later level j
+        later = [sum(A[order[j]][p] * minors[j].adj[i][k] for i, p in enumerate(order[:j]))
+                 for j in range(k + 1, n)]
+        den = math.lcm(*(c.denominator for c in sup[v].values()))
+        D *= den
+        levels.append([(int(c * den), [dets[k] * x for x in mu],
+                        [0] * ((k + 1) * r) + [f * x for f in later for x in mu]
+                        + [a[v] * sum(map(mul, g, mu)) for a in lm.adj for g in G])
+                       for mu, c in sup[v].items()])
+    out: dict = {}
+
+    def rec(k, state, T, coef):
+        acc = state[k * r:(k + 1) * r]
+        for num, dmu, col in levels[k]:
+            t = T + omega[k] * _norm(G, list(map(sub, dmu, acc)))
+            if t >= lim:
+                continue
+            new = list(map(add, state, col))
+            if k < n - 1:
+                rec(k + 1, new, t, coef * num)
+                continue
+            bucket = out.setdefault(tuple(x % mod for x in new[n * r:]), {})
+            bucket[t] = bucket.get(t, 0) + coef * num
+
+    if all(sup):
+        rec(0, [0] * (2 * n * r), 0, 1)
+    return out, 2 * N * S * R.denominator, D
+
+
+def zhat_blocks(g: PlumbingGraph, lm: LinkingMatrix, labels, variant: str,
+                order) -> list[ZhatBlock]:
+    """The blocks of g (linking matrix lm) for the given labels from one
+    walk, truncated at exponent prefactor + order.  variant su2, so3 or
+    osp12 is rank 1, with int labels; su<N> is su(N), N >= 3, whose labels
+    give each vertex a tuple of fundamental-weight coordinates."""
+    variant = variant.lower()
+    N = _rank(variant)
+    if not is_negative_definite(lm):
+        raise ValueError("linking matrix must be negative definite")
+    R = Fraction(order)
+    if R <= 0:  # the theta form is positive definite
+        raise ValueError("order does not reach past delta_b")
+    B, n, rank1 = lm.B, lm.size, variant in RANK1
+    sup = [{(e,): c for e, c in _avg_rank1(
+        g.degree(vid), math.isqrt(int(4 * R * -B[i][i])) + 2, variant == "osp12").items()}
+        if rank1 else _sun_chamber_average(g.degree(vid), N, 2 * R * -B[i][i])
+        for i, vid in enumerate(g.ids)]
+    walked, scale, D = _walk(lm, N, R, sup)
+    pref = _prefactor(lm, N)
+    A = _theta_form(lm, N, range(n))
+    (d, U), Q = _ldl(A), [[int(2 * x) for x in row] for row in A]
+    K, det = _class_matrix(lm, N), N * lm.det
+    empty = QSeries.from_terms({}, denom=_series_denom(lm, N), trunc=pref + R)
+    norm = 2 ** sum(g.degree(v) >= 3 for v in g.ids) if rank1 else math.factorial(N) ** n
+    blocks = []
+    for b in labels:
+        b = tuple(b)
+        flat = [int(c) for x in b for c in (x if isinstance(x, tuple) else (x,))]
+        y = [sum(map(mul, row, flat)) for row in K]
+        found = walked.get(tuple(x % abs(det) for x in y))
+        low = Fraction(min(found), scale) if found else Fraction(0)
+        # the form's value at the rounded centre y / det, whose offset is
+        # u / det, bounds the coset minimum: a walk at that radius finds it,
+        # and one at radius R tells whether it is below R
+        u = [x - det * ((2 * x + det) // (2 * det)) for x in y]
+        top = Fraction(sum(map(mul, u, [sum(map(mul, row, u)) for row in Q])), 2 * det * det)
+        if rank1 or not found and top >= R:
+            center = [Fraction(x, det) for x in y]
+            least = min((q for _, q in _points(d, U, center, top if rank1 else R)), default=R)
+            if R <= least:
+                raise ValueError("order does not reach past delta_b")
+            low = least if rank1 else low
+        series = QSeries.from_terms(
+            {pref + Fraction(t, scale): Fraction(c, D) for t, c in found.items()},
+            denom=empty.denom, trunc=empty.trunc) if found else empty
+        blocks.append(ZhatBlock(b, pref + low, series, variant, norm))
+    return blocks
+
+
+def _rank(variant: str) -> int:
+    """N of a variant: 2 at rank 1, N for su<N> with N >= 3."""
+    if variant in RANK1 or variant[:2] == "su" and variant[2:].isdigit() and int(variant[2:]) > 2:
+        return 2 if variant in RANK1 else int(variant[2:])
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def zhat_block(g: PlumbingGraph, b, variant: str, order) -> ZhatBlock:
+    """One homological block, truncated at exponent prefactor + order."""
+    return zhat_blocks(g, linking_matrix(g), [b], variant, order)[0]
+
+
+def zhat_all_blocks(g: PlumbingGraph, variant: str, order) -> list[ZhatBlock]:
+    """Every block of g: folded Spin^c labels at rank 1, sun_block_labels
+    for su(N)."""
+    variant, lm = variant.lower(), linking_matrix(g)
+    labels = [lab.b for lab in spinc_representatives(lm, degree_delta(g)[1])] \
+        if variant in RANK1 else sun_block_labels(g, _rank(variant), lm)
+    return zhat_blocks(g, lm, labels, variant, order)
+
+
+def sun_block_labels(g: PlumbingGraph, N: int, lm: LinkingMatrix | None = None) -> list[tuple]:
+    """Coset labels b in (Q^L + delta)/B Q^L, delta_v = (2 - deg v) rho: each
+    an L-tuple of fundamental-weight coordinate tuples.  lm is the linking
+    matrix of g, computed when not given."""
+    B = (lm or linking_matrix(g)).B
+    r, G = N - 1, cartan(N)
+    base = [2 - g.degree(vid) for vid in g.ids]
+    # combo[a][v] shifts root coordinate a at vertex v; the Cartan matrix
+    # turns the shift into fundamental-weight coordinates
+    return [tuple(tuple(Fraction(p + sum(G[a][i] * combo[i][v] for i in range(r)))
+                        for a in range(r)) for v, p in enumerate(base))
+            for combo in itertools.product(coset_representatives([list(row) for row in B]),
+                                           repeat=r)]
+
+
+# ---------------------------------------------------------------------------
+# constant-term oracle
+
+
+def constant_term_oracle(g: PlumbingGraph, b, variant: str, order) -> QSeries:
+    """Block series recomputed as a theta-function constant term: the m-space
+    walk (N = 2 at rank 1, vertex weight ell = b + 2 B m) pruned by the
+    supports of the oracle's own vertex expansions."""
+    variant, lm = variant.lower(), linking_matrix(g)
+    if not is_negative_definite(lm):
+        raise ValueError("linking matrix must be negative definite")
+    R = Fraction(order)
+    if R <= 0:  # as in the blocks: no such order passes the coset minimum
+        raise ValueError("order does not reach past delta_b")
+    if variant == "su3":
+        N, bound = 3, 2 * R * max(-lm.B[i][i] for i in range(lm.size))
+        factors = [_oracle_vertex_suN(g.degree(vid), N, bound) for vid in g.ids]
+    else:
+        # expansions of x + s/x cut at |ell| <= max_abs, that is
+        # (ell, ell) = ell^2 / 2 <= max_abs^2 / 2; theta contributes z^ell,
+        # so the z-degree-zero pairing takes the coefficient of z^{-ell_v}
+        N, b, s = 2, [(x,) for x in b], 1 if variant == "osp12" else -1
+        factors = [{(-e,): c for (e,), c in _oracle_vertex_suN(
+            g.degree(vid), 2, Fraction((math.isqrt(int(4 * R * -lm.B[i][i])) + 2) ** 2, 2),
+            s).items()} for i, vid in enumerate(g.ids)]
+    pref = _prefactor(lm, N)
+    terms = _support_walk(lm, b, N, R, factors)
+    return QSeries.from_terms({pref + q: c for q, c in terms.items()},
+                              denom=_series_denom(lm, N), trunc=pref + R)
+
+
+def _support_walk(lm: LinkingMatrix, b, N: int, R: Fraction, factors):
+    """{exponent: coefficient} of the su(N) theta sum over the coset of b,
+    for the points of exponent below R.  At lattice point m vertex v has
+    weight s_v = b_v + C sum_w B_vw m_w, which depends on the closed
+    neighbourhood of v only, and contributes factors[v][s_v]; the walk cuts
+    a branch as soon as a vertex with its neighbourhood fixed has a weight
+    that is not a key of its factors."""
+    n, r, B, C = lm.size, N - 1, lm.B, cartan(N)
+    pos = _walk_order(B)
+    bw = [tuple(int(c) for c in bv) for bv in b]
+    center = [Fraction(0)] * (n * r)
+    for i, row in enumerate(_class_matrix(lm, N)):
+        center[pos[i // r] * r + i % r] = \
+            Fraction(sum(map(mul, row, itertools.chain(*bw))), N * lm.det)
+    # s_v[a] = bw[v][a] + sum(k * x[i] for i, k in lin[v][a])
+    lin = [[[(pos[w] * r + c, C[a][c] * B[v][w])
+             for w in range(n) if B[v][w] for c in range(r) if C[a][c]]
+            for a in range(r)] for v in range(n)]
+
+    def weight(v, x):
+        return tuple(b0 + sum(k * x[i] for i, k in row)
+                     for b0, row in zip(bw[v], lin[v]))
+
+    closing: dict[int, list[int]] = {}
+    for v in range(n):
+        level = min(pos[w] for w in range(n) if B[v][w]) * r
+        closing.setdefault(level, []).append(v)
+    prune = {level: (lambda x, vs=vs: all(weight(v, x) in factors[v] for v in vs))
+             for level, vs in closing.items()}
+    terms: dict[Fraction, Fraction] = {}
+    for x, q in ellipsoid_points(_theta_form(lm, N, pos), center, R, prune):
+        if q < R:
+            coeff = Fraction(1)
+            for v in range(n):
+                coeff *= factors[v][weight(v, x)]
+            terms[q] = terms.get(q, Fraction(0)) + coeff
+    return terms
 
 
 def _walk_order(B) -> list[int]:
-    """Walk position of each vertex, so that closed neighbourhoods close early.
-
-    Greedy: the next vertex fixed is the one that completes the most
-    neighbourhoods, then the one with the fewest neighbours (itself
-    included) not yet fixed.  The first vertex fixed gets the highest
-    position, since the walk fixes coordinates from the last one down.
-    """
+    """Walk position of each vertex, so that closed neighbourhoods close
+    early: greedily the vertex that completes the most neighbourhoods, then
+    the one with the fewest neighbours not yet fixed.  The first vertex
+    fixed gets the highest position, as the walk fixes the last one first."""
     n = len(B)
     nbhd = [{w for w in range(n) if B[v][w]} for v in range(n)]
     fixed: list[int] = []
@@ -355,292 +571,12 @@ def _walk_order(B) -> list[int]:
     return pos
 
 
-# ---------------------------------------------------------------------------
-# block assembly, rank 1
-
-
-def _prefactor(lm: LinkingMatrix, N: int) -> Fraction:
-    """Exponent of the block prefactor, -(3L + tr B)(rho, rho)/2; at N = 2,
-    where (rho, rho) = 1/2, it is -(3L + tr B)/4."""
-    trB = sum(lm.B[i][i] for i in range(lm.size))
-    return Fraction(-(3 * lm.size + trB) * rho_norm(N), 2 * N)
-
-
-def delta_b(lm: LinkingMatrix, b) -> Fraction:
-    """Least possible exponent of block b: prefactor + min of the lattice form.
-
-    The form is the N = 2 theta form: t^T (-B) t over t = m + B^{-1} b / 2
-    with m integer.
-    """
-    if not is_negative_definite(lm):
-        raise ValueError("linking matrix must be negative definite")
-    form = _theta_form(lm, [(x,) for x in b], 2, range(lm.size))
-    return _prefactor(lm, 2) + _lattice_min(*form)
-
-
-def _rank1_supports(g: PlumbingGraph, lm: LinkingMatrix, R: Fraction, osp: bool):
-    """Per-vertex coefficient dicts truncated by the norm bound."""
-    sup = []
-    for idx, vid in enumerate(g.ids):
-        deg = g.degree(vid)
-        fv = -lm.B[idx][idx]
-        max_abs = int(math.isqrt(int(4 * R * fv))) + 2
-        sup.append(_avg_rank1(deg, max_abs, osp))
-    return sup
-
-
-def _coset_exponent(adj, det: int, ell, b) -> Fraction | None:
-    """-ell^T B^{-1} ell / 4 if (ell - b)/2 lies in B Z^L, else None.
-
-    adj = det(B) B^{-1} is an integer matrix, so the membership test is
-    adj (ell - b) = 0 mod 2 det B and the exponent is
-    -ell^T adj ell / (4 det B), in integers up to the one Fraction returned.
-    """
-    diff = [e - c for e, c in zip(ell, b)]
-    if any(sum(a * x for a, x in zip(row, diff)) % (2 * det) for row in adj):
-        return None
-    return Fraction(-sum(e * sum(a * f for a, f in zip(row, ell))
-                         for e, row in zip(ell, adj)), 4 * det)
-
-
-def zhat_block(
-    g: PlumbingGraph, b, variant: str, order
-) -> ZhatBlock:
-    """One homological block, truncated at exponent prefactor + order."""
-    variant = variant.lower()
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "su3":
-        return _zhat_block_suN(g, b, 3, order)
-    lm = linking_matrix(g)
-    if not is_negative_definite(lm):
-        raise ValueError("linking matrix must be negative definite")
-    R = Fraction(order)
-    pref = _prefactor(lm, 2)
-    db = delta_b(lm, b)
-    if pref + R <= db:
-        raise ValueError("order does not reach past delta_b")
-    osp = variant == "osp12"
-    sup = _rank1_supports(g, lm, R, osp)
-    n, det, adj = lm.size, lm.det, lm.adj
-    denom = math.lcm(4 * abs(det), pref.denominator)
-    terms: dict[Fraction, Fraction] = {}
-    for ell in itertools.product(*[sorted(s) for s in sup]):
-        qexp = _coset_exponent(adj, det, ell, b)
-        if qexp is None or qexp >= R:
-            continue
-        coeff = Fraction(1)
-        for i in range(n):
-            coeff *= sup[i][ell[i]]
-        e = pref + qexp
-        terms[e] = terms.get(e, Fraction(0)) + coeff
-    series = QSeries.from_terms(terms, denom=denom, trunc=pref + R)
-    c = sum(1 for vid in g.ids if g.degree(vid) >= 3)
-    return ZhatBlock(tuple(b), db, series, variant, 2 ** c)
-
-
-def zhat_all_blocks(g: PlumbingGraph, variant: str, order) -> list[ZhatBlock]:
-    variant = variant.lower()
-    if variant == "su3":
-        return _zhat_all_blocks_suN(g, 3, order)
-    lm = linking_matrix(g)
-    _, delta = degree_delta(g)
-    labels = spinc_representatives(lm, delta)
-    return [zhat_block(g, lab.b, variant, order) for lab in labels]
-
-
-# ---------------------------------------------------------------------------
-# block assembly, su(N)
-
-
-def sun_block_labels(g: PlumbingGraph, N: int) -> list[tuple]:
-    """Coset labels b in (Q^L + delta)/B Q^L, delta_v = (2 - deg v) rho.
-
-    Each label is an L-tuple of fundamental-weight coordinate tuples.
-    """
-    lm = linking_matrix(g)
-    n = lm.size
-    r = N - 1
-    reps = coset_representatives([list(row) for row in lm.B])
-    base = []
-    for vid in g.ids:
-        p = 2 - g.degree(vid)
-        base.append(tuple(Fraction(p) for _ in range(r)))  # p * rho
-    G = cartan(N)
-    labels = []
-    for combo in itertools.product(reps, repeat=r):
-        # combo[a][v] shifts root coordinate a at vertex v; convert the
-        # root-basis shift to fundamental-weight coordinates via the Cartan
-        # matrix
-        label = []
-        for v in range(n):
-            shift = [
-                sum(G[a][i] * combo[i][v] for i in range(r)) for a in range(r)
-            ]
-            label.append(tuple(base[v][a] + shift[a] for a in range(r)))
-        labels.append(tuple(label))
-    return labels
-
-
-def _theta_form(lm: LinkingMatrix, b, N: int, pos) -> tuple[list, list]:
-    """Form and centre of the su(N) theta lattice over the coset of b.
-
-    Coordinate pos[v] * (N-1) + a is simple-root coordinate a at vertex v.
-    The exponent is (1/2) t^T ((-B) (x) G) t, G the Cartan matrix, with
-    t = m + centre; the centre (B^{-1} (x) G^{-1}) b makes s = (B (x) I) t
-    equal b, in fundamental-weight coordinates G s, at m = 0.  B^{-1} is
-    adj(B) over det B.  At N = 2 the form is t^T (-B) t and the centre
-    B^{-1} b / 2.
-    """
-    n, r = lm.size, N - 1
-    G = cartan(N)
-    # G^{-1} is the Gram matrix of the fundamental weights
-    Ginv = [[Fraction(x, N) for x in row] for row in gram(N)]
-    b_root = [[sum(Ginv[a][c] * Fraction(bv[c]) for c in range(r)) for a in range(r)]
-              for bv in b]
-    A = [[Fraction(0)] * (n * r) for _ in range(n * r)]
-    center = [Fraction(0)] * (n * r)
-    for v in range(n):
-        for a in range(r):
-            center[pos[v] * r + a] = \
-                sum(lm.adj[v][w] * b_root[w][a] for w in range(n)) / lm.det
-            for w in range(n):
-                for c in range(r):
-                    A[pos[v] * r + a][pos[w] * r + c] = Fraction(-lm.B[v][w]) * G[a][c] / 2
-    return A, center
-
-
-def _support_walk(lm: LinkingMatrix, b, N: int, R: Fraction, factors):
-    """Exponents and coefficients of the su(N) theta sum over the coset of b.
-
-    b gives each vertex's weight in fundamental-weight coordinates.  At
-    lattice point m vertex v has weight s_v = b_v + G sum_w B_vw m_w, which
-    depends on the closed neighbourhood of v only, and contributes
-    factors[v][s_v].  The walk cuts a branch as soon as some vertex has its
-    neighbourhood fixed and its weight is not a key of its factors.
-    Returns {exponent: coefficient} over the kept points of exponent below
-    R, and the least such exponent (None when there is none).
-    """
-    n, r = lm.size, N - 1
-    B = lm.B
-    G = cartan(N)
-    pos = _walk_order(B)
-    A, center = _theta_form(lm, b, N, pos)
-    bw = [tuple(int(c) if Fraction(c).denominator == 1 else Fraction(c) for c in bv)
-          for bv in b]
-    # s_v[a] = bw[v][a] + sum(k * x[i] for i, k in lin[v][a])
-    lin = [[[(pos[w] * r + c, G[a][c] * B[v][w])
-             for w in range(n) if B[v][w] for c in range(r) if G[a][c]]
-            for a in range(r)] for v in range(n)]
-
-    def weight(v, x):
-        return tuple(b0 + sum(k * x[i] for i, k in row)
-                     for b0, row in zip(bw[v], lin[v]))
-
-    closing: dict[int, list[int]] = {}
-    for v in range(n):
-        level = min(pos[w] for w in range(n) if B[v][w]) * r
-        closing.setdefault(level, []).append(v)
-    prune = {level: (lambda x, vs=vs: all(weight(v, x) in factors[v] for v in vs))
-             for level, vs in closing.items()}
-    terms: dict[Fraction, Fraction] = {}
-    best = None
-    for x, q in ellipsoid_points(A, center, R, prune):
-        if q >= R:
-            continue
-        coeff = Fraction(1)
-        for v in range(n):
-            coeff *= factors[v][weight(v, x)]
-        terms[q] = terms.get(q, Fraction(0)) + coeff
-        if best is None or q < best:
-            best = q
-    return terms, best
-
-
-def _sun_series(g: PlumbingGraph, lm: LinkingMatrix, b, N: int, R: Fraction, expand):
-    """su(N) block series with vertex expansions expand(deg, N, bound), and
-    the least exponent of a kept point (None when there is none).
-
-    expand is cached, so vertices of equal degree share one expansion.
-    """
-    pref = _prefactor(lm, N)
-    bound = 2 * R * max(-lm.B[i][i] for i in range(lm.size))
-    factors = [expand(g.degree(vid), N, bound) for vid in g.ids]
-    walked, best = _support_walk(lm, b, N, R, factors)
-    terms = {pref + q: c for q, c in walked.items()}
-    denom = math.lcm(2 * N * abs(lm.det), pref.denominator, 12,
-                     *(e.denominator for e in terms))
-    series = QSeries.from_terms(terms, denom=denom, trunc=pref + R)
-    return series, None if best is None else pref + best
-
-
-def _zhat_block_suN(g: PlumbingGraph, b, N: int, order) -> ZhatBlock:
-    lm = linking_matrix(g)
-    if not is_negative_definite(lm):
-        raise ValueError("linking matrix must be negative definite")
-    R = Fraction(order)
-    # the theta form is positive definite, so no order <= 0 reaches past the
-    # coset minimum; such an order is rejected before any expansion is built
-    series, least = _sun_series(g, lm, b, N, R, _sun_chamber_average) \
-        if R > 0 else (None, None)
-    if least is None and \
-            R <= _lattice_min(*_theta_form(lm, b, N, range(lm.size))):
-        raise ValueError("order does not reach past delta_b")
-    db = _prefactor(lm, N) if least is None else least
-    return ZhatBlock(tuple(b), db, series, "su3" if N == 3 else f"su{N}",
-                     math.factorial(N) ** lm.size)
-
-
-def _zhat_all_blocks_suN(g: PlumbingGraph, N: int, order) -> list[ZhatBlock]:
-    return [_zhat_block_suN(g, b, N, order) for b in sun_block_labels(g, N)]
-
-
-# ---------------------------------------------------------------------------
-# constant-term oracle
-
-
-def constant_term_oracle(g: PlumbingGraph, b, variant: str, order) -> QSeries:
-    """Block series recomputed as a theta-function constant term.
-
-    The theta lattice is walked in m-space by the su(N) walk (N = 2 for
-    the rank-1 variants, where the vertex weight is ell = b + 2 B m), pruned
-    by the supports of the oracle's own vertex expansions.
-    """
-    variant = variant.lower()
-    lm = linking_matrix(g)
-    if not is_negative_definite(lm):
-        raise ValueError("linking matrix must be negative definite")
-    R = Fraction(order)
-    if R <= 0:  # as in the blocks: no such order passes the coset minimum
-        raise ValueError("order does not reach past delta_b")
-    if variant == "su3":
-        return _sun_series(g, lm, b, 3, R, _oracle_vertex_suN)[0]
-    pref = _prefactor(lm, 2)
-    s = 1 if variant == "osp12" else -1
-    # vertex expansions via the independent inversion route, cut at
-    # |ell| <= max_abs, that is (ell, ell) = ell^2 / 2 <= max_abs^2 / 2;
-    # theta contributes z^ell, so the z-degree-zero pairing takes the
-    # coefficient of z^{-ell_v} at vertex v
-    factors = []
-    for idx, vid in enumerate(g.ids):
-        max_abs = math.isqrt(int(4 * R * -lm.B[idx][idx])) + 2
-        sup = _oracle_vertex_suN(g.degree(vid), 2, Fraction(max_abs ** 2, 2), s)
-        factors.append({(-e,): c for (e,), c in sup.items()})
-    walked, _ = _support_walk(lm, [(x,) for x in b], 2, R, factors)
-    denom = math.lcm(4 * abs(lm.det), pref.denominator)
-    return QSeries.from_terms({pref + q: c for q, c in walked.items()},
-                              denom=denom, trunc=pref + R)
-
-
 @functools.lru_cache(maxsize=64)
 def _oracle_vertex_suN(deg: int, N: int, bound: Fraction, s: int = -1) -> dict[tuple, Fraction]:
-    """Chamber-averaged Delta^{2-deg} by direct polynomial inversion.
-
-    Delta is _weyl_denominator(N, s), so N = 2 gives the rank-1 bases
-    x - 1/x (s = -1) and x + 1/x (s = +1).  Delta^{deg-2} is inverted
-    around its leading monomial in each chamber.  Cached like
-    _sun_chamber_average; callers must not modify the result.
-    """
+    """Chamber-averaged Delta^{2-deg}, Delta = _weyl_denominator(N, s), by
+    inverting Delta^{deg-2} around its leading monomial in each chamber;
+    N = 2 gives the rank-1 bases x - 1/x and x + 1/x.  Cached; callers must
+    not modify the result."""
     p, G = 2 - deg, gram(N)
     delta = _weyl_denominator(N, s)
     poly = _pow(delta, abs(p))
@@ -659,10 +595,6 @@ def _oracle_vertex_suN(deg: int, N: int, bound: Fraction, s: int = -1) -> dict[t
 
 
 def block_to_json(block: ZhatBlock) -> dict:
-    return {
-        "b": [str(x) for x in block.label],
-        "delta": str(block.delta_b),
-        "normalization": f"1/{block.normalization_denominator}",
-        "variant": block.variant,
-        "series": qs_to_json(block.series),
-    }
+    return {"b": [str(x) for x in block.label], "delta": str(block.delta_b),
+            "normalization": f"1/{block.normalization_denominator}",
+            "variant": block.variant, "series": qs_to_json(block.series)}

@@ -39,7 +39,6 @@ from plumbq.plumbing import (
 from plumbq.qlaurent import QSeries, qs_flip
 from plumbq.wrt import wrt_osp, wrt_so3, wrt_su2, wrt_sun_zm
 from plumbq.zhat import (
-    _zhat_all_blocks_suN,
     constant_term_oracle,
     vertex_factor_su2,
     vertex_factor_suN,

@@ -27,14 +27,14 @@ from plumbq.plumbing import (
 from plumbq.qlaurent import QSeries, qs_flip, qs_neg
 from plumbq.zhat import (
     _avg_rank1,
-    _coset_exponent,
+    _class_matrix,
     _height,
     _ht,
     _inverse,
     _mul,
     _oracle_vertex_suN,
     _sun_chamber_average,
-    _zhat_all_blocks_suN,
+    _walk,
     constant_term_oracle,
     ellipsoid_points,
     sun_block_labels,
@@ -43,6 +43,11 @@ from plumbq.zhat import (
     zhat_all_blocks,
     zhat_block,
 )
+
+
+def minus_5_3_3_tree():
+    """The (-5, -3, -3) tree: a -5 hub with two -3 legs, |det B| = 39."""
+    return PlumbingGraph.build([-5, -3, -3], [(0, 1), (0, 2)])
 
 
 def halfint(d):
@@ -169,10 +174,13 @@ class TestConstantTermOracle:
         # full ten per variant
         rng = random.Random(zlib.crc32(variant.encode()))
         trees, max_det = (3, 6) if variant == "su3" else (10, 30)
-        for _ in range(trees):
-            g = random_negdef_tree(rng, max_size=3, max_det=max_det)
-            for b in zhat_all_blocks(g, variant, 30):
-                oracle = constant_term_oracle(g, b.label, variant, 30)
+        inputs = [(random_negdef_tree(rng, max_size=3, max_det=max_det), 30)
+                  for _ in range(trees)]
+        # one vertex, whose weight alone can bring a point up to the order
+        inputs += [(PlumbingGraph.build([-p], []), 2) for p in (1, 2, 5)]
+        for g, order in inputs:
+            for b in zhat_all_blocks(g, variant, order):
+                oracle = constant_term_oracle(g, b.label, variant, order)
                 assert oracle.terms == b.series.terms, (g, b.label)
 
     def test_named_graph_oracle(self):
@@ -200,6 +208,68 @@ class TestConstantTermOracle:
         assert b.series.terms
         assert constant_term_oracle(g, b.label, "su3", 6).terms == \
             b.series.terms
+
+    def test_su3_tree_with_mostly_empty_blocks(self):
+        # 1,485 of the 1,521 labels have no supported point below the order
+        g = minus_5_3_3_tree()
+        full = [b for b in zhat_all_blocks(g, "su3", 14) if b.series.terms]
+        assert len(full) == 36
+        for b in full:
+            assert constant_term_oracle(g, b.label, "su3", 14).terms == \
+                b.series.terms
+
+
+def theta_minimum(B, b):
+    """Least t^T (-B) t over t = m + B^{-1} b / 2, m integer, by brute
+    force: a point of value at most V has |t_i|^2 <= V (-B)^{-1}_ii.  The
+    sum runs in integers T = D t, D a common denominator of the centre."""
+    n = len(B)
+    Binv = fraction_inverse(B)
+    c = [sum(Binv[i][j] * b[j] for j in range(n)) / 2 for i in range(n)]
+    D = math.lcm(*(x.denominator for x in c))
+
+    def value(T):
+        return -sum(B[i][j] * T[i] * T[j] for i in range(n) for j in range(n))
+
+    C = [int(x * D) for x in c]
+    top = Fraction(value([x - D * round(Fraction(x, D)) for x in C]), D * D)
+    reach = [math.isqrt(math.ceil(top * -Binv[i][i])) + 1 for i in range(n)]
+    box = [range(math.floor(-c[i] - r), math.ceil(-c[i] + r) + 1) for i, r in enumerate(reach)]
+    return Fraction(min(value([D * m + x for m, x in zip(ms, C)])
+                        for ms in itertools.product(*box)), D * D)
+
+
+def test_delta_b_rules():
+    # rank 1: the prefactor plus the theta-form minimum, whether or not a
+    # supported point attains it (lens-m5-11's third block is empty)
+    rng = random.Random(20261019)
+    for g in [lens_m5_11(), minus_5_3_3_tree()] + \
+            [random_negdef_tree(rng, max_size=4) for _ in range(6)]:
+        lm = linking_matrix(g)
+        pref = Fraction(-(3 * lm.size + sum(lm.B[i][i] for i in range(lm.size))), 4)
+        for b in zhat_all_blocks(g, "su2", 10):
+            assert b.delta_b == pref + theta_minimum(lm.B, b.label), (g, b.label)
+    # su(N): the least exponent kept, or the prefactor for an empty block
+    (b,) = zhat_all_blocks(poincare_sphere(), "su3", 20)
+    assert b.delta_b == -6 and b.series.terms[0][0] == -6
+    blocks = {blk.label: blk for blk in zhat_all_blocks(lens_m5_11(), "su3", 12)}
+    assert blocks[((1, 1), (1, 1))].delta_b == Fraction(2, 5)
+    empty = [blk for blk in zhat_all_blocks(minus_5_3_3_tree(), "su3", 14)
+             if not blk.series.terms]
+    # the prefactor -(3L + tr B)(rho, rho)/2, with (rho, rho) = 2
+    assert {blk.delta_b for blk in empty} == {Fraction(-(3 * 3 - 11) * 2, 2)}
+
+
+@pytest.mark.parametrize("graph, variant, order", [
+    (lens_m5_11, "su3", 1),
+    (minus_5_3_3_tree, "su3", 2),
+    (minus_5_3_3_tree, "su2", 1),
+])
+def test_order_boundary_of_all_blocks(graph, variant, order):
+    # the least order that reaches past every coset minimum is order + 1
+    with pytest.raises(ValueError, match="order does not reach past delta_b"):
+        zhat_all_blocks(graph(), variant, order)
+    assert zhat_all_blocks(graph(), variant, order + 1)
 
 
 @st.composite
@@ -311,6 +381,8 @@ def fraction_inverse(m):
 
 
 def test_integer_coset_test_matches_inverse():
+    # the block engine keys a weight vector by its class vector
+    # adj(B) ell mod 2 det B and gives it the exponent -ell^T B^{-1} ell / 4
     rng = random.Random(20261018)
     hits = 0
     for _ in range(15):
@@ -319,6 +391,12 @@ def test_integer_coset_test_matches_inverse():
         n, det, adj, Binv = lm.size, lm.det, lm.adj, fraction_inverse(lm.B)
         assert [list(row) for row in adj] == \
             [[det * v for v in row] for row in Binv]
+        K = _class_matrix(lm, 2)
+
+        def key(x):
+            return tuple(sum(k * v for k, v in zip(row, x)) % (2 * abs(det))
+                         for row in K)
+
         _, delta = degree_delta(g)
         for lab in spinc_representatives(lm, delta):
             b = lab.b
@@ -332,13 +410,17 @@ def test_integer_coset_test_matches_inverse():
                 member = all(
                     (sum(Binv[i][j] * (ell[j] - b[j]) for j in range(n)) / 2)
                     .denominator == 1 for i in range(n))
-                got = _coset_exponent(adj, det, ell, b)
-                if not member:
-                    assert got is None, (g, b, ell)
-                    continue
-                hits += 1
-                assert got == -sum(Binv[i][j] * ell[i] * ell[j]
-                                   for i in range(n) for j in range(n)) / 4
+                walked, scale, _ = _walk(lm, 2, Fraction(10 ** 6),
+                                         [{(e,): Fraction(1)} for e in ell])
+                ((got_key, terms),) = walked.items()
+                ((t, _),) = terms.items()
+                assert got_key == key(ell)
+                assert (got_key == key(b)) == member, (g, b, ell)
+                if member:
+                    hits += 1
+                assert Fraction(t, scale) == -sum(
+                    Binv[i][j] * ell[i] * ell[j]
+                    for i in range(n) for j in range(n)) / 4
     assert hits > 100
 
 
@@ -374,17 +456,6 @@ class TestRankTwoConsistency:
                                          1 if osp else -1)
                 assert {e: c for (e,), c in got.items()} == \
                     _avg_rank1(deg, max_abs, osp), (deg, max_abs)
-
-    def test_blocks_n2_match_su2(self):
-        # the rank-N assembly enumerates unfolded labels, so block lists
-        # only line up one-to-one on |det B| = 1 graphs; kept to small
-        # trees because the rank-2 enumeration grows fast with the size
-        small_det_one = PlumbingGraph.build([-1, -2], [(0, 1)])
-        for g in (brieskorn_2_3_7(), small_det_one):
-            a = zhat_all_blocks(g, "su2", 25)
-            b = _zhat_all_blocks_suN(g, 2, 25)
-            assert [blk.series.terms for blk in a] == \
-                   [blk.series.terms for blk in b]
 
 
 def test_zhat_block_matches_all_blocks():
