@@ -7,6 +7,12 @@ associated knot; the same series in product form defines the integer DT
 invariants.  Double twist quiver matrices are assembled from a small
 generator set of 2m x 2m blocks, with deeper twist blocks obtained by
 adding 2(k-1) times the all-ones matrix.
+
+One walk over the compositions groups the signed monomials q^e by the
+multiset of parts; the exact series, the q = 1 identity and the numeric
+sum each weigh a group once.  The numeric sum adds each group in fixed
+point from one table of round(q^e 2^P), with P set by an a-priori error
+bound (see quiver_jones_numeric).
 """
 
 from __future__ import annotations
@@ -14,10 +20,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import mpf_shift, to_int
 
 from plumbq.qlaurent import (
     QSeries,
@@ -61,6 +69,8 @@ class Quiver:
     beta: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("a quiver needs at least one node")
         if len(self.C) != self.n or any(len(row) != self.n for row in self.C):
             raise ValueError("C must be n x n")
         for i in range(self.n):
@@ -379,42 +389,57 @@ def _compositions(r: int, n: int):
             yield (head,) + rest
 
 
-def _walk(r: int, lin, C, gamma):
-    """Yield (e, odd, parts) for each composition d of r into len(lin)
-    parts, in the order of _compositions: e = lin.d + d.C.d, odd the parity
-    of gamma.d, and parts the nonzero d_i in ascending order.  Every weight
-    of the motivic sum that is not a power of q depends on d only through
-    that multiset, so callers group by parts and apply the weight once.
-    Each nonzero part adds 2 d_i C_i to a running linear vector, so a step
-    costs O(n) instead of O(n^2) per composition."""
+def _groups(r: int, lin, C, gamma) -> dict[tuple, dict[int, int]]:
+    """{parts: {e: signed count}} over the compositions d of r into
+    len(lin) parts, with e = lin.d + d.C.d, sign (-1)^{gamma.d} and parts
+    the nonzero d_i in ascending order: the remaining weights of the
+    motivic sum depend on d only through that multiset.
+
+    Nodes 0..n-3 are walked recursively with a running linear vector.  The
+    last two split the remainder as (k, rem - k) in one flat loop, with e
+    quadratic in k (stepped by its differences); for a fixed base multiset
+    min(k, rem - k) picks the group, looked up once per base."""
     if r < 0:
         raise ValueError("color must be nonnegative")
-    last = len(lin) - 1
+    n = len(lin)
+    if n == 1:
+        return {(r,) if r else (): {
+            r * (lin[0] + C[0][0] * r): -1 if gamma[0] * r & 1 else 1}}
+    a, b = n - 2, n - 1
+    dd = 2 * (C[a][a] - 2 * C[a][b] + C[b][b])
+    flip = -1 if (gamma[a] ^ gamma[b]) & 1 else 1
+    groups: dict[tuple, dict[int, int]] = {}
+    by_base: dict[tuple, list[dict[int, int]]] = {}
     parts: list[int] = []
 
     def rec(i, rem, lin, e, odd):
-        if i == last:
-            yield (e + rem * (lin[i] + C[i][i] * rem), odd ^ (gamma[i] * rem & 1),
-                   tuple(sorted((*parts, rem) if rem else parts)))
+        if i == a:
+            base = tuple(sorted(parts))
+            seq = by_base.get(base)
+            if seq is None:
+                seq = by_base[base] = [groups.setdefault(tuple(sorted(
+                    base + tuple(x for x in (lo, rem - lo) if x))), {})
+                    for lo in range(rem // 2 + 1)]
+                seq += seq[:rem + 1 - len(seq)][::-1]
+            lb, cbb = lin[b], C[b][b]
+            ee = e + rem * (lb + cbb * rem)
+            step = (lin[a] - lb + 2 * rem * (C[a][b] - cbb)) + dd // 2
+            sgn = -1 if (odd ^ gamma[b] * rem) & 1 else 1
+            for acc in seq:
+                acc[ee] = acc.get(ee, 0) + sgn
+                ee += step
+                step += dd
+                sgn *= flip
             return
-        yield from rec(i + 1, rem, lin, e, odd)
+        rec(i + 1, rem, lin, e, odd)
+        row, ci = C[i], C[i][i]
         for k in range(1, rem + 1):
             parts.append(k)
-            yield from rec(i + 1, rem - k,
-                           [x + 2 * k * c for x, c in zip(lin, C[i])],
-                           e + k * (lin[i] + C[i][i] * k),
-                           odd ^ (gamma[i] * k & 1))
+            rec(i + 1, rem - k, [x + 2 * k * c for x, c in zip(lin, row)],
+                e + k * (lin[i] + ci * k), odd ^ (gamma[i] * k & 1))
             parts.pop()
 
-    yield from rec(0, r, lin, 0, 0)
-
-
-def _signed_groups(r: int, lin, C, gamma) -> dict[tuple, dict[int, int]]:
-    """{parts: {e: signed count}} over the compositions of r."""
-    groups: dict[tuple, dict[int, int]] = {}
-    for e, odd, parts in _walk(r, lin, C, gamma):
-        acc = groups.setdefault(parts, {})
-        acc[e] = acc.get(e, 0) + (-1 if odd else 1)
+    rec(0, r, lin, 0, 0)
     return groups
 
 
@@ -450,37 +475,75 @@ def quiver_jones(q: Quiver, r: int, order=None) -> QSeries:
     monomials are summed per multiset and multiplied once.
     """
     total = QSeries.zero()
-    for parts, signed in _signed_groups(r, q.xi, q.C, q.gamma).items():
+    for parts, signed in _groups(r, q.xi, q.C, q.gamma).items():
         total = total + qs_mul(_multinomial_q2(r, parts),
                                QSeries.from_terms(signed))
     return total.with_trunc(order)
 
 
 def quiver_jones_numeric(q: Quiver, r: int, qval, dps: int = 30):
-    """Same sum evaluated at a numeric q (mpmath), for large colors.
+    """Same sum at a numeric q (mpmath, real or complex), for large colors,
+    within 10^-dps max(1, |J|) of its exact value J at that q.
 
-    Each multiset of parts keeps one accumulator of sum +-q^e over its
-    compositions, one mpf add per composition; the accumulator is then
-    multiplied once by (q^2; q^2)_r / prod (q^2; q^2)_{d_i}.
+    The sum is sum_parts M(parts) sum_e c_e q^e over the walk's groups, with
+    M = (q^2; q^2)_r / prod (q^2; q^2)_{d_i}.  A table W[e] = round(q^e 2^P)
+    over the exponents seen (real and imaginary parts apart for complex q),
+    one multiply per entry at a precision that keeps each entry within one
+    unit, makes each sum_e c_e W[e] an exact integer.  M has nonnegative
+    coefficients in q^2 summing to r!/prod d_i! <= n^r and degree <= r^2/2,
+    so |M| <= R = n^r max(1, |q|)^{r^2}; there are N <= C(r+n-1, n-1)
+    compositions.  So with P = ceil(dps log2(10) + log2 R) + bits(N) + 5
+    the fixed-point stage adds at most sqrt(2) R N 2^-P <= 10^-dps / 8.
+    Each integer is then multiplied by its M in mpf at P + bits(max |q^e|)
+    + bits(K) + 3 bits, K bounding that stage's relative rounding: groups,
+    table steps, and 2n + r (8 + 6 kappa) for the Pochhammer factors, whose
+    cancellation kappa = max_k k |q|^{2k} / |1 - q^{2k}| measures.  That
+    adds under 10^-dps / 8; the result is rounded to dps digits.
     """
+    if dps < 1:
+        raise ValueError(f"dps must be at least 1, got {dps}")
     with mp.workdps(dps):
         qv = mp.mpf(qval) if not isinstance(qval, mp.mpc) else qval
-        q2 = qv * qv
-        poch = [mp.mpf(1)]
-        for k in range(1, r + 1):
-            poch.append(poch[-1] * (1 - q2 ** k))
-        powers: dict[int, object] = {}
-        sums: dict[tuple, object] = {}
-        for expo, odd, parts in _walk(r, q.xi, q.C, q.gamma):
-            qe = powers.get(expo)
-            if qe is None:
-                qe = powers[expo] = qv ** expo
-            acc = sums.get(parts, 0)
-            sums[parts] = acc - qe if odd else acc + qe
-        total = mp.mpf(0)
-        for parts, acc in sums.items():
-            total += acc * poch[r] / mp.fprod(poch[di] for di in parts)
-        return total
+        if not qv:
+            raise ValueError("q must be nonzero")
+        groups = _groups(r, q.xi, q.C, q.gamma)
+        seen = set().union(*groups.values())
+        e_lo, e_hi = min(seen), max(seen)
+        g = math.gcd(*(e - e_lo for e in seen)) or 1
+        lg = float(mp.log(abs(qv), 2))
+        # the Pochhammer factors at dps only size kappa; the stage recomputes
+        facs = [1 - (qv * qv) ** k for k in range(1, r + 1)]
+        if not all(facs):
+            raise ValueError(f"q^2 is a root of unity of order at most {r}")
+        kappa = max([k * abs(1 - f) / abs(f) for k, f in enumerate(facs, 1)],
+                    default=0)
+        K = (len(groups) + (e_hi - e_lo) // g + 2 * q.n + 4
+             + r * (8 + 6 * int(mp.ceil(kappa))))
+        P = (math.ceil(dps * math.log2(10) + r * math.log2(q.n)
+                       + r * r * max(lg, 0))
+             + math.comb(r + q.n - 1, r).bit_length() + 5)
+        top = math.ceil(max(e_lo * lg, e_hi * lg, 0))
+        cplx = isinstance(qv, mp.mpc)
+        with mp.workprec(P + top + K.bit_length() + 3):
+            step, x = qv ** g, qv ** e_lo
+            tables: list[dict[int, int]] = [{}, {}] if cplx else [{}]
+            for e in range(e_lo, e_hi + 1, g):
+                if e in seen:
+                    for table, y in zip(tables, (x.real, x.imag)):
+                        table[e] = to_int(mpf_shift(y._mpf_, P), "n")
+                x *= step
+            poch = list(itertools.accumulate(
+                (1 - (qv * qv) ** k for k in range(1, r + 1)), operator.mul,
+                initial=mp.mpf(1)))
+            total = mp.mpf(0)
+            for parts, signed in groups.items():
+                s = [sum(map(operator.mul, signed.values(),
+                             map(table.__getitem__, signed)))
+                     for table in tables]
+                s = mp.mpc(*s) if cplx else mp.mpf(s[0])
+                total += s * poch[r] / mp.fprod(poch[di] for di in parts)
+            total *= mp.ldexp(1, -P)
+        return +total
 
 
 # ---------------------------------------------------------------------------
@@ -638,12 +701,11 @@ def mmr_leading_check(q: Quiver, hbar: float, x: float, r_from_x: int,
     The sum itself is evaluated at e^{hbar/2}: the series variable is the
     square root of the variable the semiclassical expansion is stated in.
     The twist parameters are read off the node count (n = 4pm + 1)."""
+    if not hbar:
+        raise ValueError("hbar must be nonzero")
     if (q.n - 1) % 4:
         raise ValueError("node count does not match a double twist quiver")
     w = (q.n - 1) // 4
-    # individual terms grow like exp(c * hbar * r^2) before cancelling, so
-    # the working precision has to scale with the color
-    dps = max(dps, r_from_x + 20)
     with mp.workdps(dps):
         xv = mp.e ** (mp.mpf(hbar) * r_from_x)
         if abs(xv - mp.mpf(x)) / mp.mpf(x) > 0.05:
@@ -664,8 +726,8 @@ def exp_growth_check(q: Quiver, r: int) -> bool:
     for _ in range(r):
         power = qs_mul(power, base)
     lhs: dict[int, int] = {}
-    for parts, signed in _signed_groups(r, [2 * b for b in q.beta],
-                                        [[0] * q.n] * q.n, q.gamma).items():
+    for parts, signed in _groups(r, [2 * b for b in q.beta],
+                                 [[0] * q.n] * q.n, q.gamma).items():
         weight = math.factorial(r) // math.prod(map(math.factorial, parts))
         for e, c in signed.items():
             lhs[e] = lhs.get(e, 0) + c * weight

@@ -183,6 +183,8 @@ class TestExitCodes:
           '{"kind": "blow_up", "sign": -1, "at": 0, "new_id": 1}'), 3),
         (("kirby", "--graph", "poincare", "--move",
           '{"kind": "blow_up", "sign": -1, "edge": [0, 5], "new_id": 9}'), 3),
+        (("quiver-series", "--quiver", "{empty}", "--r", "1"), 2),
+        (("dt", "--quiver", "{empty}"), 2),
     ], ids=["graph-not-a-tree", "wrt-graph-not-a-tree",
             "quiver-not-symmetric", "order-below-delta",
             "su3-order-below-delta", "su3-negative-order",
@@ -194,12 +196,13 @@ class TestExitCodes:
             "wrt-precision-zero", "wrt-precision-negative",
             "gppv-precision-zero", "kirby-missing-key", "kirby-move-not-object",
             "kirby-edge-not-pair", "kirby-sign-not-unit", "kirby-id-taken",
-            "kirby-edge-not-in-graph"])
+            "kirby-edge-not-in-graph", "quiver-no-nodes", "dt-no-nodes"])
     def test_exit_code(self, tmp_path, args, code):
         files = {"{cycle}": NOT_A_TREE,
                  "{skew}": {"n": 2, "C": [[0, 1], [2, 0]], "xi": [0, 0],
                             "gamma": [0, 0]},
-                 "{quiver}": {"n": 1, "C": [[1]], "xi": [0], "gamma": [1]}}
+                 "{quiver}": {"n": 1, "C": [[1]], "xi": [0], "gamma": [1]},
+                 "{empty}": {"n": 0, "C": [], "xi": [], "gamma": []}}
         for name, obj in files.items():
             (tmp_path / name).write_text(json.dumps(obj))
         res = run(*(str(tmp_path / a) if a in files else a for a in args))

@@ -13,8 +13,8 @@ from plumbq.kq import (
     Quiver,
     _compositions,
     _deepen,
+    _groups,
     _quadratic,
-    _walk,
     alexander_double_twist,
     builtin_generator_set,
     dt_invariants,
@@ -22,6 +22,7 @@ from plumbq.kq import (
     framing_shift,
     generate_double_twist_quiver,
     inverse_binomial_expansion,
+    mmr_leading_check,
     nested_sum_jones_83,
     quiver_from_json,
     quiver_jones,
@@ -154,6 +155,50 @@ class TestSeriesStructure:
         for r in range(rmax + 1):
             assert_numeric_matches_exact(q, r)
 
+    @pytest.mark.parametrize("r", [10, 20])
+    def test_numeric_sum_within_its_bound(self, r):
+        """At the semiclassical point q = e^{hbar/2}, hbar = 0.4/r, the sum
+        at dps r+20 is within 10^-dps max(1, |J|) of the sum at dps 300."""
+        q = generate_double_twist_quiver(1, 1)
+        dps = r + 20
+        with mp.workdps(dps):
+            qv = mp.e ** (mp.mpf(0.4) / r / 2)
+        got = quiver_jones_numeric(q, r, qv, dps=dps)
+        with mp.workdps(300):
+            ref = quiver_jones_numeric(q, r, qv, dps=300)
+            tol = (mp.mpf(10) ** -dps + mp.mpf(10) ** -300) * max(1, abs(ref))
+            assert abs(got - ref) <= tol
+
+    @pytest.mark.parametrize("p,m,rmax", [(1, 1, 5), (2, 2, 2)])
+    def test_numeric_sum_at_complex_q(self, p, m, rmax):
+        """q = 3/4 + i/2 is exact in binary, so the exact series gives the
+        value as a Gaussian rational."""
+        q = generate_double_twist_quiver(p, m)
+        a, b = Fraction(3, 4), Fraction(1, 2)
+        norm = a * a + b * b
+        for r in range(rmax + 1):
+            re = im = Fraction(0)
+            for e, c in quiver_jones(q, r).terms:
+                # (a + ib)^e, through the conjugate over the norm for e < 0
+                x, y = (a, b) if e >= 0 else (a / norm, -b / norm)
+                pr, pi = Fraction(1), Fraction(0)
+                for _ in range(abs(e)):
+                    pr, pi = pr * x - pi * y, pr * y + pi * x
+                re, im = re + c * pr, im + c * pi
+            with mp.workdps(60):
+                got = quiver_jones_numeric(q, r, mp.mpc(0.75, 0.5), dps=60)
+                want = mp.mpc(mp.mpf(re.numerator) / re.denominator,
+                              mp.mpf(im.numerator) / im.denominator)
+                assert abs(got - want) <= mp.mpf(10) ** -60 * max(1, abs(want))
+
+    @pytest.mark.parametrize("p,m", [(1, 1), (2, 1), (3, 1), (5, 1), (2, 2),
+                                     (3, 2), (4, 2), (3, 3), (4, 3)])
+    def test_r1_series_at_q_i_is_the_determinant(self, p, m):
+        """At q = i (q^2 = -1) the r = 1 series is 4pm + 1 = det K(p,-m)."""
+        series = quiver_jones(generate_double_twist_quiver(p, m), 1)
+        powers = (1, 1j, -1, -1j)
+        assert sum(c * powers[e % 4] for e, c in series.terms) == 4 * p * m + 1
+
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_exponential_growth_at_q_one(self, r):
         assert exp_growth_check(generate_double_twist_quiver(1, 1), r)
@@ -172,17 +217,32 @@ def small_quivers(draw):
     return Quiver.make(C, draw(vec), draw(vec))
 
 
+def brute_groups(q, r):
+    """{parts: {e: signed count}} built one composition at a time."""
+    groups = {}
+    for d in _compositions(r, q.n):
+        e = sum(x * di for x, di in zip(q.xi, d)) + _quadratic(q.C, d)
+        odd = sum(g * di for g, di in zip(q.gamma, d)) % 2
+        acc = groups.setdefault(tuple(sorted(di for di in d if di)), {})
+        acc[e] = acc.get(e, 0) + (-1 if odd else 1)
+    return groups
+
+
 class TestWalk:
-    @given(small_quivers(), st.integers(0, 5))
+    @given(small_quivers(), st.integers(0, 7))
     @settings(max_examples=60, deadline=None)
     def test_walk_matches_brute_force(self, q, r):
-        brute = [
-            (sum(x * di for x, di in zip(q.xi, d)) + _quadratic(q.C, d),
-             sum(g * di for g, di in zip(q.gamma, d)) % 2,
-             tuple(sorted(di for di in d if di)))
-            for d in _compositions(r, q.n)
-        ]
-        assert list(_walk(r, q.xi, q.C, q.gamma)) == brute
+        assert _groups(r, q.xi, q.C, q.gamma) == brute_groups(q, r)
+
+    @pytest.mark.parametrize("q", [
+        Quiver.make([[3]], [-2], [1]),
+        Quiver.make([[0]], [0], [0]),
+        Quiver.make([[1, -2], [-2, 3]], [2, -1], [1, 0]),
+        Quiver.make([[-3, 2], [2, 0]], [0, 3], [1, 1]),
+    ])
+    def test_walk_on_one_and_two_nodes(self, q):
+        for r in range(8):
+            assert _groups(r, q.xi, q.C, q.gamma) == brute_groups(q, r)
 
     @pytest.mark.parametrize("evaluate", [
         quiver_jones, exp_growth_check,
@@ -195,6 +255,23 @@ class TestWalk:
     @settings(max_examples=30, deadline=None)
     def test_numeric_sum_matches_exact_series(self, q, r):
         assert_numeric_matches_exact(q, r)
+
+    @pytest.mark.parametrize("dps", [0, -2])
+    def test_numeric_sum_rejects_dps_below_one(self, dps):
+        with pytest.raises(ValueError, match="dps must be at least 1"):
+            quiver_jones_numeric(generate_double_twist_quiver(1, 1), 3, 0.5,
+                                 dps=dps)
+
+    @pytest.mark.parametrize("qval,message", [
+        (0, "q must be nonzero"), (1, "root of unity"),
+        (mp.mpc(0, 1), "root of unity")])
+    def test_numeric_sum_rejects_singular_q(self, qval, message):
+        with pytest.raises(ValueError, match=message):
+            quiver_jones_numeric(generate_double_twist_quiver(1, 1), 3, qval)
+
+    def test_mmr_rejects_hbar_zero(self):
+        with pytest.raises(ValueError, match="hbar must be nonzero"):
+            mmr_leading_check(generate_double_twist_quiver(1, 1), 0, 1.0, 20)
 
 
 class TestAlexander:
