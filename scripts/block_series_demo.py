@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
 """Print the homological block series of the bundled example manifolds.
 
-Run from the repository root after installing the package:
+The script imports plumbq from the `src/` of its own checkout:
 
     python3 scripts/block_series_demo.py --order 60
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from plumbq.catalog import NAMED_GRAPHS
-from plumbq.zhat import zhat_all_blocks
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from plumbq.catalog import NAMED_GRAPHS  # noqa: E402
+from plumbq.zhat import zhat_all_blocks  # noqa: E402
 
 
 def main():

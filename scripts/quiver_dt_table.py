@@ -6,8 +6,12 @@ exponents.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from plumbq.kq import dt_invariants, generate_double_twist_quiver
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from plumbq.kq import dt_invariants, generate_double_twist_quiver  # noqa: E402
 
 
 def main():

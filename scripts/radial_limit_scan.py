@@ -6,9 +6,13 @@ over a range of levels, for a named graph.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from plumbq.catalog import NAMED_GRAPHS
-from plumbq.gppv import gppv_verify
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from plumbq.catalog import NAMED_GRAPHS  # noqa: E402
+from plumbq.gppv import gppv_verify  # noqa: E402
 
 
 def main():

@@ -4,9 +4,10 @@ A quiver is a symmetric integer matrix C together with a linear exponent
 vector xi and a sign vector gamma.  The motivic sum over dimension vectors
 d with d_1 + ... + d_n = r reproduces the r-colored Jones polynomial of the
 associated knot; the same series in product form defines the integer DT
-invariants.  Double twist quiver matrices are assembled from a small
-generator set of 2m x 2m blocks, with deeper twist blocks obtained by
-adding 2(k-1) times the all-ones matrix.
+invariants, read off an integer formal log over sparse dimension vectors
+and exact below a stated window (see dt_invariants).  Double twist quiver
+matrices are assembled from a small generator set of 2m x 2m blocks, with
+deeper twist blocks obtained by adding 2(k-1) times the all-ones matrix.
 
 One walk over the compositions groups the signed monomials q^e by the
 multiset of parts; the exact series, the q = 1 identity and the numeric
@@ -22,14 +23,12 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import mpf_shift, to_int
 
 from plumbq.qlaurent import (
     QSeries,
-    qs_inverse,
     qs_mul,
     qs_pochhammer,
     qs_qbinomial,
@@ -380,15 +379,6 @@ def framing_shift(q: Quiver, f: int) -> Quiver:
     return Quiver(q.n, C, q.xi, gamma, q.alpha, q.beta)
 
 
-def _compositions(r: int, n: int):
-    if n == 1:
-        yield (r,)
-        return
-    for head in range(r + 1):
-        for rest in _compositions(r - head, n - 1):
-            yield (head,) + rest
-
-
 def _groups(r: int, lin, C, gamma) -> dict[tuple, dict[int, int]]:
     """{parts: {e: signed count}} over the compositions d of r into
     len(lin) parts, with e = lin.d + d.C.d, sign (-1)^{gamma.d} and parts
@@ -455,15 +445,6 @@ def _multinomial_q2(r: int, parts) -> QSeries:
         out = qs_mul(out, _qbinomial_q2(r, di))
         r -= di
     return out
-
-
-def _quadratic(C, d) -> int:
-    total = 0
-    for i, di in enumerate(d):
-        if di:
-            row = C[i]
-            total += di * sum(row[j] * dj for j, dj in enumerate(d) if dj)
-    return total
 
 
 def quiver_jones(q: Quiver, r: int, order=None) -> QSeries:
@@ -750,93 +731,112 @@ def dt_invariants(q: Quiver, dmax: int, order: int) -> DTInvariants:
     """Integer exponents of the product form of the motivic series.
 
     The formal variables are x_i = (-1)^{gamma_i} x q^{xi_i - 1}, so the
-    coefficient of x^d is (-1)^{d.C.d + gamma.d} q^{d.C.d + (xi-1).d} over
-    the Pochhammer product.  Works degree by degree in the dimension
-    vector: take the formal log of the motivic sum, subtract the wrapped
-    contributions of lower vectors, and read the remaining polynomial
-    (1-q^2) * B_d = sum_j O_{d,j} (-1)^j q^{j+1}.  Non-integer values
-    raise instead of being rounded.  Exponent support is only scanned up
-    to the truncation order; layers whose sign data clashes with the
-    parity of (-1)^j (a side effect of specializing a = q^2) keep a
-    geometric +-1 tail beyond any order.
+    coefficient of x^d is P_d = (-1)^{d.C.d + gamma.d} q^{shift_d} T_{parts
+    of d}, with shift_d = d.C.d + (xi-1).d and T_parts = prod_{p in parts}
+    1/(q^2;q^2)_p.  Works degree by degree in the dimension vector, each a
+    sorted tuple of nodes: take the formal log of the motivic sum, subtract
+    the wrapped contributions of lower vectors, and read the remaining
+    polynomial (1-q^2) * B_d = sum_j O_{d,j} (-1)^j q^{j+1}.
+
+    The log at x^d is a sum of terms c q^S T_cls, the class cls being the
+    union of the parts of the vectors multiplied.  The Euler-operator
+    recursion |d| L_d = |d| P_d - sum_{0<d'<d} |d'| L_{d'} P_{d-d'} gives
+    the c, scaled by L = lcm(1..dmax) so that they are integers.  Each
+    class's T is built once and shifted slices of it are added into integer
+    lists; each O_{d,j} is divided by L once, and a remainder raises
+    instead of being rounded.
+
+    Layer d returns the O_{d,j} with j+1 < W_d = min(order - 2, order +
+    min(0, min over nonzero d' <= d of shift_d')), all exact: the layer is
+    computed below E_d = max(W_d, ceil(W_{sd}/s) for the multiples sd that
+    wrap it), and each T_cls through q^{E_d - S} for every term of every
+    layer d.  Layers whose sign data clashes with the parity of (-1)^j (a
+    side effect of specializing a = q^2) keep a geometric +-1 tail beyond
+    any order.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     if dmax < 1:
         raise ValueError("dmax must be at least 1")
-    inv_poch: list[QSeries] = [QSeries.one(trunc=order)]
-    for k in range(1, dmax + 1):
-        inv_poch.append(qs_inverse(qs_pochhammer(2, 2, k, order), order))
+    C, n = q.C, q.n
+    scale = math.lcm(*range(1, dmax + 1))
+    vectors = [v for t in range(1, dmax + 1)
+               for v in itertools.combinations_with_replacement(range(n), t)]
+    shift, odd, parts, low, window, log = {(): 0}, {(): 0}, {}, {}, {}, {}
+    for v in vectors:
+        head, i, t = v[:-1], v[-1], len(v)
+        row = C[i]
+        shift[v] = (shift[head] + 2 * sum(row[j] for j in head) + row[i]
+                    + q.xi[i] - 1)
+        odd[v] = odd[head] ^ (row[i] + q.gamma[i]) & 1
+        parts[v] = tuple(sorted(map(v.count, set(v))))
+        splits = {}  # each proper sub-vector w of v once, with v - w
+        for k in range(1, t):
+            for ix in itertools.combinations(range(t), k):
+                splits.setdefault(tuple(v[a] for a in ix),
+                                  tuple(v[a] for a in range(t) if a not in ix))
+        low[v] = min([shift[v]] + [low[w] for w in splits])
+        window[v] = min(order - 2, order + min(0, low[v]))
+        # L times the log at x^v over its sign (the parity is additive), as
+        # {(class, S): coefficient}: |v| L_v = |v| P_v - sum |w| L_w P_{v-w}
+        acc = {(parts[v], shift[v]): scale * t}
+        for w, rest in splits.items():
+            for (cls, S), c in log[w].items():
+                key = (tuple(sorted(cls + parts[rest])), S + shift[rest])
+                acc[key] = acc.get(key, 0) - len(w) * c
+        log[v] = {key: c // t for key, c in acc.items() if c}
+    reach, need = {}, {}  # E_d; per class, the longest range read of it
+    for v in vectors:
+        reach[v] = max([window[v]] + [-(-window[tuple(sorted(v * s))] // s)
+                                      for s in range(2, dmax // len(v) + 1)])
+        for cls, S in log[v]:
+            need[cls] = max(need.get(cls, 1), reach[v] - S)
+    series = {}  # T_cls in powers of q^2
+    for cls, m in need.items():
+        t = series[cls] = [1] + [0] * ((m - 1) // 2)
+        for p in cls:
+            for k in range(1, p + 1):
+                for i in range(k, len(t)):
+                    t[i] += t[i - k]
 
-    by_deg = {t: list(_compositions(t, q.n)) for t in range(1, dmax + 1)}
-    vectors = [d for t in by_deg for d in by_deg[t]]
-    pser: dict[tuple, QSeries] = {}
-    products: dict[tuple, QSeries] = {}  # by the multiset of nonzero parts
-    for d in vectors:
-        quad = _quadratic(q.C, d)
-        gdot = sum(g * di for g, di in zip(q.gamma, d))
-        sign = -1 if (quad + gdot) % 2 else 1
-        shift = quad + sum((x - 1) * di for x, di in zip(q.xi, d))
-        parts = tuple(sorted(di for di in d if di))
-        term = products.get(parts)
-        if term is None:
-            term = inv_poch[0]
-            for di in parts:
-                term = qs_mul(term, inv_poch[di])
-            products[parts] = term
-        pser[d] = qs_scale(qs_shift(term, shift), sign)
-
-    # log(1 + u) restricted to total degree <= dmax
-    logp: dict[tuple, QSeries] = dict(pser)
-    upow = dict(pser)
-    for s in range(2, dmax + 1):
-        nxt: dict[tuple, QSeries] = {}
-        for d1, s1 in upow.items():
-            room = dmax - sum(d1)
-            if room < 1:
-                continue
-            for deg2 in range(1, room + 1):
-                for d2 in by_deg[deg2]:
-                    d = tuple(a + b for a, b in zip(d1, d2))
-                    prod = qs_mul(s1, pser[d2])
-                    nxt[d] = nxt[d] + prod if d in nxt else prod
-        upow = nxt
-        coef = Fraction((-1) ** (s + 1), s)
-        for d, ser in upow.items():
-            logp[d] = logp[d] + qs_scale(ser, coef)
-
-    one_minus_q2 = QSeries.from_terms({0: 1, 2: -1}, 1, order)
-    omega: dict[tuple, dict[int, int]] = {}
-    margin = order - 2
-    for d in vectors:  # by degree, so every base layer is done first
-        bd = logp[d]
-        g = math.gcd(*d)
-        for s in range(2, g + 1):
-            if g % s:
-                continue
-            base = tuple(x // s for x in d)
-            if base not in omega:
-                continue
-            wrap: dict[int, Fraction] = {}
-            for j, om in omega[base].items():
-                sgn = -1 if (j * s) % 2 else 1
-                for e in range(s * (j + 1), order, 2 * s):
-                    wrap[e] = wrap.get(e, 0) + Fraction(om * sgn, s)
-            bd = bd - QSeries.from_terms(wrap, 1, order)
-        poly = qs_mul(bd, one_minus_q2)
-        entry: dict[int, int] = {}
-        for e, c in poly.terms:
-            if e >= margin:
-                continue
-            j = e - 1
-            val = c if j % 2 == 0 else -c
-            if val.denominator != 1:
-                raise ValueError(
-                    f"non-integer DT invariant at d={d}, j={j}: {val}"
-                )
-            entry[j] = int(val)
-        omega[d] = entry
-    flat = {
-        (d, j): v for d, layers in omega.items() for j, v in layers.items()
-    }
-    return DTInvariants(flat)
+    layers: dict[tuple, dict[int, int]] = {}
+    omega: dict[tuple, int] = {}
+    for v in vectors:  # by degree, so every base layer is done first
+        top, sgn = reach[v], -1 if odd[v] else 1
+        terms = [(cls, S, sgn * c) for (cls, S), c in log[v].items()
+                 if S < top]
+        g = math.gcd(*map(v.count, set(v)))
+        wraps = [(s * (j + 1), s, om * (scale // s) * (-1 if j * s & 1 else 1))
+                 for s in range(2, g + 1) if g % s == 0
+                 for j, om in layers.get(v[::s], {}).items()
+                 if s * (j + 1) < top]
+        starts = [S for _, S, _ in terms] + [e for e, _, _ in wraps]
+        if not starts:
+            continue
+        lo = min(starts)
+        c = [0] * (top - lo)  # L times (log - wraps), from q^lo
+        for cls, S, w in terms:
+            seg = slice(S - lo, top - lo, 2)
+            c[seg] = [x + w * y for x, y in zip(c[seg], series[cls])]
+        for e, s, w in wraps:
+            for k in range(e - lo, top - lo, 2 * s):
+                c[k] -= w
+        layer = {}
+        for k, ck in enumerate(c):
+            j = lo + k - 1
+            val = ck - c[k - 2] if k > 1 else ck
+            if j & 1:
+                val = -val
+            if val % scale:
+                d = tuple(map(v.count, range(n)))
+                g = math.gcd(val, scale)
+                raise ValueError(f"non-integer DT invariant at d={d}, j={j}: "
+                                 f"{val // g}/{scale // g}")
+            if val:
+                layer[j] = val // scale
+        layers[v] = layer
+        cut = window[v] - 1
+        if any(j < cut for j in layer):
+            d = tuple(map(v.count, range(n)))
+            omega.update(((d, j), o) for j, o in layer.items() if j < cut)
+    return DTInvariants(omega)

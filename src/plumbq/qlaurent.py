@@ -7,7 +7,9 @@ is built; trying to insert a finer exponent raises, which catches formula
 bugs early.  Terms are stored as exponent numerators over D with coefficients
 that are ints whenever integral, so integral series run on Python ints.
 Truncation is an exclusive exponent bound: terms at or above it are
-dropped, and arithmetic propagates the minimum of the operand bounds.
+dropped.  Sums keep the minimum of the operand bounds; a product keeps the
+bound below which it is known, which a negative exponent in either factor
+can lower (see qs_mul).
 """
 
 from __future__ import annotations
@@ -213,9 +215,19 @@ def qs_shift(a: QSeries, offset: Exponent) -> QSeries:
 
 
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Cauchy product, pruned against the merged truncation bound."""
+    """Cauchy product, pruned against the bound below which it is known.
+
+    With t the truncation bound (infinite for an exact series) and l the
+    lowest stored exponent (t when nothing is stored), that bound is
+    min(ta, tb, ta + lb, tb + la): a negative lowest exponent in one factor
+    lowers the other's bound, and with none it is min(ta, tb)."""
     denom, ai, bi = _common(a, b)
     trunc = _min_trunc(a.trunc, b.trunc)
+    for t, other in ((a.trunc, b), (b.trunc, a)):
+        if t is not None:
+            low = other.terms[0][0] if other._items else other.trunc
+            if low is not None:
+                trunc = min(trunc, _num(t + low))
     tn = _bound(trunc, denom)
     acc: dict[int, object] = {}
     get = acc.get

@@ -1,6 +1,11 @@
 """Double twist quivers, knot polynomial oracles, DT extraction."""
 
+import itertools
 import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,10 +16,8 @@ from hypothesis import strategies as st
 
 from plumbq.kq import (
     Quiver,
-    _compositions,
     _deepen,
     _groups,
-    _quadratic,
     alexander_double_twist,
     builtin_generator_set,
     dt_invariants,
@@ -41,6 +44,19 @@ from plumbq.qlaurent import (
 )
 
 FIXTURE = Path(__file__).parent / "data" / "double_twist_matrices.json"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def compositions(r, n):
+    """Every d in N^n with d_1 + ... + d_n = r, from its n - 1 cut points."""
+    for cut in itertools.combinations(range(r + n - 1), n - 1):
+        yield tuple(b - a - 1 for a, b in
+                    zip((-1,) + cut, cut + (r + n - 1,)))
+
+
+def quadratic(C, d):
+    return sum(di * dj * C[i][j] for i, di in enumerate(d)
+               for j, dj in enumerate(d))
 
 
 @pytest.fixture(scope="module")
@@ -220,8 +236,8 @@ def small_quivers(draw):
 def brute_groups(q, r):
     """{parts: {e: signed count}} built one composition at a time."""
     groups = {}
-    for d in _compositions(r, q.n):
-        e = sum(x * di for x, di in zip(q.xi, d)) + _quadratic(q.C, d)
+    for d in compositions(r, q.n):
+        e = sum(x * di for x, di in zip(q.xi, d)) + quadratic(q.C, d)
         odd = sum(g * di for g, di in zip(q.gamma, d)) % 2
         acc = groups.setdefault(tuple(sorted(di for di in d if di)), {})
         acc[e] = acc.get(e, 0) + (-1 if odd else 1)
@@ -294,7 +310,7 @@ class TestAlexander:
 
 def motivic_coefficient(q, d, trunc):
     """Coefficient of x^d of the motivic series, directly from the sum."""
-    quad = _quadratic(q.C, d)
+    quad = quadratic(q.C, d)
     gdot = sum(g * di for g, di in zip(q.gamma, d))
     sign = -1 if (quad + gdot) % 2 else 1
     shift = quad + sum((x - 1) * di for x, di in zip(q.xi, d))
@@ -339,7 +355,7 @@ def assert_product_matches(qv, dmax, order, slack):
     acc = remultiply(inv.nonzero(), qv.n, dmax, Fraction(order + slack))
     margin = Fraction(order - 2 - slack)
     for total in range(1, dmax + 1):
-        for d in _compositions(total, qv.n):
+        for d in compositions(total, qv.n):
             want = motivic_coefficient(qv, d, margin)
             got = acc.get(d, QSeries.zero(trunc=margin)).with_trunc(margin)
             assert (want - got).is_zero(), d
@@ -383,3 +399,161 @@ class TestDTInvariants:
     def test_non_symmetric_matrix_rejected(self):
         with pytest.raises(ValueError):
             Quiver.make([[0, 1], [2, 0]], [0, 0], [0, 0])
+
+
+# ---------------------------------------------------------------------------
+# DT invariants against the dense series computation
+
+
+def reference_dt(q, dmax, order):
+    """{d: (window, {j: Omega})} from the dense QSeries computation: the
+    power-series log over every pair of dimension vectors, with Fraction
+    coefficients.  Each layer is read below its own bound, which qs_mul
+    keeps sound; a wrap is known below s times its base layer's window."""
+    inv_poch = [QSeries.one(trunc=order)]
+    for k in range(1, dmax + 1):
+        inv_poch.append(qs_inverse(qs_pochhammer(2, 2, k, order), order))
+    by_deg = {t: list(compositions(t, q.n)) for t in range(1, dmax + 1)}
+    vectors = [d for t in by_deg for d in by_deg[t]]
+    pser = {}
+    for d in vectors:
+        quad = quadratic(q.C, d)
+        gdot = sum(g * di for g, di in zip(q.gamma, d))
+        sign = -1 if (quad + gdot) % 2 else 1
+        shift = quad + sum((x - 1) * di for x, di in zip(q.xi, d))
+        term = inv_poch[0]
+        for di in d:
+            if di:
+                term = qs_mul(term, inv_poch[di])
+        pser[d] = qs_scale(qs_shift(term, shift), sign)
+
+    logp = dict(pser)
+    upow = dict(pser)
+    for s in range(2, dmax + 1):
+        nxt = {}
+        for d1, s1 in upow.items():
+            for deg2 in range(1, dmax - sum(d1) + 1):
+                for d2 in by_deg[deg2]:
+                    d = tuple(a + b for a, b in zip(d1, d2))
+                    prod = qs_mul(s1, pser[d2])
+                    nxt[d] = nxt[d] + prod if d in nxt else prod
+        upow = nxt
+        for d, ser in upow.items():
+            logp[d] = logp[d] + qs_scale(ser, Fraction((-1) ** (s + 1), s))
+
+    one_minus_q2 = QSeries.from_terms({0: 1, 2: -1}, 1, order)
+    layers = {}
+    for d in vectors:  # by degree, so every base layer is done first
+        bd = logp[d]
+        g = math.gcd(*d)
+        for s in range(2, g + 1):
+            if g % s:
+                continue
+            base_window, base = layers[tuple(x // s for x in d)]
+            wrap = {}
+            for j, om in base.items():
+                sgn = -1 if (j * s) % 2 else 1
+                for e in range(s * (j + 1), order, 2 * s):
+                    wrap[e] = wrap.get(e, 0) + Fraction(om * sgn, s)
+            bd = bd - QSeries.from_terms(wrap, 1, min(order, s * base_window))
+        poly = qs_mul(bd, one_minus_q2)
+        window = min(order - 2, poly.trunc)
+        entry = {}
+        for e, c in poly.terms:
+            if e < window:
+                val = c if (e - 1) % 2 == 0 else -c
+                assert val.denominator == 1, (d, e - 1, val)
+                entry[e - 1] = int(val)
+        layers[d] = (window, entry)
+    return layers
+
+
+def dt_windows(q, dmax, order):
+    """W_d = min(order - 2, order + min(0, least shift of a nonzero d' <= d))
+    for every d of degree at most dmax."""
+    out = {}
+    for t in range(1, dmax + 1):
+        for d in compositions(t, q.n):
+            support = [i for i, di in enumerate(d) if di]
+            C = [[q.C[i][j] for j in support] for i in support]
+            xi = [q.xi[i] for i in support]
+            least = 0
+            for sub in itertools.product(*(range(d[i] + 1) for i in support)):
+                if any(sub):
+                    least = min(least, quadratic(C, sub) + sum(
+                        (x - 1) * k for x, k in zip(xi, sub)))
+            out[d] = min(order - 2, order + least)
+    return out
+
+
+def assert_matches_reference(q, dmax, order, extra):
+    """dt_invariants at order equals the reference at order + extra on
+    every j + 1 < W_d, which the reference's windows must cover."""
+    windows = dt_windows(q, dmax, order)
+    layers = reference_dt(q, dmax, order + extra)
+    assert all(layers[d][0] >= w for d, w in windows.items())
+    want = {(d, j): om for d, (_, entry) in layers.items()
+            for j, om in entry.items() if om and j + 1 < windows[d]}
+    assert dt_invariants(q, dmax, order).omega == want
+
+
+@st.composite
+def dt_quivers(draw):
+    """A symmetric quiver with n <= 3, C and xi in [-4, 3], gamma in {0, 1}."""
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-4, 3)
+    C = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            C[i][j] = C[j][i] = draw(entry)
+    xi = draw(st.lists(entry, min_size=n, max_size=n))
+    gamma = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return Quiver.make(C, xi, gamma)
+
+
+class TestDTReference:
+    @given(dt_quivers(), st.integers(1, 3), st.integers(4, 16))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_reference(self, q, dmax, order):
+        assert_matches_reference(q, dmax, order, 100)
+
+    @pytest.mark.parametrize("p,m", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2),
+                                     (3, 3)])
+    @pytest.mark.parametrize("dmax,order,extra", [(2, 16, 0), (2, 30, 0),
+                                                  (3, 12, 2)])
+    def test_stored_quivers_match_dense_reference(self, p, m, dmax, order,
+                                                  extra):
+        assert_matches_reference(generate_double_twist_quiver(p, m), dmax,
+                                 order, extra)
+
+    def test_negative_shifts_stay_integral(self):
+        # with the product bound min(ta, tb), the negative shifts make the
+        # layer d = 3 non-integral at every order from 11 to 60
+        q = Quiver.make([[1]], [-2], [0])
+        for order in (11, 30):
+            tail = {((2,), j): -1 if (j + 5) % 4 else 1
+                    for j in range(-5, order - 3, 2)}
+            assert dt_invariants(q, 3, order).nonzero() == {
+                ((1,), -3): 1, **tail}
+            assert_matches_reference(q, 3, order, 100)
+
+    def test_negative_shifts_add_no_spurious_values(self):
+        # the product bound min(ta, tb) gives Omega_{(1,0,2),1} = -4,
+        # Omega_{(1,0,2),3} = 2 and Omega_{(1,1,1),-9} = 7 at order 9; all
+        # three are 0 at orders 49 and 109
+        q = Quiver.make([[-5, -1, 3], [-1, -6, -2], [3, -2, -1]], [2, -2, 1],
+                        [1, 1, 1])
+        omega = dt_invariants(q, 3, 9).omega
+        for key in (((1, 0, 2), 1), ((1, 0, 2), 3), ((1, 1, 1), -9)):
+            assert key not in omega
+        assert_matches_reference(q, 3, 9, 100)
+
+
+def test_dt_table_script_runs_from_a_checkout():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    res = subprocess.run(
+        [sys.executable, str(SCRIPTS / "quiver_dt_table.py"), "--p", "1",
+         "--m", "1", "--dmax", "2", "--order", "16"],
+        capture_output=True, text=True, env=env, cwd=SCRIPTS, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("K(1,-1) quiver: 5 nodes")

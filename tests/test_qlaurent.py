@@ -95,6 +95,15 @@ class TestArithmetic:
         b = poly({2: 1})
         assert qs_mul(a, b).coeff(3) == 0
 
+    def test_mul_bound_with_negative_exponents(self):
+        # (q^-2 + O(q^3))^2 is q^-4 + O(q^1), not known up to q^3
+        x = poly({-2: 1}, trunc=3)
+        sq = qs_mul(x, x)
+        assert sq.terms == ((-4, 1),) and sq.trunc == 1
+        # an exact factor shifts the bound by its lowest exponent
+        assert qs_mul(x, poly({-1: 1, 4: 2})).trunc == 2
+        assert qs_mul(poly({}, trunc=4), poly({-3: 1})).trunc == 1
+
 
 class TestPochhammerBinomial:
     def test_pochhammer_empty(self):
@@ -197,12 +206,21 @@ class Ref:
             acc[e] = acc.get(e, 0) + c
         return Ref(acc, self.bound(other))
 
+    def low(self):
+        return min(self.terms, default=self.trunc)
+
     def mul(self, other):
+        # known below min(ta, tb, ta + lb, tb + la), an exact factor having
+        # an infinite bound
         acc = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 acc[ea + eb] = acc.get(ea + eb, 0) + ca * cb
-        return Ref(acc, self.bound(other))
+        ts = [t for t in (self.trunc, other.trunc) if t is not None]
+        for t, low in ((self.trunc, other.low()), (other.trunc, self.low())):
+            if t is not None and low is not None:
+                ts.append(t + low)
+        return Ref(acc, min(ts) if ts else None)
 
     def shift(self, off):
         return Ref({e + off: c for e, c in self.terms.items()},
