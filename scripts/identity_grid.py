@@ -4,14 +4,14 @@
     python3 scripts/identity_grid.py > grid.txt
 
 The grid is every state sum (su2, so3, osp12 and su(N)/Z_m) on seven
-graphs, the GPPV decomposition check on three graphs, two Gauss
-reciprocity checks, and the homological blocks of the four named graphs
-(su2, so3 and osp12 at order 300; su3 at order 8 on lens-m5-11 and
-sigma237, at order 20 on poincare and at order 16 on sigma237-alt), each
-printed as the CLI prints it: 114 lines.  The script imports
-plumbq from the `src/` of its own checkout, so running it in two checkouts
-and comparing the outputs with `diff` shows every printed digit that a
-change moves.  It takes no options and a few seconds.
+graphs, the GPPV decomposition check (su2, so3, osp12 and su(2)/Z_2) on
+four graphs, two Gauss reciprocity checks, and the homological blocks of
+the four named graphs (su2, so3 and osp12 at order 300; su3 at order 8 on
+lens-m5-11 and sigma237, at order 20 on poincare and at order 16 on
+sigma237-alt), each printed as the CLI prints it: 117 lines.  The script
+imports plumbq from the `src/` of its own checkout, so running it in two
+checkouts and comparing the outputs with `diff` shows every printed digit
+that a change moves.  It takes no options and a few seconds.
 """
 
 import json
@@ -56,6 +56,9 @@ DECOMPOSITIONS = [  # (graph, variant, level, order, N, m)
     ("lens-m5-11", "su2", 3, 60, 2, 1),
     ("L(8,5)", "sun-zm", 3, 60, 2, 2),
     ("poincare", "su2", 4, 8000, 2, 1),
+    ("lens-m5-11", "so3", 4, 60, 2, 1),
+    ("lens-m5-11", "osp12", 2, 60, 2, 1),
+    ("sigma237", "so3", 4, 2000, 2, 1),
 ]
 
 BLOCKS = [  # (variant, order, graphs)

@@ -3,6 +3,10 @@
 over a range of levels, for a named graph.
 
     python3 scripts/radial_limit_scan.py --graph poincare --levels 3 4 5
+
+A level the group rejects (an odd SO(3) level, say) prints one
+`level K: error: ...` line and the scan goes on; the script then exits
+with code 3.
 """
 
 import argparse
@@ -26,11 +30,19 @@ def main():
     args = ap.parse_args()
 
     g = NAMED_GRAPHS[args.graph]()
+    rejected = False
     for k in args.levels:
-        rep = gppv_verify(g, args.group, k, args.order)
+        try:
+            rep = gppv_verify(g, args.group, k, args.order)
+        except ValueError as exc:
+            print(f"level {k}: error: {exc}")
+            rejected = True
+            continue
         print(f"level {k:2d} root order {rep.root_order:3d}  "
               f"state sum {complex(rep.wrt_value):.10g}  "
               f"residual {rep.residual:.3e}")
+    if rejected:
+        sys.exit(3)
 
 
 if __name__ == "__main__":

@@ -2,11 +2,15 @@
 
 The verification takes three independent ingredients (the state-sum
 invariant, the block series, and phase matrices built from cokernel
-representatives) and confirms the linear relation between them.  Radial
-limits of the block series are taken along q = (1-eps) * root with
-polynomial extrapolation to eps = 0; chains whose vertex degrees stay at or
-below 2 have Laurent-polynomial blocks, for which the limit is evaluated
-directly at the root.
+representatives) and confirms the linear relation between them.  One sum
+serves every group: the SU(N)/Z_m decomposition, whose N = 2 cases are
+SU(2) (m = 1), SO(3) (m = 2) and, with OSp(1|2) blocks, OSp(1|2)
+(gppv_verify holds the table).  Radial limits of the block series are the
+mean of a periodic tail of partial sums when one is detected, and
+otherwise are taken along q = (1-eps) * root with polynomial extrapolation
+to eps = 0; chains whose vertex degrees stay at or below 2 have
+Laurent-polynomial blocks, for which the limit is evaluated directly at
+the root.
 
 Every phase is exp(pi i a / D) for an integer a: pairings through B^{-1}
 are integer pairings through adj(B) = det(B) B^{-1} over det B, so each sum
@@ -28,7 +32,6 @@ import mpmath as mp
 
 from plumbq.lie import (
     WeightVector,
-    gamma_factor,
     gram,
     pair,
     weyl_action,
@@ -39,9 +42,7 @@ from plumbq.plumbing import (
     LinkingMatrix,
     PlumbingGraph,
     coset_representatives,
-    degree_delta,
     linking_matrix,
-    spinc_labels_unfolded,
 )
 from plumbq.qlaurent import QSeries, qs_eval
 from plumbq.wrt import (
@@ -295,58 +296,6 @@ def _block_limit(s: QSeries, root_order: int, schedule, dps: int) -> mp.mpc:
 # decomposition verification
 
 
-def _rank1_decomposition(
-    g: PlumbingGraph, variant: str, level: int, order, eps_schedule, dps: int,
-    shift_BI: bool = True,
-):
-    """Right-hand side of the rank-1 decompositions; shift_BI toggles the
-    extra lattice shift of the SO(3)/OSp phase (negative-control hook)."""
-    lm = linking_matrix(g)
-    B, det, adj = lm.B, lm.det, lm.adj
-    _, delta = degree_delta(g)
-    labels = spinc_labels_unfolded(lm, delta)
-    # the phases are exp(pi i x) with x = c1 a^T B^{-1} a for the coset
-    # representative a and x = c2 a^T B^{-1} b' for the (shifted) label b'
-    if variant == "su2":
-        root_order, c1, c2 = level + 2, -2 * (level + 2), -2
-    elif variant == "so3":
-        root_order, c1, c2 = 2 * level + 2, -(level + 1), -1
-    elif variant == "osp12":
-        root_order, c1, c2 = 2 * level + 3, -(2 * level + 3), -1
-    else:
-        raise ValueError(variant)
-    finite_blocks = all(g.degree(v) <= 2 for v in g.ids)
-    schedule = None if finite_blocks else eps_schedule
-    blocks = dict(zip(labels, zhat_blocks(g, lm, labels, variant, order)))
-    # a^T B^{-1} y = a^T adj y / det, so each phase is Z[s c a^T adj y] over
-    # D = |det B|, with s the sign of det B
-    s = 1 if det > 0 else -1
-    # the SO(3) and OSp labels are shifted by B (1, ..., 1)
-    shift = [sum(row) if variant != "su2" and shift_BI else 0 for row in B]
-    adj_b = {b: [sum(r * (x + y) for r, x, y in zip(row, b, shift)) for row in adj]
-             for b in labels}
-    with mp.workdps(dps + 10):
-        limits = {
-            b: _block_limit(blk.series, root_order, schedule, dps)
-            for b, blk in blocks.items()
-        }
-        Z = _phase_table(abs(det))
-        M = len(Z)
-        total = mp.mpc(0)
-        for a in coset_representatives(B):
-            p1 = Z[s * c1 * _pairing(adj, a, a) % M]
-            inner = mp.mpc(0)
-            for b in labels:
-                p2 = Z[s * c2 * sum(x * y for x, y in zip(a, adj_b[b])) % M]
-                inner += p2 * limits[b]
-            total += p1 * inner
-        root = mp.expjpi(mp.mpf(2) / root_order)
-        sq = mp.sqrt(root)
-        denom_sign = 1 if variant == "osp12" else -1
-        denom = 2 * (sq + denom_sign / sq) * mp.sqrt(abs(det))
-        return total / denom, root_order
-
-
 def _pprime_dual_basis(N: int, m: int) -> list[tuple[int, ...]]:
     """Basis, in fundamental-weight coordinates, of the lattice dual to the
     index-m admissible sublattice.
@@ -374,41 +323,37 @@ def _pprime_dual_basis(N: int, m: int) -> list[tuple[int, ...]]:
             for row in range(r + 1):
                 U[row][i] -= f * U[row][piv]
     piv = next(i for i, x in enumerate(vec) if x != 0)
-    basis = []
-    for j in range(r + 1):
-        if j == piv:
-            continue
-        col = tuple(U[row][j] for row in range(r))  # drop the auxiliary row
-        basis.append(col)
-    assert len(basis) == r
-    return basis
+    # the columns of U but the pivot's, without the auxiliary row
+    return [tuple(U[row][j] for row in range(r)) for j in range(r + 1) if j != piv]
 
 
-def _sun_decomposition(
-    g: PlumbingGraph, N: int, m: int, level: int, order, eps_schedule, dps: int,
+def _decomposition(
+    g: PlumbingGraph, N: int, m: int, kprime: int, block_variant: str,
+    sign: int, twist: int, order, eps_schedule, dps: int, shift_BI: bool = True,
 ):
-    """Right-hand side of the quotient-group decomposition.
+    """Right-hand side of the decomposition at the root q = exp(2 pi i / k').
+
+    The sum runs over the cokernel classes a of the lattice dual to the
+    index-m sublattice and over every label b.  It weighs the radial limit
+    of block b (zhat variant block_variant) by the phases
+    exp(-pi i twist k' (a, B^{-1} a) / 2) and exp(-2 pi i (a, B^{-1} (b + B rho))),
+    over |W| |det B|^{(N-1)/2} times sum_w sign^{l(w)} q^{(rho, w rho)}.
+    shift_BI=False drops the B rho.
 
     Weights are int tuples of fundamental-weight coordinates paired under
     gram(N) = N (L_i, L_j).  With adj = det(B) B^{-1}, a pairing
     sum_{v,w} B^{-1}_vw (x_v, y_w) is sum_v N (x_v, (adj y)_v) / (N det B):
     an integer over one denominator, so every cokernel phase is an entry of
-    one table over D = N |det B|.  The Weyl denominator is a sum at the root
-    exp(2 pi i / k'), whose phases are entries of the table over D = N k'.
+    one table over D = N |det B|.
     """
-    gamma = gamma_factor(N, m)
-    kprime = gamma * level + N
     lm = linking_matrix(g)
-    n = lm.size
-    r = N - 1
+    n, r, G = lm.size, N - 1, gram(N)
     det, adj = lm.det, lm.adj
     s = 1 if det > 0 else -1
-    G = gram(N)
     labels = sun_block_labels(g, N, lm)
-    finite_blocks = all(g.degree(v) <= 2 for v in g.ids)
-    schedule = None if finite_blocks else eps_schedule
+    # chains have Laurent-polynomial blocks, evaluated at the root itself
+    schedule = None if all(g.degree(v) <= 2 for v in g.ids) else eps_schedule
     rho = weyl_vector(N)
-    W = weyl_group(N)
     basis = _pprime_dual_basis(N, m)
     reps = coset_representatives([list(row) for row in lm.B])
 
@@ -420,20 +365,18 @@ def _sun_decomposition(
         return sum(_pairing(G, x, y) for x, y in zip(xs, ys))
 
     # adj (b + B rho) per label, with (B rho)_w = (sum_x B_wx) rho
+    row_sums = [sum(row) if shift_BI else 0 for row in lm.B]
     shifted = {
-        lab: adj_times([tuple(c + sum(lm.B[w]) * x for c, x in
+        lab: adj_times([tuple(c + t * x for c, x in
                               zip(WeightVector.make(N, lab[w]).coords, rho.coords))
-                        for w in range(n)])
+                        for w, t in enumerate(row_sums)])
         for lab in labels
     }
 
     with mp.workdps(dps + 10):
-        # su2 is the N = 2 case of the block engine
-        blocks = dict(zip(labels, zhat_blocks(g, lm, labels, f"su{N}", order)))
-        limits = {
-            lab: _block_limit(blk.series, kprime, schedule, dps)
-            for lab, blk in blocks.items()
-        }
+        blocks = dict(zip(labels, zhat_blocks(g, lm, labels, block_variant, order)))
+        limits = {lab: _block_limit(blk.series, kprime, schedule, dps)
+                  for lab, blk in blocks.items()}
         Z = _phase_table(N * abs(det))
         M = len(Z)
         total = mp.mpc(0)
@@ -441,20 +384,27 @@ def _sun_decomposition(
             # a_v = sum_j combo[j][v] * basis_j
             avec = [tuple(sum(combo[j][v] * basis[j][c] for j in range(r))
                           for c in range(r)) for v in range(n)]
-            p1 = Z[-s * kprime * paired(avec, adj_times(avec)) % M]
+            p1 = Z[-s * twist * kprime * paired(avec, adj_times(avec)) % M]
             inner = mp.mpc(0)
             for lab in labels:
                 inner += Z[-2 * s * paired(avec, shifted[lab]) % M] * limits[lab]
             total += p1 * inner
-        # q^{(rho, w rho)} = exp(2 pi i pair(rho, w rho) / (N k'))
-        Zk = _phase_table(N * kprime)
+        # q^{(rho, w rho)} = exp(2 pi i pair(rho, w rho) / (N k')), one phase
+        # per Weyl element
+        W = weyl_group(N)
         weyl_denom = mp.fsum(
-            w.sign * Zk[2 * pair(rho, weyl_action(w, rho)) % len(Zk)] for w in W
-        )
-        denom = (
-            len(W) * mp.mpf(abs(det)) ** (mp.mpf(N - 1) / 2) * weyl_denom
-        )
-        return total / denom, kprime
+            sign ** w.length * _phase(Fraction(2 * pair(rho, weyl_action(w, rho)), N * kprime))
+            for w in W)
+        return total / (len(W) * mp.mpf(abs(det)) ** (mp.mpf(N - 1) / 2) * weyl_denom)
+
+
+# variant -> (N, m, block variant, Weyl denominator sign, twist of the
+# cokernel phase); sun-zm takes N and m from the caller
+_VARIANTS = {
+    "su2": (2, 1, "su2", -1, 1),
+    "so3": (2, 2, "su2", -1, 1),
+    "osp12": (2, 2, "osp12", 1, 2),
+}
 
 
 def gppv_verify(
@@ -471,33 +421,35 @@ def gppv_verify(
     """Compare the state-sum invariant against the block decomposition.
 
     variant is one of su2, so3, osp12, sun-zm; `order` bounds the block
-    truncation.  shift_BI=False disables the lattice shift in the SO(3) and
-    OSp phases, which must break the agreement (negative control).
+    truncation.  Every variant runs the one SU(N)/Z_m sum (_decomposition)
+    at the root order k' of its state sum:
+
+      su2, level k     N = 2, m = 1, su2 blocks, k' = k + 2
+      so3, level K     N = 2, m = 2, su2 blocks, k' = 2K + 2
+      osp12, level K^  N = 2, m = 2, osp12 blocks, k' = 2K^ + 3, Weyl
+                       denominator q^{1/2} + q^{-1/2}, 2k' for k' in the
+                       cokernel phase
+      sun-zm, level k  N and m as given, su<N> blocks, k' = gamma k + N
+
+    shift_BI=False drops the B rho shift of the labels in every variant,
+    which must break the agreement when m = 2 (negative control).
     """
     variant = variant.lower()
     _check_dps(dps)
     with mp.workdps(dps + 10):
-        if variant == "su2":
-            wrt = wrt_su2(g, level, dps)
-            rhs, root_order = _rank1_decomposition(
-                g, "su2", level, order, eps_schedule, dps)
-        elif variant == "so3":
-            wrt = wrt_so3(g, level, dps)
-            rhs, root_order = _rank1_decomposition(
-                g, "so3", level, order, eps_schedule, dps, shift_BI)
-        elif variant == "osp12":
-            wrt = wrt_osp(g, level, dps)
-            rhs, root_order = _rank1_decomposition(
-                g, "osp12", level, order, eps_schedule, dps, shift_BI)
+        if variant in _VARIANTS:
+            N, m, blocks, sign, twist = _VARIANTS[variant]
+            # looked up at call time, so wrappers on this module's names see it
+            state_sum = {"su2": wrt_su2, "so3": wrt_so3, "osp12": wrt_osp}[variant]
+            wrt = state_sum(g, level, dps)
         elif variant in ("sun-zm", "sun_zm"):
+            blocks, sign, twist = f"su{N}", -1, 1
             wrt = wrt_sun_zm(g, N, m, level, dps)
-            rhs, root_order = _sun_decomposition(
-                g, N, m, level, order, eps_schedule, dps)
         else:
             raise ValueError(f"unknown variant {variant!r}")
+        rhs = _decomposition(g, N, m, wrt.root_order, blocks, sign, twist,
+                             order, eps_schedule, dps, shift_BI)
         resid = abs(wrt.value - rhs)
         rel = float(resid / abs(wrt.value)) if abs(wrt.value) > 1e-12 else None
-    return GPPVReport(
-        variant, level, root_order, wrt.value, rhs,
-        float(resid), rel, int(order), dps,
-    )
+    return GPPVReport(variant, level, wrt.root_order, wrt.value, rhs,
+                      float(resid), rel, int(order), dps)

@@ -261,26 +261,35 @@ def _deepen(mat, k: int):
     return [[x + off for x in row] for row in mat]
 
 
-# linear exponents for the m=3 family; no closed form is available, so the
-# p=3 list and its p=4 increment are stored verbatim
+# linear exponents for the m=3 family at p=3, stored verbatim; larger p
+# grows from them by _grow_twist
 _XI3_P3 = {
     2: -2, 3: -1, 4: -4, 5: -3, 6: -6, 7: -5, 8: -3, 9: -2, 10: -1,
     12: 1, 13: 2, 15: 1, 16: -2, 17: -1, 18: -4, 19: -3, 20: -1,
     22: 1, 23: 2, 24: 3, 25: 4, 26: 2, 27: 3, 29: 1, 30: -2, 31: -1,
     32: 1, 33: 2, 34: 3, 35: 4, 36: 5, 37: 6,
 }
-_XI3_P4_EXTRA = {
-    38: 4, 39: 5, 40: 2, 41: 3, 43: 1, 44: 3, 45: 4, 46: 5, 47: 6,
-    48: 7, 49: 8,
-}
 _GAMMA3_P3 = (3, 5, 7, 8, 10, 12, 15, 17, 19, 20, 22, 24, 27, 29, 31,
               32, 34, 36)
-_GAMMA3_P4_EXTRA = (39, 41, 43, 44, 46, 48)
+
+
+def _grow_twist(xi: list[int], gamma: list[int], m: int) -> tuple[list[int], list[int]]:
+    """(xi, gamma) of K(p+1,-m) from those of K(p,-m): one more twist
+    appends the last 4m entries of xi, each plus 2, and repeats the last 4m
+    gamma marks.  The closed forms obey this rule at m = 1 for p >= 1 and
+    at m = 2 for p >= 2."""
+    return xi + [x + 2 for x in xi[-4 * m:]], gamma + gamma[-4 * m:]
 
 
 def _linear_data(p: int, m: int) -> tuple[list[int], list[int]]:
     """(xi, gamma) as length-(4pm+1) integer lists, indices 1-based in the
     stored formulas."""
+    if m == 3:
+        xi = [_XI3_P3.get(i, 0) for i in range(1, 38)]
+        gamma = [int(i in _GAMMA3_P3) for i in range(1, 38)]
+        for _ in range(p - 3):
+            xi, gamma = _grow_twist(xi, gamma, m)
+        return xi, gamma
     n = 4 * p * m + 1
     xi = [0] * (n + 1)
     gamma = [0] * (n + 1)
@@ -302,16 +311,6 @@ def _linear_data(p: int, m: int) -> tuple[list[int], list[int]]:
             xi[4 * i - 2] += -3 + i
         for i in range(2, 4 * p + 2):
             gamma[(4 * i - 3 - (-1) ** (i // 2)) // 2] = 1
-    else:
-        table = dict(_XI3_P3)
-        marks = list(_GAMMA3_P3)
-        if p == 4:
-            table.update(_XI3_P4_EXTRA)
-            marks += list(_GAMMA3_P4_EXTRA)
-        for idx, c in table.items():
-            xi[idx] = c
-        for idx in marks:
-            gamma[idx] = 1
     return xi[1:], gamma[1:]
 
 
@@ -321,14 +320,16 @@ def generate_double_twist_quiver(p: int, m: int) -> Quiver:
 
     The block layout has one scalar node followed by p pairs of 2m x 2m
     diagonal blocks; the coupling block between pair slots depends only on
-    the smaller pair index.  The m=3 linear data is only known at p = 3, 4.
+    the smaller pair index.  The m=3 linear data is stored at p = 3 and
+    grown by one twist (_grow_twist) to p = 4; larger p is refused until a
+    coloured Jones oracle confirms the rule there.
     """
     if m not in (1, 2, 3):
         raise ValueError(f"m={m} is outside the stored range 1..3")
     if p < m:
         raise ValueError(f"need p >= m, got p={p}, m={m}")
     if m == 3 and p not in (3, 4):
-        raise ValueError("m=3 linear data is only stored for p in {3, 4}")
+        raise ValueError("m=3 linear data is only known for p in {3, 4}")
     gen = builtin_generator_set(m)
     size = 2 * m
     n = 4 * p * m + 1

@@ -1,19 +1,36 @@
 """Block decomposition vs state sum, reciprocity identities, radial limits."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
-from plumbq.catalog import poincare_sphere
+from plumbq.catalog import brieskorn_2_3_7, lens_m5_11, poincare_sphere
 from plumbq.gppv import (
+    _block_limit,
+    _pairing,
     gauss_reciprocity_check,
     gppv_verify,
     report_to_json,
     root_limit_periodic,
 )
-from plumbq.plumbing import PlumbingGraph, lens_chain, linking_matrix
+from plumbq.plumbing import (
+    PlumbingGraph,
+    coset_representatives,
+    degree_delta,
+    lens_chain,
+    linking_matrix,
+    spinc_labels_unfolded,
+)
 from plumbq.qlaurent import QSeries
+from plumbq.wrt import _phase_table
+from plumbq.zhat import zhat_blocks
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 class TestLensExact:
@@ -68,6 +85,95 @@ class TestNegativeControl:
         assert good.residual < 1e-8
         assert bad.residual > 0.1
 
+    def test_sun_zm_without_shift_fails_at_m2(self):
+        # SO(3) is SU(2)/Z_2: the flag drops the same B rho shift there
+        g = PlumbingGraph.build([-2, -2], [(0, 1)])
+        good = gppv_verify(g, "sun-zm", 3, order=60, eps_schedule=None,
+                           N=2, m=2)
+        bad = gppv_verify(g, "sun-zm", 3, order=60, eps_schedule=None,
+                          N=2, m=2, shift_BI=False)
+        assert good.residual < 1e-8
+        assert bad.residual > 0.1
+
+
+def reference_rank1(g, variant, level, order, eps_schedule, dps=40,
+                    shift_BI=True):
+    """The rank-1 decomposition as its own sum: unfolded Spin^c labels
+    (2Z^L + delta) / 2B Z^L, one cokernel representative a per class of
+    Z^L / B Z^L, phases exp(pi i c1 (a, B^{-1} a)) and
+    exp(pi i c2 (a, B^{-1} b')) with b' = b + B(1, ..., 1) for so3 and
+    osp12, over 2 (q^{1/2} - q^{-1/2}) sqrt|det B|, with a + for osp12."""
+    lm = linking_matrix(g)
+    B, det, adj = lm.B, lm.det, lm.adj
+    labels = spinc_labels_unfolded(lm, degree_delta(g)[1])
+    root_order, c1, c2 = {
+        "su2": (level + 2, -2 * (level + 2), -2),
+        "so3": (2 * level + 2, -(level + 1), -1),
+        "osp12": (2 * level + 3, -(2 * level + 3), -1),
+    }[variant]
+    finite = all(g.degree(v) <= 2 for v in g.ids)
+    schedule = None if finite else eps_schedule
+    blocks = dict(zip(labels, zhat_blocks(g, lm, labels, variant, order)))
+    s = 1 if det > 0 else -1
+    shift = [sum(row) if variant != "su2" and shift_BI else 0 for row in B]
+    adj_b = {b: [sum(r * (x + y) for r, x, y in zip(row, b, shift)) for row in adj]
+             for b in labels}
+    with mp.workdps(dps + 10):
+        limits = {b: _block_limit(blk.series, root_order, schedule, dps)
+                  for b, blk in blocks.items()}
+        Z = _phase_table(abs(det))
+        M = len(Z)
+        total = mp.mpc(0)
+        for a in coset_representatives(B):
+            inner = mp.mpc(0)
+            for b in labels:
+                inner += Z[s * c2 * sum(x * y for x, y in zip(a, adj_b[b])) % M] * limits[b]
+            total += Z[s * c1 * _pairing(adj, a, a) % M] * inner
+        sq = mp.sqrt(mp.expjpi(mp.mpf(2) / root_order))
+        sign = 1 if variant == "osp12" else -1
+        return total / (2 * (sq + sign / sq) * mp.sqrt(abs(det)))
+
+
+REFERENCE_GRAPHS = [  # (name, graph, order)
+    ("lens-m5-11", lens_m5_11, 60),
+    ("L(7,2)", lambda: lens_chain(7, 2), 60),
+    ("L(8,5)", lambda: lens_chain(8, 5), 60),
+    ("poincare", poincare_sphere, 2000),
+    ("sigma237", brieskorn_2_3_7, 2000),
+]
+REFERENCE_LEVELS = {"su2": (1, 2, 3, 4), "so3": (2, 4, 6), "osp12": (1, 2, 3)}
+
+
+class TestRank1Reference:
+    """Every rank-1 group runs the one SU(N)/Z_m sum at N = 2; its value
+    matches the rank-1 sum written out on its own."""
+
+    @pytest.mark.parametrize("name,make,order", REFERENCE_GRAPHS,
+                             ids=[c[0] for c in REFERENCE_GRAPHS])
+    def test_matches_reference(self, name, make, order):
+        g = make()
+        for variant, ks in REFERENCE_LEVELS.items():
+            for k in ks:
+                rep = gppv_verify(g, variant, k, order)
+                want = reference_rank1(g, variant, k, order,
+                                       (0.1, 0.05, 0.025))
+                assert abs(rep.decomposition_value - want) <= 1e-45, (variant, k)
+
+    @pytest.mark.parametrize("variant,level", [("so3", 4), ("osp12", 2)])
+    @pytest.mark.parametrize("make", [lens_m5_11, lambda: lens_chain(7, 2),
+                                      lambda: PlumbingGraph.build([-2, -2], [(0, 1)])])
+    def test_without_shift_matches_reference(self, make, variant, level):
+        g = make()
+        rep = gppv_verify(g, variant, level, 60, eps_schedule=None,
+                          shift_BI=False)
+        want = reference_rank1(g, variant, level, 60, None, shift_BI=False)
+        assert abs(rep.decomposition_value - want) <= 1e-45
+
+    def test_osp_without_shift_misses_on_the_chain(self):
+        g = PlumbingGraph.build([-2, -2], [(0, 1)])
+        rep = gppv_verify(g, "osp12", 2, 60, eps_schedule=None, shift_BI=False)
+        assert 0.5 < rep.residual < 0.7, rep
+
 
 class TestGaussReciprocity:
     def test_randomized_cases(self):
@@ -115,3 +221,17 @@ class TestRootLimitPeriodic:
         s = QSeries.from_terms({k: 2 ** k for k in range(12)})
         val, period = root_limit_periodic(s, 5)
         assert val is None and period is None
+
+
+def test_radial_scan_reports_a_rejected_level_and_goes_on():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    res = subprocess.run(
+        [sys.executable, str(SCRIPTS / "radial_limit_scan.py"), "--graph",
+         "lens-m5-11", "--group", "so3", "--levels", "3", "4", "--order", "60"],
+        capture_output=True, text=True, env=env, cwd=SCRIPTS, timeout=120)
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stdout + res.stderr
+    lines = res.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("level 3: error: ")
+    assert lines[1].startswith("level  4 root order  10 ")

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from plumbq.kq import (
     Quiver,
     _deepen,
+    _grow_twist,
     _groups,
+    _linear_data,
     alexander_double_twist,
     builtin_generator_set,
     dt_invariants,
@@ -102,6 +104,22 @@ class TestMatrixGeneration:
     def test_m3_needs_stored_linear_data(self):
         with pytest.raises(ValueError):
             generate_double_twist_quiver(5, 3)
+
+    @pytest.mark.parametrize("m,ps", [(1, range(2, 9)), (2, range(3, 9))])
+    def test_growth_rule_matches_closed_forms(self, m, ps):
+        for p in ps:
+            assert _grow_twist(*_linear_data(p - 1, m), m) == _linear_data(p, m), p
+
+    def test_growth_rule_gives_the_stored_m3_p4_data(self):
+        # the p = 4 increment of the m = 3 data as it was stored, 1-based
+        xi_tail = {38: 4, 39: 5, 40: 2, 41: 3, 43: 1, 44: 3, 45: 4, 46: 5,
+                   47: 6, 48: 7, 49: 8}
+        marks_tail = (39, 41, 43, 44, 46, 48)
+        xi3, gamma3 = _linear_data(3, 3)
+        xi4, gamma4 = _linear_data(4, 3)
+        assert (xi4[:37], gamma4[:37]) == (xi3, gamma3)
+        assert xi4[37:] == [xi_tail.get(i, 0) for i in range(38, 50)]
+        assert gamma4[37:] == [int(i in marks_tail) for i in range(38, 50)]
 
     def test_json_roundtrip(self):
         q = generate_double_twist_quiver(2, 2)
