@@ -24,6 +24,7 @@ zhat.zhat_blocks.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -344,7 +345,8 @@ def _decomposition(
     gram(N) = N (L_i, L_j).  With adj = det(B) B^{-1}, a pairing
     sum_{v,w} B^{-1}_vw (x_v, y_w) is sum_v N (x_v, (adj y)_v) / (N det B):
     an integer over one denominator, so every cokernel phase is an entry of
-    one table over D = N |det B|.
+    one table over D = N |det B|, reduced by the exponents' common divisor
+    (at N = 2 every exponent is even).
     """
     lm = linking_matrix(g)
     n, r, G = lm.size, N - 1, gram(N)
@@ -377,18 +379,26 @@ def _decomposition(
         blocks = dict(zip(labels, zhat_blocks(g, lm, labels, block_variant, order)))
         limits = {lab: _block_limit(blk.series, kprime, schedule, dps)
                   for lab, blk in blocks.items()}
-        Z = _phase_table(N * abs(det))
-        M = len(Z)
-        total = mp.mpc(0)
+        # the exponents over D = N |det B|, per class a: its own phase's,
+        # then one per label
+        exps = []
         for combo in itertools.product(reps, repeat=r):
             # a_v = sum_j combo[j][v] * basis_j
             avec = [tuple(sum(combo[j][v] * basis[j][c] for j in range(r))
                           for c in range(r)) for v in range(n)]
-            p1 = Z[-s * twist * kprime * paired(avec, adj_times(avec)) % M]
+            exps.append([-s * twist * kprime * paired(avec, adj_times(avec))]
+                        + [-2 * s * paired(avec, shifted[lab]) for lab in labels])
+        # the table over D / d, d the exponents' common divisor with D:
+        # _phase reduces a / D, so each entry has the bits it has over D
+        d = math.gcd(N * abs(det), *itertools.chain.from_iterable(exps))
+        Z = _phase_table(N * abs(det) // d)
+        M = len(Z)
+        total = mp.mpc(0)
+        for a1, *a2 in exps:
             inner = mp.mpc(0)
-            for lab in labels:
-                inner += Z[-2 * s * paired(avec, shifted[lab]) % M] * limits[lab]
-            total += p1 * inner
+            for a, lab in zip(a2, labels):
+                inner += Z[a // d % M] * limits[lab]
+            total += Z[a1 // d % M] * inner
         # q^{(rho, w rho)} = exp(2 pi i pair(rho, w rho) / (N k')), one phase
         # per Weyl element
         W = weyl_group(N)

@@ -7,9 +7,22 @@ matrix-vector contraction per edge), so the cost is quadratic in the number
 of colors instead of exponential in the number of vertices.
 
 Every phase of one invariant is exp(pi i a / D) for an integer a and one
-denominator D: D = 2 order for the rank-1 sums, D = N k' for su(N).  Each
-call builds the table of those 2D phases once; twists, S entries and unknot
-sums index it by a mod 2D.
+denominator D: D = 2 order for the rank-1 sums, D = N k' for su(N).  Twists,
+S entries and unknot sums index one table of those 2D phases by a mod 2D.
+
+Everything that depends on the level and not on the graph lives in one
+level context (_Level), built once per state-sum kind, root data and
+working precision and kept in a single-entry cache, so a run of graphs at
+one level in one process (Kirby-equivalent presentations, a loop of state
+sums and GPPV checks) builds it once: the phase table, the edge matrix in
+integer-row form, the vertex rows per (framing, degree), the two unknot
+sums and the normalization.  The context also keeps each contracted child
+message under the structure of its subtree, so equal subtrees, in one
+graph or in the graphs that follow, are contracted once.  A single state
+sum in a fresh process shares nothing across calls; it gains only from
+equal subtrees within its graph.  Every cached value is computed by the
+same operations in the same order as on a cold call, so warm and cold
+calls give the same bits.
 
 Every dot product of mp values (a tree edge, an su(N) S entry, a class-
 weighted phase sum in gppv) runs on one exact integer kernel: the values
@@ -29,13 +42,14 @@ linking matrix, so the three-sphere always evaluates to 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import from_int, from_man_exp, fzero, round_nearest
+from mpmath.libmp import from_int, from_man_exp, fzero, mpc_mul, round_nearest
 
 from plumbq.lie import (
     allowed_colors,
@@ -57,6 +71,11 @@ __all__ = [
     "wrt_sun_zm",
     "result_to_json",
 ]
+
+# The subtree memo of a level stops taking messages once it holds this many
+# colour entries in all: about 1.6 MB at the default precision (dps 60), 5 MB
+# at dps 1000.
+_MEMO_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -122,6 +141,11 @@ def _mantissas(xs) -> tuple[list[int], list[int], int]:
             parts.append((x._mpf_, fzero))
         else:
             parts.append((from_int(x), fzero))
+    return _raw_mantissas(parts)
+
+
+def _raw_mantissas(parts) -> tuple[list[int], list[int], int]:
+    """_mantissas of raw mpmath (re, im) pairs, as in an mpc's _mpc_."""
     e = min((p[2] for pair in parts for p in pair if p[1]), default=0)
 
     def shifted(p) -> int:
@@ -167,6 +191,17 @@ def _rounded(re: int, im: int, e: int) -> mp.mpc:
                         from_man_exp(im, e, prec, round_nearest)))
 
 
+def _int_rows(E) -> list:
+    """The rows of a matrix of mp values in the form _tree_sum contracts
+    with: per row, its exact integer parts (re, im) over one exponent e, a
+    part that is identically zero given as None."""
+    rows = []
+    for row in E:
+        re, im, e = _mantissas(row)
+        rows.append(((re if any(re) else None, im if any(im) else None), e))
+    return rows
+
+
 def _tree_edges(g: PlumbingGraph) -> list[tuple[int, int]]:
     """Edges as (parent, child) vertex positions, parents before children.
 
@@ -190,12 +225,19 @@ def _tree_edges(g: PlumbingGraph) -> list[tuple[int, int]]:
     return out
 
 
-def _tree_sum_direct(g: PlumbingGraph, V, E) -> mp.mpc:
+def _tree_sum_direct(g: PlumbingGraph, labels, level) -> mp.mpc:
     """Brute-force odometer over all colorings; the reference that the tests
-    hold _tree_sum to."""
+    hold _tree_sum to.  The mp edge matrix is rebuilt exactly from the
+    level's integer rows, and every term is multiplied out."""
+    V = [level.vertex_row(lab) for lab in labels]
+    n = len(level.rows)
+    E = [[mp.make_mpc((from_man_exp(0 if re is None else re[c], e),
+                       from_man_exp(0 if im is None else im[c], e)))
+          for c in range(n)]
+         for (re, im), e in level.rows]
     edges = _tree_edges(g)
     terms = []
-    for coloring in itertools.product(range(len(E)), repeat=len(V)):
+    for coloring in itertools.product(range(n), repeat=len(V)):
         w = mp.mpc(1)
         for vi, c in enumerate(coloring):
             w *= V[vi][c]
@@ -205,79 +247,166 @@ def _tree_sum_direct(g: PlumbingGraph, V, E) -> mp.mpc:
     return mp.fsum(terms)
 
 
-def _tree_sum(g: PlumbingGraph, V, E) -> mp.mpc:
+def _message(row, kids, prec: int) -> list:
+    """A vertex's message as raw _mpc_ values: its row of mpc weights times
+    each contracted child message, one rounded product per child in
+    contraction order (what `vec[c] *= w[c]` does on mpc values)."""
+    msg = [z._mpc_ for z in row]
+    for _, w in kids:
+        msg = [mpc_mul(a, b, prec, round_nearest) for a, b in zip(msg, w)]
+    return msg
+
+
+def _tree_sum(g: PlumbingGraph, labels, level) -> mp.mpc:
     """Sum over colorings c of prod_v V[v][c_v] prod_{edges vw} E[c_v][c_w].
 
-    V[v] is the row of vertex weights of the vertex at position v of g.ids,
-    and E the symmetric edge matrix over the colors.  Contraction runs
-    leaf-to-root: a child's message enters its parent through one dot
-    product with a row of E per color.  Each row of E becomes integers once
-    per call, each message once per edge, and each dot product is an exact
-    integer sum rounded once, bit for bit what mp.fdot(E[c], msg) gives; a
-    row part that is identically zero is skipped.
+    The vertex at position v of g.ids has label labels[v] and the row of
+    mpc weights V[v] = level.vertex_row(labels[v]), so equal labels give
+    equal rows; level.rows is the symmetric edge matrix E over the colors
+    in the form _int_rows gives, and level.memo a dict.  Contraction runs
+    leaf-to-root: a child's message is its row times its children's
+    contracted messages, and it enters its parent contracted, as the
+    vector of dot products of the rows of E with it.  Each message becomes integers once, and each dot product is an
+    exact integer sum rounded once, bit for bit what mp.fdot(E[c], msg)
+    gives; a row part that is identically zero is skipped.  Messages stay
+    raw _mpc_ tuples, multiplied with mpc_mul, the function mpc
+    multiplication calls, so no mp object is made per product.
+
+    A contracted message depends only on the child's subtree, named by the
+    child's label and its children's names in contraction order, and it is
+    kept in level.memo under that name until the memo holds _MEMO_ENTRIES
+    colour entries.  So equal subtrees are contracted once, in one tree
+    or across the trees that share the level (the same E, vertex rows and
+    precision).  A name fixes every rounded operation that made its
+    message, so a message from the memo has the bits a fresh contraction
+    would give.
     """
-    rows = []
-    for row in E:
-        re, im, e = _mantissas(row)
-        rows.append(((re if any(re) else None, im if any(im) else None), e))
-    msgs = [list(row) for row in V]
+    prec = mp.mp.prec
+    rows, memo = level.rows, level.memo
+    kids = [[] for _ in labels]  # (name, contracted message) per child
     for parent, child in reversed(_tree_edges(g)):
-        vec = msgs[parent]
-        mre, mim, e = _mantissas(msgs[child])
-        for c, (row, e_row) in enumerate(rows):
-            vec[c] *= _rounded(*_dot(row, (mre, mim)), e_row + e)
-    return mp.fsum(msgs[0])
+        name = (labels[child], tuple(n for n, _ in kids[child]))
+        w = memo.get(name)
+        if w is None:
+            row = level.vertex_row(labels[child])
+            mre, mim, e = _raw_mantissas(_message(row, kids[child], prec))
+            w = []
+            for erow, e_row in rows:
+                re, im = _dot(erow, (mre, mim))
+                w.append((from_man_exp(re, e_row + e, prec, round_nearest),
+                          from_man_exp(im, e_row + e, prec, round_nearest)))
+            if (len(memo) + 1) * len(rows) <= _MEMO_ENTRIES:
+                memo[name] = w
+        kids[parent].append((name, w))
+    root = _message(level.vertex_row(labels[0]), kids[0], prec)
+    return mp.fsum(mp.make_mpc(z) for z in root)
+
+
+# ---------------------------------------------------------------------------
+# the level context and the state sum every group shares
+
+
+class _Level:
+    """What a state sum at one level and working precision shares between
+    graphs.
+
+    The vertex weight of color c at framing f and degree d is
+    Z[f twist[c]] amp[c]^{2-d}, the edge matrix is E (kept as rows, its
+    _int_rows), and the unknot sum at sign eps is sum_c Z[eps twist[c]]
+    amp[c]^2.  Rank 1 (rank1 true, x = U[1]) normalizes a graph of L
+    vertices by x^{-(L+1)} and divides each unknot sum by x^2; su(N)
+    (x = S_0rho) normalizes by x^{L-1}.  Vertex rows and unknot sums are
+    made on first use; memo holds _tree_sum's contracted child messages.
+    """
+
+    def __init__(self, Z, twist, amp, E, x, rank1: bool):
+        self.Z = Z
+        self.twist = twist
+        self.amp = amp
+        self.rows = _int_rows(E)
+        self.x = x
+        self.rank1 = rank1
+        self.memo: dict = {}
+        self._vertex: dict = {}
+        self._unknot: dict = {}
+
+    def vertex_row(self, label: tuple[int, int]) -> list:
+        """The vertex weights at label = (framing, degree)."""
+        row = self._vertex.get(label)
+        if row is None:
+            f, d = label
+            Z, M = self.Z, len(self.Z)
+            row = self._vertex[label] = [Z[f * t % M] * a ** (2 - d)
+                                         for t, a in zip(self.twist, self.amp)]
+        return row
+
+    def unknot(self, eps: int) -> mp.mpc:
+        total = self._unknot.get(eps)
+        if total is None:
+            Z, M = self.Z, len(self.Z)
+            total = mp.fsum(Z[eps * t % M] * a ** 2
+                            for t, a in zip(self.twist, self.amp))
+            if self.rank1:
+                total = total / self.x ** 2
+            self._unknot[eps] = total
+        return total
+
+
+@functools.lru_cache(maxsize=1)
+def _level(build, root: tuple, prec: int) -> _Level:
+    """build(*root), cached by the state-sum kind (its builder), its root
+    data and the working precision prec, which build reads from mp.mp.
+
+    One entry: a run of graphs at one level in one process shares it, and
+    memory holds one level's data at a time.  That data stays alive after
+    the last call until another level or precision replaces it.
+    """
+    return build(*root)
+
+
+def _state_sum(g: PlumbingGraph, level: _Level) -> mp.mpc:
+    """The normalized state sum of g at the level, at the working precision."""
+    lm = linking_matrix(g)
+    labels = [(lm.B[i][i], g.degree(v)) for i, v in enumerate(g.ids)]
+    total = _tree_sum(g, labels, level)
+    L = lm.size
+    tau = level.x ** (-(L + 1) if level.rank1 else L - 1) * total
+    if lm.b_plus:
+        tau /= level.unknot(+1) ** lm.b_plus
+    if lm.b_minus:
+        tau /= level.unknot(-1) ** lm.b_minus
+    return mp.mpc(tau)
 
 
 # ---------------------------------------------------------------------------
 # rank 1: SU(2), SO(3), OSp(1|2)
 
 
-def _rank1_invariant(
-    g: PlumbingGraph, order: int, colors: list[int], sign: int, dps: int,
-    variant: str, level: int,
-) -> WRTResult:
-    """Shared state-sum engine; sign = -1 gives the (x - 1/x) family, +1 the
-    (x + 1/x) one.
+def _rank1_level(order: int, colors: range, sign: int) -> _Level:
+    """sign = -1 gives the (x - 1/x) family, +1 the (x + 1/x) one.
 
     With q = exp(2 pi i / order) every phase is a power of exp(pi i / D),
     D = 2 order: q^{t/2} is Z[2t] and the twist q^{f (n^2 - 1)/4} is
     Z[f (n^2 - 1)].
     """
+    M = 4 * order
+    Z = _phase_table(2 * order)
+    # u(t) = q^{t/2} + sign q^{-t/2} depends on t mod 2 order only;
+    # every color is below the order
+    U = [Z[2 * t] + sign * Z[-2 * t % M] for t in range(2 * order)]
+    E = [[U[a * b % (2 * order)] for b in colors] for a in colors]
+    return _Level(Z, [n * n - 1 for n in colors], [U[n] for n in colors], E,
+                  U[1], True)
+
+
+def _rank1_invariant(
+    g: PlumbingGraph, order: int, colors: range, sign: int, dps: int,
+    variant: str, level: int,
+) -> WRTResult:
     _check_dps(dps)
     with mp.workdps(dps + 15):
-        lm = linking_matrix(g)
-        fr = [lm.B[i][i] for i in range(lm.size)]
-        degs = [g.degree(v) for v in g.ids]
-        M = 4 * order
-        Z = _phase_table(2 * order)
-
-        # u(t) = q^{t/2} + sign q^{-t/2} depends on t mod 2 order only;
-        # every color is below the order
-        U = [Z[2 * t] + sign * Z[-2 * t % M] for t in range(2 * order)]
-        uvals = [U[n] for n in colors]
-        E = [[U[a * b % (2 * order)] for b in colors] for a in colors]
-        rows = {}  # vertex weights, one row per (framing, degree)
-        for f, d in set(zip(fr, degs)):
-            rows[f, d] = [Z[f * (n * n - 1) % M] * un ** (2 - d)
-                          for n, un in zip(colors, uvals)]
-        x = U[1]
-        L = lm.size
-        F = x ** (-(L + 1)) * _tree_sum(g, [rows[fd] for fd in zip(fr, degs)], E)
-
-        def f_unknot(eps: int) -> mp.mpc:
-            total = mp.fsum(
-                Z[eps * (n * n - 1) % M] * un ** 2
-                for n, un in zip(colors, uvals)
-            )
-            return total / x ** 2
-
-        tau = F
-        if lm.b_plus:
-            tau /= f_unknot(+1) ** lm.b_plus
-        if lm.b_minus:
-            tau /= f_unknot(-1) ** lm.b_minus
-        value = mp.mpc(tau)
+        value = _state_sum(g, _level(_rank1_level, (order, colors, sign),
+                                     mp.mp.prec))
     return WRTResult(variant, level, order, value, dps)
 
 
@@ -285,28 +414,64 @@ def wrt_su2(g: PlumbingGraph, k: int, dps: int = 60) -> WRTResult:
     """SU(2) invariant at bare level k > 0, root order k + 2."""
     if k <= 0:
         raise ValueError("level must be positive")
-    colors = list(range(1, k + 2))
-    return _rank1_invariant(g, k + 2, colors, -1, dps, "su2", k)
+    return _rank1_invariant(g, k + 2, range(1, k + 2), -1, dps, "su2", k)
 
 
 def wrt_so3(g: PlumbingGraph, K: int, dps: int = 60) -> WRTResult:
     """SO(3) invariant at even level K > 0: odd colors, root order 2K + 2."""
     if K <= 0 or K % 2 != 0:
         raise ValueError("SO(3) level must be a positive even integer")
-    colors = list(range(1, 2 * K + 2, 2))
-    return _rank1_invariant(g, 2 * K + 2, colors, -1, dps, "so3", K)
+    return _rank1_invariant(g, 2 * K + 2, range(1, 2 * K + 2, 2), -1, dps,
+                            "so3", K)
 
 
 def wrt_osp(g: PlumbingGraph, Khat: int, dps: int = 60) -> WRTResult:
     """OSp(1|2) invariant at level Khat > 0: odd colors, root order 2*Khat + 3."""
     if Khat <= 0:
         raise ValueError("level must be positive")
-    colors = list(range(1, 2 * Khat + 2, 2))
-    return _rank1_invariant(g, 2 * Khat + 3, colors, +1, dps, "osp12", Khat)
+    return _rank1_invariant(g, 2 * Khat + 3, range(1, 2 * Khat + 2, 2), +1,
+                            dps, "osp12", Khat)
 
 
 # ---------------------------------------------------------------------------
 # su(N) quotient groups
+
+
+def _sun_level(N: int, m: int, kprime: int) -> _Level:
+    """su(N) at k': colors are the admissible strictly dominant weights
+    below k', the edge matrix is the S-matrix, the twist of lam is
+    (lam, lam) - (rho, rho) and the amplitude S_0lam."""
+    colors = allowed_colors(N, m, kprime)
+    if not colors:
+        raise ValueError(f"no admissible colors at k'={kprime}")
+    rho_idx = colors.index(weyl_vector(N))
+    G = gram(N)
+    npos = N * (N - 1) // 2
+    pref = mp.mpc(0, 1) ** npos / mp.sqrt((N // m) * kprime ** (N - 1))
+    # q^{(x, y)} = exp(2 pi i pair(x, y) / (N k')) is Z[2 pair(x, y)]
+    M = 2 * N * kprime
+    Z = _phase_table(N * kprime)
+    # gram(N) w(lam) for every Weyl image of every color, so that an S
+    # entry pairs each image with a color by one short dot product
+    W = weyl_group(N)
+    signs = [w.sign for w in W]
+    orbits = []
+    for lam in colors:
+        images = [weyl_action(w, lam).coords for w in W]
+        orbits.append([tuple(sum(c * x for c, x in zip(row, im)) for row in G)
+                       for im in images])
+    Zre, Zim, eZ = _mantissas(Z)
+    E = [[None] * len(colors) for _ in colors]
+    for i, orbit in enumerate(orbits):
+        for j in range(i, len(colors)):
+            mu = colors[j].coords
+            idx = [2 * sum(map(mul, gw, mu)) % M for gw in orbit]
+            total = _dot((signs, None),
+                         ([Zre[a] for a in idx], [Zim[a] for a in idx]))
+            E[i][j] = E[j][i] = pref * _rounded(*total, eZ)
+    S0 = E[rho_idx]
+    twist = [pair(lam, lam) - rho_norm(N) for lam in colors]
+    return _Level(Z, twist, S0, E, S0[rho_idx], False)
 
 
 def wrt_sun_zm(
@@ -322,56 +487,7 @@ def wrt_sun_zm(
     if k <= 0:
         raise ValueError("level must be positive")
     _check_dps(dps)
-    gamma = gamma_factor(N, m)
-    kprime = gamma * k + N
-    colors = allowed_colors(N, m, kprime)
-    if not colors:
-        raise ValueError(f"no admissible colors at k'={kprime}")
-    rho = weyl_vector(N)
-    rho_idx = colors.index(rho)
-    G = gram(N)
+    kprime = gamma_factor(N, m) * k + N
     with mp.workdps(dps + 15):
-        npos = N * (N - 1) // 2
-        pref = mp.mpc(0, 1) ** npos / mp.sqrt((N // m) * kprime ** (N - 1))
-        # q^{(x, y)} = exp(2 pi i pair(x, y) / (N k')) is Z[2 pair(x, y)]
-        M = 2 * N * kprime
-        Z = _phase_table(N * kprime)
-        # gram(N) w(lam) for every Weyl image of every color, so that an S
-        # entry pairs each image with a color by one short dot product
-        W = weyl_group(N)
-        signs = [w.sign for w in W]
-        orbits = []
-        for lam in colors:
-            images = [weyl_action(w, lam).coords for w in W]
-            orbits.append([tuple(sum(c * x for c, x in zip(row, im)) for row in G)
-                           for im in images])
-        Zre, Zim, eZ = _mantissas(Z)
-        E = [[None] * len(colors) for _ in colors]
-        for i, orbit in enumerate(orbits):
-            for j in range(i, len(colors)):
-                mu = colors[j].coords
-                idx = [2 * sum(map(mul, gw, mu)) % M for gw in orbit]
-                total = _dot((signs, None),
-                             ([Zre[a] for a in idx], [Zim[a] for a in idx]))
-                E[i][j] = E[j][i] = pref * _rounded(*total, eZ)
-        S0 = E[rho_idx]
-        # twist q^{(lam, lam) - (rho, rho)} as an exponent of Z
-        twist = [pair(lam, lam) - rho_norm(N) for lam in colors]
-        lm = linking_matrix(g)
-        fr = [lm.B[i][i] for i in range(lm.size)]
-        degs = [g.degree(v) for v in g.ids]
-        rows = {}  # vertex weights, one row per (framing, degree)
-        for f, d in set(zip(fr, degs)):
-            rows[f, d] = [Z[f * t % M] * s ** (2 - d) for t, s in zip(twist, S0)]
-        total = _tree_sum(g, [rows[fd] for fd in zip(fr, degs)], E)
-        tau = S0[rho_idx] ** (lm.size - 1) * total
-
-        def v_unknot(eps: int) -> mp.mpc:
-            return mp.fsum(Z[eps * t % M] * s ** 2 for t, s in zip(twist, S0))
-
-        if lm.b_plus:
-            tau /= v_unknot(+1) ** lm.b_plus
-        if lm.b_minus:
-            tau /= v_unknot(-1) ** lm.b_minus
-        value = mp.mpc(tau)
+        value = _state_sum(g, _level(_sun_level, (N, m, kprime), mp.mp.prec))
     return WRTResult(f"su{N}_z{m}", k, kprime, value, dps)

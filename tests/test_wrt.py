@@ -2,6 +2,7 @@
 invariance, quotient-group consistency."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
@@ -219,6 +220,13 @@ def kernel_dot(a, b):
     return wrt._rounded(*wrt._dot(row, (bre, bim)), ea + eb)
 
 
+def tree_level(vertex_row, E):
+    """What _tree_sum reads of a level: the vertex rows by label, the edge
+    matrix E as integer rows and an empty subtree memo."""
+    return SimpleNamespace(vertex_row=vertex_row, rows=wrt._int_rows(E),
+                           memo={})
+
+
 def fdot_tree_sum(g, V, E):
     """The mp.fdot contraction that _tree_sum replaced, kept only here as a
     reference for its bits."""
@@ -258,12 +266,132 @@ class TestExactDot:
              for _ in range(nc)]
         with mp.workprec(prec):
             want = mp.mpc(fdot_tree_sum(g, V, E))
-            got = mp.mpc(wrt._tree_sum(g, V, E))
+            level = tree_level(V.__getitem__, E)
+            got = mp.mpc(wrt._tree_sum(g, range(nv), level))
         assert got._mpc_ == want._mpc_
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             wrt._mantissas([mp.mpf(1), mp.inf])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           st.integers(1, 4), st.integers(1, 5), st.sampled_from([53, 200]),
+           st.data())
+    def test_shared_memo_is_fdot_contraction(self, sizes, pool, nc, prec, data):
+        # several trees whose vertices take their rows from one small pool,
+        # contracted with one memo: equal subtrees are contracted once, and
+        # every tree still gets the bits of its own fdot contraction
+        top = (-8, 8)
+        rows = [data.draw(exact_vectors(prec, nc, ("complex",), top))
+                for _ in range(pool)]
+        kind = data.draw(st.sampled_from(("real", "imag", "complex")))
+        E = [data.draw(exact_vectors(prec, nc, (kind,), top))
+             for _ in range(nc)]
+        with mp.workprec(prec):
+            level = tree_level(rows.__getitem__, E)
+            for nv in sizes:
+                parents = [data.draw(st.integers(0, i - 1)) for i in range(1, nv)]
+                g = PlumbingGraph.build([-2] * nv,
+                                        [(p, i + 1) for i, p in enumerate(parents)])
+                labels = [data.draw(st.integers(0, pool - 1)) for _ in range(nv)]
+                V = [rows[lab] for lab in labels]
+                want = mp.mpc(fdot_tree_sum(g, V, E))
+                got = mp.mpc(wrt._tree_sum(g, labels, level))
+                assert got._mpc_ == want._mpc_
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.sampled_from([53, 200]), st.data())
+    def test_memo_names_keep_child_order(self, nc, prec, data):
+        # a vertex with two unlike leaves, met in both orders: the two
+        # orders round its products differently, so each needs its own entry
+        top = (-8, 8)
+        rows = [data.draw(exact_vectors(prec, nc, ("complex",), top))
+                for _ in range(4)]
+        E = [data.draw(exact_vectors(prec, nc, ("complex",), top))
+             for _ in range(nc)]
+        g = PlumbingGraph.build([-2] * 4, [(0, 1), (1, 2), (1, 3)])
+        with mp.workprec(prec):
+            level = tree_level(rows.__getitem__, E)
+            for labels in ([0, 1, 2, 3], [0, 1, 3, 2]):
+                V = [rows[lab] for lab in labels]
+                want = mp.mpc(fdot_tree_sum(g, V, E))
+                got = mp.mpc(wrt._tree_sum(g, labels, level))
+                assert got._mpc_ == want._mpc_
+
+
+@st.composite
+def definite_trees(draw, max_vertices=6):
+    """A negative-definite plumbing tree of at most max_vertices vertices,
+    with its vertex ids permuted and listed in a shuffled order.
+
+    Each framing is at most minus the vertex degree and the first vertex's
+    is below it, so the linking matrix is irreducibly diagonally dominant
+    with a negative diagonal."""
+    n = draw(st.integers(1, max_vertices))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    deg = [0] * n
+    for a, b in edges:
+        deg[a] += 1
+        deg[b] += 1
+    fr = [-deg[v] - draw(st.integers(1 if v == 0 else 0, 3)) for v in range(n)]
+    ids = draw(st.permutations(range(n)))
+    order = draw(st.permutations(range(n)))
+    return PlumbingGraph.build([(ids[v], fr[v]) for v in order],
+                               [(ids[a], ids[b]) for a, b in edges])
+
+
+STATE_SUMS = {  # name -> (function of (graph, level, dps), levels)
+    "su2": (wrt_su2, (1, 2, 5)),
+    "so3": (wrt_so3, (2, 4)),
+    "osp12": (wrt_osp, (1, 3)),
+    "su3_z1": (lambda g, k, dps: wrt_sun_zm(g, 3, 1, k, dps), (1, 2)),
+    "su3_z3": (lambda g, k, dps: wrt_sun_zm(g, 3, 3, k, dps), (3,)),
+}
+
+
+class TestLevelContext:
+    """The cached level context and the subtree memo serve the bits a cold
+    call computes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(STATE_SUMS)), st.data(),
+           st.lists(definite_trees(), min_size=2, max_size=4))
+    def test_warm_equals_cold(self, name, data, graphs):
+        f, levels = STATE_SUMS[name]
+        k = data.draw(st.sampled_from(levels))
+        warm = [f(g, k, 20).value._mpc_ for g in graphs]
+        for g, value in zip(graphs, warm):
+            wrt._level.cache_clear()
+            assert f(g, k, 20).value._mpc_ == value
+
+    def test_memo_keeps_a_bounded_number_of_colour_entries(self):
+        # 24 unlike leaves at 201 colours: the memo stops at the bound, and
+        # a warm call, with the memo full, gives the cold call's bits
+        g = PlumbingGraph.build([-30] + [-2 - i for i in range(24)],
+                                [(0, i) for i in range(1, 25)])
+        wrt._level.cache_clear()
+        cold = wrt_su2(g, 200, 20).value._mpc_
+        with mp.workdps(35):
+            level = wrt._level(wrt._rank1_level, (202, range(1, 202), -1),
+                               mp.mp.prec)
+        assert sum(map(len, level.memo.values())) == (
+            wrt._MEMO_ENTRIES // 201 * 201)
+        assert wrt_su2(g, 200, 20).value._mpc_ == cold
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(sorted(STATE_SUMS)), st.data(), definite_trees(),
+           st.sampled_from([(15, 40), (40, 15), (20, 21)]))
+    def test_precision_change_builds_its_own_level(self, name, data, g, dps):
+        f, levels = STATE_SUMS[name]
+        k = data.draw(st.sampled_from(levels))
+        first, second = dps
+        wrt._level.cache_clear()
+        cold = f(g, k, second).value._mpc_
+        f(g, k, first)
+        misses = wrt._level.cache_info().misses
+        assert f(g, k, second).value._mpc_ == cold
+        assert wrt._level.cache_info().misses == misses + 1
 
 
 class TestGoldenDigits:
