@@ -49,8 +49,6 @@ __all__ = [
     "nested_sum_jones_83",
     "twist_knot_jones",
     "closed_form_homfly",
-    "alexander_double_twist",
-    "inverse_binomial_expansion",
     "mmr_leading_check",
     "exp_growth_check",
     "quiver_to_json",
@@ -636,43 +634,6 @@ def closed_form_homfly(knot: str, r: int, a_exp: int = 2, q_sub: int = 1) -> QSe
     else:
         raise ValueError(f"no oracle for knot {knot!r}")
     return _qs_substitute_power(out, q_sub) if q_sub != 1 else out
-
-
-def alexander_double_twist(p: int, m: int) -> tuple[int, int]:
-    """Coefficients (c0, c1) of the Alexander polynomial c0 + c1*X with
-    X = (1-x)^2/x."""
-    if p < 1 or m < 1:
-        raise ValueError("twist parameters must be positive")
-    return (1, -p * m)
-
-
-def inverse_binomial_expansion(p: int, m: int, N: int, kmax: int) -> list[int]:
-    """Coefficients c_k of 1/(1 - pmX)^{N-1} = sum c_k X^k through kmax.
-
-    Cross-checks the nested-binomial chain representation (pm ascending
-    summation variables) against the closed form C(N+k-2, k) (pm)^k and
-    raises if they disagree.
-    """
-    if N < 2:
-        raise ValueError("need N >= 2")
-    w = p * m
-    closed = [math.comb(N + k - 2, k) * w ** k for k in range(kmax + 1)]
-    # nested chain: 0 <= k_1 <= ... <= k_w = k, weight prod C(k_{i+1}, k_i)
-    nested = []
-    for k in range(kmax + 1):
-        total = 0
-        for chain in itertools.combinations_with_replacement(range(k + 1), w - 1):
-            full = chain + (k,)
-            weight = 1
-            for lo, hi in zip(full, full[1:]):
-                weight *= math.comb(hi, lo)
-            total += weight
-        nested.append(math.comb(N + k - 2, k) * (total if w > 1 else 1))
-    if nested != closed:
-        raise ValueError(
-            f"nested chain disagrees with closed form: {nested} vs {closed}"
-        )
-    return closed
 
 
 def mmr_leading_check(q: Quiver, hbar: float, x: float, r_from_x: int,

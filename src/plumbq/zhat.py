@@ -26,9 +26,10 @@ factors of -B reaches the order, so one pass buckets every label.
 An independent constant-term oracle multiplies the theta function by its
 own vertex expansions and reads off the z-degree-zero part.  It takes the
 power of the Weyl denominator and then inverts it, where the blocks invert
-the chamber factor 1 + U and then take the power, and it walks the theta
-lattice in m-space with `ellipsoid_points`, an integer Fincke-Pohst
-enumeration pruned by its own supports.
+the chamber factor 1 + U and then take the power.  It walks the theta
+lattice in m-space with `ellipsoid_points`, in integers on one Bareiss
+elimination of the form, as the blocks' coset-minimum search does, and
+tries at each closing level only the values its own supports admit.
 """
 
 from __future__ import annotations
@@ -254,84 +255,78 @@ def _class_matrix(lm: LinkingMatrix, N: int) -> list[list[int]]:
             for adj_row in lm.adj for g_row in gram(N)]
 
 
-def _theta_form(lm: LinkingMatrix, N: int, pos) -> list[list[Fraction]]:
-    """The form (1/2) ((-B) (x) C) of the su(N) theta lattice, coordinate
+def _theta_form(lm: LinkingMatrix, N: int, pos) -> list[list[int]]:
+    """(-B) (x) C, twice the theta form of the su(N) lattice, coordinate
     pos[v] (N-1) + a being simple-root coordinate a at vertex v.  Over the
-    coset of b the exponent is its value at m + centre, m integer, where the
-    centre (B^{-1} (x) C^{-1}) b is mapped to b by B (x) C."""
+    coset of b the exponent is half its value at m + centre, m integer,
+    where the centre (B^{-1} (x) C^{-1}) b is mapped to b by B (x) C."""
     n, r, C = lm.size, N - 1, cartan(N)
-    A = [[Fraction(0)] * (n * r) for _ in range(n * r)]
+    Q = [[0] * (n * r) for _ in range(n * r)]
     for v, w, a, c in itertools.product(range(n), range(n), range(r), range(r)):
-        A[pos[v] * r + a][pos[w] * r + c] = Fraction(-lm.B[v][w] * C[a][c], 2)
-    return A
+        Q[pos[v] * r + a][pos[w] * r + c] = -lm.B[v][w] * C[a][c]
+    return Q
 
 
-def _ldl(A: list[list[Fraction]]):
-    """Q(x) = sum_i d[i] (x_i + sum_{j>i} U[i][j] x_j)^2 for posdef A."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
-    d, U = [], [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d.append(M[i][i])
-        assert d[i] > 0, "quadratic form is not positive definite"
-        for j in range(i + 1, n):
-            U[i][j] = M[i][j] / d[i]
-        for r, c in itertools.product(range(i + 1, n), repeat=2):
-            M[r][c] -= M[r][i] * M[i][c] / d[i]
-    return d, U
+def _bareiss(Q: list[list[int]]):
+    """Bareiss elimination of the integer posdef form Q: its leading minors
+    d_1..d_n (d_0 = 1), the integer rows [(j, M_kj) for j > k], w_k =
+    L / (d_k d_{k+1}) and L, with x^T Q x = sum_k w_k Y_k^2 / L for
+    Y_k = d_{k+1} x_k + sum_{j>k} M_kj x_j."""
+    n, M, d = len(Q), [list(row) for row in Q], [1]
+    for k in range(n):
+        assert M[k][k] > 0, "quadratic form is not positive definite"
+        for i, j in itertools.product(range(k + 1, n), repeat=2):
+            M[i][j] = (M[k][k] * M[i][j] - M[i][k] * M[k][j]) // d[k]
+        d.append(M[k][k])
+    L = math.lcm(*(a * b for a, b in zip(d, d[1:])))
+    return (d[1:], [[(j, M[k][j]) for j in range(k + 1, n) if M[k][j]] for k in range(n)],
+            [L // (a * b) for a, b in zip(d, d[1:])], L)
 
 
 def ellipsoid_points(A, center, R: Fraction, prune=None):
-    """Integer vectors x with (x+center)^T A (x+center) <= R (A posdef).
+    """(x, exact value) for the integer x with (x+center)^T A (x+center) <= R
+    (A posdef), by `_points` on the Bareiss rows of Q = sA, s the least
+    common denominator of A.  prune maps a level i to a function of
+    (x, lo, hi), called once x[i+1:] are fixed, that lists the admissible
+    x[i] in [lo, hi] in ascending order."""
+    s = math.lcm(*(a.denominator for row in A for a in row))
+    E = math.lcm(*(c.denominator for c in center))
+    pts, K = _points(_bareiss([[int(a * s) for a in row] for row in A]),
+                     [c.numerator * (E // c.denominator) for c in center], E,
+                     s * Fraction(R), prune)
+    return [(x, Fraction(t, K * s)) for x, t in pts]
 
-    Returns a list of (x, value) pairs, value being the exact form value
-    as a Fraction.  Fincke-Pohst style recursive enumeration that fixes
-    x[n-1] first and x[0] last.  prune maps a level i to a predicate of
-    the list x, called once x[i], ..., x[n-1] are fixed (entries below i
-    are stale); a branch on which it is false is cut.
-    """
-    return _points(*_ldl(A), center, R, prune)
 
-
-def _points(d, U, center, R: Fraction, prune=None):
-    """ellipsoid_points from the LDL factors of A, in integers: level i
-    scales y_i = x_i + center_i + sum_{j>i} U[i][j] (x_j + center_j) to an
-    integer Y = M_i y_i and its share d_i y_i^2 of the form to w_i Y^2 over
-    one denominator K, so each range of x_i comes from math.isqrt."""
-    n, R, center = len(d), Fraction(R), [Fraction(c) for c in center]
-    M, base, rows = [], [], []
-    for i in range(n):
-        const = center[i] + sum(U[i][j] * center[j] for j in range(i + 1, n))
-        m = math.lcm(const.denominator, *(U[i][j].denominator for j in range(i + 1, n)))
-        M.append(m)
-        base.append(int(const * m))
-        rows.append([(j, int(U[i][j] * m)) for j in range(i + 1, n) if U[i][j]])
-    K = math.lcm(R.denominator, *((d[i] / M[i] ** 2).denominator for i in range(n)))
-    w = [int(d[i] * K / M[i] ** 2) for i in range(n)]
-    top = int(R * K)
+def _points(form, e, E: int, R: Fraction, prune=None, first=False):
+    """(x, t) with (x + e/E)^T Q (x + e/E) = t / K <= R (E > 0), and K, for
+    form = _bareiss(Q): level k holds w_k Y_k^2 with E Y_k an integer, so
+    each range of x_k, x[n-1] first, comes from math.isqrt.  prune is as
+    in ellipsoid_points; with first set, it stops at a first point below R."""
+    piv, rows, w, L = form
+    n, R, scale = len(piv), Fraction(R), L * E * E
+    base = [p * ek + sum(u * e[j] for j, u in row) for p, ek, row in zip(piv, e, rows)]
+    m, W = [E * p for p in piv], [R.denominator * wk for wk in w]
+    top = R.numerator * scale - first
     checks, out, x = prune or {}, [], [0] * n
 
     def rec(i: int, remaining: int):
-        m, wi = M[i], w[i]
-        P = base[i]
-        for j, u in rows[i]:
-            P += u * x[j]
+        P, mi, wi = base[i] + E * sum([u * x[j] for j, u in rows[i]]), m[i], W[i]
         s = math.isqrt(remaining // wi)  # |Y| <= s  <=>  w_i Y^2 <= remaining
-        check = checks.get(i)
-        for xi in range(-((s + P) // m), (s - P) // m + 1):
+        lo, hi = -((s + P) // mi), (s - P) // mi
+        for xi in checks[i](x, lo, hi) if i in checks else range(lo, hi + 1):
             x[i] = xi
-            if check is not None and not check(x):
-                continue
-            Y = m * xi + P
+            Y = mi * xi + P
             left = remaining - wi * Y * Y
             if i:
                 rec(i - 1, left)
             else:
-                out.append((tuple(x), Fraction(top - left, K)))
+                out.append((tuple(x), top - left))
+            if first and out:
+                return
 
     if top >= 0:
         rec(n - 1, top)
-    return out
+    return out, R.denominator * scale
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +408,8 @@ def zhat_blocks(g: PlumbingGraph, lm: LinkingMatrix, labels, variant: str,
         for i, vid in enumerate(g.ids)]
     walked, scale, D = _walk(lm, N, R, sup)
     pref = _prefactor(lm, N)
-    A = _theta_form(lm, N, range(n))
-    (d, U), Q = _ldl(A), [[int(2 * x) for x in row] for row in A]
-    K, det = _class_matrix(lm, N), N * lm.det
+    Q = _theta_form(lm, N, range(n))
+    form, K, det = _bareiss(Q), _class_matrix(lm, N), N * lm.det
     empty = QSeries.from_terms({}, denom=_series_denom(lm, N), trunc=pref + R)
     norm = 2 ** sum(g.degree(v) >= 3 for v in g.ids) if rank1 else math.factorial(N) ** n
     blocks = []
@@ -425,17 +419,18 @@ def zhat_blocks(g: PlumbingGraph, lm: LinkingMatrix, labels, variant: str,
         y = [sum(map(mul, row, flat)) for row in K]
         found = walked.get(tuple(x % abs(det) for x in y))
         low = Fraction(min(found), scale) if found else Fraction(0)
-        # the form's value at the rounded centre y / det, whose offset is
-        # u / det, bounds the coset minimum: a walk at that radius finds it,
-        # and one at radius R tells whether it is below R
+        # Q at the rounded centre y / det (offset u / det) bounds twice the
+        # coset minimum; one point below 2R shows the minimum is below R
         u = [x - det * ((2 * x + det) // (2 * det)) for x in y]
-        top = Fraction(sum(map(mul, u, [sum(map(mul, row, u)) for row in Q])), 2 * det * det)
-        if rank1 or not found and top >= R:
-            center = [Fraction(x, det) for x in y]
-            least = min((q for _, q in _points(d, U, center, top if rank1 else R)), default=R)
-            if R <= least:
+        top = Fraction(sum(map(mul, u, [sum(map(mul, row, u)) for row in Q])), det * det)
+        e = y if det > 0 else [-x for x in y]
+        if rank1:
+            pts, den = _points(form, e, abs(det), top)
+            low = Fraction(min(t for _, t in pts), 2 * den)
+            if R <= low:
                 raise ValueError("order does not reach past delta_b")
-            low = least if rank1 else low
+        elif not found and top >= 2 * R and not _points(form, e, abs(det), 2 * R, first=True)[0]:
+            raise ValueError("order does not reach past delta_b")
         series = QSeries.from_terms(
             {pref + Fraction(t, scale): Fraction(c, D) for t, c in found.items()},
             denom=empty.denom, trunc=empty.trunc) if found else empty
@@ -485,40 +480,30 @@ def sun_block_labels(g: PlumbingGraph, N: int, lm: LinkingMatrix | None = None) 
 
 def constant_term_oracle(g: PlumbingGraph, b, variant: str, order) -> QSeries:
     """Block series recomputed as a theta-function constant term: the m-space
-    walk (N = 2 at rank 1, vertex weight ell = b + 2 B m) pruned by the
-    supports of the oracle's own vertex expansions."""
+    walk (N = 2 at rank 1) over lattice points m, where vertex v has weight
+    s_v = b_v + C sum_w B_vw m_w and contributes factors[v][s_v].  The level
+    that closes v's neighbourhood moves s_v by k_v per unit, so there the
+    walk tries only the values that the support of factors[v], bucketed by
+    first coordinate mod k_v[0], lists and every closing vertex admits."""
     variant, lm = variant.lower(), linking_matrix(g)
     if not is_negative_definite(lm):
         raise ValueError("linking matrix must be negative definite")
-    R = Fraction(order)
+    R, n, B = Fraction(order), lm.size, lm.B
     if R <= 0:  # as in the blocks: no such order passes the coset minimum
         raise ValueError("order does not reach past delta_b")
     if variant == "su3":
-        N, bound = 3, 2 * R * max(-lm.B[i][i] for i in range(lm.size))
+        N, bound = 3, 2 * R * max(-B[i][i] for i in range(n))
         factors = [_oracle_vertex_suN(g.degree(vid), N, bound) for vid in g.ids]
     else:
         # expansions of x + s/x cut at |ell| <= max_abs, that is
-        # (ell, ell) = ell^2 / 2 <= max_abs^2 / 2; theta contributes z^ell,
-        # so the z-degree-zero pairing takes the coefficient of z^{-ell_v}
-        N, b, s = 2, [(x,) for x in b], 1 if variant == "osp12" else -1
-        factors = [{(-e,): c for (e,), c in _oracle_vertex_suN(
-            g.degree(vid), 2, Fraction((math.isqrt(int(4 * R * -lm.B[i][i])) + 2) ** 2, 2),
-            s).items()} for i, vid in enumerate(g.ids)]
-    pref = _prefactor(lm, N)
-    terms = _support_walk(lm, b, N, R, factors)
-    return QSeries.from_terms({pref + q: c for q, c in terms.items()},
-                              denom=_series_denom(lm, N), trunc=pref + R)
-
-
-def _support_walk(lm: LinkingMatrix, b, N: int, R: Fraction, factors):
-    """{exponent: coefficient} of the su(N) theta sum over the coset of b,
-    for the points of exponent below R.  At lattice point m vertex v has
-    weight s_v = b_v + C sum_w B_vw m_w, which depends on the closed
-    neighbourhood of v only, and contributes factors[v][s_v]; the walk cuts
-    a branch as soon as a vertex with its neighbourhood fixed has a weight
-    that is not a key of its factors."""
-    n, r, B, C = lm.size, N - 1, lm.B, cartan(N)
-    pos = _walk_order(B)
+        # (ell, ell) = ell^2 / 2 <= max_abs^2 / 2.  Theta contributes z^ell
+        # and the pairing takes the coefficient of z^{-ell_v}, so the walk
+        # runs over the coset of -b, whose points -ell have the same exponents
+        N, b, s = 2, [(-x,) for x in b], 1 if variant == "osp12" else -1
+        factors = [_oracle_vertex_suN(
+            g.degree(vid), 2, Fraction((math.isqrt(int(4 * R * -B[i][i])) + 2) ** 2, 2), s)
+            for i, vid in enumerate(g.ids)]
+    r, C, pos = N - 1, cartan(N), _walk_order(B)
     bw = [tuple(int(c) for c in bv) for bv in b]
     center = [Fraction(0)] * (n * r)
     for i, row in enumerate(_class_matrix(lm, N)):
@@ -530,23 +515,38 @@ def _support_walk(lm: LinkingMatrix, b, N: int, R: Fraction, factors):
             for a in range(r)] for v in range(n)]
 
     def weight(v, x):
-        return tuple(b0 + sum(k * x[i] for i, k in row)
-                     for b0, row in zip(bw[v], lin[v]))
+        return tuple([b0 + sum([k * x[i] for i, k in row])
+                      for b0, row in zip(bw[v], lin[v])])
 
-    closing: dict[int, list[int]] = {}
+    closing = {}
     for v in range(n):
         level = min(pos[w] for w in range(n) if B[v][w]) * r
-        closing.setdefault(level, []).append(v)
-    prune = {level: (lambda x, vs=vs: all(weight(v, x) in factors[v] for v in vs))
+        k = tuple(sum(c for i, c in row if i == level) for row in lin[v])
+        buckets = {}
+        for mu0 in sorted({mu[0] for mu in factors[v]}):
+            buckets.setdefault(mu0 % k[0], []).append(mu0)
+        closing.setdefault(level, []).append((v, k, buckets))
+
+    def admissible(x, lo, hi, level, vs):
+        x[level] = 0
+        shifts = [(factors[v], weight(v, x), k, buckets) for v, k, buckets in vs]
+        _, c, k, buckets = shifts[0]
+        found = sorted(t for mu0 in buckets.get(c[0] % k[0], ())
+                       if lo <= (t := (mu0 - c[0]) // k[0]) <= hi)
+        return [t for t in found if all(tuple(a + t * s for a, s in zip(c, k)) in f
+                                        for f, c, k, _ in shifts)]
+
+    prune = {level: functools.partial(admissible, level=level, vs=vs)
              for level, vs in closing.items()}
-    terms: dict[Fraction, Fraction] = {}
-    for x, q in ellipsoid_points(_theta_form(lm, N, pos), center, R, prune):
-        if q < R:
+    pref, terms = _prefactor(lm, N), {}
+    # the walk runs on (-B) (x) C, twice the theta form, at radius 2R
+    for x, q in ellipsoid_points(_theta_form(lm, N, pos), center, 2 * R, prune):
+        if q < 2 * R:
             coeff = Fraction(1)
             for v in range(n):
                 coeff *= factors[v][weight(v, x)]
-            terms[q] = terms.get(q, Fraction(0)) + coeff
-    return terms
+            terms[e] = terms.get(e := pref + q / 2, 0) + coeff
+    return QSeries.from_terms(terms, denom=_series_denom(lm, N), trunc=pref + R)
 
 
 def _walk_order(B) -> list[int]:

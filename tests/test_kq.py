@@ -20,13 +20,11 @@ from plumbq.kq import (
     _grow_twist,
     _groups,
     _linear_data,
-    alexander_double_twist,
     builtin_generator_set,
     dt_invariants,
     exp_growth_check,
     framing_shift,
     generate_double_twist_quiver,
-    inverse_binomial_expansion,
     mmr_leading_check,
     nested_sum_jones_83,
     quiver_from_json,
@@ -306,20 +304,6 @@ class TestWalk:
     def test_mmr_rejects_hbar_zero(self):
         with pytest.raises(ValueError, match="hbar must be nonzero"):
             mmr_leading_check(generate_double_twist_quiver(1, 1), 0, 1.0, 20)
-
-
-class TestAlexander:
-    def test_linear_coefficients(self):
-        assert alexander_double_twist(1, 1) == (1, -1)
-        assert alexander_double_twist(3, 2) == (1, -6)
-
-    def test_inverse_binomial_small(self):
-        assert inverse_binomial_expansion(1, 1, 3, 5) == [1, 2, 3, 4, 5, 6]
-
-    def test_inverse_binomial_closed_form(self):
-        # 1/(1-4X)^2 = sum (k+1) 4^k X^k
-        got = inverse_binomial_expansion(2, 2, 3, 6)
-        assert got == [(k + 1) * 4 ** k for k in range(7)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from plumbq.catalog import (
     lens_m5_11,
     poincare_sphere,
 )
-from plumbq.lie import gram
+from plumbq.lie import cartan, gram
 from plumbq.plumbing import (
     PlumbingGraph,
     degree_delta,
@@ -27,14 +27,19 @@ from plumbq.plumbing import (
 from plumbq.qlaurent import QSeries, qs_flip, qs_neg
 from plumbq.zhat import (
     _avg_rank1,
+    _bareiss,
     _class_matrix,
     _height,
     _ht,
     _inverse,
     _mul,
     _oracle_vertex_suN,
+    _points,
+    _prefactor,
+    _series_denom,
     _sun_chamber_average,
     _walk,
+    _walk_order,
     constant_term_oracle,
     ellipsoid_points,
     sun_block_labels,
@@ -219,6 +224,77 @@ class TestConstantTermOracle:
                 b.series.terms
 
 
+def reference_oracle(g, b, variant, order):
+    """constant_term_oracle by a second route: the Fraction theta form,
+    reference_points, and a predicate per closing level that tests each
+    candidate's closing weights against the supports."""
+    lm, R = linking_matrix(g), Fraction(order)
+    n = lm.size
+    if variant == "su3":
+        N, bound = 3, 2 * R * max(-lm.B[i][i] for i in range(n))
+        factors = [_oracle_vertex_suN(g.degree(vid), N, bound) for vid in g.ids]
+    else:
+        N, b, s = 2, [(x,) for x in b], 1 if variant == "osp12" else -1
+        factors = [{(-e,): c for (e,), c in _oracle_vertex_suN(
+            g.degree(vid), 2, Fraction((math.isqrt(int(4 * R * -lm.B[i][i])) + 2) ** 2, 2),
+            s).items()} for i, vid in enumerate(g.ids)]
+    r, B, C = N - 1, lm.B, cartan(N)
+    pos = _walk_order(B)
+    bw = [tuple(int(c) for c in bv) for bv in b]
+    center = [Fraction(0)] * (n * r)
+    for i, row in enumerate(_class_matrix(lm, N)):
+        center[pos[i // r] * r + i % r] = Fraction(
+            sum(k * c for k, c in zip(row, itertools.chain(*bw))), N * lm.det)
+    A = [[Fraction(0)] * (n * r) for _ in range(n * r)]
+    for v, w, a, c in itertools.product(range(n), range(n), range(r), range(r)):
+        A[pos[v] * r + a][pos[w] * r + c] = Fraction(-B[v][w] * C[a][c], 2)
+    lin = [[[(pos[w] * r + c, C[a][c] * B[v][w])
+             for w in range(n) if B[v][w] for c in range(r) if C[a][c]]
+            for a in range(r)] for v in range(n)]
+
+    def weight(v, x):
+        return tuple(b0 + sum(k * x[i] for i, k in row) for b0, row in zip(bw[v], lin[v]))
+
+    closing = {}
+    for v in range(n):
+        closing.setdefault(min(pos[w] for w in range(n) if B[v][w]) * r, []).append(v)
+    prune = {level: (lambda x, vs=vs: all(weight(v, x) in factors[v] for v in vs))
+             for level, vs in closing.items()}
+    terms = {}
+    for x, q in reference_points(A, center, R, prune):
+        if q < R:
+            coeff = Fraction(1)
+            for v in range(n):
+                coeff *= factors[v][weight(v, x)]
+            terms[q] = terms.get(q, Fraction(0)) + coeff
+    pref = _prefactor(lm, N)
+    return QSeries.from_terms({pref + q: c for q, c in terms.items()},
+                              denom=_series_denom(lm, N), trunc=pref + R)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random negative-definite tree (up to 4 vertices at rank 1, up to 2
+    for su3), one of its labels and an order."""
+    variant = draw(st.sampled_from(["su2", "osp12", "su3"]))
+    size = draw(st.integers(1, 2 if variant == "su3" else 4))
+    edges = [(draw(st.integers(0, i)), i + 1) for i in range(size - 1)]
+    deg = [sum(v in e for e in edges) for v in range(size)]
+    g = PlumbingGraph.build([-(d + draw(st.integers(1, 3))) for d in deg], edges)
+    lm = linking_matrix(g)
+    labels = sun_block_labels(g, 3, lm) if variant == "su3" else \
+        [lab.b for lab in spinc_representatives(lm, degree_delta(g)[1])]
+    b = labels[draw(st.integers(0, len(labels) - 1))]
+    return g, b, variant, draw(st.integers(1, 8 if variant == "su3" else 24))
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_cases())
+def test_oracle_matches_reference_route(case):
+    got, want = constant_term_oracle(*case), reference_oracle(*case)
+    assert (got.terms, got.trunc, got.denom) == (want.terms, want.trunc, want.denom)
+
+
 def theta_minimum(B, b):
     """Least t^T (-B) t over t = m + B^{-1} b / 2, m integer, by brute
     force: a point of value at most V has |t_i|^2 <= V (-B)^{-1}_ii.  The
@@ -307,6 +383,74 @@ def brute_points(A, center, R, scale):
     return out
 
 
+@st.composite
+def posdef_forms(draw):
+    """A = (M^T M + D) / 2 for an integer M and a positive diagonal D, of
+    dimension 1 to 5, with a centre of rational entries of either sign."""
+    n = draw(st.integers(1, 5))
+    M = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    A = [[Fraction(sum(M[k][i] * M[k][j] for k in range(n))
+                   + (draw(st.integers(1, 3)) if i == j else 0), 2)
+          for j in range(n)] for i in range(n)]
+    A = [[A[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    center = [Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 6)))
+              for _ in range(n)]
+    return A, center, Fraction(draw(st.integers(0, 24)), draw(st.integers(1, 3)))
+
+
+def _ldl(A):
+    """Q(x) = sum_i d[i] (x_i + sum_{j>i} U[i][j] x_j)^2 for posdef A."""
+    n = len(A)
+    M = [[Fraction(x) for x in row] for row in A]
+    d, U = [], [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d.append(M[i][i])
+        assert d[i] > 0, "quadratic form is not positive definite"
+        for j in range(i + 1, n):
+            U[i][j] = M[i][j] / d[i]
+        for r, c in itertools.product(range(i + 1, n), repeat=2):
+            M[r][c] -= M[r][i] * M[i][c] / d[i]
+    return d, U
+
+
+def reference_points(A, center, R, prune=None):
+    """ellipsoid_points by a second route, the Fraction LDL factors of A:
+    level i scales y_i = x_i + center_i + sum_{j>i} U[i][j] (x_j + center_j)
+    to an integer Y = M_i y_i over one denominator K.  prune maps a level i
+    to a predicate of x, called once x[i:] are fixed."""
+    d, U = _ldl(A)
+    n, R, center = len(d), Fraction(R), [Fraction(c) for c in center]
+    M, base, rows = [], [], []
+    for i in range(n):
+        const = center[i] + sum(U[i][j] * center[j] for j in range(i + 1, n))
+        m = math.lcm(const.denominator, *(U[i][j].denominator for j in range(i + 1, n)))
+        M.append(m)
+        base.append(int(const * m))
+        rows.append([(j, int(U[i][j] * m)) for j in range(i + 1, n) if U[i][j]])
+    K = math.lcm(R.denominator, *((d[i] / M[i] ** 2).denominator for i in range(n)))
+    w = [int(d[i] * K / M[i] ** 2) for i in range(n)]
+    top = int(R * K)
+    checks, out, x = prune or {}, [], [0] * n
+
+    def rec(i, remaining):
+        m, wi = M[i], w[i]
+        P = base[i] + sum(u * x[j] for j, u in rows[i])
+        s = math.isqrt(remaining // wi)
+        for xi in range(-((s + P) // m), (s - P) // m + 1):
+            x[i] = xi
+            if i in checks and not checks[i](x):
+                continue
+            left = remaining - wi * (m * xi + P) ** 2
+            if i:
+                rec(i - 1, left)
+            else:
+                out.append((tuple(x), Fraction(top - left, K)))
+
+    if top >= 0:
+        rec(n - 1, top)
+    return out
+
+
 class TestEllipsoidPoints:
     @settings(max_examples=100, deadline=None)
     @given(shifted_forms())
@@ -319,19 +463,54 @@ class TestEllipsoidPoints:
     @settings(max_examples=100, deadline=None)
     @given(shifted_forms(), st.data())
     def test_pruning_keeps_exactly_the_rule(self, form, data):
-        # a rule at level i may read x[i:] only: the walk calls it once
-        # those entries are fixed
+        # a rule at level i lists the admissible x[i] in [lo, hi] from
+        # x[i+1:], the entries the walk has fixed when it calls the rule
         A, center, R, scale = form
         n = len(A)
-        rules = {}
-        for i in data.draw(st.sets(st.integers(0, n - 1))):
-            k = data.draw(st.integers(2, 3))
-            r = data.draw(st.integers(0, k - 1))
-            rules[i] = (lambda x, i=i, k=k, r=r: sum(x[i:]) % k != r)
+        kept = {i: (k, data.draw(st.integers(0, k - 1)))
+                for i in data.draw(st.sets(st.integers(0, n - 1)))
+                for k in [data.draw(st.integers(2, 3))]}
+        rules = {i: (lambda x, lo, hi, i=i, k=k, r=r:
+                     [t for t in range(lo, hi + 1) if (t + sum(x[i + 1:])) % k != r])
+                 for i, (k, r) in kept.items()}
         got = ellipsoid_points(A, center, R, rules)
         want = [(x, q) for x, q in brute_points(A, center, R, scale)
-                if all(rule(list(x)) for rule in rules.values())]
+                if all(sum(x[i:]) % k != r for i, (k, r) in kept.items())]
         assert sorted(got) == sorted(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(posdef_forms())
+    def test_integer_walk_matches_reference(self, form):
+        A, center, R = form
+        assert ellipsoid_points(A, center, R) == reference_points(A, center, R)
+
+    @settings(max_examples=100, deadline=None)
+    @given(posdef_forms(), st.lists(st.integers(-9, 9), min_size=5, max_size=5))
+    def test_bareiss_rows_sum_to_the_form(self, form, x):
+        A = form[0]
+        Q = [[int(2 * a) for a in row] for row in A]
+        x = x[:len(Q)]
+        piv, rows, _, _ = _bareiss(Q)
+        d = [1] + piv
+        assert sum(Fraction((d[k + 1] * x[k] + sum(u * x[j] for j, u in rows[k])) ** 2,
+                            d[k] * d[k + 1]) for k in range(len(Q))) == \
+            sum(Q[i][j] * x[i] * x[j] for i in range(len(Q)) for j in range(len(Q)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(posdef_forms())
+    def test_first_point_is_below_the_radius(self, form):
+        # the emptiness test of the su(N) blocks: one point of value < R,
+        # or none when every point of the ellipsoid lies on its boundary
+        A, center, R = form
+        Q = [[int(2 * a) for a in row] for row in A]
+        E = math.lcm(*(c.denominator for c in center))
+        got, K = _points(_bareiss(Q), [int(c * E) for c in center], E, 2 * R,
+                         first=True)
+        below = [(x, q) for x, q in reference_points(A, center, R) if q < R]
+        assert len(got) == (1 if below else 0)
+        if got:
+            ((x, t),) = got
+            assert (x, Fraction(t, 2 * K)) in below
 
 
 @st.composite
