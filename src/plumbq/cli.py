@@ -111,7 +111,7 @@ def _cache_store(target: Path | None, text: str) -> None:
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        click.echo(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
             click.echo(line)

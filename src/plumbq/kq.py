@@ -10,10 +10,10 @@ matrices are assembled from a small generator set of 2m x 2m blocks, with
 deeper twist blocks obtained by adding 2(k-1) times the all-ones matrix.
 
 One walk over the compositions groups the signed monomials q^e by the
-multiset of parts; the exact series, the q = 1 identity and the numeric
-sum each weigh a group once.  The numeric sum adds each group in fixed
-point from one table of round(q^e 2^P), with P set by an a-priori error
-bound (see quiver_jones_numeric).
+multiset of parts; the exact series and the q = 1 identity weigh a group
+once.  The numeric sum instead runs node by node over distinct states
+(colour left, running linear exponents), each summed once in fixed point
+under an a-priori error bound (see quiver_jones_numeric).
 """
 
 from __future__ import annotations
@@ -461,69 +461,105 @@ def quiver_jones(q: Quiver, r: int, order=None) -> QSeries:
     return total.with_trunc(order)
 
 
+class _Gauss(tuple):
+    """re + i im with integer parts: fixed-point values at complex q."""
+
+    def __add__(self, o):
+        return _Gauss((self[0] + o[0], self[1] + o[1]))
+
+    def __mul__(self, o):
+        return _Gauss((self[0] * o[0] - self[1] * o[1],
+                       self[0] * o[1] + self[1] * o[0]))
+
+    def __rshift__(self, s):
+        return _Gauss((self[0] >> s, self[1] >> s))
+
+
 def quiver_jones_numeric(q: Quiver, r: int, qval, dps: int = 30):
     """Same sum at a numeric q (mpmath, real or complex), for large colors,
     within 10^-dps max(1, |J|) of its exact value J at that q.
 
-    The sum is sum_parts M(parts) sum_e c_e q^e over the walk's groups, with
-    M = (q^2; q^2)_r / prod (q^2; q^2)_{d_i}.  A table W[e] = round(q^e 2^P)
-    over the exponents seen (real and imaginary parts apart for complex q),
-    one multiply per entry at a precision that keeps each entry within one
-    unit, makes each sum_e c_e W[e] an exact integer.  M has nonnegative
-    coefficients in q^2 summing to r!/prod d_i! <= n^r and degree <= r^2/2,
-    so |M| <= R = n^r max(1, |q|)^{r^2}; there are N <= C(r+n-1, n-1)
-    compositions.  So with P = ceil(dps log2(10) + log2 R) + bits(N) + 5
-    the fixed-point stage adds at most sqrt(2) R N 2^-P <= 10^-dps / 8.
-    Each integer is then multiplied by its M in mpf at P + bits(max |q^e|)
-    + bits(K) + 3 bits, K bounding that stage's relative rounding: groups,
-    table steps, and 2n + r (8 + 6 kappa) for the Pochhammer factors, whose
-    cancellation kappa = max_k k |q|^{2k} / |1 - q^{2k}| measures.  That
-    adds under 10^-dps / 8; the result is rounded to dps digits.
+    J = F(0, r, xi), with F(i, rem, L) = sum_k (-1)^{gamma_i k} q^{k L_i +
+    C_ii k^2} [rem, k]_{q^2} F(i+1, rem-k, L + 2k C_i) summed once per state
+    (node i, colour left rem, running linear exponents L of nodes >= i).
+    Shifting L by c multiplies F by q^{c rem}, so the last two nodes a, b
+    are summed once per (rem, L_a - L_b), as q^{rem L_b} F(a, rem, (L_a -
+    L_b, 0)).  Values are integers at scale 2^P, Gaussian for complex q,
+    from baby and giant steps of round(q^e 2^P) and a Pascal table of
+    q^2-binomials summed 3r + 3r^2 log2 max(1, |q|) + 4 bits finer; nothing
+    divides.  With Y = max(|q|, 1/|q|) and X = r max|xi| + r^2 max|C|, a
+    path's exponent is at most X in modulus and a power's at most 2X, so
+    each of at most 4n kinds of error (a power, a binomial, a state's
+    rounding), under 2^{1-P}, reaches J weighed by at most R = n^r max(1,
+    |q|)^{r^2} Y^{3X} over all paths.  P = ceil(dps log2(10) + log2 R) +
+    bits(8n) + 5 keeps the sum below 10^-dps / 32, and the result is then
+    rounded to dps digits.
     """
+    if r < 0:
+        raise ValueError("color must be nonnegative")
     if dps < 1:
         raise ValueError(f"dps must be at least 1, got {dps}")
+    n, C, gamma, a, b = q.n, q.C, q.gamma, q.n - 2, q.n - 1
     with mp.workdps(dps):
         qv = mp.mpf(qval) if not isinstance(qval, mp.mpc) else qval
         if not qv:
             raise ValueError("q must be nonzero")
-        groups = _groups(r, q.xi, q.C, q.gamma)
-        seen = set().union(*groups.values())
-        e_lo, e_hi = min(seen), max(seen)
-        g = math.gcd(*(e - e_lo for e in seen)) or 1
-        lg = float(mp.log(abs(qv), 2))
-        # the Pochhammer factors at dps only size kappa; the stage recomputes
-        facs = [1 - (qv * qv) ** k for k in range(1, r + 1)]
-        if not all(facs):
+
+        def steps(x, count, start=mp.mpf(1)):
+            return list(itertools.accumulate([x] * count, operator.mul,
+                                             initial=start))
+
+        if 1 in steps(qv * qv, r)[1:]:
             raise ValueError(f"q^2 is a root of unity of order at most {r}")
-        kappa = max([k * abs(1 - f) / abs(f) for k, f in enumerate(facs, 1)],
-                    default=0)
-        K = (len(groups) + (e_hi - e_lo) // g + 2 * q.n + 4
-             + r * (8 + 6 * int(mp.ceil(kappa))))
-        P = (math.ceil(dps * math.log2(10) + r * math.log2(q.n)
-                       + r * r * max(lg, 0))
-             + math.comb(r + q.n - 1, r).bit_length() + 5)
-        top = math.ceil(max(e_lo * lg, e_hi * lg, 0))
+        lg = float(mp.log(abs(qv), 2))
+        X = r * max(map(abs, q.xi)) + r * r * max(map(abs, sum(C, ())))
+        P = (math.ceil(dps * math.log2(10) + r * math.log2(n)
+                       + r * r * max(lg, 0) + 3 * X * abs(lg))
+             + (8 * n).bit_length() + 5)
+        G = P + math.ceil(3 * r + 3 * r * r * max(lg, 0)) + 4
+        S = math.isqrt(2 * X + 2 * r) + 1  # every power taken has |e| < S^2
         cplx = isinstance(qv, mp.mpc)
-        with mp.workprec(P + top + K.bit_length() + 3):
-            step, x = qv ** g, qv ** e_lo
-            tables: list[dict[int, int]] = [{}, {}] if cplx else [{}]
-            for e in range(e_lo, e_hi + 1, g):
-                if e in seen:
-                    for table, y in zip(tables, (x.real, x.imag)):
-                        table[e] = to_int(mpf_shift(y._mpf_, P), "n")
-                x *= step
-            poch = list(itertools.accumulate(
-                (1 - (qv * qv) ** k for k in range(1, r + 1)), operator.mul,
-                initial=mp.mpf(1)))
-            total = mp.mpf(0)
-            for parts, signed in groups.items():
-                s = [sum(map(operator.mul, signed.values(),
-                             map(table.__getitem__, signed)))
-                     for table in tables]
-                s = mp.mpc(*s) if cplx else mp.mpf(s[0])
-                total += s * poch[r] / mp.fprod(poch[di] for di in parts)
-            total *= mp.ldexp(1, -P)
-        return +total
+        zero, minus = (_Gauss((0, 0)), _Gauss((-1, 0))) if cplx else (0, -1)
+
+        def fix(x, bits):
+            parts = [to_int(mpf_shift(y._mpf_, bits), "n")
+                     for y in ((x.real, x.imag) if cplx else (x,))]
+            return _Gauss(parts) if cplx else parts[0]
+
+        with mp.workprec(G + math.ceil(2 * S * S * abs(lg))
+                         + 4 * S.bit_length() + 8):
+            baby = steps(qv, S - 1)
+            giant = steps(qv ** S, 2 * S, qv ** (-S * S))
+            T = [fix(x, G) for x in steps(qv * qv, r)]
+            B, row = [], T[:1]
+            while len(B) <= r:  # B[m][k] = [m, k]_{q^2}
+                B.append([x >> (G - P) for x in row])
+                row = [x + (t * y >> G) for x, y, t in
+                       zip([zero] + row, row + [zero], T)]
+            twice = [tuple(2 * c for c in C[i][i + 1:]) for i in range(n)]
+
+            @functools.cache
+            def power(e):  # round(q^e 2^P)
+                return fix(giant[e // S + S] * baby[e % S], P)
+
+            @functools.cache
+            def F(i, rem, L):
+                if i == b:
+                    v = power(rem * (L[0] + C[b][b] * rem))
+                    return v * minus if gamma[b] & rem & 1 else v
+                if i == a and L[1]:
+                    shifted = F(a, rem, (L[0] - L[1], 0))
+                    return power(rem * L[1]) * shifted >> P
+                li, rest, step, acc = L[0], L[1:], twice[i], [zero, zero]
+                for k, bk in enumerate(B[rem]):
+                    acc[gamma[i] & k & 1] += (power(k * (li + C[i][i] * k))
+                                              * bk * F(i + 1, rem - k, rest))
+                    rest = tuple(map(operator.add, rest, step))
+                return (acc[0] + acc[1] * minus) >> 2 * P
+
+            total = F(0, r, tuple(q.xi))
+        out = [mp.ldexp(mp.mpf(x), -P) for x in (total if cplx else [total])]
+        return mp.mpc(*out) if cplx else out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ class TestZhatCommand:
         obj = json.loads(res.output)
         assert obj["group"] == "osp12"
         assert len(obj["blocks"]) == 3
+        assert res.output == json.dumps(obj, sort_keys=True) + "\n"
 
 
 class TestQuiverCommands:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import mpf_shift, to_int
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -166,6 +167,52 @@ def assert_numeric_matches_exact(q, r):
             assert abs(got - want) <= mp.mpf(10) ** -45 * abs(want)
 
 
+def reference_numeric(q, r, qval, dps):
+    """The motivic sum at a numeric q from the multisets of the composition
+    walk: sum over groups of (q^2; q^2)_r / prod (q^2; q^2)_{d_i} times the
+    group's sum_e c_e q^e, each group's sum exact in integers from one table
+    of round(q^e 2^P), then weighed in mpf with the Pochhammer factors.
+    Within 10^-dps max(1, |J|) of the exact value J: the integer stage adds
+    at most 10^-dps / 8, and the mpf stage runs with enough guard bits for
+    its roundings and the cancellation kappa of the factors 1 - q^{2k}."""
+    with mp.workdps(dps):
+        qv = mp.mpf(qval) if not isinstance(qval, mp.mpc) else qval
+        groups = _groups(r, q.xi, q.C, q.gamma)
+        seen = set().union(*groups.values())
+        e_lo, e_hi = min(seen), max(seen)
+        g = math.gcd(*(e - e_lo for e in seen)) or 1
+        lg = float(mp.log(abs(qv), 2))
+        facs = [1 - (qv * qv) ** k for k in range(1, r + 1)]
+        kappa = max([k * abs(1 - f) / abs(f) for k, f in enumerate(facs, 1)],
+                    default=0)
+        K = (len(groups) + (e_hi - e_lo) // g + 2 * q.n + 4
+             + r * (8 + 6 * int(mp.ceil(kappa))))
+        P = (math.ceil(dps * math.log2(10) + r * math.log2(q.n)
+                       + r * r * max(lg, 0))
+             + math.comb(r + q.n - 1, r).bit_length() + 5)
+        top = math.ceil(max(e_lo * lg, e_hi * lg, 0))
+        cplx = isinstance(qv, mp.mpc)
+        with mp.workprec(P + top + K.bit_length() + 3):
+            step, x = qv ** g, qv ** e_lo
+            tables = [{}, {}] if cplx else [{}]
+            for e in range(e_lo, e_hi + 1, g):
+                if e in seen:
+                    for table, y in zip(tables, (x.real, x.imag)):
+                        table[e] = to_int(mpf_shift(y._mpf_, P), "n")
+                x *= step
+            poch = [mp.mpf(1)]
+            for k in range(1, r + 1):
+                poch.append(poch[-1] * (1 - (qv * qv) ** k))
+            total = mp.mpf(0)
+            for parts, signed in groups.items():
+                s = [sum(c * table[e] for e, c in signed.items())
+                     for table in tables]
+                s = mp.mpc(*s) if cplx else mp.mpf(s[0])
+                total += s * poch[r] / mp.fprod(poch[di] for di in parts)
+            total *= mp.ldexp(1, -P)
+        return +total
+
+
 class TestSeriesStructure:
     def test_r0_is_one(self):
         for p, m in ((1, 1), (2, 2)):
@@ -230,6 +277,24 @@ class TestSeriesStructure:
         series = quiver_jones(generate_double_twist_quiver(p, m), 1)
         powers = (1, 1j, -1, -1j)
         assert sum(c * powers[e % 4] for e, c in series.terms) == 4 * p * m + 1
+
+    @pytest.mark.parametrize("r,hbar,err", [
+        (20, 0.4 / 20, 0.019675025057366572),
+        (30, 0.4 / 30, 0.013108900422698208),
+        (40, 0.01, 0.0098268526363642),
+        (80, 0.005, 0.004908627269125196)])
+    def test_mmr_errors_on_4_1(self, r, hbar, err):
+        """The semiclassical errors on 4_1 as the grouped sum gave them."""
+        got = mmr_leading_check(generate_double_twist_quiver(1, 1), hbar,
+                                math.exp(hbar * r), r)
+        assert got == pytest.approx(err, rel=1e-12)
+
+    def test_mmr_on_6_1_is_below_a_tenth_and_decreasing(self):
+        """K(2,-1) = 6_1, 9 nodes and w = 2, at x = e^{0.4}."""
+        q = generate_double_twist_quiver(2, 1)
+        err20, err40 = (mmr_leading_check(q, 0.4 / r, math.exp(0.4), r)
+                        for r in (20, 40))
+        assert err40 < err20 < 0.10
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_exponential_growth_at_q_one(self, r):
@@ -304,6 +369,43 @@ class TestWalk:
     def test_mmr_rejects_hbar_zero(self):
         with pytest.raises(ValueError, match="hbar must be nonzero"):
             mmr_leading_check(generate_double_twist_quiver(1, 1), 0, 1.0, 20)
+
+
+class TestNumericReference:
+    """quiver_jones_numeric against the grouped sum it replaced: both are
+    within 10^-dps max(1, |J|) of J, so they agree within twice that."""
+
+    @staticmethod
+    def assert_agree(q, r, qv, dps=40):
+        got = quiver_jones_numeric(q, r, qv, dps)
+        want = reference_numeric(q, r, qv, dps)
+        with mp.workdps(dps + 10):
+            tol = 2 * mp.mpf(10) ** -dps * max(1, abs(want))
+            assert abs(got - want) <= tol
+
+    @pytest.mark.parametrize("r", [10, 20, 30])
+    def test_figure_eight_at_the_semiclassical_point(self, r):
+        with mp.workdps(40):
+            qv = mp.e ** (mp.mpf(0.4) / r / 2)
+        self.assert_agree(generate_double_twist_quiver(1, 1), r, qv)
+
+    @pytest.mark.parametrize("qval", [0.875, 1.05, -0.9])
+    def test_k22_at_real_q(self, qval):
+        q = generate_double_twist_quiver(2, 2)
+        for r in range(5):
+            self.assert_agree(q, r, qval)
+
+    @pytest.mark.parametrize("p,m,rmax", [(1, 1, 5), (2, 1, 5), (2, 2, 5)])
+    def test_complex_q(self, p, m, rmax):
+        q = generate_double_twist_quiver(p, m)
+        for r in range(rmax + 1):
+            self.assert_agree(q, r, mp.mpc(0.75, 0.5), dps=30)
+
+    @given(small_quivers(), st.integers(0, 6),
+           st.sampled_from([0.6, 1.3, -1.1, mp.mpc(0.5, -0.9)]))
+    @settings(max_examples=40, deadline=None)
+    def test_small_quivers(self, q, r, qval):
+        self.assert_agree(q, r, qval, dps=20)
 
 
 # ---------------------------------------------------------------------------
