@@ -14,11 +14,11 @@ the root.
 
 Every phase is exp(pi i a / D) for an integer a: pairings through B^{-1}
 are integer pairings through adj(B) = det(B) B^{-1} over det B, so each sum
-reads one table of phases (wrt._phase_table) by a mod 2D.  The reciprocity
-sums walk their vectors as an odometer, count their terms per exponent
-class and weigh each class once, in one exact integer dot product (the
-kernel of wrt).  A decomposition gets all of its blocks from one call of
-zhat.zhat_blocks.
+reads one fixed-point table of phases (wrt._phase_table) by a mod 2D, at
+scale 2^-P, P the working precision plus 64 bits; the decomposition takes
+its limits to that scale.  Each sum is exact in integers and becomes an
+mpc once, so a sum of K terms of size at most A is within K (A + 2) 2^-P of
+exact.  A decomposition gets its blocks from one call of zhat.zhat_blocks.
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ from plumbq.plumbing import (
 from plumbq.qlaurent import QSeries, qs_eval
 from plumbq.wrt import (
     _check_dps,
-    _dot,
-    _mantissas,
+    _fixed,
     _phase,
     _phase_table,
-    _rounded,
+    _printed,
+    _to_mpc,
     wrt_osp,
     wrt_so3,
     wrt_su2,
@@ -88,10 +88,8 @@ def report_to_json(rep: GPPVReport) -> dict:
         "variant": rep.variant,
         "level": rep.level,
         "root_order": rep.root_order,
-        "wrt": {"re": mp.nstr(rep.wrt_value.real, rep.dps),
-                "im": mp.nstr(rep.wrt_value.imag, rep.dps)},
-        "decomposition": {"re": mp.nstr(rep.decomposition_value.real, rep.dps),
-                          "im": mp.nstr(rep.decomposition_value.imag, rep.dps)},
+        "wrt": _printed(rep.wrt_value, rep.dps),
+        "decomposition": _printed(rep.decomposition_value, rep.dps),
         "residual": float(rep.residual),
         "relative_residual": rep.relative_residual,
         "order": rep.order,
@@ -142,16 +140,14 @@ def _quadratic_values(B, lin, start: int, step: int, count: int):
         move(j, step)
 
 
-def _weigh(Z, exponents) -> mp.mpc:
-    """sum of Z[a % len(Z)] over the exponents, each class weighed once.
-
-    The class counts meet the integer mantissas of their table entries in
-    one exact integer dot product (wrt._dot), rounded once (wrt._rounded):
-    the bits mp.fdot(counts, entries) gives.
-    """
-    counts = Counter(a % len(Z) for a in exponents)
-    re, im, e = _mantissas([Z[a] for a in counts])
-    return _rounded(*_dot((list(counts.values()), None), (re, im)), e)
+def _weigh(D: int, exponents) -> mp.mpc:
+    """sum of exp(pi i a / D) over the exponents a, each class mod 2D weighed
+    once: its count times its table entry, in integers."""
+    P = mp.mp.prec + 64
+    Zre, Zim = _phase_table(D, P)
+    counts = Counter(a % (2 * D) for a in exponents).items()
+    return _to_mpc(sum(c * Zre[a] for a, c in counts),
+                   sum(c * Zim[a] for a, c in counts), P)
 
 
 def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
@@ -160,12 +156,8 @@ def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
     The even identity sums exp(pi i (n,Bn)/(2k) + pi i (ell,n)/k) over
     n mod 2k against a cokernel sum; the odd identity sums over odd vectors
     mod 4k+4 with K = k.  Both residuals should vanish for any nonsingular
-    symmetric integer B.
-
-    Every phase is exp(pi i a / D) for an integer a: D = 2k on the even
-    left-hand side, D = 4K + 4 on the odd one, and D = |det B| on both
-    cokernel sums, whose B^{-1} pairings are integer adj(B) pairings over
-    det B.
+    symmetric integer B.  The phases are over D = 2k and 4K + 4 on the
+    left-hand sides and D = |det B| on both cokernel sums.
     """
     # B need not be the linking matrix of a tree, so it goes through the
     # bare-matrix constructor rather than linking_matrix
@@ -178,13 +170,12 @@ def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
     sigma = lm.b_plus - lm.b_minus
     s = 1 if det > 0 else -1
     with mp.workdps(dps + 10):
-        Zdet = _phase_table(abs(det))
         # even identity
-        lhs = _weigh(_phase_table(2 * k), _quadratic_values(B, ell, 0, 1, 2 * k))
+        lhs = _weigh(2 * k, _quadratic_values(B, ell, 0, 1, 2 * k))
         pref = mp.expjpi(mp.mpf(sigma) / 4) * (2 * k) ** mp.mpf(L / 2) / mp.sqrt(abs(det))
         # with v = 2k a + ell, -2k (v/2k)^T B^{-1} (v/2k) is
         # -(2k a^T adj a + 2 a^T adj ell) / det - ell^T adj ell / (2k det)
-        rhs = _phase(Fraction(-_pairing(adj, ell, ell), 2 * k * det)) * _weigh(Zdet, (
+        rhs = _phase(Fraction(-_pairing(adj, ell, ell), 2 * k * det)) * _weigh(abs(det), (
             -s * (2 * k * _pairing(adj, a, a) + 2 * _pairing(adj, a, ell))
             for a in coset_representatives(B)))
         even_res = abs(lhs - pref * rhs)
@@ -194,7 +185,7 @@ def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
         dvec = [e - sum(B[i][j] for j in range(L)) for i, e in enumerate(ell)]
         qden = 2 * K + 2
         # the odd identity's phases are q^x = exp(pi i 2x / qden)
-        lhs2 = _weigh(_phase_table(2 * qden),
+        lhs2 = _weigh(2 * qden,
                       _quadratic_values(B, dvec, 1, 2, 2 * K + 2))
         pref2 = (
             mp.expjpi(mp.mpf(sigma) / 4) * (K + 1) ** mp.mpf(L / 2) / mp.sqrt(abs(det))
@@ -202,7 +193,7 @@ def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
         )
         twoB = [[2 * B[i][j] for j in range(L)] for i in range(L)]
         shift = [d + sum(B[i]) for i, d in enumerate(dvec)]
-        rhs2 = _weigh(Zdet, (
+        rhs2 = _weigh(abs(det), (
             -s * ((K + 1) * _pairing(adj, a, a) + _pairing(adj, a, shift))
             for a in coset_representatives(twoB)))
         odd_res = abs(lhs2 - pref2 * rhs2)
@@ -343,10 +334,9 @@ def _decomposition(
 
     Weights are int tuples of fundamental-weight coordinates paired under
     gram(N) = N (L_i, L_j).  With adj = det(B) B^{-1}, a pairing
-    sum_{v,w} B^{-1}_vw (x_v, y_w) is sum_v N (x_v, (adj y)_v) / (N det B):
-    an integer over one denominator, so every cokernel phase is an entry of
-    one table over D = N |det B|, reduced by the exponents' common divisor
-    (at N = 2 every exponent is even).
+    sum_{v,w} B^{-1}_vw (x_v, y_w) is sum_v N (x_v, (adj y)_v) / (N det B),
+    so every cokernel phase is an entry of one table over D = N |det B|,
+    reduced by the exponents' common divisor.
     """
     lm = linking_matrix(g)
     n, r, G = lm.size, N - 1, gram(N)
@@ -388,17 +378,24 @@ def _decomposition(
                           for c in range(r)) for v in range(n)]
             exps.append([-s * twist * kprime * paired(avec, adj_times(avec))]
                         + [-2 * s * paired(avec, shifted[lab]) for lab in labels])
-        # the table over D / d, d the exponents' common divisor with D:
-        # _phase reduces a / D, so each entry has the bits it has over D
+        # the table over D / d, d the exponents' common divisor with D, and
+        # the limits at its scale: every product is exact in integers
         d = math.gcd(N * abs(det), *itertools.chain.from_iterable(exps))
-        Z = _phase_table(N * abs(det) // d)
-        M = len(Z)
-        total = mp.mpc(0)
+        P = mp.mp.prec + 64
+        Zre, Zim = _phase_table(N * abs(det) // d, P)
+        M = len(Zre)
+        lims = [(_fixed(limits[lab].real, P), _fixed(limits[lab].imag, P)) for lab in labels]
+        tre = tim = 0
         for a1, *a2 in exps:
-            inner = mp.mpc(0)
-            for a, lab in zip(a2, labels):
-                inner += Z[a // d % M] * limits[lab]
-            total += Z[a1 // d % M] * inner
+            ire = iim = 0
+            for a, (lre, lim) in zip(a2, lims):
+                zre, zim = Zre[a // d % M], Zim[a // d % M]
+                ire += zre * lre - zim * lim
+                iim += zre * lim + zim * lre
+            zre, zim = Zre[a1 // d % M], Zim[a1 // d % M]
+            tre += zre * ire - zim * iim
+            tim += zre * iim + zim * ire
+        total = _to_mpc(tre, tim, 3 * P)
         # q^{(rho, w rho)} = exp(2 pi i pair(rho, w rho) / (N k')), one phase
         # per Weyl element
         W = weyl_group(N)

@@ -10,6 +10,7 @@ det B, and no matrix inverse is formed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -129,7 +130,11 @@ class SpincLabel:
     stabilizer_order: int
 
 
+@functools.lru_cache(maxsize=64)
 def linking_matrix(g: PlumbingGraph) -> LinkingMatrix:
+    """The linking matrix of g, in the order of g.ids.  Memoised on the
+    frozen graph: every layer asks for it (the CLI's checks, the state sum,
+    each block and its oracle), and both values are immutable."""
     ids = g.ids
     pos = {v: i for i, v in enumerate(ids)}
     L = len(ids)

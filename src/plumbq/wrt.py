@@ -1,39 +1,28 @@
 """Root-of-unity invariants of plumbed manifolds via colored state sums.
 
 Each invariant is a finite sum over colorings of the plumbing tree,
-evaluated at a root of unity with mpmath at a configurable working
-precision.  The tree structure is exploited by message passing (one
-matrix-vector contraction per edge), so the cost is quadratic in the number
-of colors instead of exponential in the number of vertices.
+evaluated at a root of unity at a configurable working precision.  The
+tree structure is exploited by message passing (one matrix-vector
+contraction per edge), so the cost is quadratic in the number of colors
+instead of exponential in the number of vertices.
 
 Every phase of one invariant is exp(pi i a / D) for an integer a and one
 denominator D: D = 2 order for the rank-1 sums, D = N k' for su(N).  Twists,
 S entries and unknot sums index one table of those 2D phases by a mod 2D.
 
-Everything that depends on the level and not on the graph lives in one
-level context (_Level), built once per state-sum kind, root data and
-working precision and kept in a single-entry cache, so a run of graphs at
-one level in one process (Kirby-equivalent presentations, a loop of state
-sums and GPPV checks) builds it once: the phase table, the edge matrix in
-integer-row form, the vertex rows per (framing, degree), the two unknot
-sums and the normalization.  The context also keeps each contracted child
-message under the structure of its subtree, so equal subtrees, in one
-graph or in the graphs that follow, are contracted once.  A single state
-sum in a fresh process shares nothing across calls; it gains only from
-equal subtrees within its graph.  Every cached value is computed by the
-same operations in the same order as on a cold call, so warm and cold
-calls give the same bits.
+The sum runs in fixed point, from the phase table to the root of the tree:
+a value is a Gaussian integer (re, im) of Python ints standing for
+(re + i im) 2^-P, and each product and dot product is an exact integer sum
+rounded once, so no mp value is made per color.  The root's sum becomes one
+mpc, normalized in mp.  P is chosen per tree from an a-priori error bound
+(_Level): every state sum is within 10^-(dps+10) max(1, |tau|) of exact.
 
-Every dot product of mp values (a tree edge, an su(N) S entry, a class-
-weighted phase sum in gppv) runs on one exact integer kernel: the values
-become signed integer mantissas over one shared binary exponent
-(_mantissas), the products are summed exactly in Python integers (_dot),
-and each part of the sum is rounded once at the working precision
-(_rounded).  That is what mpmath.fdot does with mpf products, so the bits
-are the same, but a part that is identically zero costs nothing: the
-rank-1 edge entries are exactly imaginary (su2, so3) or exactly real
-(osp12), so each edge term takes two integer products instead of four
-mpf multiplications.
+A level context (_Level) per state-sum kind, root data and working
+precision, in a single-entry cache, holds per scale P the phase table, edge
+rows, vertex rows and unknot sums, and each contracted child message under
+its scale and subtree: a run of graphs at one level builds the level once
+and contracts equal subtrees once.  A value depends only on its scale and
+the integer operations that made it, so warm and cold calls agree bitwise.
 
 The normalization is fixed by dividing out the unknot contributions of
 (+-1)-framed single vertices, one per positive/negative eigenvalue of the
@@ -43,13 +32,12 @@ linking matrix, so the three-sphere always evaluates to 1.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import from_int, from_man_exp, fzero, mpc_mul, round_nearest
 
 from plumbq.lie import (
     allowed_colors,
@@ -73,9 +61,11 @@ __all__ = [
 ]
 
 # The subtree memo of a level stops taking messages once it holds this many
-# colour entries in all: about 1.6 MB at the default precision (dps 60), 5 MB
-# at dps 1000.
+# colour entries in all: under 1 MB at the default precision (dps 60).
 _MEMO_ENTRIES = 4096
+# A level keeps the data of this many scales P = prec + 64 j, most recent
+# first.
+_SCALES = 4
 
 
 @dataclass(frozen=True)
@@ -87,13 +77,21 @@ class WRTResult:
     dps: int
 
 
+def _printed(value, dps: int) -> dict:
+    """{"re", "im"} of value to dps digits.  A part at or below the state
+    sum's error bound 10^-(dps+10) max(1, |value|) is rounding noise and
+    prints as 0."""
+    noise = mp.mpf(10) ** -(dps + 10) * max(1, abs(value))
+    return {key: mp.nstr(part if abs(part) > noise else mp.mpf(0), dps)
+            for key, part in (("re", value.real), ("im", value.imag))}
+
+
 def result_to_json(res: WRTResult) -> dict:
     return {
         "variant": res.variant,
         "level": res.level,
         "root_order": res.root_order,
-        "re": mp.nstr(res.value.real, res.dps),
-        "im": mp.nstr(res.value.imag, res.dps),
+        **_printed(res.value, res.dps),
         "dps": res.dps,
     }
 
@@ -104,102 +102,76 @@ def _check_dps(dps: int) -> None:
 
 
 def _phase(x: Fraction) -> mp.mpc:
-    """exp(pi i x) for an exact rational x, at the current precision.
-
-    The argument is the correctly rounded quotient of x's numerator and
-    denominator, so equal rationals give equal bits however they were
-    written.
-    """
+    """exp(pi i x) for an exact rational x, at the current precision."""
     return mp.expjpi(mp.mpf(x.numerator) / x.denominator)
 
 
-def _phase_table(D: int) -> list[mp.mpc]:
-    """Z[a] = exp(pi i a / D) for a in [0, 2D), at the current precision.
+# ---------------------------------------------------------------------------
+# the fixed-point kernel
 
-    Every phase of a sum at one root of unity is Z[a % (2D)] for an integer
-    exponent a, so each call evaluates its phases once instead of once per
-    term.  The upper half is the conjugate of the lower, Z[2D - a] =
-    conj(Z[a]) bit for bit, so q^t - q^{-t} is exactly imaginary and
-    q^t + q^{-t} exactly real.
+
+def _fixed(x, P: int) -> int:
+    """The mpf x at scale 2^P, rounded to the nearest integer."""
+    return int(mp.nint(mp.ldexp(x, P)))
+
+
+def _to_mpc(re: int, im: int, P: int) -> mp.mpc:
+    """(re + i im) 2^-P at the working precision."""
+    return mp.mpc(mp.ldexp(re, -P), mp.ldexp(im, -P))
+
+
+def _phase_table(D: int, P: int) -> tuple[list[int], list[int]]:
+    """Z[a] = exp(pi i a / D) 2^P for a in [0, 2D), as the lists of real and
+    of imaginary parts, each part within 0.7 of exact.
+
+    Z[a] for a <= D/2 comes from rotating by exp(pi i / D) in integers at
+    Q = P + bitlength(D) + 2 bits: within 1.5 D/2 units of 2^-Q < 2^-(P+2)
+    before its rounding to P bits.  The rest follows exactly by symmetry,
+    Z[D - a] = -conj(Z[a]) and Z[2D - a] = conj(Z[a]).
     """
-    lower = [_phase(Fraction(a, D)) for a in range(D + 1)]
-    return lower + [mp.conj(z) for z in reversed(lower[1:D])]
+    g = D.bit_length() + 2
+    Q = P + g
+    with mp.workprec(Q + 10):
+        w = mp.expjpi(mp.mpf(1) / D)
+        wr, wi = _fixed(w.real, Q), _fixed(w.imag, Q)
+    h, hg = 1 << (Q - 1), 1 << (g - 1)
+    r, i = 1 << Q, 0
+    re, im = [r], [i]
+    for _ in range(D // 2):
+        r, i = (r * wr - i * wi + h) >> Q, (r * wi + i * wr + h) >> Q
+        re.append(r)
+        im.append(i)
+    re = [(x + hg) >> g for x in re]
+    im = [(y + hg) >> g for y in im]
+    re += [-re[D - a] for a in range(len(re), D + 1)]
+    im += [im[D - a] for a in range(len(im), D + 1)]
+    return re + re[D - 1:0:-1], im + [-y for y in im[D - 1:0:-1]]
 
 
-def _mantissas(xs) -> tuple[list[int], list[int], int]:
-    """Exact integer parts of a list of mpf, mpc or int values.
-
-    Returns (re, im, e) with xs[k] == (re[k] + i im[k]) 2^e exactly: e is
-    the lowest binary exponent of any nonzero part, and every mantissa is
-    shifted up to it.  Nothing is rounded.
-    """
-    parts = []
-    for x in xs:
-        if hasattr(x, "_mpc_"):
-            parts.append(x._mpc_)
-        elif hasattr(x, "_mpf_"):
-            parts.append((x._mpf_, fzero))
-        else:
-            parts.append((from_int(x), fzero))
-    return _raw_mantissas(parts)
+def _times(a, b, P: int) -> tuple[list[int], list[int]]:
+    """The entrywise product of two vectors (real parts, imaginary parts) of
+    Gaussian integers at scale 2^P, each part rounded once."""
+    h = 1 << (P - 1)
+    entries = list(zip(*a, *b))
+    return ([(x * u - y * v + h) >> P for x, y, u, v in entries],
+            [(x * v + y * u + h) >> P for x, y, u, v in entries])
 
 
-def _raw_mantissas(parts) -> tuple[list[int], list[int], int]:
-    """_mantissas of raw mpmath (re, im) pairs, as in an mpc's _mpc_."""
-    e = min((p[2] for pair in parts for p in pair if p[1]), default=0)
-
-    def shifted(p) -> int:
-        sign, man, exp, _ = p
-        if not man:
-            if exp:  # mpmath codes inf and nan as a zero mantissa
-                raise ValueError("non-finite value in an exact dot product")
-            return 0
-        man <<= exp - e
-        return -man if sign else man
-
-    return [shifted(a) for a, _ in parts], [shifted(b) for _, b in parts], e
-
-
-def _dot(a, b) -> tuple[int, int]:
-    """Exact (re, im) of sum_k a_k b_k over integer parts a = (re, im) and
-    b = (re, im); a part of a given as None is identically zero and costs
-    no products."""
-    are, aim = a
-    bre, bim = b
-    re = im = 0
-    if are is not None:
-        re += sum(map(mul, are, bre))
-        im += sum(map(mul, are, bim))
-    if aim is not None:
-        re -= sum(map(mul, aim, bim))
-        im += sum(map(mul, aim, bre))
-    return re, im
-
-
-def _rounded(re: int, im: int, e: int) -> mp.mpc:
-    """(re + i im) 2^e, each part rounded once to the working precision.
-
-    mp.fdot multiplies exactly, adds the products exactly in mpf_sum and
-    rounds the sum once in the same way, so an exact integer dot product
-    rounded here has the same bits.  (mpf_sum drops a term that lies more
-    than twice the precision in bits away from its running sum, and then
-    the two can differ at an exact rounding tie; no state sum comes near
-    that spread.)
-    """
-    prec = mp.mp.prec
-    return mp.make_mpc((from_man_exp(re, e, prec, round_nearest),
-                        from_man_exp(im, e, prec, round_nearest)))
-
-
-def _int_rows(E) -> list:
-    """The rows of a matrix of mp values in the form _tree_sum contracts
-    with: per row, its exact integer parts (re, im) over one exponent e, a
-    part that is identically zero given as None."""
-    rows = []
-    for row in E:
-        re, im, e = _mantissas(row)
-        rows.append(((re if any(re) else None, im if any(im) else None), e))
-    return rows
+def _contract(rows, m, P: int) -> list[tuple[int, int]]:
+    """E m at scale 2^P, each entry an exact integer dot product rounded
+    once; a row part that is identically zero (None) costs nothing."""
+    h = 1 << (P - 1)
+    mre, mim = m
+    out = []
+    for ere, eim in rows:
+        re = im = 0
+        if ere is not None:
+            re, im = sum(map(mul, ere, mre)), sum(map(mul, ere, mim))
+        if eim is not None:
+            re -= sum(map(mul, eim, mim))
+            im += sum(map(mul, eim, mre))
+        out.append(((re + h) >> P, (im + h) >> P))
+    return out
 
 
 def _tree_edges(g: PlumbingGraph) -> list[tuple[int, int]]:
@@ -212,9 +184,7 @@ def _tree_edges(g: PlumbingGraph) -> list[tuple[int, int]]:
     for a, b in g.edges:
         nbrs[pos[a]].append(pos[b])
         nbrs[pos[b]].append(pos[a])
-    out = []
-    seen = {0}
-    stack = [0]
+    out, stack, seen = [], [0], {0}
     while stack:
         v = stack.pop()
         for w in nbrs[v]:
@@ -225,142 +195,157 @@ def _tree_edges(g: PlumbingGraph) -> list[tuple[int, int]]:
     return out
 
 
-def _tree_sum_direct(g: PlumbingGraph, labels, level) -> mp.mpc:
-    """Brute-force odometer over all colorings; the reference that the tests
-    hold _tree_sum to.  The mp edge matrix is rebuilt exactly from the
-    level's integer rows, and every term is multiplied out."""
-    V = [level.vertex_row(lab) for lab in labels]
-    n = len(level.rows)
-    E = [[mp.make_mpc((from_man_exp(0 if re is None else re[c], e),
-                       from_man_exp(0 if im is None else im[c], e)))
-          for c in range(n)]
-         for (re, im), e in level.rows]
-    edges = _tree_edges(g)
-    terms = []
-    for coloring in itertools.product(range(n), repeat=len(V)):
-        w = mp.mpc(1)
-        for vi, c in enumerate(coloring):
-            w *= V[vi][c]
-        for a, b in edges:
-            w *= E[coloring[a]][coloring[b]]
-        terms.append(w)
-    return mp.fsum(terms)
-
-
-def _message(row, kids, prec: int) -> list:
-    """A vertex's message as raw _mpc_ values: its row of mpc weights times
-    each contracted child message, one rounded product per child in
-    contraction order (what `vec[c] *= w[c]` does on mpc values)."""
-    msg = [z._mpc_ for z in row]
-    for _, w in kids:
-        msg = [mpc_mul(a, b, prec, round_nearest) for a, b in zip(msg, w)]
-    return msg
-
-
-def _tree_sum(g: PlumbingGraph, labels, level) -> mp.mpc:
+def _tree_sum(g: PlumbingGraph, labels, scale) -> mp.mpc:
     """Sum over colorings c of prod_v V[v][c_v] prod_{edges vw} E[c_v][c_w].
 
-    The vertex at position v of g.ids has label labels[v] and the row of
-    mpc weights V[v] = level.vertex_row(labels[v]), so equal labels give
-    equal rows; level.rows is the symmetric edge matrix E over the colors
-    in the form _int_rows gives, and level.memo a dict.  Contraction runs
-    leaf-to-root: a child's message is its row times its children's
-    contracted messages, and it enters its parent contracted, as the
-    vector of dot products of the rows of E with it.  Each message becomes integers once, and each dot product is an
-    exact integer sum rounded once, bit for bit what mp.fdot(E[c], msg)
-    gives; a row part that is identically zero is skipped.  Messages stay
-    raw _mpc_ tuples, multiplied with mpc_mul, the function mpc
-    multiplication calls, so no mp object is made per product.
+    The vertex at position v of g.ids has label labels[v] and the row
+    V[v] = scale.vertex_row(labels[v]); scale.rows is the symmetric edge
+    matrix E, row by row as (real part, imaginary part) with an identically
+    zero part None, all at scale 2^scale.P.  Contraction runs leaf-to-root:
+    a child's message, its row times its children's contracted messages in
+    contraction order, enters its parent contracted (_contract), and the
+    root's message is summed exactly and becomes an mpc once.
 
-    A contracted message depends only on the child's subtree, named by the
-    child's label and its children's names in contraction order, and it is
-    kept in level.memo under that name until the memo holds _MEMO_ENTRIES
-    colour entries.  So equal subtrees are contracted once, in one tree
-    or across the trees that share the level (the same E, vertex rows and
-    precision).  A name fixes every rounded operation that made its
-    message, so a message from the memo has the bits a fresh contraction
-    would give.
+    A contracted message depends only on the scale and the child's subtree,
+    named by its label and its children's names in contraction order; it
+    is kept in scale.memo under (P, name) until the memo holds _MEMO_ENTRIES
+    colour entries.  A name fixes every rounding that made its message, so
+    a memo hit has the bits of a fresh contraction.
     """
-    prec = mp.mp.prec
-    rows, memo = level.rows, level.memo
+    P, memo = scale.P, scale.memo
     kids = [[] for _ in labels]  # (name, contracted message) per child
+
+    def message(v):
+        m = scale.vertex_row(labels[v])
+        for _, w in kids[v]:
+            m = _times(m, tuple(zip(*w)), P)
+        return m
+
     for parent, child in reversed(_tree_edges(g)):
         name = (labels[child], tuple(n for n, _ in kids[child]))
-        w = memo.get(name)
+        w = memo.get((P, name))
         if w is None:
-            row = level.vertex_row(labels[child])
-            mre, mim, e = _raw_mantissas(_message(row, kids[child], prec))
-            w = []
-            for erow, e_row in rows:
-                re, im = _dot(erow, (mre, mim))
-                w.append((from_man_exp(re, e_row + e, prec, round_nearest),
-                          from_man_exp(im, e_row + e, prec, round_nearest)))
-            if (len(memo) + 1) * len(rows) <= _MEMO_ENTRIES:
-                memo[name] = w
+            w = _contract(scale.rows, message(child), P)
+            if (len(memo) + 1) * len(w) <= _MEMO_ENTRIES:
+                memo[P, name] = w
         kids[parent].append((name, w))
-    root = _message(level.vertex_row(labels[0]), kids[0], prec)
-    return mp.fsum(mp.make_mpc(z) for z in root)
+    return _to_mpc(*map(sum, message(0)), P)
 
 
 # ---------------------------------------------------------------------------
 # the level context and the state sum every group shares
 
 
-class _Level:
-    """What a state sum at one level and working precision shares between
-    graphs.
+class _Scale:
+    """A level's data at scale 2^P: the phase table Z, the edge rows and the
+    amplitudes amp as Gaussian integers, x and unknot[eps] in mp.  The row
+    at framing f and degree d, Z[f twist[c]] amp[c]^(2-d), is made on first
+    use, 1/amp by one rounded Gaussian division."""
 
-    The vertex weight of color c at framing f and degree d is
-    Z[f twist[c]] amp[c]^{2-d}, the edge matrix is E (kept as rows, its
-    _int_rows), and the unknot sum at sign eps is sum_c Z[eps twist[c]]
-    amp[c]^2.  Rank 1 (rank1 true, x = U[1]) normalizes a graph of L
-    vertices by x^{-(L+1)} and divides each unknot sum by x^2; su(N)
-    (x = S_0rho) normalizes by x^{L-1}.  Vertex rows and unknot sums are
-    made on first use; memo holds _tree_sum's contracted child messages.
-    """
+    def __init__(self, level: "_Level", P: int):
+        self.P, self.level, self.memo = P, level, level.memo
+        self.Z, self.rows, self.amp = level.make(P)
+        self._vertex, self._inverse = {}, None
+        self.x = _to_mpc(self.amp[0][level.x], self.amp[1][level.x], P)
+        sums = {eps: _to_mpc(*map(sum, self.vertex_row((eps, 0))), P) for eps in (1, -1)}
+        self.unknot = {eps: s / self.x ** 2 for eps, s in sums.items()} if level.rank1 else sums
 
-    def __init__(self, Z, twist, amp, E, x, rank1: bool):
-        self.Z = Z
-        self.twist = twist
-        self.amp = amp
-        self.rows = _int_rows(E)
-        self.x = x
-        self.rank1 = rank1
-        self.memo: dict = {}
-        self._vertex: dict = {}
-        self._unknot: dict = {}
-
-    def vertex_row(self, label: tuple[int, int]) -> list:
-        """The vertex weights at label = (framing, degree)."""
+    def vertex_row(self, label: tuple[int, int]) -> tuple[list[int], list[int]]:
         row = self._vertex.get(label)
         if row is None:
-            f, d = label
-            Z, M = self.Z, len(self.Z)
-            row = self._vertex[label] = [Z[f * t % M] * a ** (2 - d)
-                                         for t, a in zip(self.twist, self.amp)]
+            (f, d), (Zre, Zim), P = label, self.Z, self.P
+            idx = [f * t % len(Zre) for t in self.level.twist]
+            row = ([Zre[a] for a in idx], [Zim[a] for a in idx])
+            if d > 2 and self._inverse is None:
+                one = 1 << (2 * P + 1)
+                dens = [a * a + b * b for a, b in zip(*self.amp)]
+                self._inverse = ([(a * one + n) // (2 * n) for a, n in zip(self.amp[0], dens)],
+                                 [(-b * one + n) // (2 * n) for b, n in zip(self.amp[1], dens)])
+            for _ in range(abs(2 - d)):
+                row = _times(row, self.amp if d < 2 else self._inverse, P)
+            self._vertex[label] = row
         return row
 
-    def unknot(self, eps: int) -> mp.mpc:
-        total = self._unknot.get(eps)
-        if total is None:
-            Z, M = self.Z, len(self.Z)
-            total = mp.fsum(Z[eps * t % M] * a ** 2
-                            for t, a in zip(self.twist, self.amp))
-            if self.rank1:
-                total = total / self.x ** 2
-            self._unknot[eps] = total
-        return total
+
+class _Level:
+    """What a state sum at one level and working precision prec shares
+    between graphs: make(P) builds the table, edge rows and amplitudes of a
+    _Scale, twist[c] is the twist of color c and amp[x] is x.  Rank 1
+    (rank1, x = U[1]) normalizes L vertices by x^-(L+1) and each unknot sum
+    by x^-2; su(N) (x = S_0rho) by x^(L-1).  memo holds _tree_sum's
+    contracted messages of every scale.
+
+    Error bound, with u = 2^-P.  A table entry is within u of exact, an
+    edge entry or amplitude within 2u C_E: C_E = 1 for rank 1, |W| + 1 for
+    su(N).  Let rho >= 1 bound the row sums of |E|, a_lo <= |amp| <= a_hi.
+    The row at degree d, Z amp^(2-d) by |d - 2| rounded products, is within
+    2u A_d C_d of exact and bounded by A_d = a^|d-2|, with
+    C_d = 1/2 + |d - 2| (C_E c + 3/2), a = max(1, a_hi) and c = 1 for d < 2,
+    a = c = max(1, 1/a_lo) for d > 2 (1/amp is within 2u a (C_E a + 1/2)).
+    A rounded product adds its factors' C plus 1, a contraction n C_E + 1,
+    while 4u C^2 <= 1; so the root sum T of L vertices and n colors is
+    within 2u B C of exact, B = n rho^(L-1) prod_v A_{d_v} and
+    C = sum_v C_{d_v} + (L - 1)(n C_E + 2).  The normalization scales that
+    by its size |N|, and moves tau relatively by at most
+    eps = (L + 1 + 2b) 2u C_E / |x| + b 2u n A_0 C_0 / |S|, b = b+ + b-,
+    S the unknot sum before any x^-2.  scale_bits takes the least
+    P = prec + 64 j, j >= 1, with 2u B C |N| and eps at most 2^-prec and
+    4u C^2 <= 1.  With at most 2L + 10 roundings in mp, tau is then within
+    (2L + 13) 2^-prec max(1, |tau|) of exact: within 10^-(dps+10)
+    max(1, |tau|) for L < 49,990, as prec >= (dps + 15) log2 10.  The
+    level reads rho, a_lo, a_hi, x and S off the base scale prec + 64.
+    """
+
+    def __init__(self, twist, make, x: int, C_E: int, rank1: bool):
+        self.prec = mp.mp.prec
+        self.twist, self.make, self.x, self.C_E, self.rank1 = twist, make, x, C_E, rank1
+        self.memo: dict = {}
+        self.scale = functools.lru_cache(_SCALES)(lambda P: _Scale(self, P))
+        base = self.scale(self.prec + 64)
+        n, P, slack = len(twist), base.P, 4 * C_E
+        mags = [math.isqrt(a * a + b * b) for a, b in zip(*base.amp)]
+        self.a_hi = max(1, (max(mags) + 1 + slack) / 2 ** P)
+        self.a_inv = max(1, 2 ** P / (min(mags) - slack))
+        self.log_rho = max(0, math.log2(2 * n * C_E + max(
+            sum(map(abs, re or ())) + sum(map(abs, im or ())) for re, im in base.rows)) - P)
+        self.log_x = (math.log2(mags[x] - slack) - P, math.log2(mags[x] + 1 + slack) - P)
+        log_A0, C0 = self._vertex_bound(0)  # log2 |S| from below: S within 2u n A_0 C_0
+        self.unknot_err = 2 * n * 2 ** log_A0 * C0
+        self.log_unknot = {eps: math.log2(math.isqrt(sum(re) ** 2 + sum(im) ** 2)
+                                          - math.ceil(self.unknot_err)) - P
+                           for eps in (1, -1) for re, im in [base.vertex_row((eps, 0))]}
+
+    def _vertex_bound(self, d: int) -> tuple[float, float]:
+        """(log2 A_d, C_d) of the vertex rows at degree d."""
+        a, c = (self.a_inv, self.a_inv) if d > 2 else (self.a_hi, 1)
+        return abs(d - 2) * math.log2(a), 0.5 + abs(d - 2) * (self.C_E * c + 1.5)
+
+    def scale_bits(self, labels, lm) -> int:
+        """The scale P of the state sum of a graph with these vertex labels
+        and linking matrix lm (the class docstring's bound)."""
+        n, L, C_E = len(self.twist), lm.size, self.C_E
+        b = lm.b_plus + lm.b_minus
+        log_A, C = map(sum, zip(*(self._vertex_bound(d) for _, d in labels)))
+        C += (L - 1) * (n * C_E + 2)
+        x_lo, x_hi = self.log_x
+        log_N = (-(L + 1) * x_lo + 2 * b * x_hi if self.rank1 else (L - 1) * x_hi)
+        log_N -= lm.b_plus * self.log_unknot[1] + lm.b_minus * self.log_unknot[-1]
+        worst = min(self.log_unknot.values())
+        needs = (
+            math.log2(2 * n * C) + (L - 1) * self.log_rho + log_A + log_N,
+            math.log2((L + 1 + 2 * b) * 2 * C_E * 2 ** -x_lo
+                      + b * self.unknot_err * 2 ** -worst),
+            2 + 2 * math.log2(C) - self.prec,
+        )
+        return self.prec + 64 * max(1, math.ceil(max(needs) / 64))
 
 
 @functools.lru_cache(maxsize=1)
 def _level(build, root: tuple, prec: int) -> _Level:
     """build(*root), cached by the state-sum kind (its builder), its root
-    data and the working precision prec, which build reads from mp.mp.
-
-    One entry: a run of graphs at one level in one process shares it, and
-    memory holds one level's data at a time.  That data stays alive after
-    the last call until another level or precision replaces it.
-    """
+    data and the working precision prec, which build reads from mp.mp.  One
+    entry: memory holds one level's data at a time, until another level or
+    precision replaces it."""
     return build(*root)
 
 
@@ -368,13 +353,12 @@ def _state_sum(g: PlumbingGraph, level: _Level) -> mp.mpc:
     """The normalized state sum of g at the level, at the working precision."""
     lm = linking_matrix(g)
     labels = [(lm.B[i][i], g.degree(v)) for i, v in enumerate(g.ids)]
-    total = _tree_sum(g, labels, level)
+    scale = level.scale(level.scale_bits(labels, lm))
+    total = _tree_sum(g, labels, scale)
     L = lm.size
-    tau = level.x ** (-(L + 1) if level.rank1 else L - 1) * total
-    if lm.b_plus:
-        tau /= level.unknot(+1) ** lm.b_plus
-    if lm.b_minus:
-        tau /= level.unknot(-1) ** lm.b_minus
+    tau = scale.x ** (-(L + 1) if level.rank1 else L - 1) * total
+    for eps, b in ((1, lm.b_plus), (-1, lm.b_minus)):
+        tau /= scale.unknot[eps] ** b
     return mp.mpc(tau)
 
 
@@ -387,16 +371,21 @@ def _rank1_level(order: int, colors: range, sign: int) -> _Level:
 
     With q = exp(2 pi i / order) every phase is a power of exp(pi i / D),
     D = 2 order: q^{t/2} is Z[2t] and the twist q^{f (n^2 - 1)/4} is
-    Z[f (n^2 - 1)].
+    Z[f (n^2 - 1)].  The edge entry of colors a, b is u(ab), with
+    u(t) = Z[2t] + sign conj(Z[2t]) twice a part of Z[2t].
     """
-    M = 4 * order
-    Z = _phase_table(2 * order)
-    # u(t) = q^{t/2} + sign q^{-t/2} depends on t mod 2 order only;
-    # every color is below the order
-    U = [Z[2 * t] + sign * Z[-2 * t % M] for t in range(2 * order)]
-    E = [[U[a * b % (2 * order)] for b in colors] for a in colors]
-    return _Level(Z, [n * n - 1 for n in colors], [U[n] for n in colors], E,
-                  U[1], True)
+    D = 2 * order
+
+    def make(P: int):
+        Z = _phase_table(D, P)
+        u = [2 * z for z in Z[1 if sign < 0 else 0][:2 * D:2]]
+        rows = [[u[a * b % D] for b in colors] for a in colors]
+        amp, zero = [u[n] for n in colors], [0] * len(colors)
+        if sign < 0:
+            return Z, [(None, row) for row in rows], (zero, amp)
+        return Z, [(row, None) for row in rows], (amp, zero)
+
+    return _Level([n * n - 1 for n in colors], make, 0, 1, True)
 
 
 def _rank1_invariant(
@@ -440,38 +429,52 @@ def wrt_osp(g: PlumbingGraph, Khat: int, dps: int = 60) -> WRTResult:
 def _sun_level(N: int, m: int, kprime: int) -> _Level:
     """su(N) at k': colors are the admissible strictly dominant weights
     below k', the edge matrix is the S-matrix, the twist of lam is
-    (lam, lam) - (rho, rho) and the amplitude S_0lam."""
+    (lam, lam) - (rho, rho) and the amplitude S_0lam.
+
+    S_lam,mu = i^npos r sum_w sign(w) q^{(w lam, mu)} with
+    r = ((N/m) k'^(N-1))^-1/2 and q^{(x, y)} = Z[2 pair(x, y)], D = N k':
+    the signed table sum is exact and is rounded once times r.
+    """
     colors = allowed_colors(N, m, kprime)
     if not colors:
         raise ValueError(f"no admissible colors at k'={kprime}")
     rho_idx = colors.index(weyl_vector(N))
-    G = gram(N)
-    npos = N * (N - 1) // 2
-    pref = mp.mpc(0, 1) ** npos / mp.sqrt((N // m) * kprime ** (N - 1))
-    # q^{(x, y)} = exp(2 pi i pair(x, y) / (N k')) is Z[2 pair(x, y)]
-    M = 2 * N * kprime
-    Z = _phase_table(N * kprime)
+    G, W = gram(N), weyl_group(N)
+    D, n = N * kprime, len(colors)
     # gram(N) w(lam) for every Weyl image of every color, so that an S
     # entry pairs each image with a color by one short dot product
-    W = weyl_group(N)
-    signs = [w.sign for w in W]
-    orbits = []
-    for lam in colors:
-        images = [weyl_action(w, lam).coords for w in W]
-        orbits.append([tuple(sum(c * x for c, x in zip(row, im)) for row in G)
-                       for im in images])
-    Zre, Zim, eZ = _mantissas(Z)
-    E = [[None] * len(colors) for _ in colors]
-    for i, orbit in enumerate(orbits):
-        for j in range(i, len(colors)):
-            mu = colors[j].coords
-            idx = [2 * sum(map(mul, gw, mu)) % M for gw in orbit]
-            total = _dot((signs, None),
-                         ([Zre[a] for a in idx], [Zim[a] for a in idx]))
-            E[i][j] = E[j][i] = pref * _rounded(*total, eZ)
-    S0 = E[rho_idx]
+    orbits = [[(w.sign, weyl_action(w, lam).coords) for w in W] for lam in colors]
+    orbits = [[(s, [2 * sum(map(mul, row, im)) for row in G]) for s, im in orbit]
+              for orbit in orbits]
+    cols = list(zip(*(lam.coords for lam in colors)))
+    turn = (N * (N - 1) // 2) % 4
+
+    def make(P: int):
+        Z = _phase_table(D, P)
+        with mp.workprec(P + 10):
+            r = _fixed(1 / mp.sqrt((N // m) * kprime ** (N - 1)), P)
+        h = 1 << (P - 1)
+        # i^npos Z, exactly: each factor i swaps the parts and negates one
+        Zre, Zim = Z
+        for _ in range(turn):
+            Zre, Zim = [-y for y in Zim], Zre
+        upper = []  # (re, im) of S[i][j] for j >= i
+        for i, orbit in enumerate(orbits):
+            sre, sim = [0] * (n - i), [0] * (n - i)
+            for s, gw in orbit:
+                idx = [0] * (n - i)
+                for g, col in zip(gw, cols):
+                    idx = [a + g * c for a, c in zip(idx, col[i:])]
+                sre = [x + s * Zre[a % (2 * D)] for x, a in zip(sre, idx)]
+                sim = [y + s * Zim[a % (2 * D)] for y, a in zip(sim, idx)]
+            upper.append([[(x * r + h) >> P for x in part] for part in (sre, sim)])
+        rows = [[[upper[j][k][i - j] for j in range(i)] + upper[i][k] for k in (0, 1)]
+                for i in range(n)]
+        amp = tuple(rows[rho_idx])
+        return Z, [(re if any(re) else None, im if any(im) else None) for re, im in rows], amp
+
     twist = [pair(lam, lam) - rho_norm(N) for lam in colors]
-    return _Level(Z, twist, S0, E, S0[rho_idx], False)
+    return _Level(twist, make, rho_idx, len(W) + 1, False)
 
 
 def wrt_sun_zm(

@@ -27,7 +27,6 @@ from plumbq.plumbing import (
     spinc_labels_unfolded,
 )
 from plumbq.qlaurent import QSeries
-from plumbq.wrt import _phase_table
 from plumbq.zhat import zhat_blocks
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -67,6 +66,17 @@ class TestLensExact:
         obj = report_to_json(rep)
         assert obj["variant"] == "su2"
         assert obj["residual"] < 1e-8
+
+
+class TestHigherRank:
+    """SU(N)/Z_m on the lens chain: the su(N) state sum on its integer
+    S-matrix against the decomposition of its su(N) blocks."""
+
+    @pytest.mark.parametrize("N,m,k", [(3, 1, 1), (3, 1, 2), (3, 3, 1), (3, 3, 2),
+                                       (4, 1, 1), (4, 2, 1), (4, 4, 1)])
+    def test_lens_chain(self, N, m, k):
+        rep = gppv_verify(lens_m5_11(), "sun-zm", k, order=60, N=N, m=m)
+        assert rep.residual < 1e-40, rep
 
 
 class TestPoincareRadial:
@@ -121,8 +131,8 @@ def reference_rank1(g, variant, level, order, eps_schedule, dps=40,
     with mp.workdps(dps + 10):
         limits = {b: _block_limit(blk.series, root_order, schedule, dps)
                   for b, blk in blocks.items()}
-        Z = _phase_table(abs(det))
-        M = len(Z)
+        M = 2 * abs(det)
+        Z = [mp.expjpi(mp.mpf(a) / abs(det)) for a in range(M)]
         total = mp.mpc(0)
         for a in coset_representatives(B):
             inner = mp.mpc(0)

@@ -1,6 +1,9 @@
 """State-sum invariants at roots of unity: normalization, Kirby
 invariance, quotient-group consistency."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -8,7 +11,6 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp
 
 from plumbq import wrt
 from plumbq.catalog import (
@@ -18,7 +20,12 @@ from plumbq.catalog import (
     poincare_sphere,
 )
 from plumbq.lie import gamma_factor
-from plumbq.plumbing import PlumbingGraph, kirby_neumann_move, lens_chain
+from plumbq.plumbing import (
+    PlumbingGraph,
+    kirby_neumann_move,
+    lens_chain,
+    linking_matrix,
+)
 from plumbq.wrt import wrt_osp, wrt_so3, wrt_su2, wrt_sun_zm
 
 TOL = 1e-9
@@ -131,7 +138,7 @@ class TestMethods:
             return [f(g, k).value for f, ks in runs for g in graphs for k in ks]
 
         contracted = values()
-        monkeypatch.setattr(wrt, "_tree_sum", wrt._tree_sum_direct)
+        monkeypatch.setattr(wrt, "_tree_sum", tree_sum_direct)
         direct = values()
         for a, b in zip(contracted, direct):
             assert close(a, b, 1e-40)
@@ -157,167 +164,153 @@ class TestMethods:
             wrt_osp(sphere(), 0)
 
 
+def tree_sum_direct(g, labels, scale):
+    """Brute-force odometer over all colorings in mp, at the working
+    precision, of the scale's fixed-point vertex rows and edge matrix: the
+    reference that _tree_sum is held to."""
+    P = scale.P
+    V = [[wrt._to_mpc(re, im, P) for re, im in zip(*scale.vertex_row(lab))]
+         for lab in labels]
+    n = len(scale.rows)
+    E = [[wrt._to_mpc(0 if re is None else re[c], 0 if im is None else im[c], P)
+          for c in range(n)] for re, im in scale.rows]
+    edges = wrt._tree_edges(g)
+    terms = []
+    for coloring in itertools.product(range(n), repeat=len(V)):
+        w = mp.mpc(1)
+        for vi, c in enumerate(coloring):
+            w *= V[vi][c]
+        for a, b in edges:
+            w *= E[coloring[a]][coloring[b]]
+        terms.append(w)
+    return mp.fsum(terms)
+
+
 class TestPhaseTable:
     @given(st.integers(1, 500), st.sampled_from([53, 200]), st.data())
-    def test_entries_match_phase(self, D, prec, data):
-        # _phase rounds a/D before reducing mod 2, so its own error grows
-        # with |a|/D; within |a| <= 20 D both stay inside 2^-(prec-8)
+    def test_entries_match_phase(self, D, P, data):
+        # every part within 0.7 units of exp(pi i a / D) 2^P, and the two
+        # halves exact conjugates
         a = data.draw(st.integers(-20 * D, 20 * D))
-        with mp.workprec(prec):
-            Z = wrt._phase_table(D)
-            assert len(Z) == 2 * D
-            want = wrt._phase(Fraction(a, D))
-            assert abs(Z[a % (2 * D)] - want) <= mp.mpf(2) ** -(prec - 8)
-            assert Z[-a % (2 * D)] == mp.conj(Z[a % (2 * D)])
+        Zre, Zim = wrt._phase_table(D, P)
+        assert len(Zre) == len(Zim) == 2 * D
+        i, j = a % (2 * D), -a % (2 * D)
+        with mp.workprec(P + 40):
+            want = wrt._phase(Fraction(a, D)) * mp.mpf(2) ** P
+            assert abs(Zre[i] - want.real) <= 0.7
+            assert abs(Zim[i] - want.imag) <= 0.7
+        assert (Zre[j], Zim[j]) == (Zre[i], -Zim[i])
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 64, 255, 256, 1000, 4097])
+    def test_whole_tables(self, D):
+        # the rotation runs D / 2 steps: the longest chains stay inside
+        # the bound at both ends of their guard bits
+        for P in (53, 200):
+            Zre, Zim = wrt._phase_table(D, P)
+            with mp.workprec(P + 40):
+                for a in range(2 * D):
+                    want = mp.expjpi(mp.mpf(a) / D) * mp.mpf(2) ** P
+                    assert abs(Zre[a] - want.real) <= 0.7, (P, a)
+                    assert abs(Zim[a] - want.imag) <= 0.7, (P, a)
 
 
 @st.composite
-def exact_reals(draw, prec, top=(None, 3)):
-    """An exact zero, or +-m 2^(t - L) with an L-bit mantissa m, L <= prec,
-    whose top bit t lies in the range top (by default one of the prec - 1
-    positions up to 3, which the ints below fit in too).
-
-    Within that spread mpf_sum keeps every product of two such values, so
-    mp.fdot's sum is exact before its one rounding."""
-    if draw(st.integers(0, 4)) == 0:
-        return mp.mpf(0)
-    lo, hi = top
-    L = draw(st.integers(1, prec))
-    m = draw(st.integers(2 ** (L - 1), 2 ** L - 1))
-    t = draw(st.integers(hi + 2 - prec if lo is None else lo, hi))
-    sign = draw(st.sampled_from((1, -1)))
-    return mp.make_mpf(from_man_exp(sign * m, t - L))
+def fixed_vectors(draw, P, n, kind):
+    """n Gaussian integers at scale 2^P of modulus below 4 (an exact zero
+    one time in five), as (real parts, imaginary parts); kind "real" or
+    "imag" zeroes one part."""
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    top = 1 << (P + 1)
+    parts = [[0 if rnd.random() < 0.2 else rnd.randint(-top, top) for _ in range(n)]
+             for _ in range(2)]
+    if kind == "real":
+        parts[1] = [0] * n
+    elif kind == "imag":
+        parts[0] = [0] * n
+    return parts
 
 
-@st.composite
-def exact_vectors(draw, prec, n, kinds=("real", "imag", "complex", "int"),
-                  top=(None, 3)):
-    """n entries of one kind (mpf, purely imaginary mpc, mpc or int), or of
-    kinds mixed per entry."""
-    vector_kind = draw(st.sampled_from(kinds + ("mixed",)))
-
-    def entry():
-        kind = vector_kind
-        if kind == "mixed":
-            kind = draw(st.sampled_from(kinds))
-        if kind == "int":
-            return draw(st.integers(-7, 7))
-        x = draw(exact_reals(prec, top))
-        if kind == "real":
-            return x
-        y = mp.mpf(0) if kind == "imag" else draw(exact_reals(prec, top))
-        return mp.make_mpc((y._mpf_, x._mpf_))
-
-    return [entry() for _ in range(n)]
+def fixed_scale(P, rows, E):
+    """What _tree_sum reads of a scale: P, the vertex rows by label, the edge
+    rows with an identically zero part None, and an empty memo."""
+    return SimpleNamespace(P=P, vertex_row=rows.__getitem__, memo={}, rows=[
+        (re if any(re) else None, im if any(im) else None) for re, im in E])
 
 
-def kernel_dot(a, b):
-    """The exact kernel's rounded dot product, skipping identically zero
-    parts of a as _tree_sum does."""
-    are, aim, ea = wrt._mantissas(a)
-    bre, bim, eb = wrt._mantissas(b)
-    row = (are if any(are) else None, aim if any(aim) else None)
-    return wrt._rounded(*wrt._dot(row, (bre, bim)), ea + eb)
+def kernel_bound(scale, labels):
+    """The kernel's bound 2u B C on exact inputs: B = n rho^(L-1) prod_v A_v,
+    C = 2 (L - 1), one rounding per contraction and per product."""
+    def norm(re, im):
+        return max(abs(mp.mpc(x, y)) for x, y in zip(re, im)) / mp.mpf(2) ** scale.P
+
+    rho = max(1, max(sum(abs(mp.mpc(0 if re is None else re[c], 0 if im is None else im[c]))
+                         for c in range(len(scale.rows))) for re, im in scale.rows)
+              / mp.mpf(2) ** scale.P)
+    L = len(labels)
+    B = len(scale.rows) * rho ** (L - 1)
+    for lab in labels:
+        B *= max(1, norm(*scale.vertex_row(lab)))
+    return 2 * mp.mpf(2) ** -scale.P * B * 2 * (L - 1)
 
 
-def tree_level(vertex_row, E):
-    """What _tree_sum reads of a level: the vertex rows by label, the edge
-    matrix E as integer rows and an empty subtree memo."""
-    return SimpleNamespace(vertex_row=vertex_row, rows=wrt._int_rows(E),
-                           memo={})
+def random_tree(data, nv):
+    parents = [data.draw(st.integers(0, i - 1)) for i in range(1, nv)]
+    return PlumbingGraph.build([-2] * nv, [(p, i + 1) for i, p in enumerate(parents)])
 
 
-def fdot_tree_sum(g, V, E):
-    """The mp.fdot contraction that _tree_sum replaced, kept only here as a
-    reference for its bits."""
-    msgs = [list(row) for row in V]
-    for parent, child in reversed(wrt._tree_edges(g)):
-        vec, msg = msgs[parent], msgs[child]
-        for c, row in enumerate(E):
-            vec[c] *= mp.fdot(row, msg)
-    return mp.fsum(msgs[0])
-
-
-class TestExactDot:
-    @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from([53, 250]), st.integers(0, 70), st.data())
-    def test_rounded_dot_is_fdot(self, prec, n, data):
-        a = data.draw(exact_vectors(prec, n))
-        b = data.draw(exact_vectors(prec, n))
-        with mp.workprec(prec):
-            want = mp.mpc(mp.fdot(a, b))
-            got = kernel_dot(a, b)
-        assert got._mpc_ == want._mpc_
+class TestFixedPointKernel:
+    """The fixed-point contraction against mp on the same integer inputs,
+    held to its stated bound."""
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([53, 200]),
-           st.data())
-    def test_tree_sum_is_fdot_contraction(self, nv, nc, prec, data):
-        # top bits within [-8, 8]: the products that meet in one dot product
-        # stay far inside the spread that mpf_sum keeps exactly
-        top = (-8, 8)
-        parents = [data.draw(st.integers(0, i - 1)) for i in range(1, nv)]
-        g = PlumbingGraph.build([-2] * nv,
-                                [(p, i + 1) for i, p in enumerate(parents)])
-        V = [data.draw(exact_vectors(prec, nc, ("complex",), top))
-             for _ in range(nv)]
-        kind = data.draw(st.sampled_from(("real", "imag", "complex")))
-        E = [data.draw(exact_vectors(prec, nc, (kind,), top))
-             for _ in range(nc)]
-        with mp.workprec(prec):
-            want = mp.mpc(fdot_tree_sum(g, V, E))
-            level = tree_level(V.__getitem__, E)
-            got = mp.mpc(wrt._tree_sum(g, range(nv), level))
-        assert got._mpc_ == want._mpc_
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            wrt._mantissas([mp.mpf(1), mp.inf])
+    @given(st.integers(1, 5), st.integers(1, 5), st.sampled_from([53, 120, 200]),
+           st.sampled_from(("real", "imag", "complex")), st.data())
+    def test_tree_sum_within_bound(self, nv, nc, P, kind, data):
+        g = random_tree(data, nv)
+        V = [data.draw(fixed_vectors(P, nc, "complex")) for _ in range(nv)]
+        E = [data.draw(fixed_vectors(P, nc, kind)) for _ in range(nc)]
+        scale = fixed_scale(P, V, E)
+        with mp.workprec(P + 64):
+            got = wrt._tree_sum(g, range(nv), scale)
+            want = tree_sum_direct(g, range(nv), scale)
+            assert abs(got - want) <= kernel_bound(scale, range(nv)) + mp.mpf(2) ** -(P + 40)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=4),
            st.integers(1, 4), st.integers(1, 5), st.sampled_from([53, 200]),
            st.data())
-    def test_shared_memo_is_fdot_contraction(self, sizes, pool, nc, prec, data):
+    def test_shared_memo_is_cold_contraction(self, sizes, pool, nc, P, data):
         # several trees whose vertices take their rows from one small pool,
         # contracted with one memo: equal subtrees are contracted once, and
-        # every tree still gets the bits of its own fdot contraction
-        top = (-8, 8)
-        rows = [data.draw(exact_vectors(prec, nc, ("complex",), top))
-                for _ in range(pool)]
+        # every tree gets the bits of its contraction with an empty memo
         kind = data.draw(st.sampled_from(("real", "imag", "complex")))
-        E = [data.draw(exact_vectors(prec, nc, (kind,), top))
-             for _ in range(nc)]
-        with mp.workprec(prec):
-            level = tree_level(rows.__getitem__, E)
+        rows = [data.draw(fixed_vectors(P, nc, "complex")) for _ in range(pool)]
+        E = [data.draw(fixed_vectors(P, nc, kind)) for _ in range(nc)]
+        shared = fixed_scale(P, rows, E)
+        with mp.workprec(P + 64):
             for nv in sizes:
-                parents = [data.draw(st.integers(0, i - 1)) for i in range(1, nv)]
-                g = PlumbingGraph.build([-2] * nv,
-                                        [(p, i + 1) for i, p in enumerate(parents)])
+                g = random_tree(data, nv)
                 labels = [data.draw(st.integers(0, pool - 1)) for _ in range(nv)]
-                V = [rows[lab] for lab in labels]
-                want = mp.mpc(fdot_tree_sum(g, V, E))
-                got = mp.mpc(wrt._tree_sum(g, labels, level))
-                assert got._mpc_ == want._mpc_
+                got = wrt._tree_sum(g, labels, shared)
+                assert got == wrt._tree_sum(g, labels, fixed_scale(P, rows, E))
+                want = tree_sum_direct(g, labels, shared)
+                assert abs(got - want) <= kernel_bound(shared, labels) + mp.mpf(2) ** -(P + 40)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 5), st.sampled_from([53, 200]), st.data())
-    def test_memo_names_keep_child_order(self, nc, prec, data):
+    def test_memo_names_keep_child_order(self, nc, P, data):
         # a vertex with two unlike leaves, met in both orders: the two
-        # orders round its products differently, so each needs its own entry
-        top = (-8, 8)
-        rows = [data.draw(exact_vectors(prec, nc, ("complex",), top))
-                for _ in range(4)]
-        E = [data.draw(exact_vectors(prec, nc, ("complex",), top))
-             for _ in range(nc)]
+        # orders round their products differently, so each needs its own
+        # entry
+        rows = [data.draw(fixed_vectors(P, nc, "complex")) for _ in range(4)]
+        E = [data.draw(fixed_vectors(P, nc, "complex")) for _ in range(nc)]
         g = PlumbingGraph.build([-2] * 4, [(0, 1), (1, 2), (1, 3)])
-        with mp.workprec(prec):
-            level = tree_level(rows.__getitem__, E)
+        shared = fixed_scale(P, rows, E)
+        with mp.workprec(P + 64):
             for labels in ([0, 1, 2, 3], [0, 1, 3, 2]):
-                V = [rows[lab] for lab in labels]
-                want = mp.mpc(fdot_tree_sum(g, V, E))
-                got = mp.mpc(wrt._tree_sum(g, labels, level))
-                assert got._mpc_ == want._mpc_
+                got = wrt._tree_sum(g, labels, shared)
+                assert got == wrt._tree_sum(g, labels, fixed_scale(P, rows, E))
+        assert len(shared.memo) == 4
 
 
 @st.composite
@@ -392,6 +385,88 @@ class TestLevelContext:
         misses = wrt._level.cache_info().misses
         assert f(g, k, second).value._mpc_ == cold
         assert wrt._level.cache_info().misses == misses + 1
+
+
+def check_scale(f, g, k, dps):
+    """Run f(g, k, dps) and check that the scale its tree sum ran at meets
+    the bound _Level states; returns that scale."""
+    seen = []
+    contract = wrt._tree_sum
+
+    def spy(g, labels, scale):
+        seen.append((labels, scale))
+        return contract(g, labels, scale)
+
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(wrt, "_tree_sum", spy)
+        f(g, k, dps)
+    (labels, scale), = seen
+    level, P, lm = scale.level, scale.P, linking_matrix(g)
+    assert (P - level.prec) % 64 == 0 and P >= level.prec + 64
+    n, L, C_E = len(level.twist), lm.size, level.C_E
+    log_A = C = 0
+    for _, d in labels:  # the vertex rows' A_d and C_d
+        a, c = (level.a_inv, level.a_inv) if d > 2 else (level.a_hi, 1)
+        log_A += abs(d - 2) * math.log2(a)
+        C += 0.5 + abs(d - 2) * (C_E * c + 1.5)
+    C += (L - 1) * (n * C_E + 2)
+    b = lm.b_plus + lm.b_minus
+    x_lo, x_hi = level.log_x
+    log_N = (-(L + 1) * x_lo + 2 * b * x_hi) if level.rank1 else (L - 1) * x_hi
+    log_N -= lm.b_plus * level.log_unknot[1] + lm.b_minus * level.log_unknot[-1]
+    log_B = math.log2(n) + (L - 1) * level.log_rho + log_A
+    assert 1 - P + log_B + math.log2(C) + log_N <= -level.prec
+    eps = ((L + 1 + 2 * b) * 2 * C_E * 2 ** -x_lo
+           + b * level.unknot_err * 2 ** -min(level.log_unknot.values()))
+    assert math.log2(eps) - P <= -level.prec
+    assert 2 - P + 2 * math.log2(C) <= 0
+    return scale
+
+
+class TestStateSumBound:
+    """The scale each state sum runs at meets the bound that _Level states,
+    and the state sum is within it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(STATE_SUMS)), st.data(), definite_trees(),
+           st.sampled_from([5, 20, 60]))
+    def test_scale_meets_stated_bound(self, name, data, g, dps):
+        f, levels = STATE_SUMS[name]
+        check_scale(f, g, data.draw(st.sampled_from(levels)), dps)
+
+    @pytest.mark.parametrize("name", sorted(STATE_SUMS))
+    def test_scale_above_float_range(self, name):
+        # at dps 400 the scale passes 2^1024, beyond what a float holds
+        f, levels = STATE_SUMS[name]
+        scale = check_scale(f, brieskorn_2_3_7(), levels[0], 400)
+        assert scale.P > 1024
+
+    @pytest.mark.parametrize("f,k,leaves,bits", [
+        (wrt_su2, 200, 24, 256), (wrt_su2, 60, 12, 128), (wrt_so3, 40, 16, 128),
+        (STATE_SUMS["su3_z3"][0], 6, 8, 128)])
+    def test_large_trees_take_more_bits(self, f, k, leaves, bits):
+        # stars of unlike leaves, whose bound needs more than one step of
+        # 64 bits above the working precision
+        g = PlumbingGraph.build([-leaves - 6] + [-2 - i for i in range(leaves)],
+                                [(0, i) for i in range(1, leaves + 1)])
+        scale = check_scale(f, g, k, 20)
+        assert scale.P - scale.level.prec >= bits
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(STATE_SUMS)), st.data(), definite_trees(),
+           st.sampled_from([5, 20]))
+    def test_within_stated_bound(self, name, data, g, dps):
+        # (2L + 13) 2^-prec max(1, |tau|) of the value at 40 more digits
+        f, levels = STATE_SUMS[name]
+        k = data.draw(st.sampled_from(levels))
+        got = f(g, k, dps).value
+        want = f(g, k, dps + 40).value
+        with mp.workdps(dps + 15):
+            prec = mp.mp.prec
+        with mp.workdps(dps + 60):
+            bound = (2 * len(g) + 13) * mp.mpf(2) ** -prec * max(1, abs(want))
+            assert abs(got - want) <= bound
+            assert bound <= mp.mpf(10) ** -(dps + 10) * max(1, abs(want))
 
 
 class TestGoldenDigits:
