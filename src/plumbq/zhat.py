@@ -26,20 +26,29 @@ factors of -B reaches the order, so one pass buckets every label.
 An independent constant-term oracle multiplies the theta function by its
 own vertex expansions and reads off the z-degree-zero part.  It takes the
 power of the Weyl denominator and then inverts it, where the blocks invert
-the chamber factor 1 + U and then take the power.  It walks the theta
-lattice in m-space with `ellipsoid_points`, in integers on one Bareiss
-elimination of the form, as the blocks' coset-minimum search does, and
-tries at each closing level only the values its own supports admit.
+the chamber factor 1 + U and then take the power.  What depends only on
+(graph, variant, order) is built once, in a memoised context: the
+expansions, the walk order, the weight maps, the class rows, the theta
+form and the prune tables.  A call adds its label's centre and walks the
+theta lattice in m-space with `ellipsoid_points`, in integers on one
+Bareiss elimination of the form, as the blocks' coset-minimum search does.
+At every level it tries only the values its own supports admit: seen
+through an integer functional that kills the moves of the coordinates
+still free, a vertex's weight must land in the image of its support.  That
+is the whole weight at the vertex's lowest coordinate and, for su3, the
+component across the line that one free coordinate spans.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from plumbq.lie import cartan, gram, rho_norm, weyl_action, weyl_group, weyl_vector
 from plumbq.plumbing import (
@@ -267,20 +276,42 @@ def _theta_form(lm: LinkingMatrix, N: int, pos) -> list[list[int]]:
     return Q
 
 
+def _eliminate(M: list[list[int]]) -> list[int]:
+    """Fraction-free (Bareiss) elimination, in place, of the n x m integer
+    matrix M, m >= n, whose leading minors are positive.  Afterwards row k
+    holds in each column c > k the minor of M on rows 0..k and columns
+    0..k-1, c, its pivot being the leading minor d_{k+1}.  Returns
+    d_0..d_n (d_0 = 1)."""
+    n, d = len(M), [1]
+    for k in range(n):
+        assert M[k][k] > 0, "quadratic form is not positive definite"
+        for i, j in itertools.product(range(k + 1, n), range(k + 1, len(M[k]))):
+            M[i][j] = (M[k][k] * M[i][j] - M[i][k] * M[k][j]) // d[k]
+        d.append(M[k][k])
+    return d
+
+
 def _bareiss(Q: list[list[int]]):
     """Bareiss elimination of the integer posdef form Q: its leading minors
     d_1..d_n (d_0 = 1), the integer rows [(j, M_kj) for j > k], w_k =
     L / (d_k d_{k+1}) and L, with x^T Q x = sum_k w_k Y_k^2 / L for
     Y_k = d_{k+1} x_k + sum_{j>k} M_kj x_j."""
-    n, M, d = len(Q), [list(row) for row in Q], [1]
-    for k in range(n):
-        assert M[k][k] > 0, "quadratic form is not positive definite"
-        for i, j in itertools.product(range(k + 1, n), repeat=2):
-            M[i][j] = (M[k][k] * M[i][j] - M[i][k] * M[k][j]) // d[k]
-        d.append(M[k][k])
+    n, M = len(Q), [list(row) for row in Q]
+    d = _eliminate(M)
     L = math.lcm(*(a * b for a, b in zip(d, d[1:])))
     return (d[1:], [[(j, M[k][j]) for j in range(k + 1, n) if M[k][j]] for k in range(n)],
             [L // (a * b) for a, b in zip(d, d[1:])], L)
+
+
+def _bordered_minors(A: list[list[int]]):
+    """The leading minors d_0..d_n of the integer posdef A and, for each j,
+    the row A_{j,P} adj(A_PP) over P = 0..j-1, from one elimination of
+    [A | I]: row j then holds in identity column k < j the bordered
+    determinant of A_PP by (A_{j,P}, 0) and e_k, which is
+    -(A_{j,P} adj(A_PP))_k."""
+    n = len(A)
+    M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    return _eliminate(M), [[-M[j][n + k] for k in range(j)] for j in range(n)]
 
 
 def ellipsoid_points(A, center, R: Fraction, prune=None):
@@ -289,12 +320,19 @@ def ellipsoid_points(A, center, R: Fraction, prune=None):
     common denominator of A.  prune maps a level i to a function of
     (x, lo, hi), called once x[i+1:] are fixed, that lists the admissible
     x[i] in [lo, hi] in ascending order."""
-    s = math.lcm(*(a.denominator for row in A for a in row))
+    s, form = _scaled_form(tuple(map(tuple, A)))
     E = math.lcm(*(c.denominator for c in center))
-    pts, K = _points(_bareiss([[int(a * s) for a in row] for row in A]),
-                     [c.numerator * (E // c.denominator) for c in center], E,
+    pts, K = _points(form, [c.numerator * (E // c.denominator) for c in center], E,
                      s * Fraction(R), prune)
     return [(x, Fraction(t, K * s)) for x, t in pts]
+
+
+@functools.lru_cache(maxsize=64)
+def _scaled_form(A: tuple) -> tuple:
+    """s, the least common denominator of the rational matrix A, and the
+    Bareiss form of sA.  Memoised, as the oracle walks one form per graph."""
+    s = math.lcm(*(a.denominator for row in A for a in row))
+    return s, _bareiss([[int(a * s) for a in row] for row in A])
 
 
 def _points(form, e, E: int, R: Fraction, prune=None, first=False):
@@ -343,25 +381,24 @@ def _walk(lm: LinkingMatrix, N: int, R: Fraction, sup):
     over the first k levels is the least 2N q of any completion.  In
     integers, d_k being the k-th leading minor of A and P the earlier
     levels, w_k = d_{k-1} z_k = d_{k-1} s_k - A_{k,P} adj(A_PP) s_P and
-    pair(z_k, z_k) / D_k = pair(w_k, w_k) / (d_{k-1} d_k).  The walk carries
-    A_{k,P} adj(A_PP) s_P for the later levels and the class vector.
+    pair(z_k, z_k) / D_k = pair(w_k, w_k) / (d_{k-1} d_k); the minors and the
+    rows A_{k,P} adj(A_PP) come from `_bordered_minors` in walk order.  The
+    walk carries A_{k,P} adj(A_PP) s_P for the later levels and the class
+    vector.
     """
     n, r, G = lm.size, N - 1, gram(N)
     A, mod = [[-x for x in row] for row in lm.B], N * abs(lm.det)
     sup = [{mu: c for mu, c in s.items() if _norm(G, mu) < 2 * N * R * A[v][v]}
            for v, s in enumerate(sup)]
     order = sorted(range(n), key=lambda v: (len(sup[v]) != 1, -len(sup[v]), v))
-    minors = [LinkingMatrix.of([[A[a][b] for b in order[:k]] for a in order[:k]])
-              for k in range(n + 1)]
-    dets = [m.det for m in minors]
+    dets, cross = _bordered_minors([[A[a][b] for b in order] for a in order])
     S = math.lcm(*(dets[k] * dets[k + 1] for k in range(n)))
     omega = [S * R.denominator // (dets[k] * dets[k + 1]) for k in range(n)]
     lim = 2 * N * S * R.numerator
     levels, D = [], 1
     for k, v in enumerate(order):
         # column k of A_{j,P} adj(A_PP) for each later level j
-        later = [sum(A[order[j]][p] * minors[j].adj[i][k] for i, p in enumerate(order[:j]))
-                 for j in range(k + 1, n)]
+        later = [cross[j][k] for j in range(k + 1, n)]
         den = math.lcm(*(c.denominator for c in sup[v].values()))
         D *= den
         levels.append([(int(c * den), [dets[k] * x for x in mu],
@@ -481,72 +518,158 @@ def sun_block_labels(g: PlumbingGraph, N: int, lm: LinkingMatrix | None = None) 
 def constant_term_oracle(g: PlumbingGraph, b, variant: str, order) -> QSeries:
     """Block series recomputed as a theta-function constant term: the m-space
     walk (N = 2 at rank 1) over lattice points m, where vertex v has weight
-    s_v = b_v + C sum_w B_vw m_w and contributes factors[v][s_v].  The level
-    that closes v's neighbourhood moves s_v by k_v per unit, so there the
-    walk tries only the values that the support of factors[v], bucketed by
-    first coordinate mod k_v[0], lists and every closing vertex admits."""
-    variant, lm = variant.lower(), linking_matrix(g)
-    if not is_negative_definite(lm):
+    s_v = b_v + C sum_w B_vw m_w and contributes factors[v][s_v].  variant is
+    su2, so3, osp12 or su3; b gives each vertex an integer at rank 1 and a
+    pair of fundamental-weight coordinates for su3.
+
+    All that does not depend on b comes from `_oracle_context`, memoised on
+    (g, variant, order).  At level i of the walk s_v moves by k_{v,i} per
+    unit and by a lattice L in the free lower coordinates; when L has rank
+    below N - 1, an integer phi with phi(L) = 0 and phi(k_{v,i}) != 0 must
+    take s_v into phi(support of v).  At v's lowest coordinate L = 0 and
+    phi is the identity; for su3, where L can be a line, phi is its
+    perpendicular."""
+    variant = variant.lower()
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    n, r = len(g.ids), 2 if variant == "su3" else 1
+    # at rank 1 theta contributes z^ell and the pairing takes the coefficient
+    # of z^{-ell_v}, so the walk runs over the coset of -b, whose points -ell
+    # have the same exponents
+    try:
+        bw = [tuple(bv) if r > 1 else (-bv,) for bv in b]
+        ok = len(bw) == n and all(len(bv) == r and all(int(c) == c for c in bv) for bv in bw)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"a {variant} label gives each of the {n} vertices "
+                         + ("a pair of integers" if r > 1 else "an integer"))
+    bw = [tuple(map(int, bv)) for bv in bw]
+    if not is_negative_definite(linking_matrix(g)):
         raise ValueError("linking matrix must be negative definite")
-    R, n, B = Fraction(order), lm.size, lm.B
+    R = Fraction(order)
     if R <= 0:  # as in the blocks: no such order passes the coset minimum
         raise ValueError("order does not reach past delta_b")
+    ctx = _oracle_context(g, variant, R)
+    flat = list(itertools.chain(*bw))
+    center = [Fraction(sum(map(mul, row, flat)), ctx.det) for row in ctx.cls]
+    prune = {level: functools.partial(_admissible, tests=[
+        (tuple([sum(map(mul, row, bw[v])) for row in phi]), *test)
+        for v, phi, *test in tests]) for level, tests in ctx.tests.items()}
+    terms, factors, lin, pref = {}, ctx.factors, ctx.lin, ctx.pref
+    # the walk runs on (-B) (x) C, twice the theta form, at radius 2R
+    for x, q in ellipsoid_points(ctx.form, center, 2 * R, prune):
+        if q < 2 * R:
+            coeff = Fraction(1)
+            for f, b0, rows in zip(factors, bw, lin):
+                coeff *= f[tuple([c + sum([k * x[i] for i, k in row])
+                                  for c, row in zip(b0, rows)])]
+            terms[e] = terms.get(e := pref + q / 2, 0) + coeff
+    return QSeries.from_terms(terms, denom=ctx.denom, trunc=pref + R)
+
+
+class _OracleContext(NamedTuple):
+    """What the oracle needs of (graph, variant, order) besides the label:
+    the vertex expansions, the class rows and the theta form in walk order,
+    the weight maps and the prune tables."""
+
+    factors: list      # factors[v]: {weight: coefficient}
+    lin: list          # s_v[a] = b_v[a] + sum(k * x[i] for i, k in lin[v][a])
+    cls: list          # centre[i] = cls[i] . b / det, i a walk coordinate
+    det: int           # N det B
+    form: tuple        # (-B) (x) C in walk order
+    tests: dict        # level: [(v, phi, later, phi(k), p0, buckets, image)]
+    pref: Fraction
+    denom: int
+
+
+@functools.lru_cache(maxsize=64)
+def _oracle_context(g: PlumbingGraph, variant: str, R: Fraction) -> _OracleContext:
+    """The oracle's context for g (negative definite), a variant it takes
+    and an order R > 0.  Memoised like `linking_matrix`; callers must not
+    modify it.
+
+    A test of vertex v at level i holds the functional phi (its rows), the
+    moves (j, phi(k_{v,j})) of the coordinates j > i fixed before it,
+    k = phi(k_{v,i}), the index p0 of k's first nonzero entry, phi(support)
+    and that image's entries p0 bucketed by their residue mod k[p0]."""
+    lm = linking_matrix(g)
+    n, B = lm.size, lm.B
     if variant == "su3":
         N, bound = 3, 2 * R * max(-B[i][i] for i in range(n))
         factors = [_oracle_vertex_suN(g.degree(vid), N, bound) for vid in g.ids]
     else:
         # expansions of x + s/x cut at |ell| <= max_abs, that is
-        # (ell, ell) = ell^2 / 2 <= max_abs^2 / 2.  Theta contributes z^ell
-        # and the pairing takes the coefficient of z^{-ell_v}, so the walk
-        # runs over the coset of -b, whose points -ell have the same exponents
-        N, b, s = 2, [(-x,) for x in b], 1 if variant == "osp12" else -1
+        # (ell, ell) = ell^2 / 2 <= max_abs^2 / 2
+        N, s = 2, 1 if variant == "osp12" else -1
         factors = [_oracle_vertex_suN(
             g.degree(vid), 2, Fraction((math.isqrt(int(4 * R * -B[i][i])) + 2) ** 2, 2), s)
             for i, vid in enumerate(g.ids)]
     r, C, pos = N - 1, cartan(N), _walk_order(B)
-    bw = [tuple(int(c) for c in bv) for bv in b]
-    center = [Fraction(0)] * (n * r)
+    # move[v][i]: the change of s_v per unit of walk coordinate i
+    move = [[(0,) * r] * (n * r) for _ in range(n)]
+    for v, w, c in itertools.product(range(n), range(n), range(r)):
+        move[v][pos[w] * r + c] = tuple(C[a][c] * B[v][w] for a in range(r))
+    cls = [None] * (n * r)
     for i, row in enumerate(_class_matrix(lm, N)):
-        center[pos[i // r] * r + i % r] = \
-            Fraction(sum(map(mul, row, itertools.chain(*bw))), N * lm.det)
-    # s_v[a] = bw[v][a] + sum(k * x[i] for i, k in lin[v][a])
-    lin = [[[(pos[w] * r + c, C[a][c] * B[v][w])
-             for w in range(n) if B[v][w] for c in range(r) if C[a][c]]
-            for a in range(r)] for v in range(n)]
+        cls[pos[i // r] * r + i % r] = row
 
-    def weight(v, x):
-        return tuple([b0 + sum([k * x[i] for i, k in row])
-                      for b0, row in zip(bw[v], lin[v])])
+    def apply(phi, mu):
+        return tuple([sum(map(mul, row, mu)) for row in phi])
 
-    closing = {}
+    tests: dict[int, list] = {}
     for v in range(n):
-        level = min(pos[w] for w in range(n) if B[v][w]) * r
-        k = tuple(sum(c for i, c in row if i == level) for row in lin[v])
-        buckets = {}
-        for mu0 in sorted({mu[0] for mu in factors[v]}):
-            buckets.setdefault(mu0 % k[0], []).append(mu0)
-        closing.setdefault(level, []).append((v, k, buckets))
+        moved = [i for i in range(n * r) if any(move[v][i])]
+        for t, i in enumerate(moved):
+            lower = [move[v][j] for j in moved[:t]]
+            if not lower:
+                phi = tuple(tuple(int(a == c) for c in range(r)) for a in range(r))
+            elif r == 2 and all(u[0] * lower[0][1] == u[1] * lower[0][0] for u in lower):
+                u, h = lower[0], math.gcd(*lower[0])
+                phi = ((u[1] // h, -u[0] // h),)
+            else:  # the lower moves span the weight space from here on
+                break
+            k = apply(phi, move[v][i])
+            if not any(k):
+                continue
+            p0 = next(p for p, c in enumerate(k) if c)
+            image = {apply(phi, mu) for mu in factors[v]} if lower else factors[v]
+            buckets: dict[int, list] = {}
+            for y in sorted({y[p0] for y in image}):
+                buckets.setdefault(y % k[p0], []).append(y)
+            later = [(j, f) for j in moved[t + 1:] if any(f := apply(phi, move[v][j]))]
+            tests.setdefault(i, []).append((v, phi, later, k, p0, buckets, image))
+    for level in tests.values():  # full weights first: they admit the fewest values
+        level.sort(key=lambda test: -len(test[1]))
+    return _OracleContext(
+        factors, [[[(i, m[a]) for i, m in enumerate(move[v]) if m[a]] for a in range(r)]
+                  for v in range(n)],
+        cls, N * lm.det, tuple(map(tuple, _theta_form(lm, N, pos))), tests,
+        _prefactor(lm, N), _series_denom(lm, N))
 
-    def admissible(x, lo, hi, level, vs):
-        x[level] = 0
-        shifts = [(factors[v], weight(v, x), k, buckets) for v, k, buckets in vs]
-        _, c, k, buckets = shifts[0]
-        found = sorted(t for mu0 in buckets.get(c[0] % k[0], ())
-                       if lo <= (t := (mu0 - c[0]) // k[0]) <= hi)
-        return [t for t in found if all(tuple(a + t * s for a, s in zip(c, k)) in f
-                                        for f, c, k, _ in shifts)]
 
-    prune = {level: functools.partial(admissible, level=level, vs=vs)
-             for level, vs in closing.items()}
-    pref, terms = _prefactor(lm, N), {}
-    # the walk runs on (-B) (x) C, twice the theta form, at radius 2R
-    for x, q in ellipsoid_points(_theta_form(lm, N, pos), center, 2 * R, prune):
-        if q < 2 * R:
-            coeff = Fraction(1)
-            for v in range(n):
-                coeff *= factors[v][weight(v, x)]
-            terms[e] = terms.get(e := pref + q / 2, 0) + coeff
-    return QSeries.from_terms(terms, denom=_series_denom(lm, N), trunc=pref + R)
+def _admissible(x, lo, hi, tests) -> list[int]:
+    """The values t in [lo, hi], ascending, of the coordinate x[i] of a
+    level whose tests all hold once x[i+1:] are fixed: c + t k in image
+    for c = const + sum_j x[j] phi(k_{v,j})."""
+    found = None
+    for const, later, k, p0, buckets, image in tests:
+        c = const
+        for j, f in later:
+            if xj := x[j]:
+                c = [a + xj * e for a, e in zip(c, f)]
+        if found is None:
+            c0, k0 = c[p0], k[p0]
+            ys = buckets.get(c0 % k0, ())
+            y0, y1 = (c0 + lo * k0, c0 + hi * k0) if k0 > 0 else (c0 + hi * k0, c0 + lo * k0)
+            ys = ys[bisect.bisect_left(ys, y0):bisect.bisect_right(ys, y1)]
+            found = [(y - c0) // k0 for y in (ys if k0 > 0 else reversed(ys))]
+            if len(k) == 1:  # the bucket has tested the one entry
+                continue
+        found = [t for t in found if tuple([a + t * e for a, e in zip(c, k)]) in image]
+        if not found:
+            break
+    return found
 
 
 def _walk_order(B) -> list[int]:

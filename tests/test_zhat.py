@@ -5,9 +5,10 @@ import math
 import random
 import zlib
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plumbq.catalog import (
@@ -16,8 +17,10 @@ from plumbq.catalog import (
     lens_m5_11,
     poincare_sphere,
 )
+from plumbq import zhat
 from plumbq.lie import cartan, gram
 from plumbq.plumbing import (
+    LinkingMatrix,
     PlumbingGraph,
     degree_delta,
     lens_chain,
@@ -28,6 +31,7 @@ from plumbq.qlaurent import QSeries, qs_flip, qs_neg
 from plumbq.zhat import (
     _avg_rank1,
     _bareiss,
+    _bordered_minors,
     _class_matrix,
     _height,
     _ht,
@@ -273,11 +277,11 @@ def reference_oracle(g, b, variant, order):
 
 
 @st.composite
-def oracle_cases(draw):
-    """A random negative-definite tree (up to 4 vertices at rank 1, up to 2
-    for su3), one of its labels and an order."""
+def oracle_cases(draw, su3_size=2):
+    """A random negative-definite tree (up to 4 vertices at rank 1, up to
+    su3_size for su3), one of its labels and an order."""
     variant = draw(st.sampled_from(["su2", "osp12", "su3"]))
-    size = draw(st.integers(1, 2 if variant == "su3" else 4))
+    size = draw(st.integers(1, su3_size if variant == "su3" else 4))
     edges = [(draw(st.integers(0, i)), i + 1) for i in range(size - 1)]
     deg = [sum(v in e for e in edges) for v in range(size)]
     g = PlumbingGraph.build([-(d + draw(st.integers(1, 3))) for d in deg], edges)
@@ -293,6 +297,127 @@ def oracle_cases(draw):
 def test_oracle_matches_reference_route(case):
     got, want = constant_term_oracle(*case), reference_oracle(*case)
     assert (got.terms, got.trunc, got.denom) == (want.terms, want.trunc, want.denom)
+
+
+def su3_chain_case(order=14):
+    """The two-vertex su3 chain (-2, -3) with a label that keeps points: each
+    weight moves with all four m-coordinates, so the walk's second level
+    has a line test."""
+    g = PlumbingGraph.build([-2, -3], [(0, 1)])
+    return g, next(b.label for b in zhat_all_blocks(g, "su3", order)
+                   if b.series.terms), "su3", order
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_cases(su3_size=3))
+@example(su3_chain_case())
+def test_pruned_walk_keeps_exactly_the_supported_points(case):
+    # the oracle's walk, with its prune tables, against the same walk
+    # unpruned and filtered by support membership of every weight
+    g, b, variant, order = case
+    seen = []
+
+    def spy(A, center, R, prune=None):
+        out = ellipsoid_points(A, center, R, prune)
+        seen.append((A, center, R, out))
+        return out
+
+    with mock.patch.object(zhat, "ellipsoid_points", spy):
+        constant_term_oracle(g, b, variant, order)
+    ((A, center, R, got),) = seen
+    ctx = zhat._oracle_context(g, variant, Fraction(order))
+    B, N = linking_matrix(g).B, 3 if variant == "su3" else 2
+    r, C, pos, n = N - 1, cartan(N), _walk_order(B), len(B)
+    bw = [tuple(bv) for bv in b] if r > 1 else [(-x,) for x in b]
+
+    def supported(x):
+        return all(tuple(bw[v][a] + sum(C[a][c] * B[v][w] * x[pos[w] * r + c]
+                                        for w in range(n) for c in range(r))
+                         for a in range(r)) in ctx.factors[v] for v in range(n))
+
+    assert got == [(x, q) for x, q in ellipsoid_points(A, center, R) if supported(x)]
+
+
+def test_two_vertex_su3_chain_has_a_line_test():
+    g, _, _, order = su3_chain_case()
+    ctx = zhat._oracle_context(g, "su3", Fraction(order))
+    rows = sorted(len(phi) for tests in ctx.tests.values() for _, phi, *_ in tests)
+    assert rows == [1, 1, 2, 2]
+
+
+class TestOracleContext:
+    def test_cold_and_warm_calls_agree(self):
+        g = minus_5_3_3_tree()
+        cases = [(b.label, variant, 12) for variant in ("su2", "osp12")
+                 for b in zhat_all_blocks(g, variant, 12)]
+        cases += [(b.label, "su3", 6) for b in zhat_all_blocks(g, "su3", 6)
+                  if b.series.terms][:4]
+        for b, variant, order in cases:
+            zhat._oracle_context.cache_clear()
+            cold = constant_term_oracle(g, b, variant, order)
+            warm = constant_term_oracle(g, b, variant, order)
+            assert zhat._oracle_context.cache_info().hits == 1
+            assert (cold.terms, cold.trunc, cold.denom) == \
+                (warm.terms, warm.trunc, warm.denom)
+
+    def test_variant_and_order_key_the_context(self):
+        # sigma237 has a vertex of degree 3, whose expansion the order cuts
+        g = brieskorn_2_3_7()
+        b = zhat_all_blocks(g, "su2", 10)[0].label
+        zhat._oracle_context.cache_clear()
+        for variant, order in [("su2", 10), ("so3", 10), ("osp12", 10), ("su2", 40),
+                               ("SU2", 10), ("su2", Fraction(10))]:
+            constant_term_oracle(g, b, variant, order)
+        info = zhat._oracle_context.cache_info()
+        assert (info.misses, info.hits) == (4, 2)
+        su2, so3, osp, deep = (zhat._oracle_context(g, v, Fraction(order)) for v, order
+                               in [("su2", 10), ("so3", 10), ("osp12", 10), ("su2", 40)])
+        assert len({id(su2), id(so3), id(osp), id(deep)}) == 4
+        assert su2.factors != osp.factors and su2.factors != deep.factors
+
+    @pytest.mark.parametrize("variant, label", [
+        ("bogus", (1, 1)), ("su4", (1, 1)), ("su2", (1,)), ("su2", (1, 1, 1)),
+        ("su3", ((1, 1),)), ("su3", ((1, 1), (1,))), ("su2", ((1,), (1,))),
+        ("su3", (1, 1)), ("su2", (Fraction(1, 2), 1)),
+        ("su3", ((Fraction(1, 2), Fraction(1, 2)), (1, 1)))])
+    def test_bad_variant_or_label_raises_before_the_memo(self, variant, label):
+        g = lens_m5_11()
+        zhat._oracle_context.cache_clear()
+        match = "unknown variant" if variant in ("bogus", "su4") else "label"
+        with pytest.raises(ValueError, match=match):
+            constant_term_oracle(g, label, variant, 10)
+        assert zhat._oracle_context.cache_info().currsize == 0
+
+    def test_unknown_variant_message(self):
+        with pytest.raises(ValueError, match="^unknown variant 'bogus'$"):
+            constant_term_oracle(lens_m5_11(), (1, 1), "bogus", 10)
+
+    def test_fraction_and_int_su3_labels_agree(self):
+        # the bench passes su3 labels as tuples of Fractions
+        g = lens_m5_11()
+        for b in sun_block_labels(g, 3)[:6]:
+            ints = tuple(tuple(int(c) for c in bv) for bv in b)
+            assert all(type(c) is Fraction for bv in b for c in bv)
+            assert constant_term_oracle(g, b, "su3", 6).terms == \
+                constant_term_oracle(g, ints, "su3", 6).terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 5))
+def test_bordered_minors_match_linking_matrix_minors(seed, size):
+    # d_k and A_{j,P} adj(A_PP) of -B in a random vertex order, from one
+    # elimination, against a Faddeev-LeVerrier pass per leading minor
+    rng = random.Random(seed)
+    g = random_negdef_tree(rng, max_size=size, max_det=10 ** 6) if size > 1 else \
+        PlumbingGraph.build([-rng.randint(1, 5)], [])
+    B = linking_matrix(g).B
+    order = rng.sample(range(len(B)), len(B))
+    A = [[-B[a][c] for c in order] for a in order]
+    dets, cross = _bordered_minors(A)
+    minors = [LinkingMatrix.of([row[:k] for row in A[:k]]) for k in range(len(A) + 1)]
+    assert dets == [m.det for m in minors]
+    assert cross == [[sum(A[j][i] * minors[j].adj[i][k] for i in range(j))
+                      for k in range(j)] for j in range(len(A))]
 
 
 def theta_minimum(B, b):
