@@ -9,11 +9,11 @@ and exact below a stated window (see dt_invariants).  Double twist quiver
 matrices are assembled from a small generator set of 2m x 2m blocks, with
 deeper twist blocks obtained by adding 2(k-1) times the all-ones matrix.
 
-One walk over the compositions groups the signed monomials q^e by the
-multiset of parts; the exact series and the q = 1 identity weigh a group
-once.  The numeric sum instead runs node by node over distinct states
-(colour left, running linear exponents), each summed once in fixed point
-under an a-priori error bound (see quiver_jones_numeric).
+Both motivic sums run node by node over distinct states (node, colour
+left, running linear exponents), each summed once with its q^2-binomials:
+the exact series in integer-exponent dicts (see quiver_jones), the numeric
+value in fixed point under an a-priori error bound (see
+quiver_jones_numeric).
 """
 
 from __future__ import annotations
@@ -44,13 +44,11 @@ __all__ = [
     "quiver_jones_numeric",
     "generate_double_twist_quiver",
     "builtin_generator_set",
-    "framing_shift",
     "dt_invariants",
     "nested_sum_jones_83",
     "twist_knot_jones",
     "closed_form_homfly",
     "mmr_leading_check",
-    "exp_growth_check",
     "quiver_to_json",
     "quiver_from_json",
 ]
@@ -366,99 +364,63 @@ def generate_double_twist_quiver(p: int, m: int) -> Quiver:
     return Quiver.make(C, xi, gamma, **agrading)
 
 
-def framing_shift(q: Quiver, f: int) -> Quiver:
-    """Add f to every entry of C and to every gamma.
-
-    The motivic series of the result is (-q)^{f r^2} times the original at
-    x-degree r; the gamma shift supplies the sign since r^2 and r have the
-    same parity.
-    """
-    C = tuple(tuple(x + f for x in row) for row in q.C)
-    gamma = tuple(g + f for g in q.gamma)
-    return Quiver(q.n, C, q.xi, gamma, q.alpha, q.beta)
-
-
-def _groups(r: int, lin, C, gamma) -> dict[tuple, dict[int, int]]:
-    """{parts: {e: signed count}} over the compositions d of r into
-    len(lin) parts, with e = lin.d + d.C.d, sign (-1)^{gamma.d} and parts
-    the nonzero d_i in ascending order: the remaining weights of the
-    motivic sum depend on d only through that multiset.
-
-    Nodes 0..n-3 are walked recursively with a running linear vector.  The
-    last two split the remainder as (k, rem - k) in one flat loop, with e
-    quadratic in k (stepped by its differences); for a fixed base multiset
-    min(k, rem - k) picks the group, looked up once per base."""
-    if r < 0:
-        raise ValueError("color must be nonnegative")
-    n = len(lin)
-    if n == 1:
-        return {(r,) if r else (): {
-            r * (lin[0] + C[0][0] * r): -1 if gamma[0] * r & 1 else 1}}
-    a, b = n - 2, n - 1
-    dd = 2 * (C[a][a] - 2 * C[a][b] + C[b][b])
-    flip = -1 if (gamma[a] ^ gamma[b]) & 1 else 1
-    groups: dict[tuple, dict[int, int]] = {}
-    by_base: dict[tuple, list[dict[int, int]]] = {}
-    parts: list[int] = []
-
-    def rec(i, rem, lin, e, odd):
-        if i == a:
-            base = tuple(sorted(parts))
-            seq = by_base.get(base)
-            if seq is None:
-                seq = by_base[base] = [groups.setdefault(tuple(sorted(
-                    base + tuple(x for x in (lo, rem - lo) if x))), {})
-                    for lo in range(rem // 2 + 1)]
-                seq += seq[:rem + 1 - len(seq)][::-1]
-            lb, cbb = lin[b], C[b][b]
-            ee = e + rem * (lb + cbb * rem)
-            step = (lin[a] - lb + 2 * rem * (C[a][b] - cbb)) + dd // 2
-            sgn = -1 if (odd ^ gamma[b] * rem) & 1 else 1
-            for acc in seq:
-                acc[ee] = acc.get(ee, 0) + sgn
-                ee += step
-                step += dd
-                sgn *= flip
-            return
-        rec(i + 1, rem, lin, e, odd)
-        row, ci = C[i], C[i][i]
-        for k in range(1, rem + 1):
-            parts.append(k)
-            rec(i + 1, rem - k, [x + 2 * k * c for x, c in zip(lin, row)],
-                e + k * (lin[i] + ci * k), odd ^ (gamma[i] * k & 1))
-            parts.pop()
-
-    rec(0, r, lin, 0, 0)
-    return groups
-
-
 @functools.lru_cache(maxsize=1024)
 def _qbinomial_q2(a: int, b: int) -> QSeries:
     return qs_qbinomial(a, b, base=2)
 
 
-def _multinomial_q2(r: int, parts) -> QSeries:
-    """(q^2; q^2)_r / prod (q^2; q^2)_{d_i} as an exact polynomial."""
-    out = QSeries.one()
-    for di in parts:
-        out = qs_mul(out, _qbinomial_q2(r, di))
-        r -= di
-    return out
-
-
 def quiver_jones(q: Quiver, r: int, order=None) -> QSeries:
-    """Motivic sum over compositions d of r, as an exact Laurent polynomial.
-
-    Each composition contributes (-1)^{gamma.d} q^{xi.d + d.C.d} times the
+    """Motivic sum over compositions d of r, as an exact Laurent polynomial:
+    each d contributes (-1)^{gamma.d} q^{xi.d + d.C.d} times the
     q^2-multinomial coefficient; order, when given, truncates exponents.
-    The multinomial depends only on the multiset of parts, so the signed
-    monomials are summed per multiset and multiplied once.
+
+    The sum is F(0, r, xi), with F(i, rem, L) = sum_k (-1)^{gamma_i k}
+    q^{k L_i + C_ii k^2} [rem, k]_{q^2} F(i+1, rem-k, L + 2k C_i) over the
+    running linear exponents L of nodes >= i.  Shifting L by c multiplies F
+    by q^{c rem}, so each state is kept as (i, rem, L_{>i} - L_i) and the
+    shift joins the exponent of the term that reaches it; every state is
+    summed once, in integer-exponent dicts, and one with a single part left
+    is read off its nodes directly.  quiver_jones_numeric runs the same
+    recursion over another ring, but its error bound is a property of its
+    own loop (one rounding per state at scale 2^P, the shift applied only
+    at the last two nodes), so the two are not one function over two
+    coefficient types.
     """
-    total = QSeries.zero()
-    for parts, signed in _groups(r, q.xi, q.C, q.gamma).items():
-        total = total + qs_mul(_multinomial_q2(r, parts),
-                               QSeries.from_terms(signed))
-    return total.with_trunc(order)
+    if r < 0:
+        raise ValueError("color must be nonnegative")
+    n, C, gamma = q.n, q.C, q.gamma
+    twice = [tuple(2 * c for c in C[i][i + 1:]) for i in range(n)]
+
+    @functools.cache
+    def F(i, rem, rest):  # rest: L of nodes > i, less L_i
+        if not rem:
+            return {0: 1}
+        acc: dict[int, int] = {}
+        if rem == 1:  # one node j >= i takes the last part
+            for j, lj in enumerate((0,) + rest, i):
+                e = C[j][j] + lj
+                acc[e] = acc.get(e, 0) + (-1 if gamma[j] & 1 else 1)
+            return acc
+        cii = C[i][i]
+        if i == n - 1:
+            return {cii * rem * rem: -1 if gamma[i] & rem & 1 else 1}
+        for k in range(rem + 1):
+            head = rest[0]
+            child = F(i + 1, rem - k, tuple(x - head for x in rest[1:]))
+            shift = cii * k * k + head * (rem - k)
+            sgn = -1 if gamma[i] & k & 1 else 1
+            for eb, cb in _qbinomial_q2(rem, k).terms:
+                cb *= sgn
+                for e, c in child.items():
+                    e += shift + eb
+                    acc[e] = acc.get(e, 0) + cb * c
+            rest = tuple(map(operator.add, rest, twice[i]))
+        return acc
+
+    xi = q.xi
+    top = F(0, r, tuple(x - xi[0] for x in xi[1:]))
+    return QSeries.from_terms({e + xi[0] * r: c for e, c in top.items()},
+                              trunc=order)
 
 
 class _Gauss(tuple):
@@ -493,7 +455,8 @@ def quiver_jones_numeric(q: Quiver, r: int, qval, dps: int = 30):
     rounding), under 2^{1-P}, reaches J weighed by at most R = n^r max(1,
     |q|)^{r^2} Y^{3X} over all paths.  P = ceil(dps log2(10) + log2 R) +
     bits(8n) + 5 keeps the sum below 10^-dps / 32, and the result is then
-    rounded to dps digits.
+    rounded to dps digits.  quiver_jones sums the same states exactly; this
+    loop stays separate because the bound above is stated for it.
     """
     if r < 0:
         raise ValueError("color must be nonnegative")
@@ -693,24 +656,6 @@ def mmr_leading_check(q: Quiver, hbar: float, x: float, r_from_x: int,
         X = (1 - xv) ** 2 / xv
         target = 1 / (1 - w * X)
         return float(abs(jr - target) / abs(target))
-
-
-def exp_growth_check(q: Quiver, r: int) -> bool:
-    """Whether P_r(a, q=1) = P_1(a, 1)^r for the a-graded quiver."""
-    if q.alpha is None or q.beta is None:
-        raise ValueError("quiver carries no a-grading")
-    base = QSeries.from_terms(
-        [(2 * b, -1 if g % 2 else 1) for g, b in zip(q.gamma, q.beta)])
-    power = QSeries.one()
-    for _ in range(r):
-        power = qs_mul(power, base)
-    lhs: dict[int, int] = {}
-    for parts, signed in _groups(r, [2 * b for b in q.beta],
-                                 [[0] * q.n] * q.n, q.gamma).items():
-        weight = math.factorial(r) // math.prod(map(math.factorial, parts))
-        for e, c in signed.items():
-            lhs[e] = lhs.get(e, 0) + c * weight
-    return QSeries.from_terms(lhs).terms == power.terms
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ __all__ = [
     "lens_chain",
     "graph_to_json",
     "graph_from_json",
-    "graph_to_dot",
     "coset_representatives",
 ]
 
@@ -410,12 +409,3 @@ def graph_from_json(obj: dict) -> PlumbingGraph:
         [tuple(e) for e in obj["edges"]],
     )
 
-
-def graph_to_dot(g: PlumbingGraph) -> str:
-    lines = ["graph plumbing {"]
-    for v, f in g.vertices:
-        lines.append(f'  {v} [label="{f}"];')
-    for a, b in g.edges:
-        lines.append(f"  {a} -- {b};")
-    lines.append("}")
-    return "\n".join(lines)

@@ -23,7 +23,6 @@ from plumbq.catalog import (
 from plumbq.gppv import gauss_reciprocity_check, gppv_verify
 from plumbq.kq import (
     dt_invariants,
-    exp_growth_check,
     generate_double_twist_quiver,
     mmr_leading_check,
     nested_sum_jones_83,
@@ -247,12 +246,22 @@ def test_criterion_11_dt_integrality():
 
 def test_criterion_12_mmr_and_growth():
     import math
+    from test_kq import a_specialized, shift_a_grading
     q41 = generate_double_twist_quiver(1, 1)
     err1 = mmr_leading_check(q41, 0.01, math.exp(0.01 * 40), 40)
     err2 = mmr_leading_check(q41, 0.005, math.exp(0.005 * 80), 80)
     assert err1 < 0.10
     assert err2 < err1
-    for r in (1, 2, 3):
-        assert exp_growth_check(q41, r)
+    for a in (2, 3):
+        for r in (1, 2, 3):
+            oracle = closed_form_homfly("4_1", r, a_exp=a, q_sub=2)
+            assert quiver_jones(a_specialized(q41, a), r) == oracle
+    # negative control: a beta moved against alpha still gives xi at a = 2
+    oracle = closed_form_homfly("4_1", 1, a_exp=3, q_sub=2)
+    for node in range(q41.n):
+        for s in (1, -1):
+            moved = a_specialized(shift_a_grading(q41, node, s), 3)
+            assert quiver_jones(moved, 1) != oracle
     ok(f"criterion 12: semiclassical errors {err1:.3%} -> {err2:.3%} "
-       "(monotone); q=1 growth identity r<=3")
+       "(monotone); a-graded 4_1 series is HOMFLY-PT at a = q^2, q^3 for "
+       "r<=3, and fails with any beta moved")

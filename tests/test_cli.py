@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -251,3 +255,13 @@ class TestCache:
         assert warm.exit_code == 0
         assert warm.output == cold.output
         assert entry.read_text() == good
+
+
+def test_python_m_plumbq_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-m", "plumbq", "--help"],
+                         capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("Usage: plumbq ")

@@ -19,12 +19,9 @@ from plumbq.kq import (
     Quiver,
     _deepen,
     _grow_twist,
-    _groups,
     _linear_data,
     builtin_generator_set,
     dt_invariants,
-    exp_growth_check,
-    framing_shift,
     generate_double_twist_quiver,
     mmr_leading_check,
     nested_sum_jones_83,
@@ -40,6 +37,7 @@ from plumbq.qlaurent import (
     qs_inverse,
     qs_mul,
     qs_pochhammer,
+    qs_qbinomial,
     qs_scale,
     qs_shift,
 )
@@ -56,8 +54,8 @@ def compositions(r, n):
 
 
 def quadratic(C, d):
-    return sum(di * dj * C[i][j] for i, di in enumerate(d)
-               for j, dj in enumerate(d))
+    support = [(i, di) for i, di in enumerate(d) if di]
+    return sum(di * dj * C[i][j] for i, di in support for j, dj in support)
 
 
 @pytest.fixture(scope="module")
@@ -169,15 +167,16 @@ def assert_numeric_matches_exact(q, r):
 
 def reference_numeric(q, r, qval, dps):
     """The motivic sum at a numeric q from the multisets of the composition
-    walk: sum over groups of (q^2; q^2)_r / prod (q^2; q^2)_{d_i} times the
-    group's sum_e c_e q^e, each group's sum exact in integers from one table
-    of round(q^e 2^P), then weighed in mpf with the Pochhammer factors.
-    Within 10^-dps max(1, |J|) of the exact value J: the integer stage adds
-    at most 10^-dps / 8, and the mpf stage runs with enough guard bits for
-    its roundings and the cancellation kappa of the factors 1 - q^{2k}."""
+    walk (brute_groups): sum over groups of (q^2; q^2)_r / prod (q^2;
+    q^2)_{d_i} times the group's sum_e c_e q^e, each group's sum exact in
+    integers from one table of round(q^e 2^P), then weighed in mpf with the
+    Pochhammer factors.  Within 10^-dps max(1, |J|) of the exact value J:
+    the integer stage adds at most 10^-dps / 8, and the mpf stage runs with
+    enough guard bits for its roundings and the cancellation kappa of the
+    factors 1 - q^{2k}."""
     with mp.workdps(dps):
         qv = mp.mpf(qval) if not isinstance(qval, mp.mpc) else qval
-        groups = _groups(r, q.xi, q.C, q.gamma)
+        groups = brute_groups(q, r)
         seen = set().union(*groups.values())
         e_lo, e_hi = min(seen), max(seen)
         g = math.gcd(*(e - e_lo for e in seen)) or 1
@@ -222,6 +221,14 @@ class TestSeriesStructure:
     @given(st.integers(0, 2), st.integers(1, 3))
     @settings(max_examples=10, deadline=None)
     def test_framing_covariance(self, r, f):
+        """Adding f to every entry of C and to every gamma multiplies the
+        series at colour r by (-q)^{f r^2}: r^2 and r have the same parity."""
+
+        def framing_shift(q, f):
+            C = tuple(tuple(x + f for x in row) for row in q.C)
+            gamma = tuple(g + f for g in q.gamma)
+            return Quiver(q.n, C, q.xi, gamma, q.alpha, q.beta)
+
         q = generate_double_twist_quiver(1, 1)
         shifted = quiver_jones(framing_shift(q, f), r)
         base = quiver_jones(q, r)
@@ -297,8 +304,38 @@ class TestSeriesStructure:
         assert err40 < err20 < 0.10
 
     @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_exponential_growth_at_q_one(self, r):
-        assert exp_growth_check(generate_double_twist_quiver(1, 1), r)
+    def test_a_grading_gives_the_homfly_polynomial(self, r):
+        """With xi = alpha + a beta the 4_1 series is the closed-form HOMFLY-PT
+        polynomial at a = q^a: a = 2 is the stored xi, a = 3 tests beta."""
+        for a in (2, 3):
+            q = a_specialized(generate_double_twist_quiver(1, 1), a)
+            oracle = closed_form_homfly("4_1", r, a_exp=a, q_sub=2)
+            assert quiver_jones(q, r) == oracle
+
+    @pytest.mark.parametrize("node", range(5))
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_a_grading_control_fails_off_the_quiver(self, node, s):
+        """Moving (alpha_i, beta_i) by (-2s, s) keeps xi at a = 2 but breaks
+        the a = 3 identity."""
+        q = shift_a_grading(generate_double_twist_quiver(1, 1), node, s)
+        assert quiver_jones(a_specialized(q, 2), 1) == closed_form_homfly(
+            "4_1", 1, a_exp=2, q_sub=2)
+        assert quiver_jones(a_specialized(q, 3), 1) != closed_form_homfly(
+            "4_1", 1, a_exp=3, q_sub=2)
+
+
+def a_specialized(q, a):
+    """The quiver with xi = alpha + a beta, the series variable at a = q^a."""
+    return Quiver(q.n, q.C, tuple(x + a * y for x, y in zip(q.alpha, q.beta)),
+                  q.gamma, q.alpha, q.beta)
+
+
+def shift_a_grading(q, node, s):
+    """(alpha, beta) with node's entries moved by (-2s, s)."""
+    alpha, beta = list(q.alpha), list(q.beta)
+    alpha[node] -= 2 * s
+    beta[node] += s
+    return Quiver.make(q.C, q.xi, q.gamma, alpha, beta)
 
 
 @st.composite
@@ -325,11 +362,28 @@ def brute_groups(q, r):
     return groups
 
 
+def reference_series(q, r, order=None):
+    """The motivic sum from the composition walk: each multiset of parts of
+    brute_groups weighs its signed monomials once, by the q^2-multinomial
+    (q^2; q^2)_r / prod (q^2; q^2)_{d_i} as a product of q^2-binomials."""
+    total = QSeries.zero()
+    for parts, signed in brute_groups(q, r).items():
+        weight, rem = QSeries.one(), r
+        for di in parts:
+            weight = qs_mul(weight, qs_qbinomial(rem, di, base=2))
+            rem -= di
+        total = total + qs_mul(weight, QSeries.from_terms(signed))
+    return total.with_trunc(order)
+
+
 class TestWalk:
-    @given(small_quivers(), st.integers(0, 7))
+    @given(small_quivers(), st.integers(0, 6),
+           st.none() | st.integers(-40, 40))
     @settings(max_examples=60, deadline=None)
-    def test_walk_matches_brute_force(self, q, r):
-        assert _groups(r, q.xi, q.C, q.gamma) == brute_groups(q, r)
+    def test_walk_matches_brute_force(self, q, r, order):
+        """The state recursion against the composition walk."""
+        got, want = quiver_jones(q, r, order), reference_series(q, r, order)
+        assert got == want and str(got) == str(want)
 
     @pytest.mark.parametrize("q", [
         Quiver.make([[3]], [-2], [1]),
@@ -339,11 +393,14 @@ class TestWalk:
     ])
     def test_walk_on_one_and_two_nodes(self, q):
         for r in range(8):
-            assert _groups(r, q.xi, q.C, q.gamma) == brute_groups(q, r)
+            assert quiver_jones(q, r) == reference_series(q, r)
+
+    def test_k33_series_matches_composition_walk(self):
+        q = generate_double_twist_quiver(3, 3)
+        assert quiver_jones(q, 4) == reference_series(q, 4)
 
     @pytest.mark.parametrize("evaluate", [
-        quiver_jones, exp_growth_check,
-        lambda q, r: quiver_jones_numeric(q, r, 0.5)])
+        quiver_jones, lambda q, r: quiver_jones_numeric(q, r, 0.5)])
     def test_negative_color_is_rejected(self, evaluate):
         with pytest.raises(ValueError, match="color must be nonnegative"):
             evaluate(generate_double_twist_quiver(1, 1), -1)

@@ -15,7 +15,6 @@ from plumbq.plumbing import (
     PlumbingGraph,
     degree_delta,
     graph_from_json,
-    graph_to_dot,
     graph_to_json,
     is_negative_definite,
     kirby_neumann_move,
@@ -263,7 +262,3 @@ class TestSerialization:
     def test_json_roundtrip(self):
         g = brieskorn_2_3_7()
         assert graph_to_json(graph_from_json(graph_to_json(g))) == graph_to_json(g)
-
-    def test_dot_output_mentions_all_vertices(self):
-        dot = graph_to_dot(poincare_sphere())
-        assert dot.count("--") == 7
