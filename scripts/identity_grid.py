@@ -5,13 +5,15 @@
 
 The grid is every state sum (su2, so3, osp12 and su(N)/Z_m) on seven
 graphs, the GPPV decomposition check (su2, so3, osp12 and su(2)/Z_2) on
-four graphs, two Gauss reciprocity checks, and the homological blocks of
+four graphs, two Gauss reciprocity checks, the homological blocks of
 the four named graphs (su2, so3 and osp12 at order 300; su3 at order 8 on
 lens-m5-11 and sigma237, at order 20 on poincare and at order 16 on
-sigma237-alt), each printed as the CLI prints it: 117 lines.  The script
-imports plumbq from the `src/` of its own checkout, so running it in two
-checkouts and comparing the outputs with `diff` shows every printed digit
-that a change moves.  It takes no options and a few seconds.
+sigma237-alt), and last the state sums at the sizes of the benchmark's
+decomposition workload (su2 at level 60, so3 at 40 and su(3)/Z_3 at 6 on
+poincare and sigma237), each printed as the CLI prints it: 123 lines.
+The script imports plumbq from the `src/` of its own checkout, so running
+it in two checkouts and comparing the outputs with `diff` shows every
+printed digit that a change moves.  It takes no options and a few seconds.
 """
 
 import json
@@ -70,6 +72,12 @@ BLOCKS = [  # (variant, order, graphs)
     ("su3", 16, ["sigma237-alt"]),
 ]
 
+BENCH_STATE_SUMS = [  # (label, function of (graph, level), level)
+    ("su2", wrt_su2, 60),
+    ("so3", wrt_so3, 40),
+    ("su3_z3", lambda g, k: wrt_sun_zm(g, 3, 3, k), 6),
+]
+
 RECIPROCITY = [  # (B, ell, k)
     ([[-2, 1, 0], [1, -3, 1], [0, 1, -5]], [1, 0, -1], 4),
     ([[-1, 1, 1, 1], [1, -2, 0, 0], [1, 0, -3, 0], [1, 0, 0, -7]],
@@ -98,6 +106,9 @@ def main() -> None:
             for block in zhat_all_blocks(GRAPHS[name], variant, order):
                 line(f"zhat {variant} {name} order {order}",
                      block_to_json(block))
+    for label, f, k in BENCH_STATE_SUMS:
+        for name in ("poincare", "sigma237"):
+            line(f"wrt {label} {name} {k}", result_to_json(f(GRAPHS[name], k)))
 
 
 if __name__ == "__main__":

@@ -110,10 +110,12 @@ def _cache_store(target: Path | None, text: str) -> None:
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
+    """Print payload as JSON, or the lines text_lines() makes: they are made
+    only for text output."""
     if fmt == "json":
         click.echo(json.dumps(payload, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             click.echo(line)
 
 
@@ -155,11 +157,13 @@ def zhat(graph, group, order, cache_dir, fmt):
         payload = {"group": group, "order": order,
                    "blocks": [block_to_json(b) for b in blocks]}
         _cache_store(target, json.dumps(payload, sort_keys=True))
-    lines = [f"{group} blocks, order {order}:"]
-    for b in payload["blocks"]:
-        lines.append(f"  b={tuple(b['b'])}  delta={b['delta']}  "
-                     f"norm={b['normalization']}")
-        lines.append(f"    {qs_from_json(b['series'])}")
+
+    def lines():
+        yield f"{group} blocks, order {order}:"
+        for b in payload["blocks"]:
+            yield f"  b={tuple(b['b'])}  delta={b['delta']}  norm={b['normalization']}"
+            yield f"    {qs_from_json(b['series'])}"
+
     _emit(payload, fmt, lines)
 
 
@@ -192,7 +196,7 @@ def wrt(graph, group, level, rank_n, subgroup_m, precision, fmt):
     except ValueError as exc:
         _fail_math(str(exc))
     payload = result_to_json(res)
-    _emit(payload, fmt, [
+    _emit(payload, fmt, lambda: [
         f"{payload['variant']} level {level} (root order "
         f"{payload['root_order']}): {payload['re']} + {payload['im']}i"])
 
@@ -226,7 +230,7 @@ def gppv_check(graph, group, level, order, rank_n, subgroup_m, precision,
     payload = report_to_json(rep)
     payload["tol"] = tol
     payload["pass"] = rep.residual < tol
-    _emit(payload, fmt, [
+    _emit(payload, fmt, lambda: [
         f"{group} level {level}: residual {rep.residual:.3e} "
         f"({'PASS' if payload['pass'] else 'FAIL'} at tol {tol:g})"])
     if not payload["pass"]:
@@ -257,7 +261,7 @@ def kirby(graph, move_json, out_path, fmt):
     payload = graph_to_json(g2)
     if out_path:
         Path(out_path).write_text(json.dumps(payload, indent=2))
-    _emit(payload, fmt, [
+    _emit(payload, fmt, lambda: [
         "vertices: " + ", ".join(
             f"{v['id']}:{v['framing']}" for v in payload["vertices"]),
         "edges: " + ", ".join(map(str, payload["edges"]))])
@@ -279,7 +283,7 @@ def quiver_generate(p, m, out_path, fmt):
     payload = quiver_to_json(q)
     if out_path:
         Path(out_path).write_text(json.dumps(payload, indent=2))
-    _emit(payload, fmt, [
+    _emit(payload, fmt, lambda: [
         f"{q.n} nodes", "xi: " + " ".join(map(str, q.xi)),
         "gamma: " + " ".join(map(str, q.gamma))])
 
@@ -304,7 +308,7 @@ def quiver_series(quiver_path, r, cache_dir, fmt):
             _fail_math(str(exc))
         payload = {"r": r, "series": qs_to_json(series)}
         _cache_store(target, json.dumps(payload, sort_keys=True))
-    _emit(payload, fmt, [str(qs_from_json(payload["series"]))])
+    _emit(payload, fmt, lambda: [str(qs_from_json(payload["series"]))])
 
 
 @main.command()
@@ -330,8 +334,8 @@ def dt(quiver_path, dmax, order, fmt):
     payload = {"dmax": dmax, "order": order,
                "omega": [{"d": list(d), "j": j, "value": v}
                          for (d, j), v in sorted(nz.items())]}
-    _emit(payload, fmt,
-          [f"Omega[{tuple(d)}, {j}] = {v}" for (d, j), v in sorted(nz.items())])
+    _emit(payload, fmt, lambda: [
+        f"Omega[{tuple(d)}, {j}] = {v}" for (d, j), v in sorted(nz.items())])
 
 
 @main.command()
@@ -358,7 +362,7 @@ def oracle(knot, r, a_exp, q_sub, p, fmt):
     except ValueError as exc:
         _fail_math(str(exc))
     payload = {"knot": knot, "r": r, "series": qs_to_json(series)}
-    _emit(payload, fmt, [str(series)])
+    _emit(payload, fmt, lambda: [str(series)])
 
 
 if __name__ == "__main__":

@@ -262,11 +262,11 @@ def root_limit_periodic(s: QSeries, kprime: int, dps: int = 40):
             acc += mp.mpf(c.numerator) / c.denominator * mp.exp(ef * logq)
             partial.append(acc)
         M = len(partial)
-        sq = [mp.sqrt(ef - emin) for ef in exps]
         for T in range(1, M // 2):
             tail = range(M - 2 * T, M - T)
             if all(abs(partial[i + T] - partial[i]) < tol for i in tail):
-                gaps = [sq[i + 1] - sq[i] for i in range(M - T - 1, M - 1)]
+                sq = [mp.sqrt(ef - emin) for ef in exps[M - T - 1:]]
+                gaps = [b - a for a, b in zip(sq, sq[1:])]
                 vals = partial[M - T - 1 : M - 1]
                 wsum = mp.fsum(gaps)
                 return mp.fsum(g * v for g, v in zip(gaps, vals)) / wsum, T

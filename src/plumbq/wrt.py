@@ -3,8 +3,10 @@
 Each invariant is a finite sum over colorings of the plumbing tree,
 evaluated at a root of unity at a configurable working precision.  The
 tree structure is exploited by message passing (one matrix-vector
-contraction per edge), so the cost is quadratic in the number of colors
-instead of exponential in the number of vertices.
+contraction per edge), so the cost is the number of colors times the number
+of orbits of the simple current (_Fold) instead of exponential in the number
+of vertices: the edge matrix repeats along an orbit up to a sign, so each
+orbit's rows and columns are contracted once.
 
 Every phase of one invariant is exp(pi i a / D) for an integer a and one
 denominator D: D = 2 order for the rank-1 sums, D = N k' for su(N).  Twists,
@@ -35,7 +37,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 
 import mpmath as mp
 
@@ -44,6 +46,7 @@ from plumbq.lie import (
     gamma_factor,
     gram,
     pair,
+    pq_class_index,
     rho_norm,
     weyl_action,
     weyl_group,
@@ -157,20 +160,86 @@ def _times(a, b, P: int) -> tuple[list[int], list[int]]:
             [(x * v + y * u + h) >> P for x, y, u, v in entries])
 
 
-def _contract(rows, m, P: int) -> list[tuple[int, int]]:
-    """E m at scale 2^P, each entry an exact integer dot product rounded
-    once; a row part that is identically zero (None) costs nothing."""
+class _Fold:
+    """Colors folded by a simple current J (None: none), a color permutation
+    with E[J lam][mu] = chi(mu) E[lam][mu], chi = +-1, exactly in fixed point.
+    orbits are [nu, J nu, J^2 nu, ...] from each representative nu, the first
+    cut of them with chi(nu) = +1.  As E is symmetric, with f_c[nu] =
+    sum_j c^j m[J^j nu], (E m)[J^i lam] = sum_nu chi(nu)^i E[lam][nu] f_c[nu]
+    for c = chi(J^i lam): lam's row over the representatives gives its whole
+    orbit's entries, one dot product per group chi(nu) = +-1 and class c."""
+
+    def __init__(self, J, chi: list[int]):
+        n = len(chi)
+        J, chi = (range(n), [1] * n) if J is None else (J, chi)
+        self.orbits, self.chi, self.n = [], chi, n
+        for c in range(n):
+            orbit = [c]
+            while J[orbit[-1]] != c:
+                orbit.append(J[orbit[-1]])
+            if min(orbit) == c:
+                self.orbits.append(orbit)
+        self.orbits.sort(key=lambda o: chi[o[0]] < 0)
+        self.cut = sum(chi[o[0]] > 0 for o in self.orbits)
+        self.sizes = [len(o) for o in self.orbits]
+        # the j-th member of every orbit, or the index n of a zero past its end
+        self.cols = [[o[j] if j < len(o) else n for o in self.orbits]
+                     for j in range(max(self.sizes))]
+
+    def split(self, row):
+        """A row (re, im) over the representatives as its two groups."""
+        return tuple(tuple(None if p is None or not any(p[a:b]) else p[a:b] for p in row)
+                     for a, b in ((0, self.cut), (self.cut, None)))
+
+    def norm(self, row) -> int:
+        """sum over all colors mu of |Re E[lam][mu]| + |Im E[lam][mu]|."""
+        k, s = self.cut, self.sizes
+        return sum(sum(map(mul, w, map(abs, p))) for part, w in zip(row, (s[:k], s[k:]))
+                   for p in part if p is not None)
+
+    def message(self, m, c: int):
+        """f_c of m = (re, im) over the colors, in the two groups of split."""
+        out = []
+        for part in m:
+            part = part + [0]
+            f = [part[x] for x in self.cols[0]]
+            for j, col in enumerate(self.cols[1:], 1):
+                f = list(map(sub if c < 0 and j % 2 else add, f, [part[x] for x in col]))
+            out.append(f)
+        (re, im), k = out, self.cut
+        return (re[:k], im[:k]), (re[k:], im[k:])
+
+
+def _dot(e, f) -> tuple[int, int]:
+    """The exact dot product of row e and vector f; a None part costs nothing."""
+    (ere, eim), (fre, fim) = e, f
+    re = im = 0
+    if ere is not None:
+        re, im = sum(map(mul, ere, fre)), sum(map(mul, ere, fim))
+    if eim is not None:
+        re -= sum(map(mul, eim, fim))
+        im += sum(map(mul, eim, fre))
+    return re, im
+
+
+def _contract(scale, m) -> list[tuple[int, int]]:
+    """E m at scale 2^P from the split rows scale.rows of scale.fold: each
+    entry is the dense product's exact integer sum, regrouped, rounded once."""
+    P, fold = scale.P, scale.fold
     h = 1 << (P - 1)
-    mre, mim = m
-    out = []
-    for ere, eim in rows:
-        re = im = 0
-        if ere is not None:
-            re, im = sum(map(mul, ere, mre)), sum(map(mul, ere, mim))
-        if eim is not None:
-            re -= sum(map(mul, eim, mim))
-            im += sum(map(mul, eim, mre))
-        out.append(((re + h) >> P, (im + h) >> P))
+    folds, out = {}, [None] * fold.n
+    for orbit, row in zip(fold.orbits, scale.rows):
+        dots = {}
+        for i, x in enumerate(orbit):
+            c = fold.chi[x]
+            if c not in dots:
+                if c not in folds:
+                    folds[c] = fold.message(m, c)
+                dots[c] = [_dot(e, f) for e, f in zip(row, folds[c])]
+            (re, im), (nre, nim) = dots[c]
+            if i % 2:
+                nre, nim = -nre, -nim
+            out[x] = ((re + nre + h) >> P, (im + nim + h) >> P)
     return out
 
 
@@ -199,12 +268,12 @@ def _tree_sum(g: PlumbingGraph, labels, scale) -> mp.mpc:
     """Sum over colorings c of prod_v V[v][c_v] prod_{edges vw} E[c_v][c_w].
 
     The vertex at position v of g.ids has label labels[v] and the row
-    V[v] = scale.vertex_row(labels[v]); scale.rows is the symmetric edge
-    matrix E, row by row as (real part, imaginary part) with an identically
-    zero part None, all at scale 2^scale.P.  Contraction runs leaf-to-root:
-    a child's message, its row times its children's contracted messages in
-    contraction order, enters its parent contracted (_contract), and the
-    root's message is summed exactly and becomes an mpc once.
+    V[v] = scale.vertex_row(labels[v]); scale.rows are the rows of the
+    symmetric edge matrix E at the representatives of scale.fold (_Fold),
+    split into its two groups, all at scale 2^scale.P.  Contraction runs
+    leaf-to-root: a child's message, its row times its children's contracted
+    messages in contraction order, enters its parent contracted (_contract),
+    and the root's message is summed exactly and becomes an mpc once.
 
     A contracted message depends only on the scale and the child's subtree,
     named by its label and its children's names in contraction order; it
@@ -225,7 +294,7 @@ def _tree_sum(g: PlumbingGraph, labels, scale) -> mp.mpc:
         name = (labels[child], tuple(n for n, _ in kids[child]))
         w = memo.get((P, name))
         if w is None:
-            w = _contract(scale.rows, message(child), P)
+            w = _contract(scale, message(child))
             if (len(memo) + 1) * len(w) <= _MEMO_ENTRIES:
                 memo[P, name] = w
         kids[parent].append((name, w))
@@ -237,14 +306,16 @@ def _tree_sum(g: PlumbingGraph, labels, scale) -> mp.mpc:
 
 
 class _Scale:
-    """A level's data at scale 2^P: the phase table Z, the edge rows and the
-    amplitudes amp as Gaussian integers, x and unknot[eps] in mp.  The row
-    at framing f and degree d, Z[f twist[c]] amp[c]^(2-d), is made on first
-    use, 1/amp by one rounded Gaussian division."""
+    """A level's data at scale 2^P: the phase table Z, the split edge rows of
+    fold's representatives (_Fold) and the amplitudes amp as Gaussian
+    integers, x and unknot[eps] in mp.  The row at framing f and degree d,
+    Z[f twist[c]] amp[c]^(2-d), is made on first use, 1/amp by one rounded
+    Gaussian division."""
 
     def __init__(self, level: "_Level", P: int):
         self.P, self.level, self.memo = P, level, level.memo
-        self.Z, self.rows, self.amp = level.make(P)
+        self.Z, rows, self.amp, self.fold = level.make(P)
+        self.rows = [self.fold.split(row) for row in rows]
         self._vertex, self._inverse = {}, None
         self.x = _to_mpc(self.amp[0][level.x], self.amp[1][level.x], P)
         sums = {eps: _to_mpc(*map(sum, self.vertex_row((eps, 0))), P) for eps in (1, -1)}
@@ -269,8 +340,9 @@ class _Scale:
 
 class _Level:
     """What a state sum at one level and working precision prec shares
-    between graphs: make(P) builds the table, edge rows and amplitudes of a
-    _Scale, twist[c] is the twist of color c and amp[x] is x.  Rank 1
+    between graphs: make(P) builds the table, the edge rows of the
+    representatives over the representatives, the amplitudes and the fold of
+    a _Scale; twist[c] is the twist of color c and amp[x] is x.  Rank 1
     (rank1, x = U[1]) normalizes L vertices by x^-(L+1) and each unknot sum
     by x^-2; su(N) (x = S_0rho) by x^(L-1).  memo holds _tree_sum's
     contracted messages of every scale.
@@ -306,8 +378,7 @@ class _Level:
         mags = [math.isqrt(a * a + b * b) for a, b in zip(*base.amp)]
         self.a_hi = max(1, (max(mags) + 1 + slack) / 2 ** P)
         self.a_inv = max(1, 2 ** P / (min(mags) - slack))
-        self.log_rho = max(0, math.log2(2 * n * C_E + max(
-            sum(map(abs, re or ())) + sum(map(abs, im or ())) for re, im in base.rows)) - P)
+        self.log_rho = max(0, math.log2(2 * n * C_E + max(map(base.fold.norm, base.rows))) - P)
         self.log_x = (math.log2(mags[x] - slack) - P, math.log2(mags[x] + 1 + slack) - P)
         log_A0, C0 = self._vertex_bound(0)  # log2 |S| from below: S within 2u n A_0 C_0
         self.unknot_err = 2 * n * 2 ** log_A0 * C0
@@ -372,18 +443,24 @@ def _rank1_level(order: int, colors: range, sign: int) -> _Level:
     With q = exp(2 pi i / order) every phase is a power of exp(pi i / D),
     D = 2 order: q^{t/2} is Z[2t] and the twist q^{f (n^2 - 1)/4} is
     Z[f (n^2 - 1)].  The edge entry of colors a, b is u(ab), with
-    u(t) = Z[2t] + sign conj(Z[2t]) twice a part of Z[2t].
+    u(t) = Z[2t] + sign conj(Z[2t]) twice a part of Z[2t].  Where the colors
+    are closed under the simple current J a = order - a, the rows fold by it:
+    Z[D - t] = -conj(Z[t]) and Z[2D - t] = conj(Z[t]) exactly, so
+    u((order - a) b) = sign (-1)^b u(ab).
     """
-    D = 2 * order
+    D, index = 2 * order, {c: i for i, c in enumerate(colors)}
+    J = [index.get(order - c) for c in colors]
+    fold = _Fold(None if None in J else J, [sign * (-1) ** c for c in colors])
+    reps = [colors[o[0]] for o in fold.orbits]
 
     def make(P: int):
         Z = _phase_table(D, P)
         u = [2 * z for z in Z[1 if sign < 0 else 0][:2 * D:2]]
-        rows = [[u[a * b % D] for b in colors] for a in colors]
+        rows = [[u[a * b % D] for b in reps] for a in reps]
         amp, zero = [u[n] for n in colors], [0] * len(colors)
         if sign < 0:
-            return Z, [(None, row) for row in rows], (zero, amp)
-        return Z, [(row, None) for row in rows], (amp, zero)
+            return Z, [(None, row) for row in rows], (zero, amp), fold
+        return Z, [(row, None) for row in rows], (amp, zero), fold
 
     return _Level([n * n - 1 for n in colors], make, 0, 1, True)
 
@@ -434,19 +511,32 @@ def _sun_level(N: int, m: int, kprime: int) -> _Level:
     S_lam,mu = i^npos r sum_w sign(w) q^{(w lam, mu)} with
     r = ((N/m) k'^(N-1))^-1/2 and q^{(x, y)} = Z[2 pair(x, y)], D = N k':
     the signed table sum is exact and is rounded once times r.
+
+    The simple current J turns the affine labels (k' - sum_i lam_i, lam_1,
+    ..., lam_{N-1}) of lam one place, so J lam = k' L_1 + w lam for an
+    N-cycle w and S_{J lam,mu} = (-1)^(N-1) exp(-2 pi i t(mu)/N) S_lam,mu,
+    t(mu) = sum_i i mu_i.  The rows fold by J where it keeps the colors and
+    its character is 1 on them: at m = N, where the colors are one class
+    t = N(N-1)/2 mod N.  A character -1 is exact in the table sums
+    (Z[a + D] = -Z[a]) but not in their rounding: r x and -r x round apart
+    at a tie, as at k' = 8 for su(2), where r is a power of 2.
     """
     colors = allowed_colors(N, m, kprime)
     if not colors:
         raise ValueError(f"no admissible colors at k'={kprime}")
     rho_idx = colors.index(weyl_vector(N))
     G, W = gram(N), weyl_group(N)
-    D, n = N * kprime, len(colors)
-    # gram(N) w(lam) for every Weyl image of every color, so that an S
-    # entry pairs each image with a color by one short dot product
-    orbits = [[(w.sign, weyl_action(w, lam).coords) for w in W] for lam in colors]
-    orbits = [[(s, [2 * sum(map(mul, row, im)) for row in G]) for s, im in orbit]
-              for orbit in orbits]
-    cols = list(zip(*(lam.coords for lam in colors)))
+    D, n, signs = N * kprime, len(colors), [w.sign for w in W]
+    index = {lam.coords: i for i, lam in enumerate(colors)}
+    J = [index.get((kprime - sum(lam.coords),) + lam.coords[:-1]) for lam in colors]
+    trivial = all((2 * pq_class_index(lam) + N * (N - 1)) % (2 * N) == 0 for lam in colors)
+    fold = _Fold(J if trivial and None not in J else None, [1] * n)
+    reps = [o[0] for o in fold.orbits]
+    # gram(N) w(lam) for every Weyl image of every representative and of
+    # rho, so that an S entry pairs each image with a color by one short
+    # dot product
+    images = {a: [(s, [2 * sum(map(mul, row, weyl_action(w, colors[a]).coords)) for row in G])
+                  for s, w in zip(signs, W)] for a in reps + [rho_idx]}
     turn = (N * (N - 1) // 2) % 4
 
     def make(P: int):
@@ -458,20 +548,24 @@ def _sun_level(N: int, m: int, kprime: int) -> _Level:
         Zre, Zim = Z
         for _ in range(turn):
             Zre, Zim = [-y for y in Zim], Zre
-        upper = []  # (re, im) of S[i][j] for j >= i
-        for i, orbit in enumerate(orbits):
-            sre, sim = [0] * (n - i), [0] * (n - i)
-            for s, gw in orbit:
-                idx = [0] * (n - i)
+
+        def srow(lam, cols):
+            # S[lam][b] for the colors b whose coordinates cols holds
+            sre, sim = [0] * len(cols[0]), [0] * len(cols[0])
+            for s, gw in images[lam]:
+                idx = [0] * len(cols[0])
                 for g, col in zip(gw, cols):
-                    idx = [a + g * c for a, c in zip(idx, col[i:])]
+                    idx = [x + g * c for x, c in zip(idx, col)]
                 sre = [x + s * Zre[a % (2 * D)] for x, a in zip(sre, idx)]
                 sim = [y + s * Zim[a % (2 * D)] for y, a in zip(sim, idx)]
-            upper.append([[(x * r + h) >> P for x in part] for part in (sre, sim)])
+            return [[(x * r + h) >> P for x in part] for part in (sre, sim)]
+
+        cols = list(zip(*(colors[a].coords for a in reps)))
+        upper = [srow(a, [c[i:] for c in cols]) for i, a in enumerate(reps)]
         rows = [[[upper[j][k][i - j] for j in range(i)] + upper[i][k] for k in (0, 1)]
-                for i in range(n)]
-        amp = tuple(rows[rho_idx])
-        return Z, [(re if any(re) else None, im if any(im) else None) for re, im in rows], amp
+                for i in range(len(reps))]
+        amp = tuple(srow(rho_idx, list(zip(*(lam.coords for lam in colors)))))
+        return Z, rows, amp, fold
 
     twist = [pair(lam, lam) - rho_norm(N) for lam in colors]
     return _Level(twist, make, rho_idx, len(W) + 1, False)

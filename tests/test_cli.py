@@ -77,6 +77,23 @@ class TestQuiverCommands:
         assert "Omega[(1,), -2] = 1" in res.output
 
 
+def test_json_output_makes_no_text_lines(monkeypatch, tmp_path):
+    # the text lines are made only for text output: --format json never
+    # parses a series back from its JSON
+    def refuse(obj):
+        raise AssertionError("a text line was made for JSON output")
+
+    qfile = tmp_path / "q.json"
+    run("quiver-generate", "--p", "1", "--m", "1", "--out", str(qfile))
+    monkeypatch.setattr(cli, "qs_from_json", refuse)
+    for args in (("zhat", "--graph", "poincare", "--order", "20"),
+                 ("quiver-series", "--quiver", str(qfile), "--r", "2")):
+        res = run(*args, "--format", "json")
+        assert res.exit_code == 0, res.output
+        json.loads(res.output)
+        assert run(*args).exit_code == 1
+
+
 class TestKirbyCommand:
     def test_blow_down(self, tmp_path):
         gfile = tmp_path / "g.json"

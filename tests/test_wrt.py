@@ -5,6 +5,8 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import cache
+from operator import mul
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from plumbq import wrt
 from plumbq.catalog import (
+    NAMED_GRAPHS,
     brieskorn_2_3_7,
     brieskorn_2_3_7_alt,
     lens_m5_11,
@@ -164,6 +167,52 @@ class TestMethods:
             wrt_osp(sphere(), 0)
 
 
+def unsplit(fold, row):
+    """A row split by fold.split as (re, im) lists over the representatives,
+    zeros for a None part."""
+    parts = ([], [])
+    for group, k in zip(row, (fold.cut, len(fold.orbits) - fold.cut)):
+        for acc, part in zip(parts, group):
+            acc.extend([0] * k if part is None else part)
+    return parts
+
+
+def rows_of(scale):
+    """The rows of a scale's representatives as (re, im) lists over the
+    representatives: its whole edge matrix where it does not fold."""
+    return [unsplit(scale.fold, row) for row in scale.rows]
+
+
+def dense_rows(scale):
+    """The whole edge matrix of a scale, row by row as (re, im) lists over
+    the colors, read off its folded rows by E[J^i lam][J^j nu] =
+    chi(J^j nu)^i chi(lam)^j E[lam][nu] (what TestFold holds the fold to)."""
+    fold = scale.fold
+    E = [([0] * fold.n, [0] * fold.n) for _ in range(fold.n)]
+    for lams, row in zip(fold.orbits, scale.rows):
+        re, im = unsplit(fold, row)
+        for r, nus in enumerate(fold.orbits):
+            for i, x in enumerate(lams):
+                for j, y in enumerate(nus):
+                    sign = fold.chi[y] ** i * fold.chi[lams[0]] ** j
+                    E[x][0][y], E[x][1][y] = sign * re[r], sign * im[r]
+    return E
+
+
+def dense_contract(rows, m, P):
+    """E m at scale 2^P by the dense product, each entry an exact integer
+    dot product rounded once: the reference the folded _contract is held to
+    bit for bit."""
+    h = 1 << (P - 1)
+    mre, mim = m
+    out = []
+    for ere, eim in rows:
+        re = sum(map(mul, ere, mre)) - sum(map(mul, eim, mim))
+        im = sum(map(mul, ere, mim)) + sum(map(mul, eim, mre))
+        out.append(((re + h) >> P, (im + h) >> P))
+    return out
+
+
 def tree_sum_direct(g, labels, scale):
     """Brute-force odometer over all colorings in mp, at the working
     precision, of the scale's fixed-point vertex rows and edge matrix: the
@@ -171,12 +220,10 @@ def tree_sum_direct(g, labels, scale):
     P = scale.P
     V = [[wrt._to_mpc(re, im, P) for re, im in zip(*scale.vertex_row(lab))]
          for lab in labels]
-    n = len(scale.rows)
-    E = [[wrt._to_mpc(0 if re is None else re[c], 0 if im is None else im[c], P)
-          for c in range(n)] for re, im in scale.rows]
+    E = [[wrt._to_mpc(x, y, P) for x, y in zip(re, im)] for re, im in dense_rows(scale)]
     edges = wrt._tree_edges(g)
     terms = []
-    for coloring in itertools.product(range(n), repeat=len(V)):
+    for coloring in itertools.product(range(len(E)), repeat=len(V)):
         w = mp.mpc(1)
         for vi, c in enumerate(coloring):
             w *= V[vi][c]
@@ -231,10 +278,11 @@ def fixed_vectors(draw, P, n, kind):
 
 
 def fixed_scale(P, rows, E):
-    """What _tree_sum reads of a scale: P, the vertex rows by label, the edge
-    rows with an identically zero part None, and an empty memo."""
-    return SimpleNamespace(P=P, vertex_row=rows.__getitem__, memo={}, rows=[
-        (re if any(re) else None, im if any(im) else None) for re, im in E])
+    """What _tree_sum reads of a scale: P, the vertex rows by label, the
+    edge rows split by a fold of singletons, and an empty memo."""
+    fold = wrt._Fold(None, [1] * len(E))
+    return SimpleNamespace(P=P, vertex_row=rows.__getitem__, memo={}, fold=fold,
+                           rows=[fold.split(row) for row in E])
 
 
 def kernel_bound(scale, labels):
@@ -243,11 +291,11 @@ def kernel_bound(scale, labels):
     def norm(re, im):
         return max(abs(mp.mpc(x, y)) for x, y in zip(re, im)) / mp.mpf(2) ** scale.P
 
-    rho = max(1, max(sum(abs(mp.mpc(0 if re is None else re[c], 0 if im is None else im[c]))
-                         for c in range(len(scale.rows))) for re, im in scale.rows)
+    E = dense_rows(scale)
+    rho = max(1, max(sum(abs(mp.mpc(x, y)) for x, y in zip(re, im)) for re, im in E)
               / mp.mpf(2) ** scale.P)
     L = len(labels)
-    B = len(scale.rows) * rho ** (L - 1)
+    B = len(E) * rho ** (L - 1)
     for lab in labels:
         B *= max(1, norm(*scale.vertex_row(lab)))
     return 2 * mp.mpf(2) ** -scale.P * B * 2 * (L - 1)
@@ -311,6 +359,131 @@ class TestFixedPointKernel:
                 got = wrt._tree_sum(g, labels, shared)
                 assert got == wrt._tree_sum(g, labels, fixed_scale(P, rows, E))
         assert len(shared.memo) == 4
+
+
+def rank1(order, colors, sign):
+    return wrt._rank1_level, (order, colors, sign)
+
+
+def sun(N, m, k):
+    return wrt._sun_level, (N, m, gamma_factor(N, m) * k + N)
+
+
+FOLD_LEVELS = {  # name -> (builder, root data)
+    **{f"su2 {k}": rank1(k + 2, range(1, k + 2), -1) for k in (1, 2, 3, 6, 10, 11, 60)},
+    **{f"so3 {K}": rank1(2 * K + 2, range(1, 2 * K + 2, 2), -1) for K in (2, 4, 10, 40)},
+    **{f"osp12 {K}": rank1(2 * K + 3, range(1, 2 * K + 2, 2), 1) for K in (1, 3)},
+    **{f"su2/Z{m} {k}": sun(2, m, k) for m in (1, 2) for k in (1, 2, 3, 6)},
+    **{f"su3/Z{m} {k}": sun(3, m, k) for m in (1, 3) for k in (1, 2)},
+    "su3/Z3 6": sun(3, 3, 6),
+    **{f"su4/Z{m} {k}": sun(4, m, k) for m in (1, 2) for k in (1, 2)},
+    "su4/Z4 1": sun(4, 4, 1),
+}
+
+
+class Unfolded(wrt._Fold):
+    """A fold that ignores the current: every orbit a singleton, so the
+    level builds the whole edge matrix."""
+
+    def __init__(self, J, chi):
+        super().__init__(None, chi)
+
+
+@cache
+def level_pair(name, prec=100):
+    """The level of FOLD_LEVELS[name] at working precision prec, folded by
+    its simple current and, as the reference, not."""
+    build, root = FOLD_LEVELS[name]
+    with mp.workprec(prec):
+        folded = build(*root)
+        with pytest.MonkeyPatch.context() as mpatch:
+            mpatch.setattr(wrt, "_Fold", Unfolded)
+            return folded, build(*root)
+
+
+def grid_graphs():
+    """The seven graphs of scripts/identity_grid.py."""
+    graphs = {name: make() for name, make in NAMED_GRAPHS.items()}
+    graphs["poincare-up"] = kirby_neumann_move(
+        poincare_sphere(), {"kind": "blow_up", "sign": -1, "edge": [3, 4], "new_id": 8})
+    graphs["L(7,2)"], graphs["L(8,5)"] = lens_chain(7, 2), lens_chain(8, 5)
+    return graphs
+
+
+class TestFold:
+    """The edge rows folded by the simple current: each orbit repeats its
+    representative's row up to chi, exactly, and the folded contraction is
+    the dense product bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(FOLD_LEVELS))
+    def test_orbits_repeat_rows_up_to_chi(self, name):
+        folded, dense = level_pair(name)
+        n = len(folded.twist)
+        for P in (folded.prec + 64, folded.prec + 128, folded.prec + 192):
+            fold = folded.scale(P).fold
+            E = rows_of(dense.scale(P))
+            assert all(E[a][k][b] == E[b][k][a] for a in range(n) for b in range(n) for k in (0, 1))
+            assert sorted(x for o in fold.orbits for x in o) == list(range(n))
+            assert set(fold.chi) <= {1, -1}
+            for orbit in fold.orbits:
+                for i, x in enumerate(orbit):
+                    for part in (0, 1):
+                        assert E[x][part] == [fold.chi[mu] ** i * e
+                                              for mu, e in enumerate(E[orbit[0]][part])]
+            reps = [o[0] for o in fold.orbits]
+            for orbit, row in zip(fold.orbits, folded.scale(P).rows):
+                assert unsplit(fold, row) == tuple([E[orbit[0]][k][nu] for nu in reps]
+                                                   for k in (0, 1))
+            assert folded.scale(P).amp == dense.scale(P).amp
+
+    @pytest.mark.parametrize("name,orbits", [
+        ("su2 60", 31), ("su2 3", 2), ("so3 40", 21), ("su3/Z3 6", 22),
+        ("su2/Z2 3", 4), ("su4/Z4 1", 12), ("osp12 3", 4), ("su3/Z1 2", 6),
+        ("su4/Z1 2", 10), ("su4/Z2 1", 6), ("su2/Z1 3", 4)])
+    def test_orbit_counts(self, name, orbits):
+        # osp12 has no current (J a = order - a is even on odd colors), and
+        # su(N) at m < N none whose character is 1: every orbit of these is
+        # a singleton
+        folded, _ = level_pair(name)
+        assert len(folded.scale(folded.prec + 64).fold.orbits) == orbits
+
+    def test_a_character_minus_one_rounds_apart(self):
+        # su(2) at k' = 8: r = 2^(P-2) exactly, so an S entry -2 Im Z[a] r
+        # is a tie wherever Im Z[a] is odd, and there the rows of J lam and
+        # lam are not negatives of each other.  su(N) folds only by a
+        # current whose character is 1, so this level does not fold.
+        folded, dense = level_pair("su2/Z1 6")
+        P = folded.prec + 64
+        assert len(folded.scale(P).fold.orbits) == 7
+        E = [re for re, _ in rows_of(dense.scale(P))]
+        chi = [(-1) ** (c + 1) for c in range(1, 8)]
+        assert any(E[6 - x] != [c * e for c, e in zip(chi, E[x])] for x in range(7))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(FOLD_LEVELS)), st.sampled_from([64, 128, 192]),
+           st.sampled_from(("real", "imag", "complex")), st.data())
+    def test_folded_contraction_is_dense_product(self, name, step, kind, data):
+        folded, dense = level_pair(name)
+        P = folded.prec + step
+        m = data.draw(fixed_vectors(P, len(folded.twist), kind))
+        rows = rows_of(dense.scale(P))
+        assert wrt._contract(folded.scale(P), m) == dense_contract(rows, m, P)
+
+    @pytest.mark.parametrize("name", ["su2 3", "su2 10", "su2 60", "so3 2", "so3 10",
+                                      "so3 40", "osp12 1", "osp12 3", "su2/Z2 3",
+                                      "su3/Z1 2", "su3/Z3 6"])
+    def test_scale_bits_match_dense_rows(self, name):
+        # the identity grid's state sums and the benchmark's at dps 60: the
+        # fold reads the bound's row sums off the representatives' rows, to
+        # the same bits
+        with mp.workdps(75):
+            prec = mp.mp.prec
+        folded, dense = level_pair(name, prec)
+        assert folded.log_rho == dense.log_rho
+        for g in grid_graphs().values():
+            lm = linking_matrix(g)
+            labels = [(lm.B[i][i], g.degree(v)) for i, v in enumerate(g.ids)]
+            assert folded.scale_bits(labels, lm) == dense.scale_bits(labels, lm)
 
 
 @st.composite
