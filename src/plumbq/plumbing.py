@@ -67,12 +67,19 @@ class PlumbingGraph:
 
     @staticmethod
     def build(framings, edges) -> "PlumbingGraph":
-        """framings: list of ints (ids 0..L-1) or list of (id, framing)."""
+        """framings: list of ints (ids 0..L-1) or list of (id, framing).
+        An id or framing that is not an int (a bool, a float, a string)
+        raises TypeError instead of being truncated."""
         if framings and isinstance(framings[0], (tuple, list)):
-            verts = tuple((int(i), int(f)) for i, f in framings)
+            verts = tuple((i, f) for i, f in framings)
         else:
-            verts = tuple((i, int(f)) for i, f in enumerate(framings))
-        return PlumbingGraph(verts, tuple(tuple(sorted(e)) for e in edges))
+            verts = tuple(enumerate(framings))
+        edges = tuple(tuple(sorted(e)) for e in edges)
+        for x in itertools.chain(*verts, *edges):
+            if type(x) is not int:
+                raise TypeError(f"vertex ids and framings must be integers, "
+                                f"got {x!r}")
+        return PlumbingGraph(verts, edges)
 
     @property
     def ids(self) -> list[int]:

@@ -242,6 +242,55 @@ class TestExitCodes:
             assert res.output == "error: precision must be at least 1\n"
 
 
+class TestReadersTakeOnlyIntegers:
+    """A quiver or graph file whose numbers are not JSON integers exits 2
+    through the reader's own message; nothing is truncated."""
+
+    QUIVER = {"n": 1, "C": [[1]], "xi": [0], "gamma": [0]}
+    GRAPH = {"vertices": [{"id": 0, "framing": -2},
+                          {"id": 1, "framing": -3}], "edges": [[0, 1]]}
+
+    @pytest.mark.parametrize("key,value", [
+        ("C", [[1.5]]), ("xi", [0.7]), ("gamma", [True]), ("C", [[True]]),
+        ("xi", ["1"]), ("n", 2), ("n", 1.0), ("n", True)],
+        ids=["C-float", "xi-float", "gamma-bool", "C-bool", "xi-string",
+             "n-mismatch", "n-float", "n-bool"])
+    def test_quiver(self, tmp_path, key, value):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(dict(self.QUIVER, **{key: value})))
+        for args in (("quiver-series", "--r", "2"), ("dt",)):
+            res = run(args[0], "--quiver", str(path), *args[1:])
+            assert res.exit_code == 2
+            assert res.output.startswith(f"error: cannot read quiver {path}")
+            assert res.output.count("\n") == 1
+
+    @pytest.mark.parametrize("vertex,edge", [
+        ({"id": 1, "framing": -2.5}, [0, 1]),
+        ({"id": 1, "framing": True}, [0, 1]),
+        ({"id": 1.0, "framing": -3}, [0, 1]),
+        ({"id": 1, "framing": -3}, [0, 1.0])],
+        ids=["framing-float", "framing-bool", "id-float", "edge-float"])
+    def test_graph(self, tmp_path, vertex, edge):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": 0, "framing": -2}, vertex],
+            "edges": [edge]}))
+        for args in (("zhat", "--order", "20"), ("wrt", "--level", "3")):
+            res = run(args[0], "--graph", str(path), *args[1:])
+            assert res.exit_code == 2
+            assert res.output.startswith(f"error: cannot read graph {path}")
+            assert res.output.count("\n") == 1
+
+    def test_integers_still_read(self, tmp_path):
+        qpath, gpath = tmp_path / "q.json", tmp_path / "g.json"
+        qpath.write_text(json.dumps(self.QUIVER))
+        gpath.write_text(json.dumps(self.GRAPH))
+        assert run("quiver-series", "--quiver", str(qpath),
+                   "--r", "2").exit_code == 0
+        assert run("zhat", "--graph", str(gpath),
+                   "--order", "20").exit_code == 0
+
+
 class TestCache:
     def series(self, tmp_path, cache):
         qfile = tmp_path / "q.json"

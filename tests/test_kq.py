@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from plumbq.kq import (
     Quiver,
     _deepen,
+    _node_order,
     _grow_twist,
     _linear_data,
     builtin_generator_set,
@@ -212,6 +213,51 @@ def reference_numeric(q, r, qval, dps):
         return +total
 
 
+MMR_4_1 = [(20, 0.4 / 20, 0.019675025057366572),
+           (30, 0.4 / 30, 0.013108900422698208),
+           (40, 0.01, 0.0098268526363642),
+           (80, 0.005, 0.004908627269125196)]
+# the node permutations of 4_1 in the quivers benchmark at seeds 1 and 1001
+BENCH_PERMS_4_1 = [(0, 3, 4, 2, 1), (1, 4, 3, 2, 0)]
+
+
+def permuted(q, perm):
+    """q with node i renamed perm[i]."""
+    inv = [0] * q.n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    C = [[q.C[inv[a]][inv[b]] for b in range(q.n)] for a in range(q.n)]
+    return Quiver.make(C, [q.xi[i] for i in inv], [q.gamma[i] for i in inv])
+
+
+def terms_visited(q, r, order):
+    """The (state, k) terms the numeric sum does with the nodes in order."""
+    C = [[q.C[a][b] for b in order] for a in order]
+    xi = [q.xi[a] for a in order]
+    seen, todo, terms = set(), [(0, r, tuple(x - xi[0] for x in xi[1:]))], 0
+    while todo:
+        state = todo.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        i, rem, rest = state
+        if rem and i < q.n - 1:
+            for k in range(rem + 1):
+                head = rest[0] + 2 * k * C[i][i + 1]
+                todo.append((i + 1, rem - k, tuple(
+                    x + 2 * k * c - head
+                    for x, c in zip(rest[1:], C[i][i + 2:]))))
+            terms += rem + 1
+    return terms
+
+
+def ordered_data(q):
+    """C, xi and gamma in the node order _node_order picks."""
+    order = _node_order(q)
+    return (tuple(tuple(q.C[a][b] for b in order) for a in order),
+            tuple(q.xi[a] for a in order), tuple(q.gamma[a] for a in order))
+
+
 class TestSeriesStructure:
     def test_r0_is_one(self):
         for p, m in ((1, 1), (2, 2)):
@@ -285,15 +331,20 @@ class TestSeriesStructure:
         powers = (1, 1j, -1, -1j)
         assert sum(c * powers[e % 4] for e, c in series.terms) == 4 * p * m + 1
 
-    @pytest.mark.parametrize("r,hbar,err", [
-        (20, 0.4 / 20, 0.019675025057366572),
-        (30, 0.4 / 30, 0.013108900422698208),
-        (40, 0.01, 0.0098268526363642),
-        (80, 0.005, 0.004908627269125196)])
+    @pytest.mark.parametrize("r,hbar,err", MMR_4_1)
     def test_mmr_errors_on_4_1(self, r, hbar, err):
         """The semiclassical errors on 4_1 as the grouped sum gave them."""
         got = mmr_leading_check(generate_double_twist_quiver(1, 1), hbar,
                                 math.exp(hbar * r), r)
+        assert got == pytest.approx(err, rel=1e-12)
+
+    @pytest.mark.parametrize("perm", BENCH_PERMS_4_1,
+                             ids=["seed1", "seed1001"])
+    @pytest.mark.parametrize("r,hbar,err", MMR_4_1)
+    def test_mmr_errors_on_permuted_4_1(self, r, hbar, err, perm):
+        """The same errors on the 4_1 quivers the quivers benchmark runs."""
+        q = permuted(generate_double_twist_quiver(1, 1), perm)
+        got = mmr_leading_check(q, hbar, math.exp(hbar * r), r)
         assert got == pytest.approx(err, rel=1e-12)
 
     def test_mmr_on_6_1_is_below_a_tenth_and_decreasing(self):
@@ -409,6 +460,44 @@ class TestWalk:
     @settings(max_examples=30, deadline=None)
     def test_numeric_sum_matches_exact_series(self, q, r):
         assert_numeric_matches_exact(q, r)
+
+    @given(small_quivers(), st.integers(0, 5),
+           st.sampled_from([0.6, 1.3, -1.1, mp.mpc(0.5, -0.9)]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_sums_are_invariant_under_node_permutation(self, q, r, qval,
+                                                       data):
+        perm = data.draw(st.permutations(range(q.n)))
+        p = permuted(q, perm)
+        assert quiver_jones(p, r) == quiver_jones(q, r)
+        dps = 20
+        got = quiver_jones_numeric(p, r, qval, dps)
+        want = quiver_jones_numeric(q, r, qval, dps)
+        with mp.workdps(dps + 10):
+            assert abs(got - want) <= mp.mpf(10) ** -dps * max(1, abs(want))
+
+    def test_numeric_sum_of_a_vanishing_series_is_zero(self):
+        """At r = 1 the two nodes give +1 and -1; the normalised sum
+        reaches them through different rounded powers, and returns 0."""
+        q = Quiver.make([[0, 0], [0, -1]], [0, 1], [0, 1])
+        assert quiver_jones(q, 1).is_zero()
+        for qval in (0.875, 1.25, mp.mpc(0.75, 0.5)):
+            assert quiver_jones_numeric(q, 1, qval, dps=60) == 0
+
+    def test_node_order_ignores_input_order_on_4_1(self):
+        q = generate_double_twist_quiver(1, 1)
+        seen = {ordered_data(permuted(q, perm))
+                for perm in itertools.permutations(range(q.n))}
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("p,m", [(1, 1), (2, 1), (3, 1)])
+    def test_node_order_beats_the_block_layout(self, p, m):
+        """On a permuted stored quiver the chosen order does no more terms
+        at r = 4 than the generator's own block layout."""
+        q = generate_double_twist_quiver(p, m)
+        perm = list(reversed(range(q.n)))
+        got = terms_visited(permuted(q, perm), 4,
+                            _node_order(permuted(q, perm)))
+        assert got <= terms_visited(q, 4, range(q.n))
 
     @pytest.mark.parametrize("dps", [0, -2])
     def test_numeric_sum_rejects_dps_below_one(self, dps):
