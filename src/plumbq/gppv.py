@@ -19,6 +19,9 @@ scale 2^-P, P the working precision plus 64 bits; the decomposition takes
 its limits to that scale.  Each sum is exact in integers and becomes an
 mpc once, so a sum of K terms of size at most A is within K (A + 2) 2^-P of
 exact.  A decomposition gets its blocks from one call of zhat.zhat_blocks.
+The limits at the root read the same table: a partial sum of a series with
+coefficients c is within 2^-P sum |c| of exact, and so is a tail mean of
+root_limit_periodic, whose weights are nonnegative.
 """
 
 from __future__ import annotations
@@ -204,18 +207,30 @@ def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
 # radial limits
 
 
+def _partial_sums(s: QSeries, kprime: int, P: int):
+    """The partial sums of s at q = exp(2 pi i / kprime), Gaussian integers at
+    scale C 2^P, and C, the lcm of the coefficient denominators: q^(n / denom)
+    is entry 2n mod 2D of _phase_table(D, P), D = denom kprime."""
+    D, C = s.denom * kprime, math.lcm(*(c.denominator for _, c in s._items))
+    Zre, Zim = _phase_table(D, P)
+    terms = [(c.numerator * (C // c.denominator), 2 * n % (2 * D)) for n, c in s._items]
+    return list(zip(itertools.accumulate(c * Zre[a] for c, a in terms),
+                    itertools.accumulate(c * Zim[a] for c, a in terms))), C
+
+
 def radial_limit(s: QSeries, kprime: int, eps_schedule=None, dps: int = 40):
     """Value of s along q = (1-eps) exp(2 pi i / kprime).
 
-    With an empty schedule the series is evaluated at the root itself
-    (appropriate for Laurent-polynomial blocks).  Otherwise the samples are
+    With an empty schedule the series is evaluated at the root itself, in
+    fixed point (for Laurent-polynomial blocks).  Otherwise the samples are
     extrapolated to eps = 0 by Neville's algorithm; the error estimate is
     the difference between the last two extrapolation orders.
     """
     with mp.workdps(dps + 10):
-        root = mp.expjpi(mp.mpf(2) / kprime)
         if not eps_schedule:
-            return qs_eval(s, root), mp.mpf(0)
+            sums, C = _partial_sums(s, kprime, P := mp.mp.prec + 64)
+            return _to_mpc(*(sums[-1] if sums else (0, 0)), P) / C, mp.mpf(0)
+        root = mp.expjpi(mp.mpf(2) / kprime)
         eps = [mp.mpf(e) for e in eps_schedule]
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])) or any(
             not (0 < e < 1) for e in eps
@@ -247,29 +262,28 @@ def root_limit_periodic(s: QSeries, kprime: int, dps: int = 40):
     weights are the gaps of sqrt(e - e_min).  Returns (value, period), or
     (None, None) when no period is detected, which usually means the series
     was truncated before the tail settles.
+
+    The partial sums are _partial_sums' Gaussian integers at scale 2^P, P
+    the working precision plus 64 bits: each is within 2^-P sum |c| of
+    exact, and so is the tail mean, its weights being nonnegative.  The
+    period test compares squared distances in integers; only the T + 1
+    weights sqrt(e - e_min) and the one final value are taken in mp.
     """
     with mp.workdps(dps + 10):
-        tol = mp.mpf(10) ** (-dps + 8)
-        root = mp.expjpi(mp.mpf(2) / kprime)
-        logq = mp.log(root)
-        terms = s.terms
-        if not terms:
+        if not s._items:
             return mp.mpc(0), 0
-        exps = [mp.mpf(e.numerator) / e.denominator for e, c in terms]
-        emin = exps[0]
-        partial, acc = [], mp.mpc(0)
-        for (e, c), ef in zip(terms, exps):
-            acc += mp.mpf(c.numerator) / c.denominator * mp.exp(ef * logq)
-            partial.append(acc)
-        M = len(partial)
+        sums, C = _partial_sums(s, kprime, P := mp.mp.prec + 64)
+        # |d| < 10^(8 - dps) at scale C 2^P as |d|^2 < tol, in integers
+        tol = -(-((C << P) ** 2 * 100 ** max(0, 8 - dps)) // 100 ** max(0, dps - 8))
+        M = len(sums)
         for T in range(1, M // 2):
-            tail = range(M - 2 * T, M - T)
-            if all(abs(partial[i + T] - partial[i]) < tol for i in tail):
-                sq = [mp.sqrt(ef - emin) for ef in exps[M - T - 1:]]
+            if all((x - u) ** 2 + (y - v) ** 2 < tol
+                   for (x, y), (u, v) in zip(sums[M - T:], sums[M - 2 * T:M - T])):
+                n0 = s._items[0][0]
+                sq = [mp.sqrt(mp.mpf(n - n0) / s.denom) for n, _ in s._items[M - T - 1:]]
                 gaps = [b - a for a, b in zip(sq, sq[1:])]
-                vals = partial[M - T - 1 : M - 1]
-                wsum = mp.fsum(gaps)
-                return mp.fsum(g * v for g, v in zip(gaps, vals)) / wsum, T
+                val = mp.fsum(g * mp.mpc(*z) for g, z in zip(gaps, sums[M - T - 1:M - 1]))
+                return val / (mp.fsum(gaps) * (C << P)), T
         return None, None
 
 

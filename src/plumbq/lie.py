@@ -12,6 +12,7 @@ so is the pairing pair(u, v) = u^T gram(N) v = N (u, v).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -90,9 +91,10 @@ class WeylElement:
         return -1 if self.length % 2 else 1
 
 
-def gram(N: int) -> list[list[int]]:
-    """N times the Gram matrix of the fundamental weights."""
-    return [[N * min(i, j) - i * j for j in range(1, N)] for i in range(1, N)]
+@functools.cache
+def gram(N: int) -> tuple[tuple[int, ...], ...]:
+    """N times the Gram matrix of the fundamental weights, memoised as a tuple of tuples."""
+    return tuple(tuple(N * min(i, j) - i * j for j in range(1, N)) for i in range(1, N))
 
 
 def cartan(N: int) -> list[list[int]]:

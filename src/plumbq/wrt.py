@@ -123,9 +123,10 @@ def _to_mpc(re: int, im: int, P: int) -> mp.mpc:
     return mp.mpc(mp.ldexp(re, -P), mp.ldexp(im, -P))
 
 
-def _phase_table(D: int, P: int) -> tuple[list[int], list[int]]:
-    """Z[a] = exp(pi i a / D) 2^P for a in [0, 2D), as the lists of real and
-    of imaginary parts, each part within 0.7 of exact.
+@functools.lru_cache(maxsize=1)
+def _phase_table(D: int, P: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Z[a] = exp(pi i a / D) 2^P for a in [0, 2D), as tuples of real and of
+    imaginary parts, each within 0.7 of exact.  The last table is kept.
 
     Z[a] for a <= D/2 comes from rotating by exp(pi i / D) in integers at
     Q = P + bitlength(D) + 2 bits: within 1.5 D/2 units of 2^-Q < 2^-(P+2)
@@ -148,7 +149,7 @@ def _phase_table(D: int, P: int) -> tuple[list[int], list[int]]:
     im = [(y + hg) >> g for y in im]
     re += [-re[D - a] for a in range(len(re), D + 1)]
     im += [im[D - a] for a in range(len(im), D + 1)]
-    return re + re[D - 1:0:-1], im + [-y for y in im[D - 1:0:-1]]
+    return tuple(re + re[D - 1:0:-1]), tuple(im + [-y for y in im[D - 1:0:-1]])
 
 
 def _times(a, b, P: int) -> tuple[list[int], list[int]]:

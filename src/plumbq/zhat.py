@@ -96,32 +96,32 @@ class ZhatBlock:
 # vertex expansions, rank 1
 
 
-def vertex_factor_su2(deg: int, max_abs_exp: int, osp: bool = False) -> dict[int, Fraction]:
+def vertex_factor_su2(deg: int, max_abs_exp: int, osp: bool = False) -> dict[int, int]:
     """Two-sided expansion coefficients of (x - 1/x)^{2-deg}, or of
     (x + 1/x)^{2-deg} when osp is set: for deg <= 2 the Laurent polynomial,
     for deg >= 3 the sum of the expansions at x -> infinity and x -> 0,
-    truncated to |exponent| <= max_abs_exp."""
+    truncated to |exponent| <= max_abs_exp.  The coefficients are ints."""
     if deg < 0:
         raise ValueError("degree must be nonnegative")
     s = 1 if osp else -1  # the base is x + s/x
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     p = 2 - deg
     if p >= 0:
         for i in range(p + 1):
-            out[p - 2 * i] = Fraction(s ** i * math.comb(p, i))
+            out[p - 2 * i] = s ** i * math.comb(p, i)
         return out
     k = deg - 2
     for j in range((max_abs_exp - k) // 2 + 1):
-        c = Fraction((-s) ** j * math.comb(k - 1 + j, j))
-        out[-(k + 2 * j)] = out.get(-(k + 2 * j), Fraction(0)) + c
-        out[k + 2 * j] = out.get(k + 2 * j, Fraction(0)) + s ** k * c
+        c = (-s) ** j * math.comb(k - 1 + j, j)
+        out[-(k + 2 * j)] = out.get(-(k + 2 * j), 0) + c
+        out[k + 2 * j] = out.get(k + 2 * j, 0) + s ** k * c
     return {e: c for e, c in out.items() if c != 0}
 
 
-def _avg_rank1(deg: int, max_abs_exp: int, osp: bool) -> dict[int, Fraction]:
-    """Chamber-averaged coefficients: halves the two-sided sum for deg >= 3."""
-    raw = vertex_factor_su2(deg, max_abs_exp, osp)
-    return raw if deg <= 2 else {e: c / 2 for e, c in raw.items()}
+def _avg_rank1(deg: int, max_abs_exp: int, osp: bool) -> tuple[dict[tuple, int], int]:
+    """The walk's row {(e,): c} and denominator: halves the two-sided sum at deg >= 3."""
+    row = vertex_factor_su2(deg, max_abs_exp, osp)
+    return {(e,): c for e, c in row.items()}, 1 if deg <= 2 else 2
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +204,19 @@ def _cap(N: int, bound: Fraction, p: int) -> int:
     return N * (math.isqrt(math.ceil(bound * rr)) + int(abs(p) * rr) + 2)
 
 
-def vertex_factor_suN(deg: int, N: int, bound: Fraction) -> dict[tuple, Fraction]:
+def vertex_factor_suN(deg: int, N: int, bound: Fraction) -> dict[tuple, int]:
     """Chamber-summed expansion coefficients of (Weyl denominator)^{2-deg},
     keyed by fundamental-weight coordinates: the sums over the |W| chamber
     expansions (a block divides by |W| per vertex), at the weights mu with
-    (mu, mu) <= bound."""
+    (mu, mu) <= bound.  The coefficients are ints."""
     if N < 2:
         raise ValueError("need N >= 2")
-    avg = _sun_chamber_average(deg, N, Fraction(bound))
-    return {k: c * math.factorial(N) for k, c in avg.items()}
+    return dict(_sun_chamber_average(deg, N, Fraction(bound))[0])
 
 
 @functools.lru_cache(maxsize=64)
-def _sun_chamber_average(deg: int, N: int, bound: Fraction) -> dict[tuple, Fraction]:
-    """Average over Weyl chambers of the expansion of Delta^{2-deg}.
+def _sun_chamber_average(deg: int, N: int, bound: Fraction) -> tuple[dict[tuple, int], int]:
+    """Weyl-chamber average of Delta^{2-deg}: the integer sum {weight: c} and |W|.
 
     In the chamber of w, Delta = sign(w) x^{w(rho)} (1 + U) with U of
     positive height: (1 + U)^p is a truncated power, and for p < 0 the
@@ -236,7 +235,7 @@ def _sun_chamber_average(deg: int, N: int, bound: Fraction) -> dict[tuple, Fract
             mu = tuple(x + p * y for x, y in zip(k, chamber))
             if _norm(G, mu) <= N * bound:
                 total[mu] = total.get(mu, 0) + e * sign ** (p % 2)
-    return {k: Fraction(e, len(delta)) for k, e in total.items() if e}
+    return {k: e for k, e in total.items() if e}, len(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +371,9 @@ def _points(form, e, E: int, R: Fraction, prune=None, first=False):
 
 
 def _walk(lm: LinkingMatrix, N: int, R: Fraction, sup):
-    """The points s of prod_v sup[v] with exponent q < R as
-    {class vector mod N |det B|: {q * scale: coefficient * D}}, scale, D.
+    """The points s of prod_v sup[v], sup[v] = (row, den) standing for
+    {weight: c / den}, with exponent q < R as {class vector mod N |det B|:
+    {q * scale: coefficient * D}}, scale, D, D the product of the den.
 
     2N q = s^T (A^{-1} (x) gram(N)) s with A = -B.  Each level fixes one
     vertex, one-point supports first, then by descending size.  With
@@ -388,20 +388,19 @@ def _walk(lm: LinkingMatrix, N: int, R: Fraction, sup):
     """
     n, r, G = lm.size, N - 1, gram(N)
     A, mod = [[-x for x in row] for row in lm.B], N * abs(lm.det)
-    sup = [{mu: c for mu, c in s.items() if _norm(G, mu) < 2 * N * R * A[v][v]}
-           for v, s in enumerate(sup)]
+    D = math.prod(den for _, den in sup)
+    sup = [{mu: c for mu, c in row.items() if _norm(G, mu) * R.denominator < cap}
+           for (row, _), cap in zip(sup, [2 * N * R.numerator * A[v][v] for v in range(n)])]
     order = sorted(range(n), key=lambda v: (len(sup[v]) != 1, -len(sup[v]), v))
     dets, cross = _bordered_minors([[A[a][b] for b in order] for a in order])
     S = math.lcm(*(dets[k] * dets[k + 1] for k in range(n)))
     omega = [S * R.denominator // (dets[k] * dets[k + 1]) for k in range(n)]
     lim = 2 * N * S * R.numerator
-    levels, D = [], 1
+    levels = []
     for k, v in enumerate(order):
         # column k of A_{j,P} adj(A_PP) for each later level j
         later = [cross[j][k] for j in range(k + 1, n)]
-        den = math.lcm(*(c.denominator for c in sup[v].values()))
-        D *= den
-        levels.append([(int(c * den), [dets[k] * x for x in mu],
+        levels.append([(c, [dets[k] * x for x in mu],
                         [0] * ((k + 1) * r) + [f * x for f in later for x in mu]
                         + [a[v] * sum(map(mul, g, mu)) for a in lm.adj for g in G])
                        for mu, c in sup[v].items()])
@@ -439,22 +438,24 @@ def zhat_blocks(g: PlumbingGraph, lm: LinkingMatrix, labels, variant: str,
     if R <= 0:  # the theta form is positive definite
         raise ValueError("order does not reach past delta_b")
     B, n, rank1 = lm.B, lm.size, variant in RANK1
-    sup = [{(e,): c for e, c in _avg_rank1(
-        g.degree(vid), math.isqrt(int(4 * R * -B[i][i])) + 2, variant == "osp12").items()}
-        if rank1 else _sun_chamber_average(g.degree(vid), N, 2 * R * -B[i][i])
-        for i, vid in enumerate(g.ids)]
+    sup = [_avg_rank1(g.degree(vid), math.isqrt(int(4 * R * -B[i][i])) + 2, variant == "osp12")
+           if rank1 else _sun_chamber_average(g.degree(vid), N, 2 * R * -B[i][i])
+           for i, vid in enumerate(g.ids)]
     walked, scale, D = _walk(lm, N, R, sup)
     pref = _prefactor(lm, N)
     Q = _theta_form(lm, N, range(n))
     form, K, det = _bareiss(Q), _class_matrix(lm, N), N * lm.det
     empty = QSeries.from_terms({}, denom=_series_denom(lm, N), trunc=pref + R)
+    # over the series limit, pref + t / scale is base + (t / step) mult
+    h = math.gcd(empty.denom, scale)
+    step, mult, base = scale // h, empty.denom // h, int(pref * empty.denom)
     norm = 2 ** sum(g.degree(v) >= 3 for v in g.ids) if rank1 else math.factorial(N) ** n
     blocks = []
     for b in labels:
         b = tuple(b)
         flat = [int(c) for x in b for c in (x if isinstance(x, tuple) else (x,))]
         y = [sum(map(mul, row, flat)) for row in K]
-        found = walked.get(tuple(x % abs(det) for x in y))
+        found = walked.get(tuple(x % abs(det) for x in y), {})
         low = Fraction(min(found), scale) if found else Fraction(0)
         # Q at the rounded centre y / det (offset u / det) bounds twice the
         # coset minimum; one point below 2R shows the minimum is below R
@@ -468,9 +469,11 @@ def zhat_blocks(g: PlumbingGraph, lm: LinkingMatrix, labels, variant: str,
                 raise ValueError("order does not reach past delta_b")
         elif not found and top >= 2 * R and not _points(form, e, abs(det), 2 * R, first=True)[0]:
             raise ValueError("order does not reach past delta_b")
-        series = QSeries.from_terms(
-            {pref + Fraction(t, scale): Fraction(c, D) for t, c in found.items()},
-            denom=empty.denom, trunc=empty.trunc) if found else empty
+        terms = sorted(found.items())
+        if any(t % step for t, _ in terms):
+            raise ValueError(f"block {b} has an exponent finer than the series limit {empty.denom}")
+        series = QSeries(tuple((base + t // step * mult, c // D if c % D == 0 else Fraction(c, D))
+                               for t, c in terms if c), empty.denom, empty.trunc)
         blocks.append(ZhatBlock(b, pref + low, series, variant, norm))
     return blocks
 

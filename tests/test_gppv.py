@@ -4,10 +4,13 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plumbq.catalog import brieskorn_2_3_7, lens_m5_11, poincare_sphere
 from plumbq.gppv import (
@@ -216,7 +219,60 @@ class TestGaussReciprocity:
             gauss_reciprocity_check([[1, 2], [2, 4]], [0, 1], 2)
 
 
+def reference_root_limit_periodic(s, kprime, dps=40):
+    """root_limit_periodic as an mpc loop: every term's phase from mp.exp and
+    the partial sums, their distances and the tail mean in mp at dps + 10
+    digits."""
+    with mp.workdps(dps + 10):
+        if not s.terms:
+            return mp.mpc(0), 0
+        tol = mp.mpf(10) ** (-dps + 8)
+        logq = mp.log(mp.expjpi(mp.mpf(2) / kprime))
+        exps = [mp.mpf(e.numerator) / e.denominator for e, _ in s.terms]
+        partial, acc = [], mp.mpc(0)
+        for (_, c), ef in zip(s.terms, exps):
+            acc += mp.mpf(c.numerator) / c.denominator * mp.exp(ef * logq)
+            partial.append(acc)
+        M = len(partial)
+        for T in range(1, M // 2):
+            if all(abs(partial[i + T] - partial[i]) < tol for i in range(M - 2 * T, M - T)):
+                sq = [mp.sqrt(ef - exps[0]) for ef in exps[M - T - 1:]]
+                gaps = [b - a for a, b in zip(sq, sq[1:])]
+                vals = partial[M - T - 1:M - 1]
+                return mp.fsum(g * v for g, v in zip(gaps, vals)) / mp.fsum(gaps), T
+        return None, None
+
+
+@st.composite
+def quadratic_series(draw):
+    """(s, k', dps) for s = sum_n eps(n) q^((a n^2 + b) / d), n from 0 over
+    two to three periods L = d k' of the phases at the root.  An odd eps,
+    eps(L - n) = -eps(n), sums to zero over a period, so the partial sums
+    are periodic; any other eps mostly leaves them drifting."""
+    d, kprime, a, b = (draw(st.integers(*r)) for r in ((1, 12), (2, 12), (1, 3), (-5, 5)))
+    L = d * kprime
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    eps = [draw(coeff) for _ in range(L)]
+    if draw(st.booleans()):
+        eps = [0 if 2 * n % L == 0 else eps[n] if 2 * n < L else -eps[L - n]
+               for n in range(L)]
+    count = draw(st.integers(2 * L, 3 * L + 2))
+    s = QSeries.from_terms({Fraction(a * n * n + b, d): eps[n % L] for n in range(count)}, d)
+    return s, kprime, draw(st.sampled_from([15, 40]))
+
+
 class TestRootLimitPeriodic:
+    @settings(max_examples=40, deadline=None)
+    @given(quadratic_series())
+    def test_matches_mpc_reference(self, case):
+        s, kprime, dps = case
+        got, period = root_limit_periodic(s, kprime, dps)
+        want, want_period = reference_root_limit_periodic(s, kprime, dps)
+        assert period == want_period
+        if want is not None:
+            with mp.workdps(dps + 20):
+                assert abs(got - want) <= mp.mpf(10) ** -(dps + 5)
+
     def test_geometric_series_at_fourth_root(self):
         # partial sums of 1/(1-q) at q = i cycle with period 4 and their
         # mean is the radial limit 1/(1-i)

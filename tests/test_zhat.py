@@ -1,6 +1,8 @@
 """Homological block series: golden values, variant relations, oracles."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
 import zlib
@@ -27,7 +29,7 @@ from plumbq.plumbing import (
     linking_matrix,
     spinc_representatives,
 )
-from plumbq.qlaurent import QSeries, qs_flip, qs_neg
+from plumbq.qlaurent import QSeries, qs_flip, qs_neg, qs_to_json
 from plumbq.zhat import (
     _avg_rank1,
     _bareiss,
@@ -120,6 +122,38 @@ class TestGoldenSeries:
     def test_sigma237_osp(self):
         blocks = zhat_all_blocks(brieskorn_2_3_7(), "osp12", 80)
         assert blocks[0].series.terms == SIGMA237_OSP.terms
+
+
+# sha256 of json.dumps(qs_to_json(series), sort_keys=True) for each block,
+# recorded when the blocks were built through QSeries.from_terms.  They pin
+# the walk's exponents t / scale as numerators over the series limit at
+# orders that the identity grid does not reach.
+LONG_BLOCK_SHA256 = {
+    ("poincare", "su2", 8000):
+        ["e4721c4601cc9b36927cd62805c5ad075badb364d56d72e85084b7eb1b80a501"],
+    ("sigma237", "su2", 8000):
+        ["8c3be4e0dba1d27dadfa4bd199a10eaa2a49ff6c6a26e1674c942ddf064b0b29"],
+    ("sigma237", "osp12", 2000):
+        ["0b4c81a94894b7795eb83240d56277fe4b2ba84d9ab067c7344c495dc2db566b"],
+}
+
+
+@pytest.mark.parametrize("name,variant,order", list(LONG_BLOCK_SHA256))
+def test_long_blocks_are_pinned(name, variant, order):
+    make = {"poincare": poincare_sphere, "sigma237": brieskorn_2_3_7}[name]
+    got = [hashlib.sha256(json.dumps(qs_to_json(b.series), sort_keys=True).encode()).hexdigest()
+           for b in zhat_all_blocks(make(), variant, order)]
+    assert got == LONG_BLOCK_SHA256[name, variant, order]
+
+
+def test_exponent_finer_than_the_series_limit_raises():
+    # the lens blocks q^(1/10) and q^(-1/10) need a limit of 10; the
+    # prefactor's denominator alone is 4
+    g = lens_m5_11()
+    with mock.patch.object(zhat, "_series_denom",
+                           lambda lm, N: _prefactor(lm, N).denominator):
+        with pytest.raises(ValueError, match="series limit 4"):
+            zhat_all_blocks(g, "osp12", 10)
 
 
 class TestVariantRelations:
@@ -715,7 +749,7 @@ def test_integer_coset_test_matches_inverse():
                     (sum(Binv[i][j] * (ell[j] - b[j]) for j in range(n)) / 2)
                     .denominator == 1 for i in range(n))
                 walked, scale, _ = _walk(lm, 2, Fraction(10 ** 6),
-                                         [{(e,): Fraction(1)} for e in ell])
+                                         [({(e,): 1}, 1) for e in ell])
                 ((got_key, terms),) = walked.items()
                 ((t, _),) = terms.items()
                 assert got_key == key(ell)
@@ -747,7 +781,8 @@ class TestRankTwoConsistency:
         # oracle takes the power of Delta and then inverts it
         for bound in (Fraction(18), Fraction(60)):
             for deg in range(6):
-                assert _sun_chamber_average(deg, N, bound) == \
+                row, den = _sun_chamber_average(deg, N, bound)
+                assert {k: Fraction(c, den) for k, c in row.items()} == \
                     _oracle_vertex_suN(deg, N, bound), (deg, bound)
 
     @pytest.mark.parametrize("osp", [False, True])
@@ -758,8 +793,8 @@ class TestRankTwoConsistency:
             for max_abs in (2, 5, 12, 31):
                 got = _oracle_vertex_suN(deg, 2, Fraction(max_abs ** 2, 2),
                                          1 if osp else -1)
-                assert {e: c for (e,), c in got.items()} == \
-                    _avg_rank1(deg, max_abs, osp), (deg, max_abs)
+                row, den = _avg_rank1(deg, max_abs, osp)
+                assert got == {k: Fraction(c, den) for k, c in row.items()}, (deg, max_abs)
 
 
 def test_zhat_block_matches_all_blocks():
