@@ -3,13 +3,15 @@
 Exit codes: 0 success, 1 tolerance failure in a check command, 2 usage or
 parse error (click's default), 3 violated mathematical precondition.
 Expensive q-series runs are cached as JSON files keyed by a content hash of
-the invocation, the package version and the series JSON format; cache
+the invocation, the package version, a digest of the package's own sources
+and the series JSON format, so an entry made by other code is a miss; cache
 writes go through a temp file and an atomic rename, and an entry that
 cannot be read back counts as a miss and is rewritten.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -78,14 +80,27 @@ def _cache_dir(flag_value: str | None) -> Path | None:
     return Path(path) if path else None
 
 
+@functools.cache
+def _source_digest() -> str:
+    """sha256 of the name, size and bytes of every .py file of the package."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        h.update(f"{path.name}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
 def _cache_fetch(cache: Path | None, key_obj,
                  fields) -> tuple[dict | None, Path | None]:
     """(cached payload or None, file path for the key).  The key is the
-    content hash of key_obj, the package version and the series format; an
-    entry that is unreadable or lacks one of fields is a miss."""
+    content hash of key_obj, the package version, the source digest and the
+    series format; an entry that is unreadable or lacks one of fields is a
+    miss."""
     if cache is None:
         return None, None
-    key = dict(key_obj, version=__version__, series_format=SERIES_FORMAT)
+    key = dict(key_obj, version=__version__, source=_source_digest(),
+               series_format=SERIES_FORMAT)
     digest = hashlib.sha256(
         json.dumps(key, sort_keys=True).encode()
     ).hexdigest()

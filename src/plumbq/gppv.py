@@ -34,14 +34,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from plumbq.lie import (
-    WeightVector,
-    gram,
-    pair,
-    weyl_action,
-    weyl_group,
-    weyl_vector,
-)
+from plumbq.lie import WeightVector, gram, weyl_orbit, weyl_vector
 from plumbq.plumbing import (
     LinkingMatrix,
     PlumbingGraph,
@@ -287,6 +280,10 @@ def root_limit_periodic(s: QSeries, kprime: int, dps: int = 40):
         return None, None
 
 
+# the eps of the Neville fallback for blocks that are not Laurent polynomials
+_EPS_SCHEDULE = (0.1, 0.05, 0.025)
+
+
 def _block_limit(s: QSeries, root_order: int, schedule, dps: int) -> mp.mpc:
     """Limit of a block series at the root: direct for finite blocks, the
     periodic tail mean when it is detectable, Neville otherwise."""
@@ -335,7 +332,7 @@ def _pprime_dual_basis(N: int, m: int) -> list[tuple[int, ...]]:
 
 def _decomposition(
     g: PlumbingGraph, N: int, m: int, kprime: int, block_variant: str,
-    sign: int, twist: int, order, eps_schedule, dps: int, shift_BI: bool = True,
+    sign: int, twist: int, order, dps: int, shift_BI: bool = True,
 ):
     """Right-hand side of the decomposition at the root q = exp(2 pi i / k').
 
@@ -358,7 +355,7 @@ def _decomposition(
     s = 1 if det > 0 else -1
     labels = sun_block_labels(g, N, lm)
     # chains have Laurent-polynomial blocks, evaluated at the root itself
-    schedule = None if all(g.degree(v) <= 2 for v in g.ids) else eps_schedule
+    schedule = None if all(g.degree(v) <= 2 for v in g.ids) else _EPS_SCHEDULE
     rho = weyl_vector(N)
     basis = _pprime_dual_basis(N, m)
     reps = coset_representatives([list(row) for row in lm.B])
@@ -412,10 +409,10 @@ def _decomposition(
         total = _to_mpc(tre, tim, 3 * P)
         # q^{(rho, w rho)} = exp(2 pi i pair(rho, w rho) / (N k')), one phase
         # per Weyl element
-        W = weyl_group(N)
+        W = weyl_orbit(N, rho.coords, sign)
         weyl_denom = mp.fsum(
-            sign ** w.length * _phase(Fraction(2 * pair(rho, weyl_action(w, rho)), N * kprime))
-            for w in W)
+            e * _phase(Fraction(2 * _pairing(G, rho.coords, image), N * kprime))
+            for e, image in W)
         return total / (len(W) * mp.mpf(abs(det)) ** (mp.mpf(N - 1) / 2) * weyl_denom)
 
 
@@ -433,7 +430,6 @@ def gppv_verify(
     variant: str,
     level: int,
     order,
-    eps_schedule=(0.1, 0.05, 0.025),
     dps: int = 40,
     N: int = 2,
     m: int = 1,
@@ -469,7 +465,7 @@ def gppv_verify(
         else:
             raise ValueError(f"unknown variant {variant!r}")
         rhs = _decomposition(g, N, m, wrt.root_order, blocks, sign, twist,
-                             order, eps_schedule, dps, shift_BI)
+                             order, dps, shift_BI)
         resid = abs(wrt.value - rhs)
         rel = float(resid / abs(wrt.value)) if abs(wrt.value) > 1e-12 else None
     return GPPVReport(variant, level, wrt.root_order, wrt.value, rhs,

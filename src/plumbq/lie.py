@@ -6,7 +6,7 @@ the Gram matrix gram(N) = N (L_i, L_j) = N min(i, j) - i j, and
 rho_norm(N) = N (rho, rho).  The Cartan matrix is the Gram matrix of the
 simple roots; its rows are the simple roots in the weight basis.  The Weyl
 group permutes the N coordinates of the N-scaled orthogonal embedding,
-which is integral as well, so weyl_action never leaves the integers, and
+which is integral as well, so weyl_orbit never leaves the integers, and
 so is the pairing pair(u, v) = u^T gram(N) v = N (u, v).
 """
 
@@ -18,15 +18,13 @@ from dataclasses import dataclass
 
 __all__ = [
     "WeightVector",
-    "WeylElement",
     "gram",
     "cartan",
     "rho_norm",
     "pair",
     "weyl_vector",
     "fundamental_weight",
-    "weyl_group",
-    "weyl_action",
+    "weyl_orbit",
     "gamma_factor",
     "pq_class_index",
     "allowed_colors",
@@ -72,25 +70,6 @@ class WeightVector:
             raise ValueError("rank mismatch")
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    perm: tuple[int, ...]  # image of (0, ..., N-1)
-
-    @property
-    def length(self) -> int:
-        inv = 0
-        p = self.perm
-        for i in range(len(p)):
-            for j in range(i + 1, len(p)):
-                if p[i] > p[j]:
-                    inv += 1
-        return inv
-
-    @property
-    def sign(self) -> int:
-        return -1 if self.length % 2 else 1
-
-
 @functools.cache
 def gram(N: int) -> tuple[tuple[int, ...], ...]:
     """N times the Gram matrix of the fundamental weights, memoised as a tuple of tuples."""
@@ -128,30 +107,31 @@ def pair(u: WeightVector, v: WeightVector) -> int:
                for a, row in zip(u.coords, gram(u.N)) if a)
 
 
-def weyl_group(N: int) -> list[WeylElement]:
-    """All N! elements as permutations of embedding coordinates, identity first."""
-    ident = tuple(range(N))
-    elems = [WeylElement(ident)]
-    for p in itertools.permutations(range(N)):
-        if p != ident:
-            elems.append(WeylElement(p))
-    return elems
+@functools.cache
+def _permutations(N: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every permutation of range(N), identity first, with its number of
+    inversions: the Weyl group of A_{N-1} and the lengths of its elements."""
+    return tuple((p, sum(a > b for i, a in enumerate(p) for b in p[i + 1:]))
+                 for p in itertools.permutations(range(N)))
 
 
-def weyl_action(w: WeylElement, v: WeightVector) -> WeightVector:
-    """w(v), by permuting the N-scaled orthogonal embedding of v.
+def weyl_orbit(N: int, coords, s: int = -1) -> list[tuple[int, tuple[int, ...]]]:
+    """(s^l(w), w(v)) for every Weyl element w, identity first, where v is
+    the weight with int coordinates coords; s = -1 gives the sign of w.
 
-    N L_i embeds as (N - i repeated i times, then -i repeated N - i times),
-    a sum-zero integer N-vector whose entries are all congruent mod N.  The
+    w permutes the N-scaled orthogonal embedding of v, made once: N L_i
+    embeds as (N - i repeated i times, then -i repeated N - i times), a
+    sum-zero integer N-vector whose entries are all congruent mod N.  The
     coordinate i of a weight is its pairing with the simple root
     e_i - e_{i+1}, so it is the difference of adjacent entries over N.
     """
-    N = v.N
-    emb = [sum(c * (N - i if t < i else -i) for i, c in enumerate(v.coords, start=1))
+    emb = [sum(c * (N - i if t < i else -i) for i, c in enumerate(coords, start=1))
            for t in range(N)]
-    permuted = [emb[w.perm[t]] for t in range(N)]
-    return WeightVector(N, tuple((permuted[t] - permuted[t + 1]) // N
-                                 for t in range(N - 1)))
+    out = []
+    for perm, length in _permutations(N):
+        e = [emb[t] for t in perm]
+        out.append((s ** length, tuple((e[t] - e[t + 1]) // N for t in range(N - 1))))
+    return out
 
 
 def gamma_factor(N: int, m: int) -> int:
@@ -187,22 +167,16 @@ def allowed_colors(N: int, m: int, kprime: int) -> list[WeightVector]:
     """The set {lambda in (P+ intersect P') + rho : (lambda, theta) < k'}.
 
     P/Q ~ Z_N with class(L_i) = i, and the sublattice P' with P/P' ~ Z_m is
-    the union of the classes that are multiples of m.  Enumerates strictly
-    dominant weights lambda = sum n_i L_i with n_i >= 1 bounded by k', then
-    filters by the level condition and membership of lambda - rho in P'.
+    the union of the classes that are multiples of m.  The candidates are
+    the strictly dominant weights lambda = sum n_i L_i, n_i >= 1, in
+    lexicographic order.  As (L_i, theta) = 1, the level test is
+    sum n_i < k'; the class of lambda - rho is sum i n_i - N(N-1)/2 mod N,
+    in P' when m divides it (m divides N).
     """
     if m < 1 or N % m != 0:
         raise ValueError(f"m={m} must be a positive divisor of N={N}")
     if kprime <= N:
         return []
-    theta = highest_root(N)
-    rho = weyl_vector(N)
-    out = []
-    for ns in itertools.product(range(1, kprime + 1), repeat=N - 1):
-        lam = WeightVector(N, ns)
-        if pair(lam, theta) >= N * kprime:
-            continue
-        if pq_class_index(lam - rho) % m:
-            continue
-        out.append(lam)
-    return out
+    half = N * (N - 1) // 2
+    return [WeightVector(N, ns) for ns in itertools.product(range(1, kprime), repeat=N - 1)
+            if sum(ns) < kprime and (sum(i * n for i, n in enumerate(ns, 1)) - half) % m == 0]

@@ -8,8 +8,9 @@ of orbits of the simple current (_Fold) instead of exponential in the number
 of vertices: the edge matrix repeats along an orbit up to a sign, so each
 orbit's rows and columns are contracted once.
 
-Every phase of one invariant is exp(pi i a / D) for an integer a and one
-denominator D: D = 2 order for the rank-1 sums, D = N k' for su(N).  Twists,
+One level builder serves every group: su(N)/Z_m at k' with a Weyl sign
+(_Level), whose N = 2 rows are SU(2), SO(3) and OSp(1|2).  Every phase of
+one invariant is exp(pi i a / D) for an integer a and D = N k'.  Twists,
 S entries and unknot sums index one table of those 2D phases by a mod 2D.
 
 The sum runs in fixed point, from the phase table to the root of the tree:
@@ -19,16 +20,19 @@ rounded once, so no mp value is made per color.  The root's sum becomes one
 mpc, normalized in mp.  P is chosen per tree from an a-priori error bound
 (_Level): every state sum is within 10^-(dps+10) max(1, |tau|) of exact.
 
-A level context (_Level) per state-sum kind, root data and working
-precision, in a single-entry cache, holds per scale P the phase table, edge
-rows, vertex rows and unknot sums, and each contracted child message under
-its scale and subtree: a run of graphs at one level builds the level once
-and contracts equal subtrees once.  A value depends only on its scale and
+A level context (_Level) per group, level and working precision, in a
+single-entry cache, holds per scale P the phase table, edge rows, vertex
+rows and unknot sums, and each contracted child message under its scale
+and subtree: a run of graphs at one level builds the level once and
+contracts equal subtrees once.  A value depends only on its scale and
 the integer operations that made it, so warm and cold calls agree bitwise.
 
-The normalization is fixed by dividing out the unknot contributions of
-(+-1)-framed single vertices, one per positive/negative eigenvalue of the
-linking matrix, so the three-sphere always evaluates to 1.
+The normalization divides by a power of the amplitude x = S_rho,rho and
+by the unknot contributions of (+-1)-framed single vertices, one per
+positive/negative eigenvalue of the linking matrix, so the three-sphere
+always evaluates to 1.  It does not change when the S-matrix is scaled, so
+an S entry is an exact signed Weyl sum of table phases, without its
+normalizing constant.
 """
 
 from __future__ import annotations
@@ -41,17 +45,7 @@ from operator import add, mul, sub
 
 import mpmath as mp
 
-from plumbq.lie import (
-    allowed_colors,
-    gamma_factor,
-    gram,
-    pair,
-    pq_class_index,
-    rho_norm,
-    weyl_action,
-    weyl_group,
-    weyl_vector,
-)
+from plumbq.lie import allowed_colors, gamma_factor, gram, pair, rho_norm, weyl_orbit
 from plumbq.plumbing import PlumbingGraph, linking_matrix
 
 __all__ = [
@@ -308,19 +302,19 @@ def _tree_sum(g: PlumbingGraph, labels, scale) -> mp.mpc:
 
 class _Scale:
     """A level's data at scale 2^P: the phase table Z, the split edge rows of
-    fold's representatives (_Fold) and the amplitudes amp as Gaussian
+    the representatives of fold (_Fold) and the amplitudes amp as Gaussian
     integers, x and unknot[eps] in mp.  The row at framing f and degree d,
     Z[f twist[c]] amp[c]^(2-d), is made on first use, 1/amp by one rounded
     Gaussian division."""
 
     def __init__(self, level: "_Level", P: int):
-        self.P, self.level, self.memo = P, level, level.memo
-        self.Z, rows, self.amp, self.fold = level.make(P)
+        self.P, self.level, self.memo, self.fold = P, level, level.memo, level.fold
+        self.Z, rows, self.amp = level.make(P)
         self.rows = [self.fold.split(row) for row in rows]
         self._vertex, self._inverse = {}, None
         self.x = _to_mpc(self.amp[0][level.x], self.amp[1][level.x], P)
-        sums = {eps: _to_mpc(*map(sum, self.vertex_row((eps, 0))), P) for eps in (1, -1)}
-        self.unknot = {eps: s / self.x ** 2 for eps, s in sums.items()} if level.rank1 else sums
+        self.unknot = {eps: _to_mpc(*map(sum, self.vertex_row((eps, 0))), P) / self.x ** 2
+                       for eps in (1, -1)}
 
     def vertex_row(self, label: tuple[int, int]) -> tuple[list[int], list[int]]:
         row = self._vertex.get(label)
@@ -340,52 +334,120 @@ class _Scale:
 
 
 class _Level:
-    """What a state sum at one level and working precision prec shares
-    between graphs: make(P) builds the table, the edge rows of the
-    representatives over the representatives, the amplitudes and the fold of
-    a _Scale; twist[c] is the twist of color c and amp[x] is x.  Rank 1
-    (rank1, x = U[1]) normalizes L vertices by x^-(L+1) and each unknot sum
-    by x^-2; su(N) (x = S_0rho) by x^(L-1).  memo holds _tree_sum's
-    contracted messages of every scale.
+    """The state sum of the group (N, m, k', sign) at the working precision
+    prec: what it shares between graphs.  su2 at level k is (2, 1, k + 2, -1),
+    so3 at K (2, 2, 2K + 2, -1), osp12 at K^ (2, 2, 2K^ + 3, +1) and
+    su(N)/Z_m at k (N, m, gamma k + N, -1).
+
+    The colors are allowed_colors(N, m, k'), the twist of lam is
+    (lam, lam) - (rho, rho), and every phase is a power of exp(pi i / D),
+    D = N k': q^{(x, y)} = Z[2 pair(x, y)].  The edge entry of colors lam
+    and mu is the signed Weyl sum
+    E[lam][mu] = sum_w sign^l(w) q^{(w lam, mu)},
+    an exact sum of table entries.  The amplitudes amp are the row E[rho]
+    and x is the index of rho: amp[x] is the x of the normalization.  At
+    sign = -1, E is the S-matrix times a constant (i^npos r)^-1,
+    r = ((N/m) k'^(N-1))^-1/2.  Every group is normalized as
+    tau = x^-(L+1) T / prod_eps (U_eps / x^2)^b_eps, T the sum over
+    colorings of L vertices and U_eps the unknot sum at framing eps.  E
+    scaled by c scales T by c^(L+1) (L - 1 edges and amp^(2-d) at each
+    vertex) and U_eps by c^2, which leaves tau as it is: the constant
+    cancels, so no S entry is rounded by it.  make(P) builds the table, the
+    edge rows of the representatives over the representatives and the
+    amplitudes of a _Scale.  memo holds _tree_sum's contracted messages of
+    every scale.
+
+    The simple current J turns the affine labels (k' - sum_i lam_i, lam_1,
+    ..., lam_{N-1}) of lam one place, so J lam = k' L_1 + w lam for an
+    N-cycle w and E[J lam][mu] = sign^(N-1) exp(-2 pi i t(mu)/N) E[lam][mu],
+    t(mu) = sum_i i mu_i.  The rows fold by J (_Fold) where it keeps the
+    colors and 2 t(mu)/N is an integer on every color: there the character
+    chi(mu) = sign^(N-1) (-1)^(2 t(mu)/N) is exact in the table sums, which
+    move by D or change sign (Z[a + D] = -Z[a], Z[-a] = conj Z[a]).  At N = 2
+    chi(mu) = sign (-1)^mu, and at m = N it is 1.
 
     Error bound, with u = 2^-P.  A table entry is within u of exact, an
-    edge entry or amplitude within 2u C_E: C_E = 1 for rank 1, |W| + 1 for
-    su(N).  Let rho >= 1 bound the row sums of |E|, a_lo <= |amp| <= a_hi.
-    The row at degree d, Z amp^(2-d) by |d - 2| rounded products, is within
-    2u A_d C_d of exact and bounded by A_d = a^|d-2|, with
-    C_d = 1/2 + |d - 2| (C_E c + 3/2), a = max(1, a_hi) and c = 1 for d < 2,
-    a = c = max(1, 1/a_lo) for d > 2 (1/amp is within 2u a (C_E a + 1/2)).
-    A rounded product adds its factors' C plus 1, a contraction n C_E + 1,
-    while 4u C^2 <= 1; so the root sum T of L vertices and n colors is
-    within 2u B C of exact, B = n rho^(L-1) prod_v A_{d_v} and
-    C = sum_v C_{d_v} + (L - 1)(n C_E + 2).  The normalization scales that
-    by its size |N|, and moves tau relatively by at most
-    eps = (L + 1 + 2b) 2u C_E / |x| + b 2u n A_0 C_0 / |S|, b = b+ + b-,
-    S the unknot sum before any x^-2.  scale_bits takes the least
-    P = prec + 64 j, j >= 1, with 2u B C |N| and eps at most 2^-prec and
-    4u C^2 <= 1.  With at most 2L + 10 roundings in mp, tau is then within
-    (2L + 13) 2^-prec max(1, |tau|) of exact: within 10^-(dps+10)
+    edge entry or amplitude, a sum of |W| of them, within 2u C_E,
+    C_E = |W|/2.  Let rho >= 1 bound the row sums of |E|,
+    a_lo <= |amp| <= a_hi.  The row at degree d, Z amp^(2-d) by |d - 2|
+    rounded products, is within 2u A_d C_d of exact and bounded by
+    A_d = a^|d-2|, with C_d = 1/2 + |d - 2| (C_E c + 3/2), a = max(1, a_hi)
+    and c = 1 for d < 2, a = c = max(1, 1/a_lo) for d > 2 (1/amp is within
+    2u a (C_E a + 1/2)).  A rounded product adds its factors' C plus 1, a
+    contraction n C_E + 1, while 4u C^2 <= 1; so the root sum T of L
+    vertices and n colors is within 2u B C of exact,
+    B = n rho^(L-1) prod_v A_{d_v} and C = sum_v C_{d_v} + (L - 1)(n C_E + 2).
+    The normalization scales that by its size
+    |N| = |x|^-(L+1) prod_eps (|x|^2 / |U_eps|)^b_eps and moves tau
+    relatively by at most
+    eps = (L + 1 + 2b) 2u C_E / |x| + b 2u n A_0 C_0 / min |U_eps|,
+    b = b+ + b-.  scale_bits takes the least P = prec + 64 j, j >= 1, with
+    2u B C |N| and eps at most 2^-prec and 4u C^2 <= 1.  With at most
+    2L + 10 roundings in mp, tau is then within (2L + 13) 2^-prec
+    max(1, |tau|) of exact: within 10^-(dps+10)
     max(1, |tau|) for L < 49,990, as prec >= (dps + 15) log2 10.  The
-    level reads rho, a_lo, a_hi, x and S off the base scale prec + 64.
+    level reads rho, a_lo, a_hi, x and U off the base scale prec + 64.
     """
 
-    def __init__(self, twist, make, x: int, C_E: int, rank1: bool):
-        self.prec = mp.mp.prec
-        self.twist, self.make, self.x, self.C_E, self.rank1 = twist, make, x, C_E, rank1
+    def __init__(self, N: int, m: int, kprime: int, sign: int):
+        colors = allowed_colors(N, m, kprime)
+        if not colors:
+            raise ValueError(f"no admissible colors at k'={kprime}")
+        self.prec, self.D, self.C_E = mp.mp.prec, N * kprime, math.factorial(N) // 2
+        self.coords = [lam.coords for lam in colors]
+        index = {c: i for i, c in enumerate(self.coords)}
+        self.x = index[(1,) * (N - 1)]
+        self.twist = [pair(lam, lam) - rho_norm(N) for lam in colors]
+        J = [index.get((kprime - sum(c),) + c[:-1]) for c in self.coords]
+        t = [sum(i * c for i, c in enumerate(lam, 1)) for lam in self.coords]
+        if None in J or any(2 * a % N for a in t):
+            J = None
+        self.fold = _Fold(J, [sign ** (N - 1) * (-1) ** (2 * a // N) for a in t])
+        # 2 gram(N) w(lam) for every Weyl image of every representative and
+        # of rho, so that an entry pairs each image with a color by one short
+        # dot product
+        self.images = {a: [(s, [2 * sum(map(mul, row, image)) for row in gram(N)])
+                           for s, image in weyl_orbit(N, self.coords[a], sign)]
+                       for a in [o[0] for o in self.fold.orbits] + [self.x]}
         self.memo: dict = {}
         self.scale = functools.lru_cache(_SCALES)(lambda P: _Scale(self, P))
         base = self.scale(self.prec + 64)
-        n, P, slack = len(twist), base.P, 4 * C_E
+        n, P, C_E = len(colors), base.P, self.C_E
+        slack = 4 * C_E
         mags = [math.isqrt(a * a + b * b) for a, b in zip(*base.amp)]
         self.a_hi = max(1, (max(mags) + 1 + slack) / 2 ** P)
         self.a_inv = max(1, 2 ** P / (min(mags) - slack))
         self.log_rho = max(0, math.log2(2 * n * C_E + max(map(base.fold.norm, base.rows))) - P)
-        self.log_x = (math.log2(mags[x] - slack) - P, math.log2(mags[x] + 1 + slack) - P)
-        log_A0, C0 = self._vertex_bound(0)  # log2 |S| from below: S within 2u n A_0 C_0
+        self.log_x = (math.log2(mags[self.x] - slack) - P, math.log2(mags[self.x] + 1 + slack) - P)
+        log_A0, C0 = self._vertex_bound(0)  # log2 |U| from below: U within 2u n A_0 C_0
         self.unknot_err = 2 * n * 2 ** log_A0 * C0
         self.log_unknot = {eps: math.log2(math.isqrt(sum(re) ** 2 + sum(im) ** 2)
                                           - math.ceil(self.unknot_err)) - P
                            for eps in (1, -1) for re, im in [base.vertex_row((eps, 0))]}
+
+    def make(self, P: int):
+        """The table Z at scale 2^P, the edge rows of the representatives
+        over the representatives, and the amplitudes."""
+        Zre, Zim = Z = _phase_table(self.D, P)
+        M = 2 * self.D
+
+        def srow(lam, cols):
+            # E[lam][b] for the colors b whose coordinates cols holds
+            sre, sim = [0] * len(cols[0]), [0] * len(cols[0])
+            for s, gw in self.images[lam]:
+                idx = [0] * len(cols[0])
+                for g, col in zip(gw, cols):
+                    idx = [x + g * c for x, c in zip(idx, col)]
+                sre = [x + s * Zre[a % M] for x, a in zip(sre, idx)]
+                sim = [y + s * Zim[a % M] for y, a in zip(sim, idx)]
+            return [sre, sim]
+
+        reps = [o[0] for o in self.fold.orbits]
+        cols = list(zip(*(self.coords[a] for a in reps)))
+        upper = [srow(a, [c[i:] for c in cols]) for i, a in enumerate(reps)]
+        rows = [[[upper[j][k][i - j] for j in range(i)] + upper[i][k] for k in (0, 1)]
+                for i in range(len(reps))]
+        return Z, rows, tuple(srow(self.x, list(zip(*self.coords))))
 
     def _vertex_bound(self, d: int) -> tuple[float, float]:
         """(log2 A_d, C_d) of the vertex rows at degree d."""
@@ -400,7 +462,7 @@ class _Level:
         log_A, C = map(sum, zip(*(self._vertex_bound(d) for _, d in labels)))
         C += (L - 1) * (n * C_E + 2)
         x_lo, x_hi = self.log_x
-        log_N = (-(L + 1) * x_lo + 2 * b * x_hi if self.rank1 else (L - 1) * x_hi)
+        log_N = -(L + 1) * x_lo + 2 * b * x_hi
         log_N -= lm.b_plus * self.log_unknot[1] + lm.b_minus * self.log_unknot[-1]
         worst = min(self.log_unknot.values())
         needs = (
@@ -413,163 +475,50 @@ class _Level:
 
 
 @functools.lru_cache(maxsize=1)
-def _level(build, root: tuple, prec: int) -> _Level:
-    """build(*root), cached by the state-sum kind (its builder), its root
-    data and the working precision prec, which build reads from mp.mp.  One
-    entry: memory holds one level's data at a time, until another level or
+def _level(N: int, m: int, kprime: int, sign: int, prec: int) -> _Level:
+    """_Level(N, m, kprime, sign), cached by its group and level and by the
+    working precision prec, which _Level reads from mp.mp.  One entry:
+    memory holds one level's data at a time, until another level or
     precision replaces it."""
-    return build(*root)
+    return _Level(N, m, kprime, sign)
 
 
-def _state_sum(g: PlumbingGraph, level: _Level) -> mp.mpc:
-    """The normalized state sum of g at the level, at the working precision."""
-    lm = linking_matrix(g)
-    labels = [(lm.B[i][i], g.degree(v)) for i, v in enumerate(g.ids)]
-    scale = level.scale(level.scale_bits(labels, lm))
-    total = _tree_sum(g, labels, scale)
-    L = lm.size
-    tau = scale.x ** (-(L + 1) if level.rank1 else L - 1) * total
-    for eps, b in ((1, lm.b_plus), (-1, lm.b_minus)):
-        tau /= scale.unknot[eps] ** b
-    return mp.mpc(tau)
-
-
-# ---------------------------------------------------------------------------
-# rank 1: SU(2), SO(3), OSp(1|2)
-
-
-def _rank1_level(order: int, colors: range, sign: int) -> _Level:
-    """sign = -1 gives the (x - 1/x) family, +1 the (x + 1/x) one.
-
-    With q = exp(2 pi i / order) every phase is a power of exp(pi i / D),
-    D = 2 order: q^{t/2} is Z[2t] and the twist q^{f (n^2 - 1)/4} is
-    Z[f (n^2 - 1)].  The edge entry of colors a, b is u(ab), with
-    u(t) = Z[2t] + sign conj(Z[2t]) twice a part of Z[2t].  Where the colors
-    are closed under the simple current J a = order - a, the rows fold by it:
-    Z[D - t] = -conj(Z[t]) and Z[2D - t] = conj(Z[t]) exactly, so
-    u((order - a) b) = sign (-1)^b u(ab).
-    """
-    D, index = 2 * order, {c: i for i, c in enumerate(colors)}
-    J = [index.get(order - c) for c in colors]
-    fold = _Fold(None if None in J else J, [sign * (-1) ** c for c in colors])
-    reps = [colors[o[0]] for o in fold.orbits]
-
-    def make(P: int):
-        Z = _phase_table(D, P)
-        u = [2 * z for z in Z[1 if sign < 0 else 0][:2 * D:2]]
-        rows = [[u[a * b % D] for b in reps] for a in reps]
-        amp, zero = [u[n] for n in colors], [0] * len(colors)
-        if sign < 0:
-            return Z, [(None, row) for row in rows], (zero, amp), fold
-        return Z, [(row, None) for row in rows], (amp, zero), fold
-
-    return _Level([n * n - 1 for n in colors], make, 0, 1, True)
-
-
-def _rank1_invariant(
-    g: PlumbingGraph, order: int, colors: range, sign: int, dps: int,
-    variant: str, level: int,
-) -> WRTResult:
+def _state_sum(g: PlumbingGraph, variant: str, level: int, N: int, m: int,
+               kprime: int, sign: int, dps: int) -> WRTResult:
+    """The normalized state sum of g at the group (N, m, kprime, sign)
+    (_Level), at dps digits; variant and level name it."""
     _check_dps(dps)
     with mp.workdps(dps + 15):
-        value = _state_sum(g, _level(_rank1_level, (order, colors, sign),
-                                     mp.mp.prec))
-    return WRTResult(variant, level, order, value, dps)
+        lvl = _level(N, m, kprime, sign, mp.mp.prec)
+        lm = linking_matrix(g)
+        labels = [(lm.B[i][i], g.degree(v)) for i, v in enumerate(g.ids)]
+        scale = lvl.scale(lvl.scale_bits(labels, lm))
+        tau = scale.x ** -(lm.size + 1) * _tree_sum(g, labels, scale)
+        for eps, b in ((1, lm.b_plus), (-1, lm.b_minus)):
+            tau /= scale.unknot[eps] ** b
+        value = mp.mpc(tau)
+    return WRTResult(variant, level, kprime, value, dps)
 
 
 def wrt_su2(g: PlumbingGraph, k: int, dps: int = 60) -> WRTResult:
     """SU(2) invariant at bare level k > 0, root order k + 2."""
     if k <= 0:
         raise ValueError("level must be positive")
-    return _rank1_invariant(g, k + 2, range(1, k + 2), -1, dps, "su2", k)
+    return _state_sum(g, "su2", k, 2, 1, k + 2, -1, dps)
 
 
 def wrt_so3(g: PlumbingGraph, K: int, dps: int = 60) -> WRTResult:
     """SO(3) invariant at even level K > 0: odd colors, root order 2K + 2."""
     if K <= 0 or K % 2 != 0:
         raise ValueError("SO(3) level must be a positive even integer")
-    return _rank1_invariant(g, 2 * K + 2, range(1, 2 * K + 2, 2), -1, dps,
-                            "so3", K)
+    return _state_sum(g, "so3", K, 2, 2, 2 * K + 2, -1, dps)
 
 
 def wrt_osp(g: PlumbingGraph, Khat: int, dps: int = 60) -> WRTResult:
     """OSp(1|2) invariant at level Khat > 0: odd colors, root order 2*Khat + 3."""
     if Khat <= 0:
         raise ValueError("level must be positive")
-    return _rank1_invariant(g, 2 * Khat + 3, range(1, 2 * Khat + 2, 2), +1,
-                            dps, "osp12", Khat)
-
-
-# ---------------------------------------------------------------------------
-# su(N) quotient groups
-
-
-def _sun_level(N: int, m: int, kprime: int) -> _Level:
-    """su(N) at k': colors are the admissible strictly dominant weights
-    below k', the edge matrix is the S-matrix, the twist of lam is
-    (lam, lam) - (rho, rho) and the amplitude S_0lam.
-
-    S_lam,mu = i^npos r sum_w sign(w) q^{(w lam, mu)} with
-    r = ((N/m) k'^(N-1))^-1/2 and q^{(x, y)} = Z[2 pair(x, y)], D = N k':
-    the signed table sum is exact and is rounded once times r.
-
-    The simple current J turns the affine labels (k' - sum_i lam_i, lam_1,
-    ..., lam_{N-1}) of lam one place, so J lam = k' L_1 + w lam for an
-    N-cycle w and S_{J lam,mu} = (-1)^(N-1) exp(-2 pi i t(mu)/N) S_lam,mu,
-    t(mu) = sum_i i mu_i.  The rows fold by J where it keeps the colors and
-    its character is 1 on them: at m = N, where the colors are one class
-    t = N(N-1)/2 mod N.  A character -1 is exact in the table sums
-    (Z[a + D] = -Z[a]) but not in their rounding: r x and -r x round apart
-    at a tie, as at k' = 8 for su(2), where r is a power of 2.
-    """
-    colors = allowed_colors(N, m, kprime)
-    if not colors:
-        raise ValueError(f"no admissible colors at k'={kprime}")
-    rho_idx = colors.index(weyl_vector(N))
-    G, W = gram(N), weyl_group(N)
-    D, n, signs = N * kprime, len(colors), [w.sign for w in W]
-    index = {lam.coords: i for i, lam in enumerate(colors)}
-    J = [index.get((kprime - sum(lam.coords),) + lam.coords[:-1]) for lam in colors]
-    trivial = all((2 * pq_class_index(lam) + N * (N - 1)) % (2 * N) == 0 for lam in colors)
-    fold = _Fold(J if trivial and None not in J else None, [1] * n)
-    reps = [o[0] for o in fold.orbits]
-    # gram(N) w(lam) for every Weyl image of every representative and of
-    # rho, so that an S entry pairs each image with a color by one short
-    # dot product
-    images = {a: [(s, [2 * sum(map(mul, row, weyl_action(w, colors[a]).coords)) for row in G])
-                  for s, w in zip(signs, W)] for a in reps + [rho_idx]}
-    turn = (N * (N - 1) // 2) % 4
-
-    def make(P: int):
-        Z = _phase_table(D, P)
-        with mp.workprec(P + 10):
-            r = _fixed(1 / mp.sqrt((N // m) * kprime ** (N - 1)), P)
-        h = 1 << (P - 1)
-        # i^npos Z, exactly: each factor i swaps the parts and negates one
-        Zre, Zim = Z
-        for _ in range(turn):
-            Zre, Zim = [-y for y in Zim], Zre
-
-        def srow(lam, cols):
-            # S[lam][b] for the colors b whose coordinates cols holds
-            sre, sim = [0] * len(cols[0]), [0] * len(cols[0])
-            for s, gw in images[lam]:
-                idx = [0] * len(cols[0])
-                for g, col in zip(gw, cols):
-                    idx = [x + g * c for x, c in zip(idx, col)]
-                sre = [x + s * Zre[a % (2 * D)] for x, a in zip(sre, idx)]
-                sim = [y + s * Zim[a % (2 * D)] for y, a in zip(sim, idx)]
-            return [[(x * r + h) >> P for x in part] for part in (sre, sim)]
-
-        cols = list(zip(*(colors[a].coords for a in reps)))
-        upper = [srow(a, [c[i:] for c in cols]) for i, a in enumerate(reps)]
-        rows = [[[upper[j][k][i - j] for j in range(i)] + upper[i][k] for k in (0, 1)]
-                for i in range(len(reps))]
-        amp = tuple(srow(rho_idx, list(zip(*(lam.coords for lam in colors)))))
-        return Z, rows, amp, fold
-
-    twist = [pair(lam, lam) - rho_norm(N) for lam in colors]
-    return _Level(twist, make, rho_idx, len(W) + 1, False)
+    return _state_sum(g, "osp12", Khat, 2, 2, 2 * Khat + 3, +1, dps)
 
 
 def wrt_sun_zm(
@@ -584,8 +533,4 @@ def wrt_sun_zm(
     """
     if k <= 0:
         raise ValueError("level must be positive")
-    _check_dps(dps)
-    kprime = gamma_factor(N, m) * k + N
-    with mp.workdps(dps + 15):
-        value = _state_sum(g, _level(_sun_level, (N, m, kprime), mp.mp.prec))
-    return WRTResult(f"su{N}_z{m}", k, kprime, value, dps)
+    return _state_sum(g, f"su{N}_z{m}", k, N, m, gamma_factor(N, m) * k + N, -1, dps)

@@ -50,7 +50,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from plumbq.lie import cartan, gram, rho_norm, weyl_action, weyl_group, weyl_vector
+from plumbq.lie import cartan, gram, rho_norm, weyl_orbit
 from plumbq.plumbing import (
     LinkingMatrix,
     PlumbingGraph,
@@ -193,8 +193,7 @@ def _inverse(poly: dict, lead: tuple, height, cap) -> dict:
 def _weyl_denominator(N: int, s: int = -1) -> dict[tuple, int]:
     """sum_w s^{l(w)} x^{w(rho)}: the Weyl denominator Delta for s = -1,
     and x + 1/x for N = 2, s = +1."""
-    rho = weyl_vector(N)
-    return {weyl_action(w, rho).coords: s ** w.length for w in weyl_group(N)}
+    return {image: sign for sign, image in weyl_orbit(N, (1,) * (N - 1), s)}
 
 
 def _cap(N: int, bound: Fraction, p: int) -> int:

@@ -172,15 +172,13 @@ def test_criterion_07_wrt_crosschecks():
 
 def test_criterion_08_gppv():
     for k in range(1, 9):
-        rep = gppv_verify(lens_chain(7, 2), "su2", k, order=60,
-                          eps_schedule=None)
+        rep = gppv_verify(lens_chain(7, 2), "su2", k, order=60)
         assert rep.residual < 1e-8
     for k in (3, 4, 5):
         rep = gppv_verify(poincare_sphere(), "su2", k, order=8000)
         assert rep.residual < 1e-3
     g = PlumbingGraph.build([-2, -2], [(0, 1)])
-    bad = gppv_verify(g, "so3", 4, order=60, eps_schedule=None,
-                      shift_BI=False)
+    bad = gppv_verify(g, "so3", 4, order=60, shift_BI=False)
     assert bad.residual > 0.1
     rng = random.Random(8)
     done = 0

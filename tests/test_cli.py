@@ -310,6 +310,26 @@ class TestCache:
         third = {p.name for p in cache.glob("*.json")} - first - second
         assert len(first) == len(second) == len(third) == 1
 
+    def test_key_has_source_digest(self, tmp_path, monkeypatch):
+        # code that changed under the same version is a miss, and the digest
+        # is only taken when there is a cache
+        cache = tmp_path / "cache"
+        self.series(tmp_path, cache)
+        first = {p.name for p in cache.glob("*.json")}
+        assert len(cli._source_digest()) == 64
+        monkeypatch.setattr(cli, "_source_digest", lambda: "other-sources")
+        self.series(tmp_path, cache)
+        second = {p.name for p in cache.glob("*.json")} - first
+        assert len(first) == len(second) == 1
+
+        def unused():
+            raise AssertionError("digest taken without a cache")
+
+        monkeypatch.setattr(cli, "_source_digest", unused)
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        qfile = tmp_path / "q.json"
+        assert run("quiver-series", "--quiver", str(qfile), "--r", "2").exit_code == 0
+
     @pytest.mark.parametrize("junk", ['{"r": 2, "seri', "[]", "{}", "\xff"])
     def test_corrupt_entry_is_a_miss_and_rewritten(self, tmp_path, junk):
         cache = tmp_path / "cache"

@@ -38,13 +38,11 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 class TestLensExact:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_su2_residual_tiny(self, k):
-        rep = gppv_verify(lens_chain(7, 2), "su2", k, order=60,
-                          eps_schedule=None)
+        rep = gppv_verify(lens_chain(7, 2), "su2", k, order=60)
         assert rep.residual < 1e-8
 
     def test_second_chain(self):
-        rep = gppv_verify(lens_chain(5, 3), "su2", 5, order=60,
-                          eps_schedule=None)
+        rep = gppv_verify(lens_chain(5, 3), "su2", 5, order=60)
         assert rep.residual < 1e-8
 
     @pytest.mark.parametrize("pq", [(7, 3), (8, 5)])
@@ -54,8 +52,7 @@ class TestLensExact:
         # three vertices, so det B < 0: the cokernel phases carry its sign
         g = lens_chain(*pq)
         assert linking_matrix(g).det < -1
-        rep = gppv_verify(g, variant, level, order=60, eps_schedule=None,
-                          **kw)
+        rep = gppv_verify(g, variant, level, order=60, **kw)
         assert rep.residual < 1e-8, rep
 
     @pytest.mark.parametrize("dps", (0, -5))
@@ -64,8 +61,7 @@ class TestLensExact:
             gppv_verify(lens_chain(7, 2), "su2", 3, order=60, dps=dps)
 
     def test_report_json(self):
-        rep = gppv_verify(lens_chain(7, 2), "su2", 3, order=60,
-                          eps_schedule=None)
+        rep = gppv_verify(lens_chain(7, 2), "su2", 3, order=60)
         obj = report_to_json(rep)
         assert obj["variant"] == "su2"
         assert obj["residual"] < 1e-8
@@ -92,19 +88,16 @@ class TestPoincareRadial:
 class TestNegativeControl:
     def test_so3_without_shift_fails(self):
         g = PlumbingGraph.build([-2, -2], [(0, 1)])
-        good = gppv_verify(g, "so3", 4, order=60, eps_schedule=None)
-        bad = gppv_verify(g, "so3", 4, order=60, eps_schedule=None,
-                          shift_BI=False)
+        good = gppv_verify(g, "so3", 4, order=60)
+        bad = gppv_verify(g, "so3", 4, order=60, shift_BI=False)
         assert good.residual < 1e-8
         assert bad.residual > 0.1
 
     def test_sun_zm_without_shift_fails_at_m2(self):
         # SO(3) is SU(2)/Z_2: the flag drops the same B rho shift there
         g = PlumbingGraph.build([-2, -2], [(0, 1)])
-        good = gppv_verify(g, "sun-zm", 3, order=60, eps_schedule=None,
-                           N=2, m=2)
-        bad = gppv_verify(g, "sun-zm", 3, order=60, eps_schedule=None,
-                          N=2, m=2, shift_BI=False)
+        good = gppv_verify(g, "sun-zm", 3, order=60, N=2, m=2)
+        bad = gppv_verify(g, "sun-zm", 3, order=60, N=2, m=2, shift_BI=False)
         assert good.residual < 1e-8
         assert bad.residual > 0.1
 
@@ -177,14 +170,13 @@ class TestRank1Reference:
                                       lambda: PlumbingGraph.build([-2, -2], [(0, 1)])])
     def test_without_shift_matches_reference(self, make, variant, level):
         g = make()
-        rep = gppv_verify(g, variant, level, 60, eps_schedule=None,
-                          shift_BI=False)
+        rep = gppv_verify(g, variant, level, 60, shift_BI=False)
         want = reference_rank1(g, variant, level, 60, None, shift_BI=False)
         assert abs(rep.decomposition_value - want) <= 1e-45
 
     def test_osp_without_shift_misses_on_the_chain(self):
         g = PlumbingGraph.build([-2, -2], [(0, 1)])
-        rep = gppv_verify(g, "osp12", 2, 60, eps_schedule=None, shift_BI=False)
+        rep = gppv_verify(g, "osp12", 2, 60, shift_BI=False)
         assert 0.5 < rep.residual < 0.7, rep
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,15 +18,15 @@ from plumbq.lie import (
     pq_class_index,
     rho_norm,
     simple_roots,
-    weyl_action,
-    weyl_group,
+    weyl_orbit,
     weyl_vector,
 )
 
 
 # Reference model: the orthogonal embedding in Q^N, in plain Fractions.
 # L_i maps to (1/N)((N-i) repeated i times, then -i repeated N-i times),
-# and the Weyl group permutes the N coordinates.
+# and the Weyl group permutes the N coordinates, in the order of
+# itertools.permutations, with the sign of each permutation.
 
 def ref_embedding(N, coords):
     out = [Fraction(0)] * N
@@ -44,14 +45,30 @@ def ref_dot(x, y):
     return sum(a * b for a, b in zip(x, y))
 
 
+def ref_sign(perm):
+    return (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+
+
 def test_weyl_group_order():
+    # rho is regular: its orbit has |W| = N! distinct images, rho first
     for N in (2, 3, 4):
-        assert len(weyl_group(N)) == math.factorial(N)
+        rho = weyl_vector(N).coords
+        orbit = weyl_orbit(N, rho)
+        assert len({image for _, image in orbit}) == len(orbit) == math.factorial(N)
+        assert orbit[0] == (1, rho)
 
 
 def test_sign_is_determinant_like():
-    W = weyl_group(3)
-    assert sorted(w.sign for w in W) == [-1, -1, -1, 1, 1, 1]
+    orbit = weyl_orbit(3, (1, 1))
+    assert sorted(s for s, _ in orbit) == [-1, -1, -1, 1, 1, 1]
+    assert [s for s, _ in weyl_orbit(3, (1, 1), 1)] == [1] * 6
+    for N in (2, 3, 4):
+        # the permutation that takes rho's embedding to each image, in turn
+        emb = ref_embedding(N, weyl_vector(N).coords)
+        perms = [tuple(emb.index(x) for x in ref_embedding(N, image))
+                 for _, image in weyl_orbit(N, weyl_vector(N).coords)]
+        assert perms == list(itertools.permutations(range(N)))
+        assert [s for s, _ in weyl_orbit(N, weyl_vector(N).coords)] == list(map(ref_sign, perms))
 
 
 def test_weyl_vector_is_sum_of_fundamentals():
@@ -83,10 +100,9 @@ def test_root_norms():
 
 @given(st.sampled_from([2, 3]), st.integers(0, 23))
 def test_weyl_action_preserves_inner(N, seed):
-    W = weyl_group(N)
-    w = W[seed % len(W)]
     v = fundamental_weight(N, 1 + seed % (N - 1))
-    assert pair(weyl_action(w, v), weyl_action(w, v)) == pair(v, v)
+    _, image = weyl_orbit(N, v.coords)[seed % math.factorial(N)]
+    assert pair(WeightVector(N, image), WeightVector(N, image)) == pair(v, v)
 
 
 class TestQuotientData:
@@ -126,6 +142,18 @@ class TestQuotientData:
         for lam in allowed_colors(4, 2, 9):
             assert (pq_class_index(lam - rho) % 2 == 0
                     or pq_class_index(lam + rho) % 2 == 0)
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_allowed_colors_match_weight_tests(self, N):
+        # the integer tests against (lambda, theta) < k' and lambda - rho in
+        # P', on every candidate with coordinates in [1, k'], in order
+        rho, theta = weyl_vector(N), highest_root(N)
+        for m in (d for d in range(1, N + 1) if N % d == 0):
+            for kprime in range(N + 1, 13):
+                want = [lam for ns in itertools.product(range(1, kprime + 1), repeat=N - 1)
+                        for lam in [WeightVector(N, ns)]
+                        if pair(lam, theta) < N * kprime and pq_class_index(lam - rho) % m == 0]
+                assert allowed_colors(N, m, kprime) == want
 
 
 class TestIntegerCore:
@@ -176,18 +204,19 @@ class TestIntegerCore:
         with pytest.raises(TypeError):
             WeightVector(3, (Fraction(4), 2))
 
-    @given(st.sampled_from([2, 3, 4]), st.data())
-    def test_weyl_action_matches_embedding_permutation(self, N, data):
+    @given(st.sampled_from([2, 3, 4]), st.data(), st.sampled_from([-1, 1]))
+    def test_weyl_action_matches_embedding_permutation(self, N, data, s):
         coords = data.draw(st.tuples(*[st.integers(-6, 6)] * (N - 1)))
-        w = data.draw(st.sampled_from(weyl_group(N)))
-        v = WeightVector(N, coords)
-        got = weyl_action(w, v)
         emb = ref_embedding(N, coords)
-        assert got.coords == ref_from_embedding([emb[w.perm[t]] for t in range(N)])
-        assert all(type(c) is int for c in got.coords)
         G = gram(N)
 
         def norm(x):
             return sum(a * g * b for a, row in zip(x, G) for g, b in zip(row, x))
 
-        assert norm(got.coords) == norm(coords)
+        orbit = weyl_orbit(N, coords, s)
+        assert len(orbit) == math.factorial(N)
+        for perm, (sign, image) in zip(itertools.permutations(range(N)), orbit):
+            assert image == ref_from_embedding([emb[perm[t]] for t in range(N)])
+            assert sign == (ref_sign(perm) if s < 0 else 1)
+            assert all(type(c) is int for c in image)
+            assert norm(image) == norm(coords)

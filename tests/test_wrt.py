@@ -38,6 +38,10 @@ def sphere():
     return PlumbingGraph.build([-1], [])
 
 
+def S1xS2():
+    return PlumbingGraph.build([0], [])
+
+
 def close(a, b, tol=TOL):
     return abs(mp.mpc(a) - mp.mpc(b)) < tol
 
@@ -97,21 +101,35 @@ class TestKirbyInvariance:
 
 
 class TestQuotientConsistency:
-    @pytest.mark.parametrize("k", (2, 3, 4, 6))
+    # su2 and so3 are the levels (2, 1, k + 2, -1) and (2, 2, 2K + 2, -1)
+    # of su(2)/Z_m: the same state sum, bit for bit
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 4, 6))
     def test_m1_is_su2(self, k):
-        for g in (lens_chain(7, 2), brieskorn_2_3_7()):
-            assert close(wrt_sun_zm(g, 2, 1, k).value,
-                         wrt_su2(g, k).value)
+        for g in (lens_chain(7, 2), brieskorn_2_3_7(), S1xS2()):
+            assert wrt_sun_zm(g, 2, 1, k).value == wrt_su2(g, k).value
 
     @pytest.mark.parametrize("K", (2, 4, 6))
     def test_m2_is_so3(self, K):
         # level map: the Z2 quotient at bare level k sits at the same root
         # of unity as the odd-color sum at K = 2k (root order 4k + 2)
-        for g in (lens_chain(7, 2), lens_m5_11()):
+        for g in (lens_chain(7, 2), lens_m5_11(), S1xS2()):
             a = wrt_sun_zm(g, 2, 2, K // 2)
             b = wrt_so3(g, K)
             assert a.root_order == b.root_order
-            assert close(a.value, b.value)
+            assert a.value == b.value
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 6))
+    def test_s1xs2_is_one_over_s00_squared(self, k):
+        # B = (0) is singular: tau = U_0 / x^2 = sum_lam S_rho,lam^2 / S_00^2
+        # = 1/S_00^2 with S_00 = sqrt(2/k') sin(pi/k'), in both routes (2.0
+        # at k = 1)
+        kp = k + 2
+        with mp.workdps(60):
+            want = kp / (2 * mp.sin(mp.pi / kp) ** 2)
+            for value in (wrt_su2(S1xS2(), k).value, wrt_sun_zm(S1xS2(), 2, 1, k).value):
+                assert abs(value - want) < mp.mpf(10) ** -50 * want
+        assert wrt_su2(S1xS2(), 1).value == 2
 
     def test_gamma_values(self):
         assert gamma_factor(4, 2) == 2
@@ -361,18 +379,14 @@ class TestFixedPointKernel:
         assert len(shared.memo) == 4
 
 
-def rank1(order, colors, sign):
-    return wrt._rank1_level, (order, colors, sign)
-
-
 def sun(N, m, k):
-    return wrt._sun_level, (N, m, gamma_factor(N, m) * k + N)
+    return N, m, gamma_factor(N, m) * k + N, -1
 
 
-FOLD_LEVELS = {  # name -> (builder, root data)
-    **{f"su2 {k}": rank1(k + 2, range(1, k + 2), -1) for k in (1, 2, 3, 6, 10, 11, 60)},
-    **{f"so3 {K}": rank1(2 * K + 2, range(1, 2 * K + 2, 2), -1) for K in (2, 4, 10, 40)},
-    **{f"osp12 {K}": rank1(2 * K + 3, range(1, 2 * K + 2, 2), 1) for K in (1, 3)},
+FOLD_LEVELS = {  # name -> the group (N, m, k', sign) of its _Level
+    **{f"su2 {k}": (2, 1, k + 2, -1) for k in (1, 2, 3, 6, 10, 11, 60)},
+    **{f"so3 {K}": (2, 2, 2 * K + 2, -1) for K in (2, 4, 10, 40)},
+    **{f"osp12 {K}": (2, 2, 2 * K + 3, 1) for K in (1, 3)},
     **{f"su2/Z{m} {k}": sun(2, m, k) for m in (1, 2) for k in (1, 2, 3, 6)},
     **{f"su3/Z{m} {k}": sun(3, m, k) for m in (1, 3) for k in (1, 2)},
     "su3/Z3 6": sun(3, 3, 6),
@@ -393,12 +407,31 @@ class Unfolded(wrt._Fold):
 def level_pair(name, prec=100):
     """The level of FOLD_LEVELS[name] at working precision prec, folded by
     its simple current and, as the reference, not."""
-    build, root = FOLD_LEVELS[name]
+    root = FOLD_LEVELS[name]
     with mp.workprec(prec):
-        folded = build(*root)
+        folded = wrt._Level(*root)
         with pytest.MonkeyPatch.context() as mpatch:
             mpatch.setattr(wrt, "_Fold", Unfolded)
-            return folded, build(*root)
+            return folded, wrt._Level(*root)
+
+
+def rank1_rows(root, P):
+    """The rank-1 rows and amplitudes written out on their own: with
+    D = 2 k', the edge entry of colors a and b is u(ab),
+    u(t) = Z[2t] + sign conj(Z[2t]), twice a part of Z[2t]; the amplitudes
+    are the row of color 1.  The reference a level (2, m, k', sign) is held
+    to bit for bit."""
+    _, m, kprime, sign = root
+    D, colors = 2 * kprime, range(1, kprime, m)
+    Z = wrt._phase_table(D, P)
+    u = [2 * z for z in Z[1 if sign < 0 else 0][:2 * D:2]]
+    zero = [0] * len(colors)
+
+    def entries(a):
+        row = [u[a * b % D] for b in colors]
+        return (zero, row) if sign < 0 else (row, zero)
+
+    return [entries(a) for a in colors], entries(1)
 
 
 def grid_graphs():
@@ -439,25 +472,39 @@ class TestFold:
     @pytest.mark.parametrize("name,orbits", [
         ("su2 60", 31), ("su2 3", 2), ("so3 40", 21), ("su3/Z3 6", 22),
         ("su2/Z2 3", 4), ("su4/Z4 1", 12), ("osp12 3", 4), ("su3/Z1 2", 6),
-        ("su4/Z1 2", 10), ("su4/Z2 1", 6), ("su2/Z1 3", 4)])
+        ("su4/Z1 2", 10), ("su4/Z2 1", 2), ("su2/Z1 3", 2)])
     def test_orbit_counts(self, name, orbits):
-        # osp12 has no current (J a = order - a is even on odd colors), and
-        # su(N) at m < N none whose character is 1: every orbit of these is
-        # a singleton
+        # osp12 has no current (J a = k' - a is even on odd colors), and
+        # su(3)/Z_1 and su(4)/Z_1 none whose character is +-1 on every
+        # color (2 t(mu)/N is not always an integer): every orbit of these
+        # is a singleton
         folded, _ = level_pair(name)
         assert len(folded.scale(folded.prec + 64).fold.orbits) == orbits
 
-    def test_a_character_minus_one_rounds_apart(self):
-        # su(2) at k' = 8: r = 2^(P-2) exactly, so an S entry -2 Im Z[a] r
-        # is a tie wherever Im Z[a] is odd, and there the rows of J lam and
-        # lam are not negatives of each other.  su(N) folds only by a
-        # current whose character is 1, so this level does not fold.
-        folded, dense = level_pair("su2/Z1 6")
-        P = folded.prec + 64
-        assert len(folded.scale(P).fold.orbits) == 7
-        E = [re for re, _ in rows_of(dense.scale(P))]
-        chi = [(-1) ** (c + 1) for c in range(1, 8)]
-        assert any(E[6 - x] != [c * e for c, e in zip(chi, E[x])] for x in range(7))
+    def test_su2_z1_folds_like_su2(self):
+        # su(2)/Z_1 at k' = 8 is su2 at level 6: J c = 8 - c with
+        # character chi(c) = -(-1)^c, exact in the table sums, so the rows
+        # of J lam are chi times those of lam bit for bit
+        z1, dense = level_pair("su2/Z1 6")
+        su2, _ = level_pair("su2 6")
+        for P in (z1.prec + 64, z1.prec + 128):
+            fold = z1.scale(P).fold
+            assert fold.orbits == su2.scale(P).fold.orbits == [[0, 6], [2, 4], [1, 5], [3]]
+            assert z1.scale(P).rows == su2.scale(P).rows
+            assert z1.scale(P).amp == su2.scale(P).amp
+            E = [im for _, im in rows_of(dense.scale(P))]
+            chi = [-(-1) ** c for c in range(1, 8)]
+            assert all(E[6 - x] == [c * e for c, e in zip(chi, E[x])] for x in range(7))
+
+    @pytest.mark.parametrize("name", [n for n in sorted(FOLD_LEVELS) if n.split()[0]
+                                      in ("su2", "so3", "osp12", "su2/Z1", "su2/Z2")])
+    def test_rank1_rows_are_the_reference(self, name):
+        # the signed Weyl sum at N = 2 is u(ab), entry for entry
+        _, dense = level_pair(name)
+        for P in (dense.prec + 64, dense.prec + 192):
+            rows, amp = rank1_rows(FOLD_LEVELS[name], P)
+            assert [tuple(r) for r in rows_of(dense.scale(P))] == rows
+            assert dense.scale(P).amp == amp
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(sorted(FOLD_LEVELS)), st.sampled_from([64, 128, 192]),
@@ -539,8 +586,7 @@ class TestLevelContext:
         wrt._level.cache_clear()
         cold = wrt_su2(g, 200, 20).value._mpc_
         with mp.workdps(35):
-            level = wrt._level(wrt._rank1_level, (202, range(1, 202), -1),
-                               mp.mp.prec)
+            level = wrt._level(2, 1, 202, -1, mp.mp.prec)
         assert sum(map(len, level.memo.values())) == (
             wrt._MEMO_ENTRIES // 201 * 201)
         assert wrt_su2(g, 200, 20).value._mpc_ == cold
@@ -585,7 +631,7 @@ def check_scale(f, g, k, dps):
     C += (L - 1) * (n * C_E + 2)
     b = lm.b_plus + lm.b_minus
     x_lo, x_hi = level.log_x
-    log_N = (-(L + 1) * x_lo + 2 * b * x_hi) if level.rank1 else (L - 1) * x_hi
+    log_N = -(L + 1) * x_lo + 2 * b * x_hi
     log_N -= lm.b_plus * level.log_unknot[1] + lm.b_minus * level.log_unknot[-1]
     log_B = math.log2(n) + (L - 1) * level.log_rho + log_A
     assert 1 - P + log_B + math.log2(C) + log_N <= -level.prec
