@@ -234,6 +234,8 @@ def gppv_check(graph, group, level, order, rank_n, subgroup_m, precision,
     from plumbq.gppv import gppv_verify, report_to_json
 
     _check_precision(precision)
+    if not tol >= 0:  # also false for NaN
+        _fail_usage("tolerance must be a nonnegative number")
     g = _load_graph(graph)
     if not is_negative_definite(linking_matrix(g)):
         _fail_math("linking matrix is not negative definite")

@@ -18,7 +18,9 @@ reads one fixed-point table of phases (wrt._phase_table) by a mod 2D, at
 scale 2^-P, P the working precision plus 64 bits; the decomposition takes
 its limits to that scale.  Each sum is exact in integers and becomes an
 mpc once, so a sum of K terms of size at most A is within K (A + 2) 2^-P of
-exact.  A decomposition gets its blocks from one call of zhat.zhat_blocks.
+exact.  The reciprocity sums count their exponents per class, the box sums
+by elimination along the forest of B, and weigh each class once.  A
+decomposition gets its blocks from one call of zhat.zhat_blocks.
 The limits at the root read the same table: a partial sum of a series with
 coefficients c is within 2^-P sum |c| of exact, and so is a tail mean of
 root_limit_periodic, whose weights are nonnegative.
@@ -103,47 +105,49 @@ def _pairing(M, x, y):
     return sum(M[i][j] * x[i] * y[j] for i in range(n) for j in range(n))
 
 
-def _quadratic_values(B, lin, start: int, step: int, count: int):
-    """n^T B n + 2 lin . n for every n in {start, start + step, ...,
-    start + (count - 1) step}^L.
+def _box_counts(B, lin, values: range, M: int) -> dict[int, int]:
+    """{a: the number of n in values^L with n^T B n + 2 lin.n = a mod M}, B
+    symmetric with its off-diagonal entries on a forest, leaves eliminated
+    first.  A message is a count vector mod x^M - 1 packed into an int, w
+    bits a slot; no count passes |values|^L < 2^(w-1), so no slot carries.
+    Vertex v holds one per value of n_v, the product of its eliminated
+    neighbours' edge messages times x^(B_vv n_v^2 + 2 lin_v n_v); the edge
+    to its last neighbour u sums those times x^(2 B_uv n_u n_v), per n_u.
+    B is a forest (#edges = L - #components) exactly when every step finds
+    a vertex with at most one neighbour left."""
+    L, c = len(B), len(values)
+    w = (c ** L).bit_length() + 1
+    mask = (1 << M * w) - 1
 
-    n runs as an odometer: a step moves one coordinate j by delta, which
-    changes the value by 2 delta (Bn)_j + delta^2 B_jj + 2 delta lin_j and
-    Bn by delta times row j of B (symmetric).
-    """
-    L = len(B)
-    n = [start] * L
-    Bn = [start * sum(row) for row in B]
-    value = start * sum(Bn) + 2 * start * sum(lin)
-    last = start + (count - 1) * step
+    def fold(p: int) -> int:  # p mod x^M - 1, for p of at most 2M slots
+        return (p & mask) + (p >> M * w)
 
-    def move(j, delta):
-        nonlocal value
-        value += delta * (2 * Bn[j] + delta * B[j][j] + 2 * lin[j])
-        n[j] += delta
-        for i, b in enumerate(B[j]):
-            Bn[i] += delta * b
-
-    while True:
-        yield value
-        j = L - 1
-        while j >= 0 and n[j] == last:
-            j -= 1
-        if j < 0:
-            return
-        for i in range(j + 1, L):
-            move(i, start - last)
-        move(j, step)
+    left, msgs, total = list(range(L)), [[1] * c for _ in range(L)], 1
+    while left:
+        nbrs = {v: [u for u in left if u != v and B[v][u]] for v in left}
+        v = min(left, key=lambda x: len(nbrs[x]))
+        if len(nbrs[v]) > 1:
+            raise ValueError("the off-diagonal entries of B do not form a forest")
+        left.remove(v)
+        own = [fold(m << (B[v][v] * n * n + 2 * lin[v] * n) % M * w)
+               for m, n in zip(msgs[v], values)]
+        if not nbrs[v]:
+            total = fold(total * sum(own))
+            continue
+        u = nbrs[v][0]
+        msgs[u] = [fold(m * sum(fold(q << 2 * B[u][v] * n * x % M * w)
+                                for q, x in zip(own, values)))
+                   for m, n in zip(msgs[u], values)]
+    return {a: total >> a * w & (1 << w) - 1 for a in range(M)}
 
 
-def _weigh(D: int, exponents) -> mp.mpc:
-    """sum of exp(pi i a / D) over the exponents a, each class mod 2D weighed
-    once: its count times its table entry, in integers."""
+def _weigh(D: int, counts: dict[int, int]) -> mp.mpc:
+    """sum of c exp(pi i a / D) over the exponents a and their counts c, in
+    integers: each count times its table entry."""
     P = mp.mp.prec + 64
     Zre, Zim = _phase_table(D, P)
-    counts = Counter(a % (2 * D) for a in exponents).items()
-    return _to_mpc(sum(c * Zre[a] for a, c in counts),
-                   sum(c * Zim[a] for a, c in counts), P)
+    return _to_mpc(sum(c * Zre[a % (2 * D)] for a, c in counts.items()),
+                   sum(c * Zim[a % (2 * D)] for a, c in counts.items()), P)
 
 
 def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
@@ -152,11 +156,21 @@ def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
     The even identity sums exp(pi i (n,Bn)/(2k) + pi i (ell,n)/k) over
     n mod 2k against a cokernel sum; the odd identity sums over odd vectors
     mod 4k+4 with K = k.  Both residuals should vanish for any nonsingular
-    symmetric integer B.  The phases are over D = 2k and 4K + 4 on the
-    left-hand sides and D = |det B| on both cokernel sums.
+    symmetric integer B; B must have its off-diagonal entries on a forest,
+    as a tree's linking matrix has (ValueError otherwise).  The phases are
+    over D = 2k and 4K + 4 on the left-hand sides and D = |det B| on both
+    cokernel sums.
+
+    A box of side c takes O(L c^2) packed-int operations for its c^L
+    vectors (_box_counts).  The odd cokernel sum runs over Z^L/2BZ^L, whose
+    classes are a = r + B e, r in Z^L/BZ^L, e in {0,1}^L.  As adj B = det I,
+    a's exponent is r's plus |det| X(e) mod 2|det|,
+    X(e) = sum_i e_i ((K + 1) B_ii + ell_i).  If every X(e) is even, each
+    count is 2^L times r's; otherwise half the e move a class by |det|, so
+    count[a] = count[a + |det|], and as Z[a + |det|] = -Z[a] exactly in the
+    table, the sum is exactly 0.
     """
-    # B need not be the linking matrix of a tree, so it goes through the
-    # bare-matrix constructor rather than linking_matrix
+    # B comes without a graph: LinkingMatrix.of, not linking_matrix(g)
     lm = LinkingMatrix.of(B)
     if lm.det == 0:
         raise ValueError("matrix is singular")
@@ -165,33 +179,29 @@ def gauss_reciprocity_check(B, ell, k: int, dps: int = 40) -> dict:
     ell = [int(x) for x in ell]
     sigma = lm.b_plus - lm.b_minus
     s = 1 if det > 0 else -1
+    reps = coset_representatives(B)
     with mp.workdps(dps + 10):
         # even identity
-        lhs = _weigh(2 * k, _quadratic_values(B, ell, 0, 1, 2 * k))
+        lhs = _weigh(2 * k, _box_counts(B, ell, range(2 * k), 4 * k))
         pref = mp.expjpi(mp.mpf(sigma) / 4) * (2 * k) ** mp.mpf(L / 2) / mp.sqrt(abs(det))
         # with v = 2k a + ell, -2k (v/2k)^T B^{-1} (v/2k) is
         # -(2k a^T adj a + 2 a^T adj ell) / det - ell^T adj ell / (2k det)
-        rhs = _phase(Fraction(-_pairing(adj, ell, ell), 2 * k * det)) * _weigh(abs(det), (
-            -s * (2 * k * _pairing(adj, a, a) + 2 * _pairing(adj, a, ell))
-            for a in coset_representatives(B)))
+        rhs = _phase(Fraction(-_pairing(adj, ell, ell), 2 * k * det)) * _weigh(abs(det), Counter(
+            -s * (2 * k * _pairing(adj, a, a) + 2 * _pairing(adj, a, ell)) for a in reps))
         even_res = abs(lhs - pref * rhs)
 
-        # odd identity at level K = k, root order 2K + 2
-        K = k
-        dvec = [e - sum(B[i][j] for j in range(L)) for i, e in enumerate(ell)]
-        qden = 2 * K + 2
-        # the odd identity's phases are q^x = exp(pi i 2x / qden)
-        lhs2 = _weigh(2 * qden,
-                      _quadratic_values(B, dvec, 1, 2, 2 * K + 2))
-        pref2 = (
-            mp.expjpi(mp.mpf(sigma) / 4) * (K + 1) ** mp.mpf(L / 2) / mp.sqrt(abs(det))
-            * _phase(Fraction(-_pairing(adj, dvec, dvec), 2 * qden * det))
-        )
-        twoB = [[2 * B[i][j] for j in range(L)] for i in range(L)]
-        shift = [d + sum(B[i]) for i, d in enumerate(dvec)]
-        rhs2 = _weigh(abs(det), (
-            -s * ((K + 1) * _pairing(adj, a, a) + _pairing(adj, a, shift))
-            for a in coset_representatives(twoB)))
+        # odd identity at level K = k: phases q^x = exp(pi i 2x / (2K + 2)),
+        # over D = 4K + 4, on the odd vectors mod 4K + 4
+        D = 4 * k + 4
+        dvec = [e - sum(row) for e, row in zip(ell, B)]
+        lhs2 = _weigh(D, _box_counts(B, dvec, range(1, D, 2), 2 * D))
+        pref2 = (mp.expjpi(mp.mpf(sigma) / 4) * (k + 1) ** mp.mpf(L / 2) / mp.sqrt(abs(det))
+                 * _phase(Fraction(-_pairing(adj, dvec, dvec), D * det)))
+        # the cokernel exponent's linear term is adj (dvec + B (1, ..., 1)) = adj ell
+        odd = any(((k + 1) * B[i][i] + ell[i]) % 2 for i in range(L))
+        rhs2 = _weigh(abs(det), {} if odd else {a: c << L for a, c in Counter(
+            -s * ((k + 1) * _pairing(adj, a, a) + _pairing(adj, a, ell))
+            for a in reps).items()})
         odd_res = abs(lhs2 - pref2 * rhs2)
         return {"even": float(even_res), "odd": float(odd_res)}
 
@@ -225,22 +235,14 @@ def radial_limit(s: QSeries, kprime: int, eps_schedule=None, dps: int = 40):
             return _to_mpc(*(sums[-1] if sums else (0, 0)), P) / C, mp.mpf(0)
         root = mp.expjpi(mp.mpf(2) / kprime)
         eps = [mp.mpf(e) for e in eps_schedule]
-        if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])) or any(
-            not (0 < e < 1) for e in eps
-        ):
+        if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])) or not all(0 < e < 1 for e in eps):
             raise ValueError("eps schedule must decrease within (0, 1)")
-        vals = [qs_eval(s, (1 - e) * root) for e in eps]
         # Neville extrapolation to eps = 0
-        tab = list(vals)
-        prev_diag = tab[0]
+        tab = [qs_eval(s, (1 - e) * root) for e in eps]
         for m in range(1, len(eps)):
             for j in range(len(eps) - 1, m - 1, -1):
-                tab[j] = (
-                    -eps[j - m] * tab[j] + eps[j] * tab[j - 1]
-                ) / (eps[j] - eps[j - m])
-            prev_diag = tab[-2] if len(eps) > 1 else tab[-1]
-        err = abs(tab[-1] - prev_diag)
-        return tab[-1], err
+                tab[j] = (-eps[j - m] * tab[j] + eps[j] * tab[j - 1]) / (eps[j] - eps[j - m])
+        return tab[-1], abs(tab[-1] - tab[-2 if len(eps) > 1 else -1])
 
 
 def root_limit_periodic(s: QSeries, kprime: int, dps: int = 40):
@@ -287,12 +289,8 @@ _EPS_SCHEDULE = (0.1, 0.05, 0.025)
 def _block_limit(s: QSeries, root_order: int, schedule, dps: int) -> mp.mpc:
     """Limit of a block series at the root: direct for finite blocks, the
     periodic tail mean when it is detectable, Neville otherwise."""
-    if schedule is None:
-        return radial_limit(s, root_order, None, dps)[0]
-    val, period = root_limit_periodic(s, root_order, dps)
-    if val is not None:
-        return val
-    return radial_limit(s, root_order, schedule, dps)[0]
+    val = None if schedule is None else root_limit_periodic(s, root_order, dps)[0]
+    return radial_limit(s, root_order, schedule, dps)[0] if val is None else val
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +309,11 @@ def _pprime_dual_basis(N: int, m: int) -> list[tuple[int, ...]]:
     if m == N:
         return [tuple(1 if i == j else 0 for i in range(r)) for j in range(r)]
     # pairing with the generator: N (L_i, L_m)
-    w = [row[m - 1] for row in gram(N)] + [N]
-    # column-reduce the row vector w to (g, 0, ..., 0) tracking U
+    vec = [row[m - 1] for row in gram(N)] + [N]
+    # column-reduce the row vector vec to (g, 0, ..., 0) tracking U
     U = [[1 if i == j else 0 for j in range(r + 1)] for i in range(r + 1)]
-    vec = list(w)
     while sum(1 for x in vec if x != 0) > 1:
-        nz = sorted((abs(x), i) for i, x in enumerate(vec) if x != 0)
-        _, piv = nz[0]
+        _, piv = min((abs(x), i) for i, x in enumerate(vec) if x != 0)
         for i in range(r + 1):
             if i == piv or vec[i] == 0:
                 continue

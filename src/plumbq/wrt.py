@@ -60,8 +60,7 @@ __all__ = [
 # The subtree memo of a level stops taking messages once it holds this many
 # colour entries in all: under 1 MB at the default precision (dps 60).
 _MEMO_ENTRIES = 4096
-# A level keeps the data of this many scales P = prec + 64 j, most recent
-# first.
+# A level keeps the last this many scales P = prec + 64 j that it made.
 _SCALES = 4
 
 
@@ -307,8 +306,8 @@ class _Scale:
     Z[f twist[c]] amp[c]^(2-d), is made on first use, 1/amp by one rounded
     Gaussian division."""
 
-    def __init__(self, level: "_Level", P: int):
-        self.P, self.level, self.memo, self.fold = P, level, level.memo, level.fold
+    def __init__(self, level: "_Level", P: int):  # keeps no reference to level
+        self.P, self.memo, self.fold, self.twist = P, level.memo, level.fold, level.twist
         self.Z, rows, self.amp = level.make(P)
         self.rows = [self.fold.split(row) for row in rows]
         self._vertex, self._inverse = {}, None
@@ -320,7 +319,7 @@ class _Scale:
         row = self._vertex.get(label)
         if row is None:
             (f, d), (Zre, Zim), P = label, self.Z, self.P
-            idx = [f * t % len(Zre) for t in self.level.twist]
+            idx = [f * t % len(Zre) for t in self.twist]
             row = ([Zre[a] for a in idx], [Zim[a] for a in idx])
             if d > 2 and self._inverse is None:
                 one = 1 << (2 * P + 1)
@@ -352,10 +351,8 @@ class _Level:
     colorings of L vertices and U_eps the unknot sum at framing eps.  E
     scaled by c scales T by c^(L+1) (L - 1 edges and amp^(2-d) at each
     vertex) and U_eps by c^2, which leaves tau as it is: the constant
-    cancels, so no S entry is rounded by it.  make(P) builds the table, the
-    edge rows of the representatives over the representatives and the
-    amplitudes of a _Scale.  memo holds _tree_sum's contracted messages of
-    every scale.
+    cancels, so no S entry is rounded by it.  scale(P) makes a _Scale from
+    make(P); memo holds _tree_sum's contracted messages of every scale.
 
     The simple current J turns the affine labels (k' - sum_i lam_i, lam_1,
     ..., lam_{N-1}) of lam one place, so J lam = k' L_1 + w lam for an
@@ -409,8 +406,7 @@ class _Level:
         self.images = {a: [(s, [2 * sum(map(mul, row, image)) for row in gram(N)])
                            for s, image in weyl_orbit(N, self.coords[a], sign)]
                        for a in [o[0] for o in self.fold.orbits] + [self.x]}
-        self.memo: dict = {}
-        self.scale = functools.lru_cache(_SCALES)(lambda P: _Scale(self, P))
+        self.memo, self._scales = {}, {}  # messages by (P, name), _Scales by P
         base = self.scale(self.prec + 64)
         n, P, C_E = len(colors), base.P, self.C_E
         slack = 4 * C_E
@@ -424,6 +420,14 @@ class _Level:
         self.log_unknot = {eps: math.log2(math.isqrt(sum(re) ** 2 + sum(im) ** 2)
                                           - math.ceil(self.unknot_err)) - P
                            for eps in (1, -1) for re, im in [base.vertex_row((eps, 0))]}
+
+    def scale(self, P: int) -> _Scale:
+        """The _Scale at 2^P, kept for the last _SCALES scales made."""
+        if P not in self._scales:
+            if len(self._scales) == _SCALES:
+                del self._scales[next(iter(self._scales))]
+            self._scales[P] = _Scale(self, P)
+        return self._scales[P]
 
     def make(self, P: int):
         """The table Z at scale 2^P, the edge rows of the representatives

@@ -194,6 +194,10 @@ class TestExitCodes:
          2),
         (("gppv-check", "--graph", "poincare", "--level", "2",
           "--precision", "0"), 2),
+        (("gppv-check", "--graph", "lens-m5-11", "--level", "3",
+          "--order", "60", "--tol", "-1"), 2),
+        (("gppv-check", "--graph", "lens-m5-11", "--level", "3",
+          "--order", "60", "--tol", "nan"), 2),
         (("kirby", "--graph", "poincare", "--move", '{"kind": "blow_up"}'),
          2),
         (("kirby", "--graph", "poincare", "--move", "[1, 2]"), 2),
@@ -216,7 +220,8 @@ class TestExitCodes:
             "wrt-subgroup-negative", "gppv-rank-1", "gppv-rank-0",
             "gppv-subgroup-0", "gppv-subgroup-negative",
             "wrt-precision-zero", "wrt-precision-negative",
-            "gppv-precision-zero", "kirby-missing-key", "kirby-move-not-object",
+            "gppv-precision-zero", "gppv-tol-negative", "gppv-tol-nan",
+            "kirby-missing-key", "kirby-move-not-object",
             "kirby-edge-not-pair", "kirby-sign-not-unit", "kirby-id-taken",
             "kirby-edge-not-in-graph", "quiver-no-nodes", "dt-no-nodes"])
     def test_exit_code(self, tmp_path, args, code):
@@ -240,6 +245,8 @@ class TestExitCodes:
             assert res.output == "error: need N >= 2\n"
         if "--precision" in args:
             assert res.output == "error: precision must be at least 1\n"
+        if "--tol" in args:
+            assert res.output == "error: tolerance must be a nonnegative number\n"
 
 
 class TestReadersTakeOnlyIntegers:

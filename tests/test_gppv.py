@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plumbq import gppv
 from plumbq.catalog import brieskorn_2_3_7, lens_m5_11, poincare_sphere
 from plumbq.gppv import (
     _block_limit,
@@ -22,6 +24,7 @@ from plumbq.gppv import (
     root_limit_periodic,
 )
 from plumbq.plumbing import (
+    LinkingMatrix,
     PlumbingGraph,
     coset_representatives,
     degree_delta,
@@ -209,6 +212,151 @@ class TestGaussReciprocity:
     def test_singular_matrix_is_rejected(self):
         with pytest.raises(ValueError, match="matrix is singular"):
             gauss_reciprocity_check([[1, 2], [2, 4]], [0, 1], 2)
+        # singularity is reported before the shape of B
+        with pytest.raises(ValueError, match="matrix is singular"):
+            gauss_reciprocity_check([[1, 1, 1], [1, 1, 1], [1, 1, 1]], [0, 1, 0], 2)
+
+    def test_cycle_is_rejected(self):
+        with pytest.raises(ValueError, match="do not form a forest"):
+            gauss_reciprocity_check([[-3, 1, 1], [1, -3, 1], [1, 1, -3]], [0, 1, 0], 2)
+
+    def test_six_vertex_tree_at_k6(self):
+        # 12^6 + 14^6 box vectors, counted per edge
+        g = PlumbingGraph.build([-3, -2, -4, -2, -3, -5],
+                                [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5)])
+        B = [list(r) for r in linking_matrix(g).B]
+        res = gauss_reciprocity_check(B, [1, -2, 0, 3, -1, 2], 6)
+        assert res["even"] < 1e-9 and res["odd"] < 1e-9, res
+
+
+def _quadratic_values(B, lin, start: int, step: int, count: int):
+    """n^T B n + 2 lin . n for every n in {start, start + step, ...,
+    start + (count - 1) step}^L, vector by vector: the reference for
+    gppv._box_counts.
+
+    n runs as an odometer: a step moves one coordinate j by delta, which
+    changes the value by 2 delta (Bn)_j + delta^2 B_jj + 2 delta lin_j and
+    Bn by delta times row j of B (symmetric).
+    """
+    L = len(B)
+    n = [start] * L
+    Bn = [start * sum(row) for row in B]
+    value = start * sum(Bn) + 2 * start * sum(lin)
+    last = start + (count - 1) * step
+
+    def move(j, delta):
+        nonlocal value
+        value += delta * (2 * Bn[j] + delta * B[j][j] + 2 * lin[j])
+        n[j] += delta
+        for i, b in enumerate(B[j]):
+            Bn[i] += delta * b
+
+    while True:
+        yield value
+        j = L - 1
+        while j >= 0 and n[j] == last:
+            j -= 1
+        if j < 0:
+            return
+        for i in range(j + 1, L):
+            move(i, start - last)
+        move(j, step)
+
+
+def reference_counts(B, lin, values: range, M: int) -> Counter:
+    return Counter(v % M for v in _quadratic_values(B, lin, values.start, values.step,
+                                                     len(values)))
+
+
+def random_forest(rng, L: int) -> list[list[int]]:
+    """A symmetric B whose off-diagonal entries, in +-1..+-4, lie on a random
+    forest: each vertex after the first joins an earlier one or none."""
+    B = [[0] * L for _ in range(L)]
+    for v in range(1, L):
+        if rng.random() < 0.8:
+            u = rng.randrange(v)
+            B[u][v] = B[v][u] = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+    for v in range(L):
+        B[v][v] = rng.randint(-7, 7)
+    return B
+
+
+class TestReciprocityCounts:
+    """The class counts gauss_reciprocity_check weighs are those of the
+    vector-by-vector sums they replace."""
+
+    FORESTS = [
+        [[5]],
+        [[-2, 3, 0, 0], [3, 1, 0, 0], [0, 0, -4, -2], [0, 0, -2, 3]],
+        [[-1, 0, 0], [0, 2, 0], [0, 0, -3]],
+        [[-2, 4, 0, -3, 0], [4, -5, 2, 0, 0], [0, 2, 1, 0, 0], [-3, 0, 0, -1, 0],
+         [0, 0, 0, 0, 6]],
+    ]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_box_counts_match_the_odometer(self, seed):
+        rng = random.Random(seed)
+        if seed < len(self.FORESTS):
+            B = self.FORESTS[seed]
+        else:
+            B = random_forest(rng, 1 + seed % 5)
+        L = len(B)
+        k = rng.randint(1, {1: 9, 2: 7, 3: 4, 4: 2, 5: 2}[L])
+        ell = [rng.randint(-4, 4) for _ in range(L)]
+        dvec = [e - sum(row) for e, row in zip(ell, B)]
+        # the even and the odd identity's boxes
+        for lin, values, M in ((ell, range(2 * k), 4 * k),
+                               (dvec, range(1, 4 * k + 4, 2), 8 * k + 8)):
+            counts = gppv._box_counts(B, lin, values, M)
+            assert {a: c for a, c in counts.items() if c} == reference_counts(B, lin, values, M)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_odd_cokernel_counts_match_the_enumeration(self, seed, monkeypatch):
+        # B over random nonsingular symmetric matrices, forests or not; the
+        # box sums go through the reference, which takes any B.  Half the
+        # seeds make every (K + 1) B_ii + ell_i even, half not.
+        rng = random.Random(1000 + seed)
+        while True:
+            L = rng.randint(2, 4)
+            B = [[0] * L for _ in range(L)]
+            for i in range(L):
+                B[i][i] = rng.randint(-6, 6)
+                for j in range(i):
+                    B[i][j] = B[j][i] = rng.choice([0, 0, -2, -1, 1, 2, 3])
+            det = LinkingMatrix.of(B).det
+            if det and abs(det) <= 80:
+                break
+        k = rng.randint(1, 4 if L < 4 else 2)
+        ell = [rng.randint(-3, 3) for _ in range(L)]
+        ell = [e + (e + (k + 1) * B[i][i]) % 2 for i, e in enumerate(ell)]
+        if seed % 2:
+            ell[0] += 1
+        monkeypatch.setattr(gppv, "_box_counts", reference_counts)
+        weigh, weighed = gppv._weigh, []
+
+        def spy(D, counts):
+            weighed.append((D, counts))
+            return weigh(D, counts)
+
+        monkeypatch.setattr(gppv, "_weigh", spy)
+        res = gauss_reciprocity_check(B, ell, k)
+        assert res["even"] < 1e-9 and res["odd"] < 1e-9, res
+        D, counts = weighed[3]  # even lhs, even rhs, odd lhs, odd rhs
+        assert D == abs(det)
+        adj, s = LinkingMatrix.of(B).adj, 1 if det > 0 else -1
+        twoB = [[2 * x for x in row] for row in B]
+        ref = Counter(-s * ((k + 1) * _pairing(adj, a, a) + _pairing(adj, a, ell)) % (2 * D)
+                      for a in coset_representatives(twoB))
+        if seed % 2:
+            # each class has its partner |det| on, with the opposite phase
+            assert counts == {}
+            assert all(ref[a] == ref[a + D] for a in range(D))
+            assert weigh(D, ref) == weigh(D, {}) == 0
+        else:
+            got = Counter()
+            for a, c in counts.items():
+                got[a % (2 * D)] += c
+            assert got == ref
 
 
 def reference_root_limit_periodic(s, kprime, dps=40):

@@ -1,9 +1,11 @@
 """State-sum invariants at roots of unity: normalization, Kirby
 invariance, quotient-group consistency."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 from functools import cache
 from operator import mul
@@ -591,6 +593,23 @@ class TestLevelContext:
             wrt._MEMO_ENTRIES // 201 * 201)
         assert wrt_su2(g, 200, 20).value._mpc_ == cold
 
+    def test_evicted_level_is_freed_without_the_collector(self):
+        # a level and its scales hold no reference cycle, so the one-entry
+        # cache frees them at eviction by reference counting alone
+        g = poincare_sphere()
+        wrt._level.cache_clear()
+        wrt_su2(g, 60)
+        with mp.workdps(75):
+            level = wrt._level(2, 1, 62, -1, mp.mp.prec)
+        refs = weakref.ref(level), weakref.ref(level.scale(level.prec + 64))
+        del level
+        gc.disable()
+        try:
+            wrt_so3(g, 40)
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(sorted(STATE_SUMS)), st.data(), definite_trees(),
            st.sampled_from([(15, 40), (40, 15), (20, 21)]))
@@ -608,19 +627,25 @@ class TestLevelContext:
 
 def check_scale(f, g, k, dps):
     """Run f(g, k, dps) and check that the scale its tree sum ran at meets
-    the bound _Level states; returns that scale."""
-    seen = []
-    contract = wrt._tree_sum
+    the bound _Level states; returns that scale and its level."""
+    seen, levels = [], []
+    contract, make_level = wrt._tree_sum, wrt._level
 
     def spy(g, labels, scale):
         seen.append((labels, scale))
         return contract(g, labels, scale)
 
+    def level_spy(*key):
+        levels.append(make_level(*key))
+        return levels[-1]
+
     with pytest.MonkeyPatch.context() as mpatch:
         mpatch.setattr(wrt, "_tree_sum", spy)
+        mpatch.setattr(wrt, "_level", level_spy)
         f(g, k, dps)
     (labels, scale), = seen
-    level, P, lm = scale.level, scale.P, linking_matrix(g)
+    (level,) = levels
+    P, lm = scale.P, linking_matrix(g)
     assert (P - level.prec) % 64 == 0 and P >= level.prec + 64
     n, L, C_E = len(level.twist), lm.size, level.C_E
     log_A = C = 0
@@ -639,7 +664,7 @@ def check_scale(f, g, k, dps):
            + b * level.unknot_err * 2 ** -min(level.log_unknot.values()))
     assert math.log2(eps) - P <= -level.prec
     assert 2 - P + 2 * math.log2(C) <= 0
-    return scale
+    return scale, level
 
 
 class TestStateSumBound:
@@ -657,7 +682,7 @@ class TestStateSumBound:
     def test_scale_above_float_range(self, name):
         # at dps 400 the scale passes 2^1024, beyond what a float holds
         f, levels = STATE_SUMS[name]
-        scale = check_scale(f, brieskorn_2_3_7(), levels[0], 400)
+        scale, _ = check_scale(f, brieskorn_2_3_7(), levels[0], 400)
         assert scale.P > 1024
 
     @pytest.mark.parametrize("f,k,leaves,bits", [
@@ -668,8 +693,8 @@ class TestStateSumBound:
         # 64 bits above the working precision
         g = PlumbingGraph.build([-leaves - 6] + [-2 - i for i in range(leaves)],
                                 [(0, i) for i in range(1, leaves + 1)])
-        scale = check_scale(f, g, k, 20)
-        assert scale.P - scale.level.prec >= bits
+        scale, level = check_scale(f, g, k, 20)
+        assert scale.P - level.prec >= bits
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(sorted(STATE_SUMS)), st.data(), definite_trees(),
