@@ -30,9 +30,11 @@ the integer operations that made it, so warm and cold calls agree bitwise.
 The normalization divides by a power of the amplitude x = S_rho,rho and
 by the unknot contributions of (+-1)-framed single vertices, one per
 positive/negative eigenvalue of the linking matrix, so the three-sphere
-always evaluates to 1.  It does not change when the S-matrix is scaled, so
-an S entry is an exact signed Weyl sum of table phases, without its
-normalizing constant.
+always evaluates to 1.  A linking matrix of nullity nu = L - b+ - b- also
+takes the factor S_00^nu, S_00 the unitary S entry of the group's own
+colors (sum_lam |S_0,lam|^2 = 1), so S^1 x S^2 evaluates to 1/S_00.  None of
+this changes when the S-matrix is scaled, so an S entry is an exact signed
+Weyl sum of table phases, without its normalizing constant.
 """
 
 from __future__ import annotations
@@ -347,10 +349,11 @@ class _Level:
     and x is the index of rho: amp[x] is the x of the normalization.  At
     sign = -1, E is the S-matrix times a constant (i^npos r)^-1,
     r = ((N/m) k'^(N-1))^-1/2.  Every group is normalized as
-    tau = x^-(L+1) T / prod_eps (U_eps / x^2)^b_eps, T the sum over
-    colorings of L vertices and U_eps the unknot sum at framing eps.  E
-    scaled by c scales T by c^(L+1) (L - 1 edges and amp^(2-d) at each
-    vertex) and U_eps by c^2, which leaves tau as it is: the constant
+    tau = x^-(L+1) T S_00^nu / prod_eps (U_eps / x^2)^b_eps, T the sum over
+    colorings of L vertices, U_eps the unknot sum at framing eps, nu the
+    nullity of B and S_00^2 = |x|^2 / sum_lam |amp[lam]|^2.  E scaled by c
+    scales T by c^(L+1) (L - 1 edges and amp^(2-d) at each vertex) and
+    U_eps by c^2 and keeps S_00, which leaves tau as it is: the constant
     cancels, so no S entry is rounded by it.  scale(P) makes a _Scale from
     make(P); memo holds _tree_sum's contracted messages of every scale.
 
@@ -377,10 +380,12 @@ class _Level:
     The normalization scales that by its size
     |N| = |x|^-(L+1) prod_eps (|x|^2 / |U_eps|)^b_eps and moves tau
     relatively by at most
-    eps = (L + 1 + 2b) 2u C_E / |x| + b 2u n A_0 C_0 / min |U_eps|,
-    b = b+ + b-.  scale_bits takes the least P = prec + 64 j, j >= 1, with
-    2u B C |N| and eps at most 2^-prec and 4u C^2 <= 1.  With at most
-    2L + 10 roundings in mp, tau is then within (2L + 13) 2^-prec
+    eps = (L + 1 + 2b + nu (1 + sqrt n)) 2u C_E / |x|
+          + b 2u n A_0 C_0 / min |U_eps|,
+    b = b+ + b-, the nu term bounding S_00^nu (S_00 <= 1 keeps |N| a bound).
+    scale_bits takes the least P = prec + 64 j, j >= 1, with 2u B C |N| and
+    eps at most 2^-prec and 4u C^2 <= 1.  With at most 2L + 14 roundings in
+    mp, four in S_00^nu, tau is then within (2L + 17) 2^-prec
     max(1, |tau|) of exact: within 10^-(dps+10)
     max(1, |tau|) for L < 49,990, as prec >= (dps + 15) log2 10.  The
     level reads rho, a_lo, a_hi, x and U off the base scale prec + 64.
@@ -471,7 +476,7 @@ class _Level:
         worst = min(self.log_unknot.values())
         needs = (
             math.log2(2 * n * C) + (L - 1) * self.log_rho + log_A + log_N,
-            math.log2((L + 1 + 2 * b) * 2 * C_E * 2 ** -x_lo
+            math.log2((L + 1 + 2 * b + (L - b) * (1 + math.sqrt(n))) * 2 * C_E * 2 ** -x_lo
                       + b * self.unknot_err * 2 ** -worst),
             2 + 2 * math.log2(C) - self.prec,
         )
@@ -500,6 +505,9 @@ def _state_sum(g: PlumbingGraph, variant: str, level: int, N: int, m: int,
         tau = scale.x ** -(lm.size + 1) * _tree_sum(g, labels, scale)
         for eps, b in ((1, lm.b_plus), (-1, lm.b_minus)):
             tau /= scale.unknot[eps] ** b
+        # the unitary S_00^nu, nu the nullity and S_00^2 = |amp[x]|^2 / sum |amp|^2
+        nu, norms = lm.size - lm.b_plus - lm.b_minus, [a * a + b * b for a, b in zip(*scale.amp)]
+        tau *= mp.sqrt(mp.mpf(norms[lvl.x] ** nu) / sum(norms) ** nu)
         value = mp.mpc(tau)
     return WRTResult(variant, level, kprime, value, dps)
 

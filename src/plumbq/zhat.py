@@ -20,8 +20,9 @@ point gives each vertex a weight s_v from the support of its expansion.
 Its coset is read off its class vector (adj(B) (x) gram(N)) s mod N det B,
 and its exponent, past the prefactor -(3L + tr B)(rho, rho)/2, is
 -sum_{v,w} adj_vw N (s_v, s_w) / (2N det B).  The walk fixes one vertex at
-a time and cuts a branch once a lower bound on the exponent from the LDL
-factors of -B reaches the order, so one pass buckets every label.
+a time, the largest support last, cut to a slab by one isqrt; a branch
+ends once a lower bound on the exponent from the LDL factors of -B reaches
+the order, so one pass buckets every label.
 
 An independent constant-term oracle multiplies the theta function by its
 own vertex expansions and reads off the z-degree-zero part.  It takes the
@@ -47,7 +48,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul
 from typing import NamedTuple
 
 from plumbq.lie import cartan, gram, rho_norm, weyl_orbit
@@ -375,51 +376,65 @@ def _walk(lm: LinkingMatrix, N: int, R: Fraction, sup):
     {q * scale: coefficient * D}}, scale, D, D the product of the den.
 
     2N q = s^T (A^{-1} (x) gram(N)) s with A = -B.  Each level fixes one
-    vertex, one-point supports first, then by descending size.  With
+    vertex, by ascending support size, so the largest is walked last.  With
     A = L D L^T in walk order and z = L^{-1} s, the sum of pair(z_i, z_i) / D_i
     over the first k levels is the least 2N q of any completion.  In
     integers, d_k being the k-th leading minor of A and P the earlier
-    levels, w_k = d_{k-1} z_k = d_{k-1} s_k - A_{k,P} adj(A_PP) s_P and
-    pair(z_k, z_k) / D_k = pair(w_k, w_k) / (d_{k-1} d_k); the minors and the
-    rows A_{k,P} adj(A_PP) come from `_bordered_minors` in walk order.  The
-    walk carries A_{k,P} adj(A_PP) s_P for the later levels and the class
-    vector.
+    levels, w_k = d_{k-1} z_k = d_{k-1} s_k - acc_k, acc_k = A_{k,P} adj(A_PP) s_P,
+    and pair(z_k, z_k) / D_k = pair(w_k, w_k) / (d_{k-1} d_k); the minors and
+    the rows A_{k,P} adj(A_PP) come from `_bordered_minors` in walk order.
+    The walk carries the later levels' acc and the class vector.  A row
+    keeps dmu = d_{k-1} s_k, omega N (dmu, dmu) and 2 omega gram(N) dmu, so a
+    candidate costs one dot product past its level's N (acc, acc).  As
+    gram(N)^{-1} = C / N has (0, 0) entry 2/N, a last-level candidate with
+    omega N (dmu - acc, dmu - acc) <= room = lim - 1 - T (>= 0: levels are
+    entered below lim) has (dmu_0 - acc_0)^2 <= 2 room / (N omega), so one
+    isqrt and two bisects cut the rows, sorted by dmu_0, to that slab before
+    the exact test.  At rank 1 the slab is the admissible set.
     """
     n, r, G = lm.size, N - 1, gram(N)
     A, mod = [[-x for x in row] for row in lm.B], N * abs(lm.det)
     D = math.prod(den for _, den in sup)
     sup = [{mu: c for mu, c in row.items() if _norm(G, mu) * R.denominator < cap}
            for (row, _), cap in zip(sup, [2 * N * R.numerator * A[v][v] for v in range(n)])]
-    order = sorted(range(n), key=lambda v: (len(sup[v]) != 1, -len(sup[v]), v))
+    order = sorted(range(n), key=lambda v: (len(sup[v]), v))
     dets, cross = _bordered_minors([[A[a][b] for b in order] for a in order])
     S = math.lcm(*(dets[k] * dets[k + 1] for k in range(n)))
     omega = [S * R.denominator // (dets[k] * dets[k + 1]) for k in range(n)]
     lim = 2 * N * S * R.numerator
     levels = []
     for k, v in enumerate(order):
-        # column k of A_{j,P} adj(A_PP) for each later level j
-        later = [cross[j][k] for j in range(k + 1, n)]
-        levels.append([(c, [dets[k] * x for x in mu],
-                        [0] * ((k + 1) * r) + [f * x for f in later for x in mu]
-                        + [a[v] * sum(map(mul, g, mu)) for a in lm.adj for g in G])
-                       for mu, c in sup[v].items()])
+        # column k of A_{j,P} adj(A_PP) for each later level j, column v of adj(B)
+        later, adj = [cross[j][k] for j in range(k + 1, n)], [a[v] for a in lm.adj]
+        d, w, rows = dets[k], omega[k], []
+        for mu, c in sup[v].items():
+            gm = [sum(map(mul, g, mu)) for g in G]
+            rows.append((d * mu[0], c, w * d * d * sum(map(mul, mu, gm)),
+                         [2 * w * d * x for x in gm], [f * x for f in later for x in mu],
+                         [a * x for a in adj for x in gm]))
+        levels.append(sorted(rows, key=lambda row: row[0]))
+    firsts, last = [row[0] for row in levels[-1]], n - 1
     out: dict = {}
 
-    def rec(k, state, T, coef):
-        acc = state[k * r:(k + 1) * r]
-        for num, dmu, col in levels[k]:
-            t = T + omega[k] * _norm(G, list(map(sub, dmu, acc)))
+    def rec(k, off, cls, T, coef):
+        acc, rows = off[:r], levels[k]
+        base = T + omega[k] * _norm(G, acc)
+        if k == last:
+            s = math.isqrt(2 * (lim - 1 - T) // (N * omega[k]))
+            rows = rows[bisect.bisect_left(firsts, acc[0] - s):
+                        bisect.bisect_right(firsts, acc[0] + s)]
+        for _, num, wn, wg, col, row in rows:
+            t = base + wn - sum(map(mul, wg, acc))
             if t >= lim:
                 continue
-            new = list(map(add, state, col))
-            if k < n - 1:
-                rec(k + 1, new, t, coef * num)
+            if k < last:
+                rec(k + 1, list(map(add, off[r:], col)), list(map(add, cls, row)), t, coef * num)
                 continue
-            bucket = out.setdefault(tuple(x % mod for x in new[n * r:]), {})
+            bucket = out.setdefault(tuple([x % mod for x in map(add, cls, row)]), {})
             bucket[t] = bucket.get(t, 0) + coef * num
 
     if all(sup):
-        rec(0, [0] * (2 * n * r), 0, 1)
+        rec(0, [0] * (n * r), [0] * (n * r), 0, 1)
     return out, 2 * N * S * R.denominator, D
 
 

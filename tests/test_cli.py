@@ -1,11 +1,15 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from plumbq import cli
 from plumbq.cli import main
@@ -358,3 +362,104 @@ def test_python_m_plumbq_runs_the_cli():
                          env=dict(os.environ, PYTHONPATH=path))
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("Usage: plumbq ")
+
+
+# The CLI contract over random inputs: files that may be malformed and
+# option values of the right type.  (A value click cannot parse is click's
+# own usage error, whose help text runs to several lines.)
+SMALL = st.integers(-2, 4)
+JUNK = st.sampled_from([1.5, True, "x", None, [], {}])
+
+
+@st.composite
+def graph_objects(draw):
+    """A plumbing tree of up to three vertices, some with one flaw."""
+    n = draw(st.integers(1, 3))
+    obj = {"vertices": [{"id": i, "framing": draw(st.integers(-5, 2))} for i in range(n)],
+           "edges": [[draw(st.integers(0, i - 1)), i] for i in range(1, n)]}
+    flaw = draw(st.integers(0, 7))
+    if flaw == 1:
+        obj["vertices"][0]["framing"] = draw(JUNK)
+    elif flaw == 2:  # a cycle, a loop, an unknown vertex or not a pair
+        obj["edges"].append(draw(st.lists(st.integers(-1, 3), max_size=3)))
+    elif flaw == 3:  # a repeated id or a second component
+        obj["vertices"].append({"id": draw(st.integers(-1, 3)), "framing": -2})
+    elif flaw == 4:
+        obj = draw(JUNK | st.just({"vertices": obj["vertices"]}))
+    return obj
+
+
+@st.composite
+def quiver_objects(draw):
+    """A symmetric quiver of up to three nodes, some with one flaw."""
+    n = draw(st.integers(1, 3))
+    C = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        C[i][j] = C[j][i] = draw(st.integers(-1, 3))
+    row = st.lists(st.integers(-2, 3), min_size=n, max_size=n)
+    obj = {"n": n, "C": C, "xi": draw(row), "gamma": draw(row)}
+    flaw = draw(st.integers(0, 7))
+    if flaw == 1:
+        obj["n"] = draw(st.integers(-1, 4) | JUNK)
+    elif flaw == 2 and n > 1:
+        C[0][1] += 1
+    elif flaw == 3:
+        obj[draw(st.sampled_from(["xi", "gamma"]))][0] = draw(JUNK)
+    elif flaw == 4:
+        obj = draw(JUNK | st.just({"n": n, "C": C}))
+    return obj
+
+
+def commands(graph, quiver):
+    """Every command, with option values of the right type."""
+    fmt = st.lists(st.sampled_from([("--format", "json"), ("--format", "text")]), max_size=1)
+    groups = st.sampled_from(["su2", "so3", "osp12", "sun-zm"])
+    knots = st.sampled_from(["0_1", "3_1", "4_1", "5_1", "8_3-nested", "twist"])
+    move = st.fixed_dictionaries(
+        {"kind": st.sampled_from(["blow_up", "blow_down", "flip"])},
+        optional={"vertex": SMALL, "sign": SMALL, "at": SMALL | JUNK,
+                  "edge": st.lists(SMALL, max_size=3) | JUNK, "new_id": SMALL})
+    return st.one_of(
+        st.tuples(st.sampled_from(["su2", "so3", "osp12", "su3"]), SMALL, fmt).map(
+            lambda t: ["zhat", "--graph", graph, "--group", t[0],
+                       "--order", str(t[1] if t[0] == "su3" else 4 * t[1]), *sum(t[2], ())]),
+        st.tuples(groups, SMALL, SMALL, SMALL, st.integers(-1, 12)).map(
+            lambda t: ["wrt", "--graph", graph, "--group", t[0], "--level", str(t[1]),
+                       "--rank-n", str(t[2]), "--subgroup-m", str(t[3]),
+                       "--precision", str(t[4])]),
+        st.tuples(groups, st.integers(-1, 3), st.integers(-2, 40), st.integers(1, 3), SMALL,
+                  st.sampled_from(["1e-3", "0", "-1", "nan", "inf"])).map(
+            lambda t: ["gppv-check", "--graph", graph, "--group", t[0], "--level", str(t[1]),
+                       "--order", str(t[2]), "--rank-n", str(t[3]), "--subgroup-m", str(t[4]),
+                       "--precision", "12", "--tol", t[5]]),
+        move.map(lambda m: ["kirby", "--graph", graph, "--move", json.dumps(m)]),
+        st.tuples(SMALL, SMALL).map(
+            lambda t: ["quiver-generate", "--p", str(t[0]), "--m", str(t[1])]),
+        SMALL.map(lambda r: ["quiver-series", "--quiver", quiver, "--r", str(r)]),
+        st.tuples(st.integers(-1, 2), st.integers(-1, 10)).map(
+            lambda t: ["dt", "--quiver", quiver, "--dmax", str(t[0]), "--order", str(t[1])]),
+        st.tuples(knots, SMALL, SMALL).map(
+            lambda t: ["oracle", "--knot", t[0], "--r", str(t[1]), "--p", str(t[2])]))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data(), graph_objects(), quiver_objects())
+def test_cli_contract_on_random_inputs(data, graph, quiver):
+    # exit 0, 1 (a failed check: gppv-check, dt), 2 (usage or parse error)
+    # or 3 (violated precondition), with no traceback; an error prints one
+    # line, and a failed check at most one
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for name, obj in (("g.json", graph), ("q.json", quiver)):
+            files[name] = os.path.join(tmp, name)
+            with open(files[name], "w") as fh:
+                json.dump(obj, fh)
+        args = data.draw(commands(files["g.json"], files["q.json"]))
+        res = CliRunner().invoke(main, args, env={cli.CACHE_ENV: None})
+    assert res.exception is None or isinstance(res.exception, SystemExit), args
+    assert res.exit_code in ((0, 1, 2, 3) if args[0] in ("gppv-check", "dt") else (0, 2, 3)), args
+    assert "Traceback" not in res.output
+    if res.exit_code > 1:
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, (args, res.stderr)
+    else:
+        assert res.stderr.count("\n") <= res.exit_code, (args, res.stderr)

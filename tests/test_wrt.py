@@ -24,7 +24,7 @@ from plumbq.catalog import (
     lens_m5_11,
     poincare_sphere,
 )
-from plumbq.lie import gamma_factor
+from plumbq.lie import allowed_colors, gamma_factor
 from plumbq.plumbing import (
     PlumbingGraph,
     kirby_neumann_move,
@@ -122,21 +122,54 @@ class TestQuotientConsistency:
             assert a.value == b.value
 
     @pytest.mark.parametrize("k", (1, 2, 3, 6))
-    def test_s1xs2_is_one_over_s00_squared(self, k):
-        # B = (0) is singular: tau = U_0 / x^2 = sum_lam S_rho,lam^2 / S_00^2
-        # = 1/S_00^2 with S_00 = sqrt(2/k') sin(pi/k'), in both routes (2.0
-        # at k = 1)
+    def test_s1xs2_is_one_over_s00(self, k):
+        # B = (0) has nullity 1: tau = S_00 U_0 / x^2 = 1/S_00 with
+        # S_00 = sqrt(2/k') sin(pi/k'), the Kirby-Melvin value
+        # Z(S^1 x S^2) / Z(S^3), in both routes (sqrt 2 at k = 1)
         kp = k + 2
         with mp.workdps(60):
-            want = kp / (2 * mp.sin(mp.pi / kp) ** 2)
+            want = mp.sqrt(mp.mpf(kp) / 2) / mp.sin(mp.pi / kp)
             for value in (wrt_su2(S1xS2(), k).value, wrt_sun_zm(S1xS2(), 2, 1, k).value):
                 assert abs(value - want) < mp.mpf(10) ** -50 * want
-        assert wrt_su2(S1xS2(), 1).value == 2
 
     def test_gamma_values(self):
         assert gamma_factor(4, 2) == 2
         assert gamma_factor(6, 2) == 4
         assert gamma_factor(6, 3) == 3
+
+
+def unitary_s00(N, m, kp):
+    """S_00 of su(N)/Z_m at k' from the Weyl denominator formula: S_0,lam is
+    proportional to the product over positive roots alpha of
+    sin(pi (alpha, lam) / k'), normalized so that the squares sum to 1 over
+    the group's colors."""
+    def weyl(lam):  # (alpha_i + ... + alpha_j, lam) = lam_i + ... + lam_j
+        return mp.fprod(mp.sin(mp.pi * sum(lam[i:j + 1]) / kp)
+                        for i in range(N - 1) for j in range(i, N - 1))
+    colors = [lam.coords for lam in allowed_colors(N, m, kp)]
+    return weyl((1,) * (N - 1)) / mp.sqrt(mp.fsum(weyl(c) ** 2 for c in colors))
+
+
+class TestSingularPlumbings:
+    """A linking matrix of nullity nu takes the factor S_00^nu, so every
+    presentation of S^1 x S^2 evaluates to 1/S_00 of the group's own level."""
+
+    PRESENTATIONS = ([0], []), ([-1, -1], [(0, 1)]), ([-2, 0, 2], [(0, 1), (1, 2)])
+    GROUPS = [("su2", 2, 1, lambda g, k: wrt_su2(g, k), lambda k: k + 2),
+              ("so3", 2, 2, lambda g, K: wrt_so3(g, 2 * K), lambda K: 4 * K + 2),
+              ("sun-zm 2 2", 2, 2, lambda g, k: wrt_sun_zm(g, 2, 2, k), lambda k: 4 * k + 2),
+              ("sun-zm 3 1", 3, 1, lambda g, k: wrt_sun_zm(g, 3, 1, k), lambda k: k + 3),
+              ("sun-zm 3 3", 3, 3, lambda g, k: wrt_sun_zm(g, 3, 3, k), lambda k: 3 * k + 3)]
+
+    @pytest.mark.parametrize("name,N,m,f,kprime", GROUPS, ids=[g[0] for g in GROUPS])
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_every_presentation_is_one_over_s00(self, name, N, m, f, kprime, k):
+        with mp.workdps(60):
+            want = 1 / unitary_s00(N, m, kprime(k))
+            for framings, edges in self.PRESENTATIONS:
+                g = PlumbingGraph.build(framings, edges)
+                assert linking_matrix(g).det == 0
+                assert abs(f(g, k).value - want) < mp.mpf(10) ** -50 * want
 
 
 class TestVariantSeparation:

@@ -7,6 +7,7 @@ import math
 import random
 import zlib
 from fractions import Fraction
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -760,6 +761,126 @@ def test_integer_coset_test_matches_inverse():
                     Binv[i][j] * ell[i] * ell[j]
                     for i in range(n) for j in range(n)) / 4
     assert hits > 100
+
+
+def exponent_of(lm, N):
+    """s -> q = -sum_{v,w} (B^{-1})_vw N (s_v, s_w) / (2N), from a Fraction
+    B^{-1}."""
+    n, G, Binv = lm.size, gram(N), fraction_inverse(lm.B)
+    den = math.lcm(*(x.denominator for row in Binv for x in row))
+    W = [[int(x * den) for x in row] for row in Binv]
+
+    def q(s):
+        Gs = [[sum(map(mul, g, mu)) for g in G] for mu in s]
+        return Fraction(-sum(W[v][w] * sum(map(mul, s[v], Gs[w]))
+                             for v in range(n) for w in range(n)), 2 * N * den)
+    return q
+
+
+def brute_walk(lm, N, R, sup):
+    """Reference for `_walk`: every point s of the product of the supports
+    with exponent q < R, as {class key: {q: coefficient}}, q by exponent_of
+    and the key (adj(B) (x) gram(N)) s mod N |det B| straight from adj."""
+    n, G, mod, exponent = lm.size, gram(N), N * abs(lm.det), exponent_of(lm, N)
+    out = {}
+    for point in itertools.product(*(row.items() for row, _ in sup)):
+        s = [mu for mu, _ in point]
+        q = exponent(s)
+        if q < R:
+            key = tuple(sum(lm.adj[v][w] * sum(map(mul, G[a], s[w])) for w in range(n)) % mod
+                        for v in range(n) for a in range(N - 1))
+            bucket = out.setdefault(key, {})
+            bucket[q] = bucket.get(q, 0) + math.prod(c for _, c in point)
+    return out
+
+
+def normalised_walk(lm, N, R, sup):
+    walked, scale, _ = _walk(lm, N, R, sup)
+    return {key: {Fraction(t, scale): c for t, c in bucket.items()}
+            for key, bucket in walked.items()}
+
+
+def expansion_supports(g, lm, N, R, osp=False):
+    """The vertex rows that zhat_blocks hands the walk."""
+    return [_avg_rank1(g.degree(v), math.isqrt(int(4 * R * -lm.B[i][i])) + 2, osp)
+            if N == 2 else _sun_chamber_average(g.degree(v), N, 2 * R * -lm.B[i][i])
+            for i, v in enumerate(g.ids)]
+
+
+class TestWalk:
+    """`_walk` against the brute-force product of the supports."""
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_matches_brute_force_on_random_trees(self, N):
+        rng = random.Random(20261020 + N)
+        done = 0
+        while done < 12:
+            g = random_negdef_tree(rng, max_size=6 if N == 2 else 5, max_det=10 ** 6)
+            lm = linking_matrix(g)
+            R = rng.choice([10, 40, 150] if N == 2 else [3, 6, 9]) + Fraction(rng.randint(0, 2), 3)
+            if done % 2:  # random weights and coefficients, cancellations included
+                w = 12 if N == 2 else 4
+                sup = [({tuple(rng.randint(-w, w) for _ in range(N - 1)): rng.choice([-2, -1, 1, 3])
+                         for _ in range(rng.randint(1, 9))}, 1) for _ in range(lm.size)]
+            else:
+                sup = expansion_supports(g, lm, N, R, osp=rng.random() < 0.5)
+            if math.prod(len(row) for row, _ in sup) > 5000:
+                continue
+            if done % 3 == 0:  # an order that is the exponent of a point
+                exponents = sorted({q for b in brute_walk(lm, N, Fraction(10 ** 9), sup).values()
+                                    for q in b if q > 0})
+                R = exponents[len(exponents) // 2]
+            assert normalised_walk(lm, N, R, sup) == brute_walk(lm, N, R, sup), (g, R)
+            done += 1
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_last_level_slab_cuts_both_sides(self, N):
+        # a dense box at the middle of a chain is walked last; at orders
+        # that are exponents of points, the slab must keep every candidate
+        # strictly below the order and nothing at or past it
+        g = PlumbingGraph.build([-2, -3, -2], [(0, 1), (1, 2)])
+        lm = linking_matrix(g)
+        box = range(-24, 25) if N == 2 else range(-6, 7)
+        small = {(1,) * (N - 1): 1, (-1,) * (N - 1): -1, (0,) * (N - 2) + (2,): 2}
+        dense = {mu: 1 + sum(mu) % 3 for mu in itertools.product(box, repeat=N - 1)}
+        sup = [(small, 1), (dense, 1), (small, 1)]
+        exponent = exponent_of(lm, N)
+        everything = sorted({exponent([a, mu, b]) for a in small for mu in dense for b in small})
+        both = False
+        for R in everything[len(everything) // 8::len(everything) // 5] + [Fraction(31, 7)]:
+            assert normalised_walk(lm, N, R, sup) == brute_walk(lm, N, R, sup), R
+            for a, b in itertools.product(small, small):
+                kept = [mu[0] for mu in dense if exponent([a, mu, b]) < R]
+                both |= bool(kept) and box[0] < min(kept) and max(kept) < box[-1]
+        assert both
+
+    def test_branch_cut_before_the_last_level(self):
+        # each point is below the order on its own, but two of the four
+        # pairs of the first two levels reach it: those branches end there,
+        # so the last level is entered twice, never with a negative room
+        # (order - 1 - partial exponent), whose isqrt would raise
+        g = PlumbingGraph.build([-2, -2, -3], [(0, 1), (1, 2)])
+        lm, R = linking_matrix(g), Fraction(2)
+        exponent = exponent_of(lm, 2)
+        pair = {(e,): 1 for e in (-2, 2)}
+        sup = [(pair, 1), (pair, 1), ({(e,): e for e in range(-7, 8)}, 1)]
+        assert all(exponent([a, (0,), (0,)]) < R and exponent([(0,), a, (0,)]) < R for a in pair)
+        with mock.patch("math.isqrt", wraps=math.isqrt) as spy:
+            got = normalised_walk(lm, 2, R, sup)
+        assert got == brute_walk(lm, 2, R, sup)
+        assert spy.call_count == 2
+
+    def test_largest_support_is_walked_last(self):
+        # Poincare at order 8000: four one-point supports, three leaves of
+        # two points and the trivalent vertex's 254 points, walked last and
+        # entered once per choice of the leaves
+        g, R = poincare_sphere(), Fraction(8000)
+        lm = linking_matrix(g)
+        sup = expansion_supports(g, lm, 2, R)
+        assert sorted(len(row) for row, _ in sup) == [1, 1, 1, 1, 2, 2, 2, 254]
+        with mock.patch("math.isqrt", wraps=math.isqrt) as spy:
+            _walk(lm, 2, R, sup)
+        assert spy.call_count <= 8
 
 
 class TestRankTwoConsistency:
