@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print a fixed grid of root-of-unity values, one line per value.
+"""Print a fixed grid of computed values, one line per value.
 
     python3 scripts/identity_grid.py > grid.txt
 
@@ -8,25 +8,42 @@ graphs, the GPPV decomposition check (su2, so3, osp12 and su(2)/Z_2) on
 four graphs, two Gauss reciprocity checks, the homological blocks of
 the four named graphs (su2, so3 and osp12 at order 300; su3 at order 8 on
 lens-m5-11 and sigma237, at order 20 on poincare and at order 16 on
-sigma237-alt), and last the state sums at the sizes of the benchmark's
+sigma237-alt), the state sums at the sizes of the benchmark's
 decomposition workload (su2 at level 60, so3 at 40 and su(3)/Z_3 at 6 on
-poincare and sigma237), each printed as the CLI prints it: 123 lines.
+poincare and sigma237), each printed as the CLI prints it, and last the
+knots-quivers path: the value count and the sha256 of the JSON of `plumbq
+dt` on K(3,-3) at dmax 2, order 16 (in generator order and with its nodes
+permuted), on 4_1 at dmax 3, order 40 and on K(2,-2) at dmax 3, order 12,
+of `plumbq quiver-series` on K(3,-3) at r = 2, and the MMR relative error
+on 4_1 at the benchmark's r = 20 and 30 (hbar = 0.4/r, x = e^0.4): 130
+lines.
 The script imports plumbq from the `src/` of its own checkout, so running
 it in two checkouts and comparing the outputs with `diff` shows every
 printed digit that a change moves.  It takes no options and a few seconds.
 """
 
+import hashlib
 import json
+import math
 import sys
+import tempfile
 from pathlib import Path
+
+from click.testing import CliRunner
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from plumbq.catalog import NAMED_GRAPHS, poincare_sphere  # noqa: E402
+from plumbq.cli import CACHE_ENV, main as cli_main  # noqa: E402
 from plumbq.gppv import (  # noqa: E402
     gauss_reciprocity_check,
     gppv_verify,
     report_to_json,
+)
+from plumbq.kq import (  # noqa: E402
+    generate_double_twist_quiver,
+    mmr_leading_check,
+    quiver_to_json,
 )
 from plumbq.plumbing import kirby_neumann_move, lens_chain  # noqa: E402
 from plumbq.wrt import (  # noqa: E402
@@ -78,6 +95,16 @@ BENCH_STATE_SUMS = [  # (label, function of (graph, level), level)
     ("su3_z3", lambda g, k: wrt_sun_zm(g, 3, 3, k), 6),
 ]
 
+QUIVER_COMMANDS = [  # (label, quiver, command, options)
+    ("K(3,-3)", (3, 3), "dt", ["--dmax", "2", "--order", "16"]),
+    ("K(3,-3) permuted", (3, 3), "dt", ["--dmax", "2", "--order", "16"]),
+    ("4_1", (1, 1), "dt", ["--dmax", "3", "--order", "40"]),
+    ("K(2,-2)", (2, 2), "dt", ["--dmax", "3", "--order", "12"]),
+    ("K(3,-3)", (3, 3), "quiver-series", ["--r", "2"]),
+]
+
+MMR_COLORS = (20, 30)  # on 4_1 at hbar = 0.4/r and x = e^0.4
+
 RECIPROCITY = [  # (B, ell, k)
     ([[-2, 1, 0], [1, -3, 1], [0, 1, -5]], [1, 0, -1], 4),
     ([[-1, 1, 1, 1], [1, -2, 0, 0], [1, 0, -3, 0], [1, 0, 0, -7]],
@@ -87,6 +114,38 @@ RECIPROCITY = [  # (B, ell, k)
 
 def line(label: str, payload) -> None:
     print(f"{label}: {json.dumps(payload, sort_keys=True)}")
+
+
+def permuted(obj: dict) -> dict:
+    """The quiver whose node a is node 5a mod n of obj (n = 37 is prime)."""
+    n = obj["n"]
+    at = [5 * i % n for i in range(n)]
+    return {"n": n, "C": [[obj["C"][a][b] for b in at] for a in at],
+            "xi": [obj["xi"][a] for a in at],
+            "gamma": [obj["gamma"][a] for a in at]}
+
+
+def quiver_lines() -> None:
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, pm, command, options in QUIVER_COMMANDS:
+            obj = quiver_to_json(generate_double_twist_quiver(*pm))
+            path = Path(tmp) / "quiver.json"
+            path.write_text(json.dumps(
+                permuted(obj) if label.endswith("permuted") else obj))
+            res = runner.invoke(
+                cli_main, [command, "--quiver", str(path), *options,
+                           "--format", "json"], env={CACHE_ENV: None})
+            payload = json.loads(res.stdout)
+            count = len(payload["omega"] if command == "dt"
+                        else payload["series"]["terms"])
+            line(f"{command} {label} {' '.join(options)}",
+                 {"sha256": hashlib.sha256(res.stdout.encode()).hexdigest(),
+                  "values": count})
+    q41 = generate_double_twist_quiver(1, 1)
+    for r in MMR_COLORS:
+        line(f"mmr 4_1 r={r}",
+             mmr_leading_check(q41, 0.4 / r, math.exp(0.4), r))
 
 
 def main() -> None:
@@ -109,6 +168,7 @@ def main() -> None:
     for label, f, k in BENCH_STATE_SUMS:
         for name in ("poincare", "sigma237"):
             line(f"wrt {label} {name} {k}", result_to_json(f(GRAPHS[name], k)))
+    quiver_lines()
 
 
 if __name__ == "__main__":

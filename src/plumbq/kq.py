@@ -753,16 +753,23 @@ def dt_invariants(q: Quiver, dmax: int, order: int) -> DTInvariants:
     recursion |d| L_d = |d| P_d - sum_{0<d'<d} |d'| L_{d'} P_{d-d'} gives
     the c, scaled by L = lcm(1..dmax) so that they are integers.  Each
     class's T is built once and shifted slices of it are added into integer
-    lists; each O_{d,j} is divided by L once, and a remainder raises
-    instead of being rounded.
+    lists; each O_{d,j} is divided by L once, and a remainder raises.
+
+    Each log and each layer is computed once per shape within one call, on
+    keys that name no node.  Relative to q^{shift_d}, the log depends only on
+    the parts of d and, per split (d', d-d'), on the log of d', the parts of
+    d-d' and shift_{d'} + shift_{d-d'} - shift_d = -2 d'.C.(d-d'); a layer on
+    that log, E_d - shift_d, its wraps relative to shift_d and the sign of
+    P_d times (-1)^{shift_d}, read by (-1)^j: (-1)^{(xi + gamma - 1).d}.  The
+    first d of each key tests its layer, so a non-integer value still raises
+    at the first such d.
 
     Layer d returns the O_{d,j} with j+1 < W_d = min(order - 2, order +
     min(0, min over nonzero d' <= d of shift_d')), all exact: the layer is
     computed below E_d = max(W_d, ceil(W_{sd}/s) for the multiples sd that
-    wrap it), and each T_cls through q^{E_d - S} for every term of every
-    layer d.  Layers whose sign data clashes with the parity of (-1)^j (a
-    side effect of specializing a = q^2) keep a geometric +-1 tail beyond
-    any order.
+    wrap it), and every T_cls through q^{E_d - S} for each of its terms.
+    Layers whose sign data clashes with the parity of (-1)^j (a side effect
+    of specializing a = q^2) keep a geometric +-1 tail beyond any order.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -772,81 +779,88 @@ def dt_invariants(q: Quiver, dmax: int, order: int) -> DTInvariants:
     scale = math.lcm(*range(1, dmax + 1))
     vectors = [v for t in range(1, dmax + 1)
                for v in itertools.combinations_with_replacement(range(n), t)]
-    shift, odd, parts, low, window, log = {(): 0}, {(): 0}, {}, {}, {}, {}
+    shift, flip, subs, ids, logs = {(): 0}, {(): 0}, {(): {(): ()}}, {}, []
+    parts, window, reach, rid, wrapped = {}, {}, {}, {}, {}
     for v in vectors:
         head, i, t = v[:-1], v[-1], len(v)
         row = C[i]
-        shift[v] = (shift[head] + 2 * sum(row[j] for j in head) + row[i]
-                    + q.xi[i] - 1)
-        odd[v] = odd[head] ^ (row[i] + q.gamma[i]) & 1
-        parts[v] = tuple(sorted(map(v.count, set(v))))
-        splits = {}  # each proper sub-vector w of v once, with v - w
-        for k in range(1, t):
-            for ix in itertools.combinations(range(t), k):
-                splits.setdefault(tuple(v[a] for a in ix),
-                                  tuple(v[a] for a in range(t) if a not in ix))
-        low[v] = min([shift[v]] + [low[w] for w in splits])
-        window[v] = min(order - 2, order + min(0, low[v]))
-        # L times the log at x^v over its sign (the parity is additive), as
-        # {(class, S): coefficient}: |v| L_v = |v| P_v - sum |w| L_w P_{v-w}
-        acc = {(parts[v], shift[v]): scale * t}
-        for w, rest in splits.items():
-            for (cls, S), c in log[w].items():
-                key = (tuple(sorted(cls + parts[rest])), S + shift[rest])
-                acc[key] = acc.get(key, 0) - len(w) * c
-        log[v] = {key: c // t for key, c in acc.items() if c}
-    reach, need = {}, {}  # E_d; per class, the longest range read of it
-    for v in vectors:
-        reach[v] = max([window[v]] + [-(-window[tuple(sorted(v * s))] // s)
-                                      for s in range(2, dmax // len(v) + 1)])
-        for cls, S in log[v]:
-            need[cls] = max(need.get(cls, 1), reach[v] - S)
-    series = {}  # T_cls in powers of q^2
-    for cls, m in need.items():
-        t = series[cls] = [1] + [0] * ((m - 1) // 2)
+        sv = shift[v] = (shift[head] + 2 * sum(map(row.__getitem__, head))
+                         + row[i] + q.xi[i] - 1)
+        # the sign of P_v times (-1)^shift_v, whose d.C.d cancels
+        flip[v] = flip[head] ^ (q.xi[i] + q.gamma[i] - 1) & 1
+        p = parts[v] = tuple(sorted(map(v.count, set(v))))
+        sub = {}  # every sub-vector w of v once, with v - w
+        for w, r in subs[head].items():
+            sub.setdefault(w, r + (i,))
+            sub.setdefault(w + (i,), r)
+        if t < dmax:
+            subs[v] = sub
+        reach[v] = window[v] = min(order - 2,
+                                   order + min(map(shift.__getitem__, sub)))
+        g = math.gcd(*p)
+        if g > 1:  # v = s u for each s | g: E_u covers the wraps of u in v
+            wrapped[v] = [(s, v[::s]) for s in range(2, g + 1) if g % s == 0]
+            for s, u in wrapped[v]:
+                reach[u] = max(reach[u], -(-window[v] // s))
+        # L times the log at x^v over its sign, as {(class, S - shift_v): c},
+        # keyed on its shape: P_w P_{v-w} / P_v = q^(-2 w.C.(v-w)) T_{w, v-w}
+        key = (p, tuple(sorted([(rid[w], parts[r], shift[w] + shift[r] - sv)
+                                for w, r in sub.items() if w and r])))
+        rid[v] = ids.setdefault(key, len(ids))
+        if rid[v] == len(logs):  # a new shape
+            acc = {(p, 0): scale * t}
+            for lw, pr, x in key[1]:
+                for (cls, S), c in logs[lw].items():
+                    k = (tuple(sorted(cls + pr)), S + x)
+                    acc[k] = acc.get(k, 0) - (t - sum(pr)) * c
+            logs.append({k: c // t for k, c in acc.items() if c})
+    top = (max(reach[v] - shift[v] for v in vectors)
+           - min(S for log in logs for _, S in log))
+    series = {}  # T_cls in powers of q^2, through q^top: all that is read
+    for cls in {cls for log in logs for cls, _ in log}:
+        t = series[cls] = [1] + [0] * ((top - 1) // 2)
         for p in cls:
             for k in range(1, p + 1):
                 for i in range(k, len(t)):
                     t[i] += t[i - k]
 
-    layers: dict[tuple, dict[int, int]] = {}
-    omega: dict[tuple, int] = {}
+    memo, bases, omega = {}, {}, {}
     for v in vectors:  # by degree, so every base layer is done first
-        top, sgn = reach[v], -1 if odd[v] else 1
-        terms = [(cls, S, sgn * c) for (cls, S), c in log[v].items()
-                 if S < top]
-        g = math.gcd(*map(v.count, set(v)))
-        wraps = [(s * (j + 1), s, om * (scale // s) * (-1 if j * s & 1 else 1))
-                 for s in range(2, g + 1) if g % s == 0
-                 for j, om in layers.get(v[::s], {}).items()
-                 if s * (j + 1) < top]
-        starts = [S for _, S, _ in terms] + [e for e, _, _ in wraps]
-        if not starts:
-            continue
-        lo = min(starts)
-        c = [0] * (top - lo)  # L times (log - wraps), from q^lo
-        for cls, S, w in terms:
-            seg = slice(S - lo, top - lo, 2)
-            c[seg] = [x + w * y for x, y in zip(c[seg], series[cls])]
-        for e, s, w in wraps:
-            for k in range(e - lo, top - lo, 2 * s):
-                c[k] -= w
-        layer = {}
-        for k, ck in enumerate(c):
-            j = lo + k - 1
-            val = ck - c[k - 2] if k > 1 else ck
-            if j & 1:
-                val = -val
-            if val % scale:
-                d = tuple(map(v.count, range(n)))
-                g = math.gcd(val, scale)
-                raise ValueError(f"non-integer DT invariant at d={d}, j={j}: "
-                                 f"{val // g}/{scale // g}")
-            if val:
-                layer[j] = val // scale
-        layers[v] = layer
-        cut = window[v] - 1
-        if any(j < cut for j in layer):
-            d = tuple(map(v.count, range(n)))
-            omega.update(((d, j), o) for j, o in layer.items() if j < cut)
+        sv, top = shift[v], reach[v] - shift[v]  # relative to q^shift_v
+        # minus a wrap of Omega_{u,j'} / s, signed (-1)^(s j'), times (-1)^j
+        # for j + shift_v = s (j' + 1) - 1 + 2 s k is signed (-1)^s
+        wraps = tuple((s * (j + 1) - sv, s, om * (scale // s) * (-1) ** s)
+                      for s, u in wrapped.get(v, ())
+                      for j, om in bases[u].items() if s * (j + 1) - sv < top)
+        key = (rid[v], top, flip[v], wraps)
+        if key not in memo:  # {j - shift_v: Omega_{v,j}}
+            # the sign of P_v times (-1)^j, as j = S + shift_v - 1 mod 2
+            terms = [(S, cls, c if (flip[v] + S) & 1 else -c)
+                     for (cls, S), c in logs[rid[v]].items() if S < top]
+            lo = min([a[0] for a in terms + list(wraps)], default=top)
+            c = [0] * (top - lo)  # L (-1)^j times (log - wraps), from q^lo
+            for S, cls, w in terms:
+                seg = slice(S - lo, top - lo, 2)
+                c[seg] = [x + w * y for x, y in zip(c[seg], series[cls])]
+            for e, s, w in wraps:
+                for k in range(e - lo, top - lo, 2 * s):
+                    c[k] += w
+            c[2:] = list(map(operator.sub, c[2:], c))  # times 1 - q^2
+            for k, x in enumerate(c):
+                if x % scale:
+                    d, g = tuple(map(v.count, range(n))), math.gcd(x, scale)
+                    raise ValueError(f"non-integer DT invariant at d={d}, "
+                                     f"j={lo + k - 1 + sv}: "
+                                     f"{x // g}/{scale // g}")
+            memo[key] = {lo + k - 1: x // scale for k, x in enumerate(c) if x}
+        layer, cut = memo[key], window[v] - 1 - sv
+        if 2 * len(v) <= dmax:
+            bases[v] = {j + sv: om for j, om in layer.items()}
+        if min(layer, default=cut) < cut:
+            d = [0] * n
+            for i in v:
+                d[i] += 1
+            d = tuple(d)
+            omega.update(((d, j + sv), om) for j, om in layer.items()
+                         if j < cut)
     return DTInvariants(omega)

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -761,11 +762,46 @@ def dt_quivers(draw):
     return Quiver.make(C, xi, gamma)
 
 
+@st.composite
+def repeated_quivers(draw):
+    """Two to four copies of one to three base nodes: each copy keeps its
+    base node's entries of C, so many dimension vectors share a log and a
+    layer shape, while xi and gamma are drawn per copy and move shift_d, its
+    parity and the sign of P_d between vectors of one shape."""
+    k = draw(st.integers(1, 3))
+    entry = st.integers(-4, 3)
+    B = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            B[i][j] = B[j][i] = draw(entry)
+    base = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=4))
+    n = len(base)
+    return Quiver.make([[B[a][b] for b in base] for a in base],
+                       draw(st.lists(entry, min_size=n, max_size=n)),
+                       draw(st.lists(st.integers(0, 1), min_size=n,
+                                     max_size=n)))
+
+
 class TestDTReference:
     @given(dt_quivers(), st.integers(1, 3), st.integers(4, 16))
     @settings(max_examples=80, deadline=None)
     def test_matches_dense_reference(self, q, dmax, order):
         assert_matches_reference(q, dmax, order, 100)
+
+    @given(repeated_quivers(), st.integers(1, 3), st.integers(4, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_nodes_match_dense_reference(self, q, dmax, order):
+        assert_matches_reference(q, dmax, order, 100)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_node_permutation_permutes_omega(self, seed):
+        q = generate_double_twist_quiver(2, 2)
+        at = random.Random(seed).sample(range(q.n), q.n)  # node a is at[a]
+        moved = Quiver.make([[q.C[a][b] for b in at] for a in at],
+                            [q.xi[a] for a in at], [q.gamma[a] for a in at])
+        want = {(tuple(d[a] for a in at), j): om
+                for (d, j), om in dt_invariants(q, 3, 12).omega.items()}
+        assert dt_invariants(moved, 3, 12).omega == want
 
     @pytest.mark.parametrize("p,m", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2),
                                      (3, 3)])
