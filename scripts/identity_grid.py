@@ -14,9 +14,10 @@ poincare and sigma237), each printed as the CLI prints it, and last the
 knots-quivers path: the value count and the sha256 of the JSON of `plumbq
 dt` on K(3,-3) at dmax 2, order 16 (in generator order and with its nodes
 permuted), on 4_1 at dmax 3, order 40 and on K(2,-2) at dmax 3, order 12,
-of `plumbq quiver-series` on K(3,-3) at r = 2, and the MMR relative error
-on 4_1 at the benchmark's r = 20 and 30 (hbar = 0.4/r, x = e^0.4): 130
-lines.
+of `plumbq quiver-series` on K(3,-3) at r = 2, the MMR relative error
+on 4_1 at the benchmark's r = 20 and 30 (hbar = 0.4/r, x = e^0.4), and
+the sha256 of `plumbq quiver-generate --format json` at m = 1 for p =
+1..8, at m = 2 for p = 2..8 and at m = 3 for p = 3, 4: 147 lines.
 The script imports plumbq from the `src/` of its own checkout, so running
 it in two checkouts and comparing the outputs with `diff` shows every
 printed digit that a change moves.  It takes no options and a few seconds.
@@ -105,6 +106,9 @@ QUIVER_COMMANDS = [  # (label, quiver, command, options)
 
 MMR_COLORS = (20, 30)  # on 4_1 at hbar = 0.4/r and x = e^0.4
 
+GENERATED = [(p, 1) for p in range(1, 9)] + [(p, 2) for p in range(2, 9)] \
+    + [(3, 3), (4, 3)]  # the stored m = 3 range and p <= 8 below it
+
 RECIPROCITY = [  # (B, ell, k)
     ([[-2, 1, 0], [1, -3, 1], [0, 1, -5]], [1, 0, -1], 4),
     ([[-1, 1, 1, 1], [1, -2, 0, 0], [1, 0, -3, 0], [1, 0, 0, -7]],
@@ -146,6 +150,11 @@ def quiver_lines() -> None:
     for r in MMR_COLORS:
         line(f"mmr 4_1 r={r}",
              mmr_leading_check(q41, 0.4 / r, math.exp(0.4), r))
+    for p, m in GENERATED:
+        res = runner.invoke(cli_main, ["quiver-generate", "--p", str(p),
+                                       "--m", str(m), "--format", "json"])
+        line(f"quiver-generate --p {p} --m {m}",
+             {"sha256": hashlib.sha256(res.stdout.encode()).hexdigest()})
 
 
 def main() -> None:

@@ -176,7 +176,7 @@ def zhat(graph, group, order, cache_dir, fmt):
     def lines():
         yield f"{group} blocks, order {order}:"
         for b in payload["blocks"]:
-            yield f"  b={tuple(b['b'])}  delta={b['delta']}  norm={b['normalization']}"
+            yield f"  b={tuple(b['b'])}  delta={b['delta']}"
             yield f"    {qs_from_json(b['series'])}"
 
     _emit(payload, fmt, lines)

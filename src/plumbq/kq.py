@@ -8,6 +8,9 @@ invariants, read off an integer formal log over sparse dimension vectors
 and exact below a stated window (see dt_invariants).  Double twist quiver
 matrices are assembled from a small generator set of 2m x 2m blocks, with
 deeper twist blocks obtained by adding 2(k-1) times the all-ones matrix.
+Only the m = 3 blocks are stored: an m <= 3 block is the corner of its
+m = 3 block made of the first 2m coordinates of each even slot and the
+last 2m of each odd slot (see builtin_generator_set).
 
 Both motivic sums run node by node over distinct states (node, colour
 left, later running linear exponents less the node's own), each summed
@@ -128,7 +131,8 @@ def quiver_from_json(obj: dict) -> Quiver:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """The six 2m x 2m seed blocks plus the border rows of the block layout."""
+    """The six 2m x 2m seed blocks of the block layout (see
+    builtin_generator_set)."""
 
     m: int
     U: tuple[tuple[int, ...], ...]
@@ -138,133 +142,72 @@ class GeneratorSet:
     T: tuple[tuple[int, ...], ...]
     Tt: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        size = 2 * self.m
-        for name in ("U", "Ut", "R", "Rt", "T", "Tt"):
-            mat = getattr(self, name)
-            if len(mat) != size or any(len(row) != size for row in mat):
-                raise ValueError(f"{name} must be {size} x {size}")
 
-    @property
-    def f_row(self) -> tuple[int, ...]:
-        return (-1,) * (2 * self.m)
-
-    @property
-    def ft_row(self) -> tuple[int, ...]:
-        return (0,) * (2 * self.m)
-
-
-def _mat(rows) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
-_GENERATORS = {
-    1: GeneratorSet(
-        1,
-        U=_mat([[-2, -2], [-2, -1]]),
-        Ut=_mat([[1, 1], [1, 2]]),
-        R=_mat([[-1, -1], [0, 0]]),
-        Rt=_mat([[-2, -2], [-1, -1]]),
-        T=_mat([[0, 0], [1, 1]]),
-        Tt=_mat([[1, 1], [2, 2]]),
-    ),
-    2: GeneratorSet(
-        2,
-        U=_mat([
-            [-2, -2, -3, -3],
-            [-2, -1, -2, -2],
-            [-3, -2, -4, -4],
-            [-3, -2, -4, -3],
-        ]),
-        Ut=_mat([
-            [-1, -1, 0, 0],
-            [-1, 0, 1, 1],
-            [0, 1, 1, 1],
-            [0, 1, 1, 2],
-        ]),
-        R=_mat([
-            [-2, -2, -1, -1],
-            [-1, -1, 0, 0],
-            [-3, -3, -1, -1],
-            [-2, -2, 0, 0],
-        ]),
-        Rt=_mat([
-            [-2, -2, -3, -3],
-            [-1, -1, -2, -2],
-            [-2, -2, -4, -4],
-            [-1, -1, -3, -3],
-        ]),
-        T=_mat([
-            [-1, -1, -2, -2],
-            [0, 0, -1, -1],
-            [0, 0, 0, 0],
-            [1, 1, 1, 1],
-        ]),
-        Tt=_mat([
-            [-1, -1, 0, 0],
-            [0, 0, 1, 1],
-            [1, 1, 1, 1],
-            [2, 2, 2, 2],
-        ]),
-    ),
-    3: GeneratorSet(
-        3,
-        U=_mat([
-            [-2, -2, -3, -3, -3, -3],
-            [-2, -1, -2, -2, -2, -2],
-            [-3, -2, -4, -4, -5, -5],
-            [-3, -2, -4, -3, -4, -4],
-            [-3, -2, -5, -4, -6, -6],
-            [-3, -2, -5, -4, -6, -5],
-        ]),
-        Ut=_mat([
-            [-3, -3, -2, -2, 0, 0],
-            [-3, -2, -1, -1, 1, 1],
-            [-2, -1, -1, -1, 0, 0],
-            [-2, -1, -1, 0, 1, 1],
-            [0, 1, 0, 1, 1, 1],
-            [0, 1, 0, 1, 1, 2],
-        ]),
-        R=_mat([
-            [-2, -2, -2, -2, -1, -1],
-            [-1, -1, -1, -1, 0, 0],
-            [-4, -4, -3, -3, -1, -1],
-            [-3, -3, -2, -2, 0, 0],
-            [-5, -5, -3, -3, -1, -1],
-            [-4, -4, -2, -2, 0, 0],
-        ]),
-        Rt=_mat([
-            [-2, -2, -3, -3, -3, -3],
-            [-1, -1, -2, -2, -2, -2],
-            [-2, -2, -4, -4, -5, -5],
-            [-1, -1, -3, -3, -4, -4],
-            [-2, -2, -4, -4, -6, -6],
-            [-1, -1, -3, -3, -5, -5],
-        ]),
-        T=_mat([
-            [-1, -1, -3, -3, -4, -4],
-            [0, 0, -2, -2, -3, -3],
-            [-1, -1, -2, -2, -2, -2],
-            [0, 0, -1, -1, -1, -1],
-            [0, 0, 0, 0, 0, 0],
-            [1, 1, 1, 1, 1, 1],
-        ]),
-        Tt=_mat([
-            [-3, -3, -2, -2, 0, 0],
-            [-2, -2, -1, -1, 1, 1],
-            [-1, -1, -1, -1, 0, 0],
-            [0, 0, 0, 0, 1, 1],
-            [1, 1, 1, 1, 1, 1],
-            [2, 2, 2, 2, 2, 2],
-        ]),
-    ),
+# the m = 3 seed blocks, with the parities (row slot, column slot) of the
+# block slots each one fills; every m <= 3 reads its blocks off these
+_BLOCKS3 = {
+    "U": ((0, 0), (
+        (-2, -2, -3, -3, -3, -3),
+        (-2, -1, -2, -2, -2, -2),
+        (-3, -2, -4, -4, -5, -5),
+        (-3, -2, -4, -3, -4, -4),
+        (-3, -2, -5, -4, -6, -6),
+        (-3, -2, -5, -4, -6, -5),
+    )),
+    "Ut": ((1, 1), (
+        (-3, -3, -2, -2, 0, 0),
+        (-3, -2, -1, -1, 1, 1),
+        (-2, -1, -1, -1, 0, 0),
+        (-2, -1, -1, 0, 1, 1),
+        (0, 1, 0, 1, 1, 1),
+        (0, 1, 0, 1, 1, 2),
+    )),
+    "R": ((0, 1), (
+        (-2, -2, -2, -2, -1, -1),
+        (-1, -1, -1, -1, 0, 0),
+        (-4, -4, -3, -3, -1, -1),
+        (-3, -3, -2, -2, 0, 0),
+        (-5, -5, -3, -3, -1, -1),
+        (-4, -4, -2, -2, 0, 0),
+    )),
+    "Rt": ((0, 0), (
+        (-2, -2, -3, -3, -3, -3),
+        (-1, -1, -2, -2, -2, -2),
+        (-2, -2, -4, -4, -5, -5),
+        (-1, -1, -3, -3, -4, -4),
+        (-2, -2, -4, -4, -6, -6),
+        (-1, -1, -3, -3, -5, -5),
+    )),
+    "T": ((1, 0), (
+        (-1, -1, -3, -3, -4, -4),
+        (0, 0, -2, -2, -3, -3),
+        (-1, -1, -2, -2, -2, -2),
+        (0, 0, -1, -1, -1, -1),
+        (0, 0, 0, 0, 0, 0),
+        (1, 1, 1, 1, 1, 1),
+    )),
+    "Tt": ((1, 1), (
+        (-3, -3, -2, -2, 0, 0),
+        (-2, -2, -1, -1, 1, 1),
+        (-1, -1, -1, -1, 0, 0),
+        (0, 0, 0, 0, 1, 1),
+        (1, 1, 1, 1, 1, 1),
+        (2, 2, 2, 2, 2, 2),
+    )),
 }
 
 
 def builtin_generator_set(m: int) -> GeneratorSet:
-    if m not in _GENERATORS:
+    """The seed blocks for m in 1..3, each the corner of its m = 3 block
+    that one slot rule picks: an even slot (U, Rt, the rows of R, the
+    columns of T) takes the first 2m coordinates, an odd slot (Ut, Tt, the
+    columns of R, the rows of T) the last 2m."""
+    if m not in (1, 2, 3):
         raise ValueError(f"no stored generator set for m={m}")
-    return _GENERATORS[m]
+    cut = (slice(2 * m), slice(6 - 2 * m, 6))
+    return GeneratorSet(m, **{
+        name: tuple(row[cut[c]] for row in mat[cut[r]])
+        for name, ((r, c), mat) in _BLOCKS3.items()})
 
 
 def _deepen(mat, k: int):
@@ -330,11 +273,17 @@ def generate_double_twist_quiver(p: int, m: int) -> Quiver:
     """Quiver for the double twist knot with p positive and m negative full
     twists, assembled from the stored generator blocks.
 
-    The block layout has one scalar node followed by p pairs of 2m x 2m
-    diagonal blocks; the coupling block between pair slots depends only on
-    the smaller pair index.  The m=3 linear data is stored at p = 3 and
-    grown by one twist (_grow_twist) to p = 4; larger p is refused until a
-    coloured Jones oracle confirms the rule there.
+    The block layout has one border node followed by 2p slots of 2m nodes,
+    slot 2i-2 even and slot 2i-1 odd for the i-th twist; the coupling block
+    between two slots depends only on the smaller twist index.  The border
+    row is -1 on even slots and 0 on odd ones.  The seed blocks are the
+    corners of the m = 3 blocks that the slot rule of builtin_generator_set
+    picks, so K(p,-1) and K(p,-2) sit in K(p,-3) in C, xi and gamma mod 2
+    on the border node, the first 2m nodes of each even slot and the last
+    2m of each odd slot (a test holds this at p = 3, 4).  The m=3 linear
+    data is stored at p = 3 and grown by one twist (_grow_twist) to p = 4;
+    larger p is refused until a coloured Jones oracle confirms the rule
+    there.
     """
     if m not in (1, 2, 3):
         raise ValueError(f"m={m} is outside the stored range 1..3")
@@ -357,11 +306,9 @@ def generate_double_twist_quiver(p: int, m: int) -> Quiver:
                 C[r0 + a][c0 + b] = mat[a][b]
                 C[c0 + b][r0 + a] = mat[a][b]
 
-    for bj in range(2 * p):
-        row = gen.f_row if bj % 2 == 0 else gen.ft_row
-        for b in range(size):
-            C[0][1 + bj * size + b] = row[b]
-            C[1 + bj * size + b][0] = row[b]
+    for c in range(1, n):  # the border row: -1 on even slots, 0 on odd
+        if (c - 1) // size % 2 == 0:
+            C[0][c] = C[c][0] = -1
     for i in range(1, p + 1):
         put(2 * i - 2, 2 * i - 2, _deepen(gen.U, i))
         put(2 * i - 1, 2 * i - 1, _deepen(gen.Ut, i))

@@ -80,17 +80,16 @@ RANK1 = ("su2", "so3", "osp12")
 
 @dataclass(frozen=True)
 class ZhatBlock:
-    """A block series with its label, least exponent delta_b and
-    normalization 1/n.  delta_b has two rules.  At rank 1 it is the
-    prefactor plus the minimum of the theta form over the coset.  For su(N)
-    it is the least exponent kept, or the prefactor when the block is
-    empty: Poincare su3 gives -6 where the theta-form minimum gives -8."""
+    """A block series with its label and least exponent delta_b.  delta_b
+    has two rules.  At rank 1 it is the prefactor plus the minimum of the
+    theta form over the coset.  For su(N) it is the least exponent kept, or
+    the prefactor when the block is empty: Poincare su3 gives -6 where the
+    theta-form minimum gives -8."""
 
     label: tuple
     delta_b: Fraction
     series: QSeries
     variant: str
-    normalization_denominator: int
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +210,8 @@ def vertex_factor_suN(deg: int, N: int, bound: Fraction) -> dict[tuple, int]:
     (mu, mu) <= bound.  The coefficients are ints."""
     if N < 2:
         raise ValueError("need N >= 2")
+    if deg < 0 or bound < 0:
+        raise ValueError("degree and bound must be nonnegative")
     return dict(_sun_chamber_average(deg, N, Fraction(bound))[0])
 
 
@@ -463,7 +464,6 @@ def zhat_blocks(g: PlumbingGraph, lm: LinkingMatrix, labels, variant: str,
     # over the series limit, pref + t / scale is base + (t / step) mult
     h = math.gcd(empty.denom, scale)
     step, mult, base = scale // h, empty.denom // h, int(pref * empty.denom)
-    norm = 2 ** sum(g.degree(v) >= 3 for v in g.ids) if rank1 else math.factorial(N) ** n
     blocks = []
     for b in labels:
         b = tuple(b)
@@ -488,7 +488,7 @@ def zhat_blocks(g: PlumbingGraph, lm: LinkingMatrix, labels, variant: str,
             raise ValueError(f"block {b} has an exponent finer than the series limit {empty.denom}")
         series = QSeries(tuple((base + t // step * mult, c // D if c % D == 0 else Fraction(c, D))
                                for t, c in terms if c), empty.denom, empty.trunc)
-        blocks.append(ZhatBlock(b, pref + low, series, variant, norm))
+        blocks.append(ZhatBlock(b, pref + low, series, variant))
     return blocks
 
 
@@ -736,5 +736,4 @@ def _oracle_vertex_suN(deg: int, N: int, bound: Fraction, s: int = -1) -> dict[t
 
 def block_to_json(block: ZhatBlock) -> dict:
     return {"b": [str(x) for x in block.label], "delta": str(block.delta_b),
-            "normalization": f"1/{block.normalization_denominator}",
             "variant": block.variant, "series": qs_to_json(block.series)}

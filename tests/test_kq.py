@@ -120,6 +120,22 @@ class TestMatrixGeneration:
         assert xi4[37:] == [xi_tail.get(i, 0) for i in range(38, 50)]
         assert gamma4[37:] == [int(i in marks_tail) for i in range(38, 50)]
 
+    @pytest.mark.parametrize("p", [3, 4])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_smaller_m_nests_in_m3(self, p, m):
+        # K(p,-m) is K(p,-3) on the border node, the first 2m nodes of each
+        # even slot and the last 2m of each odd slot: this holds the stored
+        # m = 3 linear data against the m = 1, 2 closed forms
+        big = generate_double_twist_quiver(p, 3)
+        small = generate_double_twist_quiver(p, m)
+        nodes = [0] + [1 + 6 * t + k for t in range(2 * p) for k in (
+            range(2 * m) if t % 2 == 0 else range(6 - 2 * m, 6))]
+        assert [[big.C[a][b] for b in nodes] for a in nodes] == \
+            [list(row) for row in small.C]
+        assert [big.xi[a] for a in nodes] == list(small.xi)
+        assert [big.gamma[a] % 2 for a in nodes] == \
+            [g % 2 for g in small.gamma]
+
     def test_json_roundtrip(self):
         q = generate_double_twist_quiver(2, 2)
         q2 = quiver_from_json(quiver_to_json(q))

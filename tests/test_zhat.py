@@ -896,6 +896,16 @@ class TestRankTwoConsistency:
                 sun = {k: v / 2 for k, v in sun.items()}
             assert sun == {Fraction(k): v for k, v in su2.items()}
 
+    @pytest.mark.parametrize("call", [
+        lambda: vertex_factor_su2(-1, 5),
+        lambda: vertex_factor_suN(-1, 3, Fraction(10)),
+        lambda: vertex_factor_suN(-1, 2, Fraction(10)),
+        lambda: vertex_factor_suN(3, 3, Fraction(-1)),
+    ])
+    def test_negative_degree_or_bound_raises(self, call):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            call()
+
     @pytest.mark.parametrize("N", [2, 3])
     def test_block_and_oracle_expansions_agree(self, N):
         # the block route inverts 1 + U and then takes the power, the
