@@ -14,10 +14,12 @@ poincare and sigma237), each printed as the CLI prints it, and last the
 knots-quivers path: the value count and the sha256 of the JSON of `plumbq
 dt` on K(3,-3) at dmax 2, order 16 (in generator order and with its nodes
 permuted), on 4_1 at dmax 3, order 40 and on K(2,-2) at dmax 3, order 12,
-of `plumbq quiver-series` on K(3,-3) at r = 2, the MMR relative error
-on 4_1 at the benchmark's r = 20 and 30 (hbar = 0.4/r, x = e^0.4), and
-the sha256 of `plumbq quiver-generate --format json` at m = 1 for p =
-1..8, at m = 2 for p = 2..8 and at m = 3 for p = 3, 4: 147 lines.
+of `plumbq quiver-series` on K(3,-3) at r = 2, the line count and the
+sha256 of the text output of `plumbq dt` on the permuted K(3,-3) and on
+4_1 at the same sizes, the MMR relative error on 4_1 at the benchmark's
+r = 20 and 30 (hbar = 0.4/r, x = e^0.4), and the sha256 of `plumbq
+quiver-generate --format json` at m = 1 for p = 1..8, at m = 2 for p =
+2..8 and at m = 3 for p = 3, 4: 149 lines.
 The script imports plumbq from the `src/` of its own checkout, so running
 it in two checkouts and comparing the outputs with `diff` shows every
 printed digit that a change moves.  It takes no options and a few seconds.
@@ -96,12 +98,15 @@ BENCH_STATE_SUMS = [  # (label, function of (graph, level), level)
     ("su3_z3", lambda g, k: wrt_sun_zm(g, 3, 3, k), 6),
 ]
 
-QUIVER_COMMANDS = [  # (label, quiver, command, options)
+QUIVER_COMMANDS = [  # (label, quiver, command, options); JSON unless given
     ("K(3,-3)", (3, 3), "dt", ["--dmax", "2", "--order", "16"]),
     ("K(3,-3) permuted", (3, 3), "dt", ["--dmax", "2", "--order", "16"]),
     ("4_1", (1, 1), "dt", ["--dmax", "3", "--order", "40"]),
     ("K(2,-2)", (2, 2), "dt", ["--dmax", "3", "--order", "12"]),
     ("K(3,-3)", (3, 3), "quiver-series", ["--r", "2"]),
+    ("K(3,-3) permuted", (3, 3), "dt",
+     ["--dmax", "2", "--order", "16", "--format", "text"]),
+    ("4_1", (1, 1), "dt", ["--dmax", "3", "--order", "40", "--format", "text"]),
 ]
 
 MMR_COLORS = (20, 30)  # on 4_1 at hbar = 0.4/r and x = e^0.4
@@ -137,12 +142,17 @@ def quiver_lines() -> None:
             path = Path(tmp) / "quiver.json"
             path.write_text(json.dumps(
                 permuted(obj) if label.endswith("permuted") else obj))
+            text = "--format" in options
             res = runner.invoke(
                 cli_main, [command, "--quiver", str(path), *options,
-                           "--format", "json"], env={CACHE_ENV: None})
-            payload = json.loads(res.stdout)
-            count = len(payload["omega"] if command == "dt"
-                        else payload["series"]["terms"])
+                           *([] if text else ["--format", "json"])],
+                env={CACHE_ENV: None})
+            if text:
+                count = len(res.stdout.splitlines())
+            else:
+                payload = json.loads(res.stdout)
+                count = len(payload["omega"] if command == "dt"
+                            else payload["series"]["terms"])
             line(f"{command} {label} {' '.join(options)}",
                  {"sha256": hashlib.sha256(res.stdout.encode()).hexdigest(),
                   "values": count})

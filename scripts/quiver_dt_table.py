@@ -26,7 +26,7 @@ def main():
     print(f"K({args.p},-{args.m}) quiver: {q.n} nodes")
     inv = dt_invariants(q, args.dmax, args.order)
     by_total = {}
-    for (d, j), v in inv.nonzero().items():
+    for (d, j), v in inv.omega.items():
         by_total.setdefault(sum(d), []).append((d, j, v))
     for total in sorted(by_total):
         print(f"|d| = {total}: {len(by_total[total])} nonzero exponents")

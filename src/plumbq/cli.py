@@ -334,7 +334,12 @@ def quiver_series(quiver_path, r, cache_dir, fmt):
 @click.option("--order", type=int, default=40)
 @fmt_opt
 def dt(quiver_path, dmax, order, fmt):
-    """Integer exponents of the product form of the motivic series."""
+    """Integer exponents of the product form of the motivic series.
+
+    Text prints one line Omega[d, j] = value per nonzero exponent; JSON
+    prints {"dmax", "omega", "order"}, omega one {"d", "j", "value"} entry
+    per (d, j), d the n node multiplicities, sorted by d and then by j.
+    """
     from plumbq.kq import dt_invariants
 
     q = _load_quiver(quiver_path)
@@ -347,12 +352,19 @@ def dt(quiver_path, dmax, order, fmt):
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    nz = inv.nonzero()
-    payload = {"dmax": dmax, "order": order,
-               "omega": [{"d": list(d), "j": j, "value": v}
-                         for (d, j), v in sorted(nz.items())]}
-    _emit(payload, fmt, lambda: [
-        f"Omega[{tuple(d)}, {j}] = {v}" for (d, j), v in sorted(nz.items())])
+    by_d = {}  # each d is encoded once, for all of its j
+    for (d, j), v in inv.omega.items():
+        by_d.setdefault(d, []).append((j, v))
+    rows = [(d, sorted(jv)) for d, jv in sorted(by_d.items())]
+    if fmt == "json":  # json.dumps(payload, sort_keys=True), byte for byte
+        omega = ", ".join(f'{{"d": {dj}, "j": {j}, "value": {v}}}'
+                          for d, jv in rows for dj in [json.dumps(list(d))]
+                          for j, v in jv)
+        click.echo(f'{{"dmax": {dmax}, "omega": [{omega}], "order": {order}}}')
+    else:
+        for d, jv in rows:
+            for j, v in jv:
+                click.echo(f"Omega[{d}, {j}] = {v}")
 
 
 @main.command()

@@ -680,9 +680,6 @@ def mmr_leading_check(q: Quiver, hbar: float, x: float, r_from_x: int,
 class DTInvariants:
     omega: dict
 
-    def nonzero(self) -> dict:
-        return {k: v for k, v in self.omega.items() if v}
-
 
 def dt_invariants(q: Quiver, dmax: int, order: int) -> DTInvariants:
     """Integer exponents of the product form of the motivic series.
@@ -717,6 +714,8 @@ def dt_invariants(q: Quiver, dmax: int, order: int) -> DTInvariants:
     wrap it), and every T_cls through q^{E_d - S} for each of its terms.
     Layers whose sign data clashes with the parity of (-1)^j (a side effect
     of specializing a = q^2) keep a geometric +-1 tail beyond any order.
+    The returned omega maps (d, j), d the n multiplicities, to O_{d,j} and
+    holds only the nonzero values.
     """
     if order < 1:
         raise ValueError("order must be at least 1")

@@ -1,9 +1,11 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,12 @@ from hypothesis import strategies as st
 
 from plumbq import cli
 from plumbq.cli import main
+from plumbq.kq import (
+    Quiver,
+    dt_invariants,
+    generate_double_twist_quiver,
+    quiver_to_json,
+)
 
 
 def run(*args):
@@ -79,6 +87,60 @@ class TestQuiverCommands:
                   "--order", "30")
         assert res.exit_code == 0
         assert "Omega[(1,), -2] = 1" in res.output
+
+    @pytest.mark.parametrize("obj,dmax,order", [
+        ("K(2,-2) permuted", 3, 12),  # up to 6 j per d, j down to -52
+        ("4_1", 3, 40),
+        ({"n": 1, "C": [[0]], "xi": [10], "gamma": [0]}, 2, 3),  # no values
+    ], ids=["K22-permuted", "4_1", "empty"])
+    def test_dt_prints_the_sorted_payload(self, tmp_path, obj, dmax, order):
+        if obj == "4_1":
+            obj = quiver_to_json(generate_double_twist_quiver(1, 1))
+        elif obj == "K(2,-2) permuted":
+            q = generate_double_twist_quiver(2, 2)
+            at = random.Random(0).sample(range(q.n), q.n)
+            obj = {"n": q.n, "C": [[q.C[a][b] for b in at] for a in at],
+                   "xi": [q.xi[a] for a in at],
+                   "gamma": [q.gamma[a] for a in at]}
+        qfile = tmp_path / "q.json"
+        qfile.write_text(json.dumps(obj))
+        omega = sorted(dt_invariants(Quiver.make(obj["C"], obj["xi"],
+                                                 obj["gamma"]),
+                                     dmax, order).omega.items())
+        old_payload = {"dmax": dmax, "order": order,
+                       "omega": [{"d": list(d), "j": j, "value": v}
+                                 for (d, j), v in omega]}
+        args = ["dt", "--quiver", str(qfile), "--dmax", str(dmax),
+                "--order", str(order)]
+        res = run(*args, "--format", "json")
+        assert res.exit_code == 0
+        assert res.output == json.dumps(old_payload, sort_keys=True) + "\n"
+        res = run(*args)
+        assert res.exit_code == 0
+        assert res.output == "".join(f"Omega[{d}, {j}] = {v}\n"
+                                     for (d, j), v in omega)
+        if not omega:
+            assert run(*args, "--format", "json").output == (
+                '{"dmax": 2, "omega": [], "order": 3}\n')
+
+    def test_dt_json_peak_memory(self, tmp_path):
+        # the JSON is written per d, not built as one payload of dicts and
+        # encoded at once: the latter peaks at about 4.3 MB here
+        qfile = tmp_path / "q.json"
+        qfile.write_text(json.dumps(
+            quiver_to_json(generate_double_twist_quiver(3, 3))))
+        args = ("dt", "--quiver", str(qfile), "--dmax", "2", "--order", "16",
+                "--format", "json")
+        assert run(*args).exit_code == 0  # imports happen outside the trace
+        tracemalloc.start()
+        try:
+            res = run(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == 0
+        assert len(json.loads(res.output)["omega"]) == 1186
+        assert peak < 2.5 * 2**20, peak
 
 
 def test_json_output_makes_no_text_lines(monkeypatch, tmp_path):

@@ -619,7 +619,7 @@ def remultiply(omega, n, dmax, cap):
 
 def assert_product_matches(qv, dmax, order, slack):
     inv = dt_invariants(qv, dmax, order)
-    acc = remultiply(inv.nonzero(), qv.n, dmax, Fraction(order + slack))
+    acc = remultiply(inv.omega, qv.n, dmax, Fraction(order + slack))
     margin = Fraction(order - 2 - slack)
     for total in range(1, dmax + 1):
         for d in compositions(total, qv.n):
@@ -632,11 +632,11 @@ def assert_product_matches(qv, dmax, order, slack):
 class TestDTInvariants:
     def test_loopless_single_node(self):
         inv = dt_invariants(Quiver.make([[0]], [0], [0]), 3, 40)
-        assert inv.nonzero() == {((1,), -2): 1}
+        assert inv.omega == {((1,), -2): 1}
 
     def test_one_loop_single_node(self):
         inv = dt_invariants(Quiver.make([[1]], [1], [0]), 3, 40)
-        assert inv.nonzero() == {((1,), 0): -1}
+        assert inv.omega == {((1,), 0): -1}
 
     def test_product_remultiplies_scalar(self):
         assert_product_matches(Quiver.make([[0]], [0], [0]), 3, 40, 10)
@@ -648,7 +648,7 @@ class TestDTInvariants:
 
     def test_figure_eight_units(self):
         inv = dt_invariants(generate_double_twist_quiver(1, 1), 1, 40)
-        units = {(d, j): v for (d, j), v in inv.nonzero().items()
+        units = {(d, j): v for (d, j), v in inv.omega.items()
                  if sum(d) == 1}
         assert sorted(j for (_, j) in units) == [-6, -4, -2, 0, 2]
         assert all(v == 1 for v in units.values())
@@ -828,6 +828,19 @@ class TestDTReference:
         assert_matches_reference(generate_double_twist_quiver(p, m), dmax,
                                  order, extra)
 
+    @pytest.mark.parametrize("p,m", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2),
+                                     (3, 3)])
+    def test_stored_quivers_omega_has_no_zero(self, p, m):
+        q = generate_double_twist_quiver(p, m)
+        for dmax, order in ((2, 16), (2, 30), (3, 12)):
+            omega = dt_invariants(q, dmax, order).omega
+            assert omega and 0 not in omega.values()
+
+    @given(repeated_quivers(), st.integers(1, 3), st.integers(4, 12))
+    @settings(max_examples=50, deadline=None)
+    def test_repeated_nodes_omega_has_no_zero(self, q, dmax, order):
+        assert 0 not in dt_invariants(q, dmax, order).omega.values()
+
     def test_negative_shifts_stay_integral(self):
         # with the product bound min(ta, tb), the negative shifts make the
         # layer d = 3 non-integral at every order from 11 to 60
@@ -835,7 +848,7 @@ class TestDTReference:
         for order in (11, 30):
             tail = {((2,), j): -1 if (j + 5) % 4 else 1
                     for j in range(-5, order - 3, 2)}
-            assert dt_invariants(q, 3, order).nonzero() == {
+            assert dt_invariants(q, 3, order).omega == {
                 ((1,), -3): 1, **tail}
             assert_matches_reference(q, 3, order, 100)
 
