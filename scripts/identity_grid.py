@@ -22,7 +22,8 @@ quiver-generate --format json` at m = 1 for p = 1..8, at m = 2 for p =
 2..8 and at m = 3 for p = 3, 4: 149 lines.
 The script imports plumbq from the `src/` of its own checkout, so running
 it in two checkouts and comparing the outputs with `diff` shows every
-printed digit that a change moves.  It takes no options and a few seconds.
+printed digit that a change moves; it runs the commands in-process through
+`tests/cli_runner.py`.  It takes no options and a few seconds.
 """
 
 import hashlib
@@ -32,12 +33,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-from click.testing import CliRunner
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
+from cli_runner import invoke  # noqa: E402
 from plumbq.catalog import NAMED_GRAPHS, poincare_sphere  # noqa: E402
-from plumbq.cli import CACHE_ENV, main as cli_main  # noqa: E402
+from plumbq.cli import CACHE_ENV  # noqa: E402
 from plumbq.gppv import (  # noqa: E402
     gauss_reciprocity_check,
     gppv_verify,
@@ -135,7 +136,6 @@ def permuted(obj: dict) -> dict:
 
 
 def quiver_lines() -> None:
-    runner = CliRunner()
     with tempfile.TemporaryDirectory() as tmp:
         for label, pm, command, options in QUIVER_COMMANDS:
             obj = quiver_to_json(generate_double_twist_quiver(*pm))
@@ -143,10 +143,9 @@ def quiver_lines() -> None:
             path.write_text(json.dumps(
                 permuted(obj) if label.endswith("permuted") else obj))
             text = "--format" in options
-            res = runner.invoke(
-                cli_main, [command, "--quiver", str(path), *options,
-                           *([] if text else ["--format", "json"])],
-                env={CACHE_ENV: None})
+            res = invoke([command, "--quiver", str(path), *options,
+                          *([] if text else ["--format", "json"])],
+                         env={CACHE_ENV: None})
             if text:
                 count = len(res.stdout.splitlines())
             else:
@@ -161,8 +160,8 @@ def quiver_lines() -> None:
         line(f"mmr 4_1 r={r}",
              mmr_leading_check(q41, 0.4 / r, math.exp(0.4), r))
     for p, m in GENERATED:
-        res = runner.invoke(cli_main, ["quiver-generate", "--p", str(p),
-                                       "--m", str(m), "--format", "json"])
+        res = invoke(["quiver-generate", "--p", str(p), "--m", str(m),
+                      "--format", "json"])
         line(f"quiver-generate --p {p} --m {m}",
              {"sha256": hashlib.sha256(res.stdout.encode()).hexdigest()})
 

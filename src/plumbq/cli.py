@@ -1,7 +1,13 @@
 """Command line front end.
 
+`COMMANDS` lists each command with its function and its options; the
+argparse parser of a command is built from it the first time the command
+runs in a process and kept.  `main` is the `plumbq` entry point.
+
 Exit codes: 0 success, 1 tolerance failure in a check command, 2 usage or
-parse error (click's default), 3 violated mathematical precondition.
+parse error, 3 violated mathematical precondition.  An error prints one
+line, `error: ...`, on stderr; a usage error (an unknown option, a missing
+required option, a value of the wrong type or outside the choices) too.
 Expensive q-series runs are cached as JSON files keyed by a content hash of
 the invocation, the package version, a digest of the package's own sources
 and the series JSON format, so an entry made by other code is a miss; cache
@@ -11,15 +17,15 @@ cannot be read back counts as a miss and is rewritten.
 
 from __future__ import annotations
 
+import argparse
 import functools
 import hashlib
+import inspect
 import json
 import os
 import sys
 import tempfile
 from pathlib import Path
-
-import click
 
 from plumbq import __version__
 from plumbq.catalog import NAMED_GRAPHS
@@ -38,12 +44,12 @@ CACHE_ENV = "PLUMBQ_CACHE_DIR"
 
 
 def _fail_math(msg: str):
-    click.echo(f"error: {msg}", err=True)
+    print(f"error: {msg}", file=sys.stderr)
     sys.exit(3)
 
 
 def _fail_usage(msg: str):
-    click.echo(f"error: {msg}", err=True)
+    print(f"error: {msg}", file=sys.stderr)
     sys.exit(2)
 
 
@@ -91,15 +97,15 @@ def _source_digest() -> str:
     return h.hexdigest()
 
 
-def _cache_fetch(cache: Path | None, key_obj,
+def _cache_fetch(cache: Path | None, make_key,
                  fields) -> tuple[dict | None, Path | None]:
     """(cached payload or None, file path for the key).  The key is the
-    content hash of key_obj, the package version, the source digest and the
-    series format; an entry that is unreadable or lacks one of fields is a
-    miss."""
+    content hash of make_key(), the package version, the source digest and
+    the series format, all taken only when there is a cache; an entry that
+    is unreadable or lacks one of fields is a miss."""
     if cache is None:
         return None, None
-    key = dict(key_obj, version=__version__, source=_source_digest(),
+    key = dict(make_key(), version=__version__, source=_source_digest(),
                series_format=SERIES_FORMAT)
     digest = hashlib.sha256(
         json.dumps(key, sort_keys=True).encode()
@@ -117,42 +123,33 @@ def _cache_fetch(cache: Path | None, key_obj,
 def _cache_store(target: Path | None, text: str) -> None:
     if target is None:
         return
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, target)
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, target)
+    except OSError as exc:
+        _fail_usage(f"cannot write cache {target.parent}: {exc}")
+
+
+def _write_out(path: str, payload: dict) -> None:
+    try:
+        Path(path).write_text(json.dumps(payload, indent=2))
+    except OSError as exc:
+        _fail_usage(f"cannot write {path}: {exc}")
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
     """Print payload as JSON, or the lines text_lines() makes: they are made
     only for text output."""
     if fmt == "json":
-        click.echo(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines():
-            click.echo(line)
+            print(line)
 
 
-@click.group()
-def main():
-    """Exact invariants of plumbed 3-manifolds and knot quivers."""
-
-
-graph_opt = click.option(
-    "--graph", required=True,
-    help="graph JSON file or a named example "
-         f"({', '.join(sorted(NAMED_GRAPHS))})")
-fmt_opt = click.option(
-    "--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-
-
-@main.command()
-@graph_opt
-@click.option("--group", type=click.Choice(VARIANTS), default="su2")
-@click.option("--order", type=int, default=50)
-@click.option("--cache-dir", default=None)
-@fmt_opt
 def zhat(graph, group, order, cache_dir, fmt):
     """Homological blocks of a negative-definite plumbing."""
     from plumbq.zhat import block_to_json, zhat_all_blocks
@@ -160,10 +157,11 @@ def zhat(graph, group, order, cache_dir, fmt):
     g = _load_graph(graph)
     if not is_negative_definite(linking_matrix(g)):
         _fail_math("linking matrix is not negative definite")
-    key = {"cmd": "zhat", "graph": graph_to_json(g), "group": group,
-           "order": order}
-    payload, target = _cache_fetch(_cache_dir(cache_dir), key,
-                                   ("group", "order", "blocks"))
+    payload, target = _cache_fetch(
+        _cache_dir(cache_dir),
+        lambda: {"cmd": "zhat", "graph": graph_to_json(g), "group": group,
+                 "order": order},
+        ("group", "order", "blocks"))
     if payload is None:
         try:
             blocks = zhat_all_blocks(g, group, order)
@@ -182,16 +180,6 @@ def zhat(graph, group, order, cache_dir, fmt):
     _emit(payload, fmt, lines)
 
 
-@main.command()
-@graph_opt
-@click.option("--group",
-              type=click.Choice(["su2", "so3", "osp12", "sun-zm"]),
-              default="su2")
-@click.option("--level", type=int, required=True)
-@click.option("--rank-n", type=int, default=2, help="N for sun-zm")
-@click.option("--subgroup-m", type=int, default=1, help="m for sun-zm")
-@click.option("--precision", type=int, default=60)
-@fmt_opt
 def wrt(graph, group, level, rank_n, subgroup_m, precision, fmt):
     """State-sum invariant at a root of unity."""
     from plumbq.wrt import (
@@ -216,18 +204,6 @@ def wrt(graph, group, level, rank_n, subgroup_m, precision, fmt):
         f"{payload['root_order']}): {payload['re']} + {payload['im']}i"])
 
 
-@main.command("gppv-check")
-@graph_opt
-@click.option("--group",
-              type=click.Choice(["su2", "so3", "osp12", "sun-zm"]),
-              default="su2")
-@click.option("--level", type=int, required=True)
-@click.option("--order", type=int, default=200)
-@click.option("--rank-n", type=int, default=2)
-@click.option("--subgroup-m", type=int, default=1)
-@click.option("--precision", type=int, default=40)
-@click.option("--tol", type=float, default=1e-3)
-@fmt_opt
 def gppv_check(graph, group, level, order, rank_n, subgroup_m, precision,
                tol, fmt):
     """Compare the state sum against the block decomposition limit."""
@@ -254,17 +230,11 @@ def gppv_check(graph, group, level, order, rank_n, subgroup_m, precision,
         sys.exit(1)
 
 
-@main.command()
-@graph_opt
-@click.option("--move", "move_json", required=True,
-              help='JSON, e.g. {"kind": "blow_down", "vertex": 3}')
-@click.option("--out", "out_path", default=None)
-@fmt_opt
-def kirby(graph, move_json, out_path, fmt):
+def kirby(graph, move, out, fmt):
     """Apply a blow-up or blow-down move and print the new graph."""
     g = _load_graph(graph)
     try:
-        move = json.loads(move_json)
+        move = json.loads(move)
     except json.JSONDecodeError as exc:
         _fail_usage(f"bad move JSON: {exc}")
     try:
@@ -276,20 +246,15 @@ def kirby(graph, move_json, out_path, fmt):
     except ValueError as exc:
         _fail_math(str(exc))
     payload = graph_to_json(g2)
-    if out_path:
-        Path(out_path).write_text(json.dumps(payload, indent=2))
+    if out:
+        _write_out(out, payload)
     _emit(payload, fmt, lambda: [
         "vertices: " + ", ".join(
             f"{v['id']}:{v['framing']}" for v in payload["vertices"]),
         "edges: " + ", ".join(map(str, payload["edges"]))])
 
 
-@main.command("quiver-generate")
-@click.option("--p", type=int, required=True)
-@click.option("--m", type=int, required=True)
-@click.option("--out", "out_path", default=None)
-@fmt_opt
-def quiver_generate(p, m, out_path, fmt):
+def quiver_generate(p, m, out, fmt):
     """Quiver data for the double twist knot K(p,-m)."""
     from plumbq.kq import generate_double_twist_quiver, quiver_to_json
 
@@ -298,26 +263,22 @@ def quiver_generate(p, m, out_path, fmt):
     except ValueError as exc:
         _fail_math(str(exc))
     payload = quiver_to_json(q)
-    if out_path:
-        Path(out_path).write_text(json.dumps(payload, indent=2))
+    if out:
+        _write_out(out, payload)
     _emit(payload, fmt, lambda: [
         f"{q.n} nodes", "xi: " + " ".join(map(str, q.xi)),
         "gamma: " + " ".join(map(str, q.gamma))])
 
 
-@main.command("quiver-series")
-@click.option("--quiver", "quiver_path", required=True)
-@click.option("--r", type=int, required=True)
-@click.option("--cache-dir", default=None)
-@fmt_opt
-def quiver_series(quiver_path, r, cache_dir, fmt):
+def quiver_series(quiver, r, cache_dir, fmt):
     """Motivic series coefficient of x^r (the r-colored polynomial)."""
     from plumbq.kq import quiver_jones, quiver_to_json
 
-    q = _load_quiver(quiver_path)
-    key = {"cmd": "quiver-series", "quiver": quiver_to_json(q), "r": r}
-    payload, target = _cache_fetch(_cache_dir(cache_dir), key,
-                                   ("r", "series"))
+    q = _load_quiver(quiver)
+    payload, target = _cache_fetch(
+        _cache_dir(cache_dir),
+        lambda: {"cmd": "quiver-series", "quiver": quiver_to_json(q), "r": r},
+        ("r", "series"))
     if payload is None:
         try:
             series = quiver_jones(q, r)
@@ -328,12 +289,7 @@ def quiver_series(quiver_path, r, cache_dir, fmt):
     _emit(payload, fmt, lambda: [str(qs_from_json(payload["series"]))])
 
 
-@main.command()
-@click.option("--quiver", "quiver_path", required=True)
-@click.option("--dmax", type=int, default=2)
-@click.option("--order", type=int, default=40)
-@fmt_opt
-def dt(quiver_path, dmax, order, fmt):
+def dt(quiver, dmax, order, fmt):
     """Integer exponents of the product form of the motivic series.
 
     Text prints one line Omega[d, j] = value per nonzero exponent; JSON
@@ -342,7 +298,7 @@ def dt(quiver_path, dmax, order, fmt):
     """
     from plumbq.kq import dt_invariants
 
-    q = _load_quiver(quiver_path)
+    q = _load_quiver(quiver)
     if order < 1:  # preconditions; other ValueErrors are failed checks
         _fail_math("order must be at least 1")
     if dmax < 1:
@@ -350,7 +306,7 @@ def dt(quiver_path, dmax, order, fmt):
     try:
         inv = dt_invariants(q, dmax, order)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
     by_d = {}  # each d is encoded once, for all of its j
     for (d, j), v in inv.omega.items():
@@ -360,23 +316,13 @@ def dt(quiver_path, dmax, order, fmt):
         omega = ", ".join(f'{{"d": {dj}, "j": {j}, "value": {v}}}'
                           for d, jv in rows for dj in [json.dumps(list(d))]
                           for j, v in jv)
-        click.echo(f'{{"dmax": {dmax}, "omega": [{omega}], "order": {order}}}')
+        print(f'{{"dmax": {dmax}, "omega": [{omega}], "order": {order}}}')
     else:
         for d, jv in rows:
             for j, v in jv:
-                click.echo(f"Omega[{d}, {j}] = {v}")
+                print(f"Omega[{d}, {j}] = {v}")
 
 
-@main.command()
-@click.option("--knot",
-              type=click.Choice(["0_1", "3_1", "4_1", "5_1", "8_3-nested",
-                                 "twist"]),
-              required=True)
-@click.option("--r", type=int, required=True)
-@click.option("--a-exp", type=int, default=2)
-@click.option("--q-sub", type=int, default=1)
-@click.option("--p", type=int, default=1, help="twists for --knot twist")
-@fmt_opt
 def oracle(knot, r, a_exp, q_sub, p, fmt):
     """Closed-form knot polynomial oracles."""
     from plumbq.kq import nested_sum_jones_83, closed_form_homfly, twist_knot_jones
@@ -392,6 +338,119 @@ def oracle(knot, r, a_exp, q_sub, p, fmt):
         _fail_math(str(exc))
     payload = {"knot": knot, "r": r, "series": qs_to_json(series)}
     _emit(payload, fmt, lambda: [str(series)])
+
+
+def _int(flag: str, default: int | None = None, **kwargs):
+    """An int option; one without a default is required."""
+    return flag, dict(type=int, default=default, required=default is None,
+                      **kwargs)
+
+
+GRAPH = ("--graph", dict(
+    required=True, help="graph JSON file or a named example "
+                        f"({', '.join(sorted(NAMED_GRAPHS))})"))
+GROUP = ("--group", dict(choices=("su2", "so3", "osp12", "sun-zm"),
+                         default="su2"))
+QUIVER = ("--quiver", dict(required=True))
+OUT = ("--out", {})
+CACHE = ("--cache-dir", {})
+FORMAT = ("--format", dict(dest="fmt", choices=("text", "json"),
+                           default="text"))
+
+# name: (function, options as (flag, argparse add_argument keywords)); each
+# option's dest is a parameter of the function
+COMMANDS = {
+    "zhat": (zhat, (GRAPH, ("--group", dict(choices=VARIANTS, default="su2")),
+                    _int("--order", 50), CACHE, FORMAT)),
+    "wrt": (wrt, (GRAPH, GROUP, _int("--level"),
+                  _int("--rank-n", 2, help="N for sun-zm"),
+                  _int("--subgroup-m", 1, help="m for sun-zm"),
+                  _int("--precision", 60), FORMAT)),
+    "gppv-check": (gppv_check, (
+        GRAPH, GROUP, _int("--level"), _int("--order", 200),
+        _int("--rank-n", 2), _int("--subgroup-m", 1), _int("--precision", 40),
+        ("--tol", dict(type=float, default=1e-3)), FORMAT)),
+    "kirby": (kirby, (GRAPH, ("--move", dict(
+        required=True, help='JSON, e.g. {"kind": "blow_down", "vertex": 3}')),
+                      OUT, FORMAT)),
+    "quiver-generate": (quiver_generate, (_int("--p"), _int("--m"), OUT,
+                                          FORMAT)),
+    "quiver-series": (quiver_series, (QUIVER, _int("--r"), CACHE, FORMAT)),
+    "dt": (dt, (QUIVER, _int("--dmax", 2), _int("--order", 40), FORMAT)),
+    "oracle": (oracle, (
+        ("--knot", dict(choices=("0_1", "3_1", "4_1", "5_1", "8_3-nested",
+                                 "twist"), required=True)),
+        _int("--r"), _int("--a-exp", 2), _int("--q-sub", 1),
+        _int("--p", 1, help="twists for --knot twist"), FORMAT)),
+}
+
+
+class _Formatter(argparse.RawDescriptionHelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        _fail_usage(message)
+
+
+@functools.cache
+def _parser(prog: str, name: str) -> argparse.ArgumentParser:
+    """The parser of one command, built from COMMANDS once per process."""
+    fn, options = COMMANDS[name]
+    parser = _Parser(prog=f"{prog} {name}",
+                     description=inspect.cleandoc(fn.__doc__),
+                     formatter_class=_Formatter, allow_abbrev=False,
+                     add_help=False)
+    group = parser.add_argument_group("Options")
+    group.add_argument("-h", "--help", action="help",
+                       help="show this message and exit")
+    for flag, kwargs in options:
+        group.add_argument(flag, **kwargs)
+    return parser
+
+
+def _usage(prog: str) -> str:
+    width = max(map(len, COMMANDS))
+    return "\n".join([
+        f"Usage: {prog} COMMAND [OPTIONS]", "",
+        "Exact invariants of plumbed 3-manifolds and knot quivers.", "",
+        "Commands:",
+        *(f"  {name:{width}}  {fn.__doc__.splitlines()[0]}"
+          for name, (fn, _) in COMMANDS.items()), "",
+        f"'{prog} COMMAND --help' lists the options of a command."])
+
+
+def main(args=None, prog_name=None, standalone_mode=True):
+    """Run the command that args (default sys.argv[1:]) names with its
+    options, printing to stdout and stderr.  Success returns None; any
+    other exit raises SystemExit with the exit code.  standalone_mode is
+    accepted, and ignored, for callers of the earlier click entry point."""
+    argv = sys.argv[1:] if args is None else list(args)
+    prog = prog_name or "plumbq"
+    try:
+        try:
+            if argv and argv[0] in COMMANDS:
+                fn = COMMANDS[argv[0]][0]
+                fn(**vars(_parser(prog, argv[0]).parse_args(argv[1:])))
+            elif argv[:1] in (["-h"], ["--help"]):
+                print(_usage(prog))
+            else:
+                _fail_usage(
+                    (f"no such command {argv[0]!r}" if argv
+                     else "no command given")
+                    + f" (choose from {', '.join(COMMANDS)})")
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout went away (`plumbq dt ... | head`): exit 1
+        # without a traceback, and without a second one at shutdown
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+
+
+main.main = main  # the call click's entry point took: main.main(args=...)
 
 
 if __name__ == "__main__":

@@ -9,12 +9,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import invoke
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from plumbq import cli
-from plumbq.cli import main
 from plumbq.kq import (
     Quiver,
     dt_invariants,
@@ -24,7 +23,7 @@ from plumbq.kq import (
 
 
 def run(*args):
-    return CliRunner().invoke(main, list(args))
+    return invoke(args)
 
 
 class TestZhatCommand:
@@ -277,6 +276,14 @@ class TestExitCodes:
           '{"kind": "blow_up", "sign": -1, "edge": [0, 5], "new_id": 9}'), 3),
         (("quiver-series", "--quiver", "{empty}", "--r", "1"), 2),
         (("dt", "--quiver", "{empty}"), 2),
+        (("quiver-generate", "--p", "1", "--m", "1", "--out",
+          "/nonexist/d/q.json"), 2),
+        (("kirby", "--graph", "poincare", "--move",
+          '{"kind": "blow_up", "sign": -1, "at": 0, "new_id": 99}',
+          "--out", "/nonexist/d/g.json"), 2),
+        (("zhat", "--graph", "poincare", "--cache-dir", "{quiver}"), 2),
+        (("quiver-series", "--quiver", "{quiver}", "--r", "1",
+          "--cache-dir", "{quiver}"), 2),
     ], ids=["graph-not-a-tree", "wrt-graph-not-a-tree",
             "quiver-not-symmetric", "order-below-delta",
             "su3-order-below-delta", "su3-negative-order",
@@ -289,7 +296,9 @@ class TestExitCodes:
             "gppv-precision-zero", "gppv-tol-negative", "gppv-tol-nan",
             "kirby-missing-key", "kirby-move-not-object",
             "kirby-edge-not-pair", "kirby-sign-not-unit", "kirby-id-taken",
-            "kirby-edge-not-in-graph", "quiver-no-nodes", "dt-no-nodes"])
+            "kirby-edge-not-in-graph", "quiver-no-nodes", "dt-no-nodes",
+            "generate-out-unwritable", "kirby-out-unwritable",
+            "zhat-cache-not-a-directory", "series-cache-not-a-directory"])
     def test_exit_code(self, tmp_path, args, code):
         files = {"{cycle}": NOT_A_TREE,
                  "{skew}": {"n": 2, "C": [[0, 1], [2, 0]], "xi": [0, 0],
@@ -313,6 +322,21 @@ class TestExitCodes:
             assert res.output == "error: precision must be at least 1\n"
         if "--tol" in args:
             assert res.output == "error: tolerance must be a nonnegative number\n"
+        if "--out" in args:
+            path = args[args.index("--out") + 1]
+            assert res.output.startswith(f"error: cannot write {path}: ")
+        if "--cache-dir" in args:
+            path = tmp_path / "{quiver}"
+            assert res.output.startswith(f"error: cannot write cache {path}: ")
+
+    def test_cache_dir_from_env_not_a_directory(self, tmp_path):
+        path = tmp_path / "file"
+        path.write_text("")
+        res = invoke(["zhat", "--graph", "poincare", "--order", "10"],
+                     env={cli.CACHE_ENV: str(path)})
+        assert res.exit_code == 2
+        assert res.output.startswith(f"error: cannot write cache {path}: ")
+        assert res.output.count("\n") == 1
 
 
 class TestReadersTakeOnlyIntegers:
@@ -403,6 +427,20 @@ class TestCache:
         qfile = tmp_path / "q.json"
         assert run("quiver-series", "--quiver", str(qfile), "--r", "2").exit_code == 0
 
+    def test_no_key_without_a_cache(self, tmp_path, monkeypatch):
+        # with no cache the input is not serialised into a key
+        def refuse(obj):
+            raise AssertionError("a cache key was built without a cache")
+
+        qfile = tmp_path / "q.json"
+        run("quiver-generate", "--p", "1", "--m", "1", "--out", str(qfile))
+        monkeypatch.setattr(cli, "graph_to_json", refuse)
+        monkeypatch.setattr("plumbq.kq.quiver_to_json", refuse)
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        for args in (("zhat", "--graph", "poincare", "--order", "20"),
+                     ("quiver-series", "--quiver", str(qfile), "--r", "2")):
+            assert run(*args).exit_code == 0
+
     @pytest.mark.parametrize("junk", ['{"r": 2, "seri', "[]", "{}", "\xff"])
     def test_corrupt_entry_is_a_miss_and_rewritten(self, tmp_path, junk):
         cache = tmp_path / "cache"
@@ -417,18 +455,28 @@ class TestCache:
 
 
 def test_python_m_plumbq_runs_the_cli():
+    # importing the CLI loads no click, and --help works at the top level
+    # and for every command
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, "-m", "plumbq", "--help"],
-                         capture_output=True, text=True, timeout=60,
-                         env=dict(os.environ, PYTHONPATH=path))
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.startswith("Usage: plumbq ")
+
+    def python(*args):
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=path))
+
+    res = python("-c", "import sys, plumbq.cli; print('click' in sys.modules)")
+    assert (res.returncode, res.stdout) == (0, "False\n"), res.stderr
+    for command in ([], ["zhat"], ["wrt"], ["gppv-check"], ["kirby"],
+                    ["quiver-generate"], ["quiver-series"], ["dt"],
+                    ["oracle"]):
+        res = python("-m", "plumbq", *command, "--help")
+        assert res.returncode == 0, (command, res.stderr)
+        assert res.stdout.startswith("Usage: plumbq "), command
 
 
-# The CLI contract over random inputs: files that may be malformed and
-# option values of the right type.  (A value click cannot parse is click's
-# own usage error, whose help text runs to several lines.)
+# The CLI contract over random inputs: files that may be malformed, and
+# option values of the right type or made into a usage error.
 SMALL = st.integers(-2, 4)
 JUNK = st.sampled_from([1.5, True, "x", None, [], {}])
 
@@ -472,6 +520,13 @@ def quiver_objects(draw):
     return obj
 
 
+REQUIRED = {"zhat": ["--graph"], "wrt": ["--graph", "--level"],
+            "gppv-check": ["--graph", "--level"], "kirby": ["--graph", "--move"],
+            "quiver-generate": ["--p", "--m"], "quiver-series": ["--quiver", "--r"],
+            "dt": ["--quiver"], "oracle": ["--knot", "--r"]}
+UNTYPED = ("--graph", "--quiver", "--move")  # any string is a value
+
+
 def commands(graph, quiver):
     """Every command, with option values of the right type."""
     fmt = st.lists(st.sampled_from([("--format", "json"), ("--format", "text")]), max_size=1)
@@ -504,7 +559,28 @@ def commands(graph, quiver):
             lambda t: ["oracle", "--knot", t[0], "--r", str(t[1]), "--p", str(t[2])]))
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def usage_error(data, args):
+    """Make args a usage error, or leave them (None): an ill-typed value, an
+    unknown option or a dropped required option."""
+    kind = data.draw(st.sampled_from([None, None, None, "ill-typed", "unknown", "dropped"]))
+    flags = range(1, len(args), 2)  # args is the command, then flag-value pairs
+    if kind == "ill-typed":
+        if all(args[i] in UNTYPED for i in flags):  # kirby without --format
+            args += ["--format", "text"]
+        at = data.draw(st.sampled_from(
+            [i for i in range(1, len(args), 2) if args[i] not in UNTYPED]))
+        args[at + 1] = data.draw(st.sampled_from(["x", "", "1/2", "2**3"]))
+    elif kind == "unknown":
+        at = data.draw(st.sampled_from([*flags, len(args)]))
+        args[at:at] = data.draw(st.sampled_from(
+            [["--nope", "1"], ["--ord", "5"], ["-x"], ["--graph-file", "g"], ["extra"]]))
+    elif kind == "dropped":
+        at = args.index(data.draw(st.sampled_from(REQUIRED[args[0]])))
+        del args[at:at + 2]
+    return kind
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data(), graph_objects(), quiver_objects())
 def test_cli_contract_on_random_inputs(data, graph, quiver):
     # exit 0, 1 (a failed check: gppv-check, dt), 2 (usage or parse error)
@@ -517,7 +593,10 @@ def test_cli_contract_on_random_inputs(data, graph, quiver):
             with open(files[name], "w") as fh:
                 json.dump(obj, fh)
         args = data.draw(commands(files["g.json"], files["q.json"]))
-        res = CliRunner().invoke(main, args, env={cli.CACHE_ENV: None})
+        usage = usage_error(data, args)
+        res = invoke(args, env={cli.CACHE_ENV: None})
+    if usage is not None:
+        assert res.exit_code == 2 and res.stdout == "", (usage, args)
     assert res.exception is None or isinstance(res.exception, SystemExit), args
     assert res.exit_code in ((0, 1, 2, 3) if args[0] in ("gppv-check", "dt") else (0, 2, 3)), args
     assert "Traceback" not in res.output
